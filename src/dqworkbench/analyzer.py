@@ -27,7 +27,7 @@ from .constraints import (
     is_compatible,
     structure_holds,
 )
-from .procedures import Procedure, residual_query
+from .procedures import Procedure
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,6 @@ def min_schema(
     for q in p.safe:
         if not is_compatible(q, s):
             return Failure("a safety query does not fit the schema")
-    if not is_compatible(residual_query(s, p.scope), s):
-        return Failure("preserved content does not fit the schema")
 
     required: dict[str, set[str]] = {}
     labels: dict[str, int] = {}

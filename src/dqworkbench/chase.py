@@ -18,12 +18,14 @@ from .constraints import (
     ConjunctiveQuery,
     ConstantAtom,
     NamedAtom,
+    RowIndex,
     StructureConstraint,
     Tgd,
     Value,
     Var,
     evaluate_query,
     is_compatible,
+    join,
     structure_holds,
 )
 from .ctables import (
@@ -41,6 +43,7 @@ from .ctables import (
     TrueCond,
     cond_and,
     condition_entails,
+    condition_nulls,
     enumerate_minimal,
     positive_condition_satisfiable,
 )
@@ -95,103 +98,60 @@ def _reject_constancy_tests(p: Procedure) -> None:
 
 
 def _body_triggers(
-    t: ConditionalInstance, body: ConjunctiveQuery
+    rows: RowIndex, body: ConjunctiveQuery
 ) -> Iterator[tuple[Condition, dict[Var, Cell]]]:
     """All ways to match the rule body against the table, with the condition
     (used tuples' conditions plus induced cell equalities) each match needs.
 
     Matching a variable or an in-rule constant against a labeled null does
     not fail: it records the equality the valuation would have to satisfy.
+    A match state maps each variable to its cell and each matched atom's
+    position to its tuple's condition and recorded equalities. Only
+    null-free columns are pinned, and only to constants.
     """
     atoms = [a for a in body.atoms if isinstance(a, NamedAtom)]
+    null_columns = {
+        (rel, attr)
+        for rel, pairs in rows.entries.items()
+        for row, _ in pairs
+        for attr, cell in row.cells
+        if isinstance(cell, LabeledNull)
+    }
 
-    def merge(
-        bound: Cell | None, cell: Cell, literals: list[Condition]
-    ) -> Cell | None:
-        if bound is None:
-            return cell
-        if bound == cell:
-            return bound
-        if isinstance(bound, LabeledNull):
-            literals.append(CondEq(bound, cell))
-            return bound
-        if isinstance(cell, LabeledNull):
-            literals.append(CondEq(cell, bound))
-            return bound
-        return None
+    def pinnable(relation: str, attr: str, value: Cell) -> bool:
+        return isinstance(value, Value) and (relation, attr) not in null_columns
 
-    def walk(idx, assignment, conds, literals):
-        if idx == len(atoms):
-            yield cond_and(conds + literals), dict(assignment)
-            return
-        atom = atoms[idx]
-        for row, cond in t.rows(atom.relation):
-            next_assignment = dict(assignment)
-            next_literals = list(literals)
-            ok = True
-            for attr, term in atom.bindings:
-                cell = row[attr]
-                if isinstance(term, Value):
-                    merged = merge(term, cell, next_literals)
-                else:
-                    merged = merge(next_assignment.get(term), cell, next_literals)
-                    if merged is not None:
-                        next_assignment[term] = merged
-                if merged is None:
-                    ok = False
-                    break
-            if ok:
-                yield from walk(idx + 1, next_assignment, conds + [cond], next_literals)
+    def extend(state: dict, k: int, pair: ConditionalRow) -> dict | None:
+        row, cond = pair
+        new = dict(state)
+        literals = []
+        for attr, term in atoms[k].bindings:
+            cell = row[attr]
+            bound = term if isinstance(term, Value) else new.get(term)
+            if bound is None:
+                new[term] = cell
+            elif bound == cell:
+                continue
+            elif isinstance(bound, LabeledNull):
+                literals.append(CondEq(bound, cell))
+            elif isinstance(cell, LabeledNull):
+                literals.append(CondEq(cell, bound))
+            else:
+                return None
+        new[k] = (cond, literals)
+        return new
 
-    yield from walk(0, {}, [], [])
-
-
-class _RowStore:
-    """Live per-relation rows with projection indexes for head matching.
-
-    Candidate lookup narrows the scan to rows agreeing on the cells a head
-    atom already determines; indexes build lazily per projection shape and
-    stay in sync as tuples are appended during a pass.
-    """
-
-    def __init__(self, t: ConditionalInstance):
-        self.rows: dict[str, list[ConditionalRow]] = {
-            rel: list(t.rows(rel)) for rel in t.schema.names
-        }
-        self.seen: dict[str, set[ConditionalRow]] = {
-            rel: set(pairs) for rel, pairs in self.rows.items()
-        }
-        self._indexes: dict[tuple[str, tuple[str, ...]], dict] = {}
-
-    def candidates(
-        self, relation: str, determined: dict[str, Cell]
-    ) -> list[ConditionalRow]:
-        if not determined:
-            return self.rows[relation]
-        attrs = tuple(sorted(determined))
-        index = self._indexes.get((relation, attrs))
-        if index is None:
-            index = {}
-            for pair in self.rows[relation]:
-                key = tuple(pair[0][a] for a in attrs)
-                index.setdefault(key, []).append(pair)
-            self._indexes[(relation, attrs)] = index
-        return index.get(tuple(determined[a] for a in attrs), [])
-
-    def add(self, relation: str, pair: ConditionalRow) -> bool:
-        if pair in self.seen[relation]:
-            return False
-        self.rows[relation].append(pair)
-        self.seen[relation].add(pair)
-        for (rel, attrs), index in self._indexes.items():
-            if rel == relation:
-                key = tuple(pair[0][a] for a in attrs)
-                index.setdefault(key, []).append(pair)
-        return True
+    patterns = [(a.relation, a.bindings) for a in atoms]
+    for state in join(patterns, rows, {}, extend=extend, pinnable=pinnable):
+        matched = [state[k] for k in range(len(atoms))]
+        condition = cond_and(
+            [cond for cond, _ in matched] + [lit for _, lits in matched for lit in lits]
+        )
+        yield condition, {v: c for v, c in state.items() if isinstance(v, Var)}
 
 
 def _head_matched(
-    store: _RowStore,
+    store: RowIndex,
     head: ConjunctiveQuery,
     frontier: dict[Var, Cell],
     trigger_cond: Condition,
@@ -202,41 +162,10 @@ def _head_matched(
     must be entailed by the trigger's; a False here merely adds a redundant
     tuple, which never changes the represented set's minimal members.
     """
-    atoms = list(head.atoms)
-
-    def walk(idx: int, assignment: dict[Var, Cell]) -> bool:
-        if idx == len(atoms):
-            return True
-        atom = atoms[idx]
-        determined: dict[str, Cell] = {}
-        for attr, term in atom.bindings:
-            if isinstance(term, Value):
-                determined[attr] = term
-            elif term in assignment:
-                determined[attr] = assignment[term]
-        for row, cond in store.candidates(atom.relation, determined):
-            if not condition_entails(trigger_cond, cond):
-                continue
-            next_assignment = dict(assignment)
-            ok = True
-            for attr, term in atom.bindings:
-                cell = row[attr]
-                if isinstance(term, Value):
-                    expected = term
-                else:
-                    expected = next_assignment.get(term)
-                    if expected is None:
-                        next_assignment[term] = cell
-                        continue
-                if expected != cell:
-                    ok = False
-                    break
-            if ok and walk(idx + 1, next_assignment):
-                return True
-        return False
-
+    patterns = [(a.relation, a.bindings) for a in head.atoms]
     init = {v: frontier[v] for v in head.free}
-    return walk(0, init)
+    entailed = lambda state, k, pair: condition_entails(trigger_cond, pair[1])
+    return any(True for _ in join(patterns, store, init, accept=entailed))
 
 
 def chase_safe_scope(
@@ -259,10 +188,11 @@ def chase_safe_scope(
             raise Incompatible(
                 "postcondition mentions relations or attributes the schema lacks"
             )
-    store = _RowStore(t)
+    body_rows = RowIndex(t.data, paired=True)
+    store = RowIndex({rel: list(t.rows(rel)) for rel in t.schema.names}, paired=True)
     for tgd_idx, dep in enumerate(p.post):
         ordinal = 0
-        for trigger_cond, frontier in _body_triggers(t, dep.body):
+        for trigger_cond, frontier in _body_triggers(body_rows, dep.body):
             if not positive_condition_satisfiable(trigger_cond):
                 continue
             if _head_matched(store, dep.head, frontier, trigger_cond):
@@ -288,7 +218,7 @@ def chase_safe_scope(
                     )
                 store.add(atom.relation, (CRow.of(cells), trigger_cond))
             ordinal += 1
-    return ConditionalInstance.of(t.schema, store.rows)
+    return ConditionalInstance.of(t.schema, store.entries)
 
 
 def apply_alter_schema(
@@ -472,7 +402,7 @@ def canonical_table(t: ConditionalInstance) -> ConditionalInstance:
             for cell in row.values_in_order():
                 if isinstance(cell, LabeledNull):
                     visit(cell)
-            for n in _condition_nulls_in_order(cond):
+            for n in condition_nulls(cond):
                 visit(n)
     if not rename:
         return t
@@ -492,17 +422,6 @@ def canonical_table(t: ConditionalInstance) -> ConditionalInstance:
         for rel in t.schema.names
     }
     return ConditionalInstance.of(t.schema, data)
-
-
-def _condition_nulls_in_order(c: Condition) -> list[LabeledNull]:
-    if isinstance(c, TrueCond):
-        return []
-    if isinstance(c, (CondEq, CondNeq)):
-        out = [c.left]
-        if isinstance(c.right, LabeledNull):
-            out.append(c.right)
-        return out
-    return [n for item in c.items for n in _condition_nulls_in_order(item)]
 
 
 def plan_search(
@@ -534,7 +453,7 @@ def plan_search(
         )
 
     start = ConditionalInstance.from_instance(i)
-    if certain(start) and ready_for(i, [], q, max_valuations=max_valuations):
+    if certain(start):
         return []
     frontier: list[tuple[ConditionalInstance, list[Procedure]]] = [(start, [])]
     seen = {canonical_table(start)}
@@ -553,9 +472,7 @@ def plan_search(
                     continue
                 seen.add(key)
                 plan = seq + [p]
-                if certain(result) and ready_for(
-                    i, plan, q, max_valuations=max_valuations
-                ):
+                if certain(result):
                     return plan
                 next_frontier.append((result, plan))
         frontier = next_frontier

@@ -500,6 +500,9 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     except (WorkbenchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
+    except RecursionError:
+        print("error: input nested too deeply to process", file=sys.stderr)
+        return EXIT_ERROR
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

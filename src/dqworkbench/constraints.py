@@ -6,12 +6,19 @@ structure requirements, together with compatibility, evaluation, and
 satisfaction. Named atoms match by projection: an atom holds on a tuple
 when the tuple agrees with it on the named attributes, whatever else the
 tuple carries.
+
+`join` is the workbench's single matcher: an iterative depth-first search
+for a homomorphism from patterns into indexed rows (`RowIndex`). Query
+evaluation and dependency checks here, the chase's body triggers and head
+checks, and conditional-table membership all run on it, differing only in
+how a row extends a partial match.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DomainMismatch, Incompatible
 from .model import Instance, Row, Schema, Value
@@ -209,10 +216,6 @@ class Tgd:
         if not set(self.head.free) <= set(self.body.free):
             raise DomainMismatch("head free variables must occur in the body")
 
-    @property
-    def is_full(self) -> bool:
-        return not self.head.existential
-
 
 @dataclass(frozen=True)
 class Egd:
@@ -284,39 +287,149 @@ def _split_atoms(atoms: Iterable[Atom]) -> tuple[list[NamedAtom], list[ConstantA
     return named, constant
 
 
+class RowIndex:
+    """Rows per relation, with hash indexes on pinned attributes built lazily.
+
+    With `paired`, an entry is a (row, payload) pair, as in a conditional
+    table; otherwise it is the row itself. The index on (relation, attrs)
+    maps the cells a row carries on attrs to its entries, in entry order.
+    """
+
+    __slots__ = ("entries", "paired", "_indexes")
+
+    def __init__(self, entries: Mapping[str, Iterable], paired: bool = False):
+        self.entries = dict(entries)
+        self.paired = paired
+        self._indexes: dict[tuple[str, tuple[str, ...]], dict] = {}
+
+    def _key(self, entry, attrs: tuple[str, ...]) -> tuple:
+        row = entry[0] if self.paired else entry
+        return tuple(row[a] for a in attrs)
+
+    def candidates(self, relation: str, attrs: tuple[str, ...], key: tuple):
+        """The entries whose row carries key on attrs; every entry when attrs is empty."""
+        if not attrs:
+            return self.entries[relation]
+        index = self._indexes.get((relation, attrs))
+        if index is None:
+            index = self._indexes[(relation, attrs)] = {}
+            for entry in self.entries[relation]:
+                index.setdefault(self._key(entry, attrs), []).append(entry)
+        return index.get(key, ())
+
+    def add(self, relation: str, entry) -> None:
+        """Append an entry to a relation held as a list, keeping built indexes in step."""
+        self.entries[relation].append(entry)
+        for (rel, attrs), index in self._indexes.items():
+            if rel == relation:
+                index.setdefault(self._key(entry, attrs), []).append(entry)
+
+
+# relations this small are scanned: hashing a probe key costs more than the scan
+SCAN_BELOW = 8
+_SKIP = object()
+
+
+def join(
+    patterns: Sequence[tuple[str, tuple[tuple[str, object], ...]]],
+    rows: RowIndex,
+    init: dict,
+    *,
+    extend: Callable | None = None,
+    accept: Callable | None = None,
+    skip: Callable | None = None,
+    pinnable: Callable | None = None,
+) -> Iterator[dict]:
+    """Every state reached from init by matching each pattern to one entry.
+
+    Depth first, on an explicit stack. A pattern is (relation, bindings);
+    a bound term is a constant if it is a Value, else a variable. States
+    map variables to cells and are never mutated once built. A probe pins
+    the attributes bound to a constant or a bound variable, unless
+    `pinnable(relation, attr, value)` says no. An entry extends a state by
+    strict unification, or by `extend(state, k, entry)`, which returns the
+    new state or None; `accept(state, k, entry)` may veto the result. When
+    pattern k's candidates run out, `skip(state, k)` lets the search pass
+    pattern k unmatched.
+    """
+    if not patterns:
+        yield init
+        return
+    last = len(patterns) - 1
+    paired = rows.paired
+
+    def candidates(k: int, state: dict) -> Iterator:
+        relation, bindings = patterns[k]
+        found = rows.entries[relation]
+        if len(found) >= SCAN_BELOW:
+            attrs, key = [], []
+            for attr, term in bindings:
+                value = term if isinstance(term, Value) else state.get(term)
+                if value is not None and (pinnable is None or pinnable(relation, attr, value)):
+                    attrs.append(attr)
+                    key.append(value)
+            found = rows.candidates(relation, tuple(attrs), tuple(key))
+        return iter(found) if skip is None else chain(found, (_SKIP,))
+
+    stack = [(candidates(0, init), init)]
+    while stack:
+        entries, state = stack[-1]
+        k = len(stack) - 1
+        bindings = patterns[k][1]
+        for entry in entries:
+            if entry is _SKIP:
+                if not skip(state, k):
+                    continue
+                new = state
+            else:
+                if extend is not None:
+                    new = extend(state, k, entry)
+                else:
+                    new = state
+                    row = entry[0] if paired else entry
+                    for attr, term in bindings:
+                        cell = row[attr]
+                        if isinstance(term, Value):
+                            if cell != term:
+                                new = None
+                                break
+                        else:
+                            bound = new.get(term)
+                            if bound is None:
+                                if new is state:
+                                    new = dict(state)
+                                new[term] = cell
+                            elif bound != cell:
+                                new = None
+                                break
+                if new is None or (accept is not None and not accept(new, k, entry)):
+                    continue
+            if k == last:
+                yield dict(new) if new is state else new
+            else:
+                stack.append((candidates(k + 1, new), new))
+                break
+        else:
+            stack.pop()
+
+
 def homomorphisms(
     atoms: Iterable[NamedAtom],
     i: Instance,
     init: Mapping[Var, Value] | None = None,
+    *,
+    rows: RowIndex | None = None,
 ) -> Iterator[dict[Var, Value]]:
-    """All assignments matching every atom against some tuple, by projection."""
+    """All assignments matching every atom against some tuple, by projection.
+
+    rows, when given, indexes i and is shared across calls on i.
+    """
     order = sorted(atoms, key=lambda a: len(i.rows(a.relation)))
-
-    def extend(idx: int, binding: dict[Var, Value]) -> Iterator[dict[Var, Value]]:
-        if idx == len(order):
-            yield dict(binding)
-            return
-        atom = order[idx]
-        for row in i.rows(atom.relation):
-            candidate = dict(binding)
-            ok = True
-            for attr, term in atom.bindings:
-                cell = row[attr]
-                if isinstance(term, Value):
-                    if cell != term:
-                        ok = False
-                        break
-                else:
-                    bound = candidate.get(term)
-                    if bound is None:
-                        candidate[term] = cell
-                    elif bound != cell:
-                        ok = False
-                        break
-            if ok:
-                yield from extend(idx + 1, candidate)
-
-    yield from extend(0, dict(init or {}))
+    yield from join(
+        [(a.relation, a.bindings) for a in order],
+        rows if rows is not None else RowIndex(i.data),
+        dict(init or {}),
+    )
 
 
 def _constant_atoms_hold(
@@ -370,7 +483,9 @@ def evaluate_query(q: Query, i: Instance) -> frozenset[tuple[Value, ...]]:
     raise TypeError(f"cannot evaluate {type(q).__name__}")
 
 
-def _body_assignments(body: ConjunctiveQuery, i: Instance) -> Iterator[dict[Var, Value]]:
+def _body_assignments(
+    body: ConjunctiveQuery, i: Instance, rows: RowIndex
+) -> Iterator[dict[Var, Value]]:
     named, constant = _split_atoms(body.atoms)
     named_vars = frozenset(v for a in named for v in a.vars)
     loose = body.vars - named_vars
@@ -378,12 +493,14 @@ def _body_assignments(body: ConjunctiveQuery, i: Instance) -> Iterator[dict[Var,
         raise Incompatible(
             f"variables {sorted(v.name for v in loose)} occur in no relation atom"
         )
-    for h in homomorphisms(named, i):
+    for h in homomorphisms(named, i, rows=rows):
         if _constant_atoms_hold(constant, h):
             yield h
 
 
-def _head_holds(head: ConjunctiveQuery, i: Instance, frontier: Mapping[Var, Value]) -> bool:
+def _head_holds(
+    head: ConjunctiveQuery, i: Instance, frontier: Mapping[Var, Value], rows: RowIndex
+) -> bool:
     named, constant = _split_atoms(head.atoms)
     init = {v: frontier[v] for v in head.vars if v in frontier}
     unbound = head.vars - frozenset(init) - frozenset(v for a in named for v in a.vars)
@@ -391,7 +508,7 @@ def _head_holds(head: ConjunctiveQuery, i: Instance, frontier: Mapping[Var, Valu
         raise Incompatible(
             f"head variables {sorted(v.name for v in unbound)} occur in no relation atom"
         )
-    for h in homomorphisms(named, i, init=init):
+    for h in homomorphisms(named, i, init=init, rows=rows):
         if _constant_atoms_hold(constant, h):
             return True
     return False
@@ -412,16 +529,15 @@ def satisfies(c: Constraint, i: Instance, s: Schema | None = None) -> bool:
         raise Incompatible(
             f"dependency references relations or attributes outside {s.names}"
         )
+    rows = RowIndex(i.data)
     if isinstance(c, Tgd):
-        return all(_head_holds(c.head, i, tau) for tau in _body_assignments(c.body, i))
+        return all(
+            _head_holds(c.head, i, tau, rows) for tau in _body_assignments(c.body, i, rows)
+        )
     if isinstance(c, Egd):
         x, y = c.equated
-        return all(tau[x] == tau[y] for tau in _body_assignments(c.body, i))
+        return all(tau[x] == tau[y] for tau in _body_assignments(c.body, i, rows))
     raise TypeError(f"cannot check satisfaction of {type(c).__name__}")
-
-
-def satisfies_all(cs: Iterable[Constraint], i: Instance, s: Schema | None = None) -> bool:
-    return all(satisfies(c, i, s) for c in cs)
 
 
 def _term_shape(t: Term) -> tuple:

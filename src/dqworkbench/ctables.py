@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
+from .constraints import RowIndex, join
 from .errors import BudgetExceeded, DomainMismatch, NotPositive, PartialValuation
 from .model import (
     CONST,
@@ -22,6 +23,7 @@ from .model import (
     Value,
     active_domain,
     instance_extends,
+    rename_values,
     schema_extends,
 )
 
@@ -45,10 +47,6 @@ def cell_key(c: Cell) -> tuple:
     return ("value", c.kind, c.token)
 
 
-def render_cell(c: Cell) -> str:
-    return c.render()
-
-
 @dataclass(frozen=True)
 class TrueCond:
     def render(self) -> str:
@@ -64,7 +62,7 @@ class CondEq:
     right: Cell
 
     def render(self) -> str:
-        return f"{self.left.render()} = {render_cell(self.right)}"
+        return f"{self.left.render()} = {self.right.render()}"
 
 
 @dataclass(frozen=True)
@@ -73,7 +71,7 @@ class CondNeq:
     right: Cell
 
     def render(self) -> str:
-        return f"{self.left.render()} != {render_cell(self.right)}"
+        return f"{self.left.render()} != {self.right.render()}"
 
 
 @dataclass(frozen=True)
@@ -121,15 +119,15 @@ def cond_and(items: Iterable[Condition]) -> Condition:
     return CondAnd(tuple(deduped))
 
 
-def condition_nulls(c: Condition) -> frozenset[LabeledNull]:
+def condition_nulls(c: Condition) -> tuple[LabeledNull, ...]:
+    """The nulls a condition mentions, once each, in order of first appearance."""
     if isinstance(c, TrueCond):
-        return frozenset()
+        return ()
     if isinstance(c, (CondEq, CondNeq)):
-        out = {c.left}
-        if isinstance(c.right, LabeledNull):
-            out.add(c.right)
-        return frozenset(out)
-    return frozenset(n for item in c.items for n in condition_nulls(item))
+        cells = (c.left, c.right)
+    else:
+        cells = (n for item in c.items for n in condition_nulls(item))
+    return tuple(dict.fromkeys(n for n in cells if isinstance(n, LabeledNull)))
 
 
 def condition_constants(c: Condition) -> frozenset[Value]:
@@ -348,7 +346,7 @@ class ConditionalInstance:
         for _, pairs in self.data:
             for row, cond in pairs:
                 out |= row.nulls
-                out |= condition_nulls(cond)
+                out.update(condition_nulls(cond))
         return frozenset(out)
 
     def constants(self) -> frozenset[Value]:
@@ -437,21 +435,23 @@ def _rep_witness(
 ) -> dict[LabeledNull, Value] | None:
     """Search for a valuation showing i sits above t; None when there is none.
 
-    Matching projects i's rows onto each table tuple's attributes, so i may
-    live over an extending schema. The final verification is authoritative:
-    a candidate valuation survives only if its image sits inside i and, for
-    relations outside rel_scope, accounts for every row of i exactly.
+    Each table tuple is a pattern over i's indexed rows, with its nulls as
+    variables, so i may live over an extending schema. A match that
+    falsifies a tuple's condition is pruned, and a tuple whose condition
+    the partial valuation leaves open may go unmatched. The final
+    verification is authoritative: a candidate valuation survives only if
+    its image sits inside i and, for relations outside rel_scope, accounts
+    for every row of i exactly.
     """
     if not schema_extends(i.schema, t.schema):
         return None
     pairs: list[tuple[str, CRow, Condition]] = [
         (rel, row, cond) for rel, rel_pairs in t.data for row, cond in rel_pairs
     ]
-    budget = [max_steps]
+    steps = itertools.count(1)
 
     def tick():
-        budget[0] -= 1
-        if budget[0] < 0:
+        if next(steps) > max_steps:
             raise BudgetExceeded("membership search exceeded its step budget")
 
     def verify(v: dict[LabeledNull, Value]) -> bool:
@@ -468,11 +468,12 @@ def _rep_witness(
                     return False
         return True
 
+    nulls = t.nulls()
     taken = frozenset(active_domain(i)) | t.constants()
     pool_base = sorted(taken)
 
     def complete_and_check(v: dict[LabeledNull, Value]) -> dict[LabeledNull, Value] | None:
-        remaining = sorted(t.nulls() - frozenset(v))
+        remaining = sorted(nulls - frozenset(v))
         pool = pool_base + _fresh_values(len(remaining), taken)
         for full in _completions(remaining, pool, v):
             tick()
@@ -480,41 +481,21 @@ def _rep_witness(
                 return full
         return None
 
-    def unify(
-        row: CRow, target: Row, v: dict[LabeledNull, Value]
-    ) -> dict[LabeledNull, Value] | None:
-        out = dict(v)
-        for attr, cell in row.cells:
-            actual = target[attr]
-            if isinstance(cell, Value):
-                if cell != actual:
-                    return None
-            else:
-                bound = out.get(cell)
-                if bound is None:
-                    out[cell] = actual
-                elif bound != actual:
-                    return None
-        return out
-
-    def backtrack(idx: int, v: dict[LabeledNull, Value]):
+    def consistent(v: dict[LabeledNull, Value], k: int, target: Row) -> bool:
         tick()
-        if idx == len(pairs):
-            return complete_and_check(v)
-        rel, row, cond = pairs[idx]
-        attrs = t.schema.attrs(rel)
-        for target in i.rows(rel):
-            candidate = unify(row, target.project(attrs), v)
-            if candidate is None or cond_eval(cond, candidate) is False:
-                continue
-            found = backtrack(idx + 1, candidate)
-            if found is not None:
-                return found
-        if not isinstance(cond, TrueCond) and cond_eval(cond, v) is not True:
-            return backtrack(idx + 1, v)
-        return None
+        return cond_eval(pairs[k][2], v) is not False
 
-    return backtrack(0, {})
+    def may_drop(v: dict[LabeledNull, Value], k: int) -> bool:
+        tick()
+        cond = pairs[k][2]
+        return not isinstance(cond, TrueCond) and cond_eval(cond, v) is not True
+
+    patterns = [(rel, row.cells) for rel, row, _ in pairs]
+    for v in join(patterns, RowIndex(i.data), {}, accept=consistent, skip=may_drop):
+        found = complete_and_check(v)
+        if found is not None:
+            return found
+    return None
 
 
 def rep_contains(
@@ -538,10 +519,10 @@ def _set_partitions(items: list) -> Iterator[list[list]]:
 
 
 def _canonical_valuations(
-    t: ConditionalInstance, max_valuations: int
+    t: ConditionalInstance, max_valuations: int, constants: frozenset[Value]
 ) -> Iterator[dict[LabeledNull, Value]]:
     nulls = sorted(t.nulls())
-    pool = sorted(t.constants())
+    pool = sorted(t.constants() | constants)
     taken = frozenset(pool)
     count = 0
     for partition in _set_partitions(nulls):
@@ -564,28 +545,6 @@ def _canonical_valuations(
             yield v
 
 
-def _relabel_fresh(i: Instance) -> Instance:
-    """Rename reserved fresh constants by first appearance, for canonical comparison."""
-    mapping: dict[Value, Value] = {}
-    for rel in i.schema.names:
-        for row in sorted(i.rows(rel), key=lambda r: tuple(cell_key(c) for c in r.values_in_order())):
-            for v in row.values_in_order():
-                if v.token.startswith(FRESH_PREFIX) and v not in mapping:
-                    mapping[v] = Value(v.kind, f"{FRESH_PREFIX}{len(mapping)}")
-    if not mapping:
-        return i
-    return Instance.of(
-        i.schema,
-        {
-            rel: {
-                Row(tuple((a, mapping.get(v, v)) for a, v in row.cells))
-                for row in i.rows(rel)
-            }
-            for rel in i.schema.names
-        },
-    )
-
-
 def _strictly_dominated(t: ConditionalInstance, j: Instance) -> bool:
     """True when some valuation image is a strict subset of j's rows.
 
@@ -604,20 +563,23 @@ def _strictly_dominated(t: ConditionalInstance, j: Instance) -> bool:
 
 
 def enumerate_minimal(
-    t: ConditionalInstance, max_valuations: int = 200_000
+    t: ConditionalInstance,
+    max_valuations: int = 200_000,
+    constants: frozenset[Value] = frozenset(),
 ) -> frozenset[Instance]:
     """Canonical representatives of the minimal instances the table represents.
 
     Valuations are enumerated canonically: each way of grouping the nulls
     into equality classes, with each class either identified with one of the
-    table's own values or sent to a reserved fresh constant. The images that
-    no other valuation image strictly undercuts are the minimal ones; every
-    represented instance extends one of them up to renaming of the reserved
-    constants.
+    table's own values or of the given constants, or sent to a reserved
+    fresh constant. The images that no other valuation image strictly
+    undercuts are the minimal ones; every represented instance extends one
+    of them up to renaming of the constants outside that pool.
     """
     images: set[Instance] = set()
-    for v in _canonical_valuations(t, max_valuations):
-        images.add(_relabel_fresh(apply_valuation(t, v)))
+    for v in _canonical_valuations(t, max_valuations, constants):
+        image = apply_valuation(t, v)
+        images.add(rename_values(image, lambda c: c.token.startswith(FRESH_PREFIX), FRESH_PREFIX))
     return frozenset(j for j in images if not _strictly_dominated(t, j))
 
 
@@ -631,7 +593,7 @@ def render_ctable(t: ConditionalInstance) -> str:
         if not pairs:
             lines.append("  (empty)")
         for row, cond in pairs:
-            body = ", ".join(render_cell(c) for c in row.values_in_order())
+            body = ", ".join(c.render() for c in row.values_in_order())
             if isinstance(cond, TrueCond):
                 lines.append(f"  ({body})")
             else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import AttributeMismatch, DomainMismatch
 
@@ -179,6 +179,10 @@ def instance_extends(candidate: Instance, base: Instance) -> bool:
         return False
     for r, rows in base.data:
         attrs = base.schema.attrs(r)
+        if candidate.schema.attrs(r) == attrs:
+            if not rows <= candidate.rows(r):
+                return False
+            continue
         images = {row.project(attrs) for row in candidate.rows(r)}
         if any(row not in images for row in rows):
             return False
@@ -204,6 +208,26 @@ def instance_union(a: Instance, b: Instance) -> Instance:
             rows |= b.rows(r)
         data[r] = rows
     return Instance.of(schema, data)
+
+
+def rename_values(i: Instance, renamed: Callable[[Value], bool], prefix: str) -> Instance:
+    """Rename the values `renamed` picks to constants prefix0, prefix1, ... by
+    first appearance over sorted rows, for comparison up to that renaming."""
+    mapping: dict[Value, Value] = {}
+    for rel in i.schema.names:
+        for row in sorted(i.rows(rel)):
+            for v in row.values_in_order():
+                if v not in mapping and renamed(v):
+                    mapping[v] = const(f"{prefix}{len(mapping)}")
+    if not mapping:
+        return i
+    return Instance.of(
+        i.schema,
+        {
+            rel: {Row(tuple((a, mapping.get(v, v)) for a, v in row.cells)) for row in i.rows(rel)}
+            for rel in i.schema.names
+        },
+    )
 
 
 def unnamed_view(t: Row, relation: str, s: Schema) -> tuple[Value, ...]:

@@ -28,6 +28,7 @@ from .constraints import (
     Tgd,
     TotalConjQuery,
     TotalQuery,
+    condition_attrs,
 )
 from .ctables import enumerate_minimal, rep_contains
 from .errors import BudgetExceeded, MalformedParams
@@ -39,6 +40,7 @@ from .model import (
     active_domain,
     const,
     instance_extends,
+    rename_values,
 )
 from .procedures import (
     Procedure,
@@ -160,28 +162,13 @@ def _safety_mentions(p: Procedure) -> dict[str, set[str]]:
                 if isinstance(atom, NamedAtom):
                     need.setdefault(atom.relation, set()).update(atom.attrs)
         elif isinstance(q, FilteredTotalQuery):
-            need.setdefault(q.relation, set()).update(
-                a for a in _condition_attrs(q.condition)
-            )
+            need.setdefault(q.relation, set()).update(condition_attrs(q.condition))
         elif isinstance(q, TotalQuery):
             need.setdefault(q.relation, set())
         elif isinstance(q, TotalConjQuery):
             for rel in q.relations:
                 need.setdefault(rel, set())
     return need
-
-
-def _condition_attrs(c) -> set[str]:
-    if isinstance(c, Comparison):
-        out = {c.lhs}
-        if isinstance(c.rhs, str):
-            out.add(c.rhs)
-        return out
-    if isinstance(c, (And, Or)):
-        return set().union(*(_condition_attrs(item) for item in c.items))
-    if isinstance(c, Not):
-        return _condition_attrs(c.item)
-    return set()
 
 
 def _scope_map(p: Procedure) -> dict[str, frozenset[str] | None]:
@@ -430,24 +417,7 @@ def minimal_outcomes(outcomes: Iterable[Instance]) -> frozenset[Instance]:
 
 def _rename_reserved(j: Instance, rigid: frozenset[Value]) -> Instance:
     """Rename non-rigid reserved constants by first appearance, for comparison."""
-    mapping: dict[Value, Value] = {}
-    for rel in j.schema.names:
-        for row in sorted(j.rows(rel)):
-            for v in row.values_in_order():
-                if v not in rigid and v not in mapping:
-                    mapping[v] = const(f"@x{len(mapping)}")
-    if not mapping:
-        return j
-    return Instance.of(
-        j.schema,
-        {
-            rel: {
-                Row(tuple((a, mapping.get(v, v)) for a, v in row.cells))
-                for row in j.rows(rel)
-            }
-            for rel in j.schema.names
-        },
-    )
+    return rename_values(j, lambda v: v not in rigid, "@x")
 
 
 @dataclass(frozen=True)
@@ -509,7 +479,9 @@ def compare_with_chase(
     }
     chase_min = {
         _rename_reserved(j, rigid)
-        for j in enumerate_minimal(table, max_valuations=max_valuations)
+        for j in enumerate_minimal(
+            table, max_valuations=max_valuations, constants=rigid
+        )
     }
     return ChaseComparison(
         outcomes=outcomes,

@@ -9,7 +9,7 @@ running the procedure on another; nothing here executes anything.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .errors import Incompatible, MalformedParams
 from .model import Instance, Schema, Value
@@ -93,9 +93,10 @@ def residual_query(s: Schema, scope: Iterable[StructureConstraint]) -> Conjuncti
 
 
 def is_applicable(p: Procedure, i: Instance) -> bool:
-    """Schema fit of the preserved queries plus precondition satisfaction."""
-    if not is_compatible(residual_query(i.schema, p.scope), i.schema):
-        return False
+    """Schema fit of the safety queries plus precondition satisfaction.
+
+    The residual query needs no check: it is built from the schema itself.
+    """
     if not all(is_compatible(q, i.schema) for q in p.safe):
         return False
     for c in p.pre:
@@ -261,10 +262,6 @@ def _structure_pre_for(q: ConjunctiveQuery) -> list[StructureConstraint]:
         for a in q.atoms
         if isinstance(a, NamedAtom)
     ]
-
-
-def _as_var_list(names: Iterable[str]) -> list[Var]:
-    return [Var(n) for n in names]
 
 
 def _template_data_exchange(params: Mapping) -> Procedure:

@@ -390,7 +390,46 @@ class TestChaseCommands:
         assert payload["ignored"] == ["migrate_cq"]
 
 
+# A copy step whose body pins a constant that occurs only in a procedure:
+# the oracle's minimal outcomes may take that constant for the alter
+# step's new cell, so the chase side's minimal members must too.
+PROC_CONSTANT_WS = """
+schema S { rel R(a); rel T(a, b); }
+instance I : S { R: ; T: (1, 1); }
+proc copy_T_R_0 {
+  scope { R[*]; }
+  post { tgd T(a: x0, b: 1) -> R(a: x0); }
+  safe { total R; }
+}
+proc alter_T_c_1 = template alter_table(T; c)
+proc copy_T_R_2 {
+  scope { R[*]; }
+  post { tgd T(a: 0, b: x1, c: x2) -> R(a: x2); }
+  safe { total R; }
+}
+seq steps = copy_T_R_0, alter_T_c_1, copy_T_R_2
+"""
+
+
 class TestOracleCommands:
+    def test_compare_agrees_on_a_constant_only_a_procedure_names(self, capsys, tmp_path):
+        path = tmp_path / "proc_constant.dq"
+        path.write_text(PROC_CONSTANT_WS)
+        code, out, _ = run(
+            capsys,
+            "compare",
+            "--workspace",
+            str(path),
+            "--instance",
+            "I",
+            "--seq",
+            "steps",
+            "--budget",
+            "extra=1,tuples=2,growth",
+        )
+        assert code == 0, out
+        assert "approximation agrees with the oracle" in out
+
     def test_oracle_lists_the_single_outcome(self, capsys, instance_j1):
         code, out, _ = run(
             capsys,
@@ -616,6 +655,18 @@ class TestArgumentErrors:
         )
         assert code == 2
         assert "not a conjunctive query" in err
+
+    def test_deep_nesting_is_an_error_not_a_traceback(self, capsys, tmp_path):
+        depth = 3_000
+        condition = "(" * depth + "a = 1" + ")" * depth
+        path = tmp_path / "deep.dq"
+        path.write_text(
+            f"schema S {{ rel R(a); }}\nproc del = template sql_delete(R; {condition})\n"
+        )
+        code, out, err = run(capsys, "validate", "--workspace", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in out + err
 
     def test_missing_workspace_flag(self, capsys):
         with pytest.raises(SystemExit) as e:

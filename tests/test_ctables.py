@@ -228,6 +228,14 @@ class TestRepContains:
         t = ConditionalInstance.from_instance(instance_j3)
         assert not rep_contains(t, instance_j1)
 
+    def test_large_ground_table_contains_itself(self):
+        # deeper than the interpreter's recursion limit, one tuple per level
+        s = Schema.of({"R": ["a", "b"]})
+        i = Instance.of(
+            s, {"R": {Row.of({"a": const(k), "b": const(k % 7)}) for k in range(1_200)}}
+        )
+        assert rep_contains(ConditionalInstance.from_instance(i), i)
+
     def test_step_budget_is_enforced(self):
         t = r_table(*((CRow.of({"a": LabeledNull(f"m{k}")}), TRUE) for k in range(6)))
         from dqworkbench.ctables import _rep_witness

@@ -1,5 +1,6 @@
 """Bulk generated-case suites: representation closure, enumerator/checker
-agreement, fold reproducibility, and workspace format round-trips.
+agreement, fold reproducibility, workspace format round-trips, and the
+matcher against brute-force references.
 
 The module-level *_EXAMPLES constants are the configured case counts; the
 acceptance suite checks their sum.
@@ -7,7 +8,9 @@ acceptance suite checks their sum.
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +21,16 @@ from dqworkbench.chase import (
     canonical_table,
     outcomes_nonempty,
 )
-from dqworkbench.constraints import NamedAtom, StructureConstraint, Tgd, TotalQuery, Var, cq
+from dqworkbench import constraints
+from dqworkbench.constraints import (
+    NamedAtom,
+    StructureConstraint,
+    Tgd,
+    TotalQuery,
+    Var,
+    cq,
+    homomorphisms,
+)
 from dqworkbench.ctables import (
     TRUE,
     CondEq,
@@ -37,7 +49,7 @@ from dqworkbench.dsl import (
     workspace_from_json,
     workspace_to_json,
 )
-from dqworkbench.model import Instance, Row, Schema, active_domain, const
+from dqworkbench.model import Instance, Row, Schema, active_domain, const, null_marker
 from dqworkbench.oracle import Budget, enumerate_outcomes
 from dqworkbench.procedures import Procedure, instantiate_template, is_possible_outcome
 
@@ -48,6 +60,7 @@ REP_CLOSURE_EXAMPLES = 150
 AGREEMENT_EXAMPLES = 100
 DETERMINISM_EXAMPLES = 120
 ROUND_TRIP_EXAMPLES = 150
+MATCHER_EXAMPLES = 150
 
 X = Var("x")
 
@@ -189,3 +202,99 @@ def test_workspace_serialization_is_a_fixed_point(ws):
     mirrored = workspace_from_json(json.loads(json.dumps(workspace_to_json(ws))))
     assert mirrored == ws
     assert workspace_to_json(mirrored) == workspace_to_json(ws)
+
+
+# --- the matcher against brute force -----------------------------------------
+
+VARS = (Var("x"), Var("y"), Var("z"))
+# a null marker is an ordinary value to the matcher
+VALUES = CONSTS + (const(3), null_marker(0))
+
+
+@st.composite
+def instance_st(draw) -> Instance:
+    data = {}
+    for rel in REP_SCHEMA.names:
+        attrs = sorted(REP_SCHEMA.attrs(rel))
+        cells = st.tuples(*(st.sampled_from(VALUES) for _ in attrs))
+        data[rel] = {Row.of(dict(zip(attrs, c))) for c in draw(st.lists(cells, max_size=12))}
+    return Instance.of(REP_SCHEMA, data)
+
+
+@st.composite
+def atoms_st(draw) -> list[NamedAtom]:
+    atoms = []
+    for _ in range(draw(st.integers(1, 3))):
+        rel = draw(st.sampled_from(REP_SCHEMA.names))
+        named = draw(st.lists(st.sampled_from(sorted(REP_SCHEMA.attrs(rel))), min_size=1, unique=True))
+        term = st.one_of(st.sampled_from(VARS), st.sampled_from(VALUES))
+        atoms.append(NamedAtom.of(rel, {a: draw(term) for a in named}))
+    return atoms
+
+
+# 0 indexes every probe; the default scans small relations
+scan_below_st = st.sampled_from((0, constraints.SCAN_BELOW))
+
+
+def _with_scan_below(n: int, run):
+    saved = constraints.SCAN_BELOW
+    constraints.SCAN_BELOW = n
+    try:
+        return run()
+    finally:
+        constraints.SCAN_BELOW = saved
+
+
+def _brute_homomorphisms(atoms, i, init) -> Counter:
+    """One assignment per row combination that agrees with every atom."""
+    found = Counter()
+    for rows in itertools.product(*(sorted(i.rows(a.relation)) for a in atoms)):
+        h = dict(init)
+        ok = True
+        for atom, row in zip(atoms, rows):
+            for attr, term in atom.bindings:
+                expected = h.setdefault(term, row[attr]) if isinstance(term, Var) else term
+                ok = ok and row[attr] == expected
+        if ok:
+            found[frozenset(h.items())] += 1
+    return found
+
+
+@settings(max_examples=MATCHER_EXAMPLES, deadline=None)
+@given(
+    atoms=atoms_st(),
+    i=instance_st(),
+    init=st.dictionaries(st.sampled_from(VARS), st.sampled_from(VALUES), max_size=1),
+    scan_below=scan_below_st,
+)
+def test_homomorphisms_match_brute_force(atoms, i, init, scan_below):
+    found = _with_scan_below(
+        scan_below, lambda: Counter(frozenset(h.items()) for h in homomorphisms(atoms, i, init))
+    )
+    assert found == _brute_homomorphisms(atoms, i, init)
+
+
+def _brute_rep_contains(t: ConditionalInstance, j: Instance) -> bool:
+    """Some valuation over j's values, the table's constants and one fresh
+    value per null has an image inside j."""
+    nulls = sorted(t.nulls(), key=lambda n: n.id)
+    fresh = [const(f"@ref{k}") for k in range(len(nulls))]
+    pool = sorted(active_domain(j) | t.constants()) + fresh
+    for combo in itertools.product(pool, repeat=len(nulls)):
+        image = apply_valuation(t, dict(zip(nulls, combo)))
+        if all(image.rows(rel) <= j.rows(rel) for rel in REP_SCHEMA.names):
+            return True
+    return False
+
+
+@settings(max_examples=MATCHER_EXAMPLES, deadline=None)
+@given(t=ctable_st(), j=instance_st(), data=st.data(), scan_below=scan_below_st)
+def test_rep_contains_matches_brute_force(t, j, data, scan_below):
+    if data.draw(st.booleans(), label="grow an image"):
+        # a valuation image plus j's rows, so that members turn up often
+        nulls = sorted(t.nulls(), key=lambda n: n.id)
+        v = {n: data.draw(st.sampled_from(VALUES), label=f"v[{n.id}]") for n in nulls}
+        image = apply_valuation(t, v)
+        j = Instance.of(REP_SCHEMA, {rel: j.rows(rel) | image.rows(rel) for rel in REP_SCHEMA.names})
+    found = _with_scan_below(scan_below, lambda: rep_contains(t, j))
+    assert found == _brute_rep_contains(t, j)

@@ -23,6 +23,7 @@ from .constraints import (
     Tgd,
     Value,
     Var,
+    cq_constants,
     evaluate_query,
     is_compatible,
     join,
@@ -41,10 +42,11 @@ from .ctables import (
     LabeledNull,
     ScopedConditionalInstance,
     TrueCond,
+    apply_valuation,
     cond_and,
     condition_entails,
     condition_nulls,
-    enumerate_minimal,
+    fresh_null_valuation,
     positive_condition_satisfiable,
 )
 from .errors import (
@@ -334,39 +336,33 @@ def exact_scoped_representation(
     return ScopedConditionalInstance(res.table, rel)
 
 
-def certain_boolean_cq(
-    t: ConditionalInstance,
-    q: ConjunctiveQuery,
-    *,
-    max_valuations: int = 200_000,
-) -> bool:
+def certain_boolean_cq(t: ConditionalInstance, q: ConjunctiveQuery) -> bool:
     """Whether the query holds in every instance the table represents.
 
-    Checking the canonical minimal members suffices: the query is monotone
-    under extension and indifferent to renaming constants it does not use.
+    Deciding it on one image suffices for a positive table (Imielinski and
+    Lipski, JACM 1984): the image under the valuation that sends each null
+    to its own fresh null marker. A positive condition that holds there
+    holds under every valuation, and the image maps homomorphically into
+    every represented instance, fixing the query's constants. A nonnull
+    test never passes on a fresh marker, so a match there survives the map.
     """
     if q.free:
         raise Incompatible("certainty is defined for boolean queries only")
     if not is_compatible(q, t.schema):
         raise Incompatible("query mentions relations or attributes the schema lacks")
-    return all(
-        bool(evaluate_query(q, m))
-        for m in enumerate_minimal(t, max_valuations=max_valuations)
-    )
+    if not t.is_positive:
+        raise NotPositive("certainty requires a table without inequality conditions")
+    image = apply_valuation(t, fresh_null_valuation(t, cq_constants(q)))
+    return bool(evaluate_query(q, image))
 
 
-def ready_for(
-    i: Instance,
-    ps: Sequence[Procedure],
-    q: ConjunctiveQuery,
-    *,
-    max_valuations: int = 200_000,
-) -> bool:
+def ready_for(i: Instance, ps: Sequence[Procedure], q: ConjunctiveQuery) -> bool:
     """Whether running the sequence guarantees the goal query everywhere.
 
     True when outcomes exist, the goal fits the resulting schema, and the
-    goal is certain over the approximation table; for this class the table's
-    minimal members are minimal outcomes, so the verdict is exact.
+    goal holds on the table's image with every null a fresh null marker.
+    For this class the table is positive and every outcome is one of its
+    members, so that one image decides the goal for all of them.
     """
     if q.free:
         raise Incompatible("readiness goals must be boolean queries")
@@ -375,7 +371,7 @@ def ready_for(
         return False
     if not is_compatible(q, res.table.schema):
         return False
-    return certain_boolean_cq(res.table, q, max_valuations=max_valuations)
+    return certain_boolean_cq(res.table, q)
 
 
 def _map_condition(c: Condition, rename: dict[LabeledNull, LabeledNull]) -> Condition:
@@ -429,8 +425,6 @@ def plan_search(
     pool: Iterable[Procedure],
     q: ConjunctiveQuery,
     max_len: int,
-    *,
-    max_valuations: int = 200_000,
 ) -> list[Procedure] | None:
     """Shortest sequence from the pool (with repetition) readying the goal.
 
@@ -448,9 +442,7 @@ def plan_search(
             )
 
     def certain(t: ConditionalInstance) -> bool:
-        return is_compatible(q, t.schema) and certain_boolean_cq(
-            t, q, max_valuations=max_valuations
-        )
+        return is_compatible(q, t.schema) and certain_boolean_cq(t, q)
 
     start = ConditionalInstance.from_instance(i)
     if certain(start):

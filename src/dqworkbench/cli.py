@@ -254,12 +254,7 @@ def _cmd_nonempty(ws: Workspace, args) -> Report:
 
 def _cmd_ready(ws: Workspace, args) -> Report:
     instance = _pick(ws.instances, args.instance, "instance")
-    verdict = ready_for(
-        instance,
-        _sequence(ws, args.seq),
-        _goal(ws, args.query),
-        max_valuations=args.max_valuations,
-    )
+    verdict = ready_for(instance, _sequence(ws, args.seq), _goal(ws, args.query))
     word = "yes" if verdict else "no"
     return (
         EXIT_YES if verdict else EXIT_NO,
@@ -287,13 +282,7 @@ def _cmd_plan(ws: Workspace, args) -> Report:
                 "ignoring procedures outside the supported classes: "
                 + ", ".join(ignored)
             )
-    plan = plan_search(
-        instance,
-        pool,
-        _goal(ws, args.query),
-        args.max_len,
-        max_valuations=args.max_valuations,
-    )
+    plan = plan_search(instance, pool, _goal(ws, args.query), args.max_len)
     payload = {"max_len": args.max_len, "ignored": ignored}
     if plan is None:
         lines = notices + [f"no plan within {args.max_len} steps"]
@@ -382,6 +371,13 @@ _HANDLERS = {
 # --- argument parsing ------------------------------------------------------
 
 
+def _nonnegative(text: str) -> int:
+    n = int(text)  # argparse reports a ValueError as an invalid value
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="dqw",
@@ -461,17 +457,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True, help="input instance name")
     p.add_argument("--seq", required=True, help="sequence name or comma-separated procedures")
     p.add_argument("--query", required=True, help="boolean goal query name")
-    p.add_argument("--max-valuations", type=int, default=200_000, metavar="N")
 
     p = command("plan", "shortest procedure sequence that guarantees a goal")
     p.add_argument("--instance", required=True, help="input instance name")
     p.add_argument("--query", required=True, help="boolean goal query name")
-    p.add_argument("--max-len", required=True, type=int, metavar="K")
+    p.add_argument("--max-len", required=True, type=_nonnegative, metavar="K")
     p.add_argument(
         "--pool",
         help="candidate procedures (comma-separated; default: all in the workspace)",
     )
-    p.add_argument("--max-valuations", type=int, default=200_000, metavar="N")
 
     p = command("oracle", "enumerate outcomes exhaustively within a budget")
     p.add_argument("--instance", required=True, help="input instance name")

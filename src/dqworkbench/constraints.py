@@ -115,6 +115,17 @@ def boolean_cq(atoms: Iterable[Atom]) -> ConjunctiveQuery:
     return ConjunctiveQuery(atoms, (), frozenset(v for a in atoms for v in a.vars))
 
 
+def cq_constants(q: ConjunctiveQuery) -> frozenset[Value]:
+    """The constants the query's relation atoms mention."""
+    return frozenset(
+        t
+        for a in q.atoms
+        if isinstance(a, NamedAtom)
+        for _, t in a.bindings
+        if isinstance(t, Value)
+    )
+
+
 def open_cq(atoms: Iterable[Atom]) -> ConjunctiveQuery:
     """All occurring variables free, in name order."""
     atoms = tuple(atoms)

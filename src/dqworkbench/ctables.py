@@ -1,9 +1,11 @@
 """Conditional instances: tables with labeled nulls and tuple conditions.
 
 A conditional instance stands for the set of ordinary instances obtained
-by substituting constants for its labeled nulls, keeping the tuples whose
+by substituting values for its labeled nulls, keeping the tuples whose
 condition the substitution satisfies, and then optionally extending the
 result with extra tuples, attributes, and relations (open-world reading).
+A labeled null ranges over every value, null markers included, so an
+image may hold a null marker wherever the table holds a labeled null.
 The scoped variant restricts where extra tuples may appear.
 """
 
@@ -17,6 +19,7 @@ from .constraints import RowIndex, join
 from .errors import BudgetExceeded, DomainMismatch, NotPositive, PartialValuation
 from .model import (
     CONST,
+    NULL,
     Instance,
     Row,
     Schema,
@@ -402,15 +405,24 @@ def apply_valuation(t: ConditionalInstance, v: Valuation) -> Instance:
     return Instance.of(t.schema, data)
 
 
-def _fresh_values(count: int, taken: frozenset[Value]) -> list[Value]:
+def _fresh_values(count: int, taken: frozenset[Value], kind: str = CONST) -> list[Value]:
     out: list[Value] = []
     j = 0
     while len(out) < count:
-        v = Value(CONST, f"{FRESH_PREFIX}{j}")
+        v = Value(kind, f"{FRESH_PREFIX}{j}")
         if v not in taken:
             out.append(v)
         j += 1
     return out
+
+
+def fresh_null_valuation(
+    t: ConditionalInstance, avoid: frozenset[Value] = frozenset()
+) -> dict[LabeledNull, Value]:
+    """Send each labeled null to its own null marker, outside the table's
+    values and avoid."""
+    nulls = sorted(t.nulls())
+    return dict(zip(nulls, _fresh_values(len(nulls), t.constants() | avoid, NULL)))
 
 
 def _completions(

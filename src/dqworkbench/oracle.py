@@ -10,7 +10,6 @@ the other modules at desk scale.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -29,6 +28,7 @@ from .constraints import (
     TotalConjQuery,
     TotalQuery,
     condition_attrs,
+    cq_constants,
 )
 from .ctables import enumerate_minimal, rep_contains
 from .errors import BudgetExceeded, MalformedParams
@@ -48,8 +48,8 @@ from .procedures import (
     is_possible_outcome,
 )
 
-BUDGET_CAP_VAR = "DQW_BUDGET_CAP"
-DEFAULT_BUDGET_CAP = 500_000
+# candidates any one oracle run may examine before giving up
+BUDGET_CAP = 500_000
 
 EXTRA_CONSTANT_PREFIX = "@c"
 EXTRA_ATTRIBUTE_PREFIX = "@attr"
@@ -76,16 +76,6 @@ class Budget:
                 raise MalformedParams(f"budget field {field} must be nonnegative")
 
 
-def _hard_cap() -> int:
-    raw = os.environ.get(BUDGET_CAP_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise MalformedParams(f"{BUDGET_CAP_VAR} must be an integer, got {raw!r}")
-
-
 class _Meter:
     def __init__(self, cap: int):
         self.cap = cap
@@ -109,25 +99,17 @@ def _condition_constants(c) -> set[Value]:
     return set()
 
 
-def _cq_constants(q: ConjunctiveQuery) -> set[Value]:
-    out: set[Value] = set()
-    for atom in q.atoms:
-        if isinstance(atom, NamedAtom):
-            out |= {t for _, t in atom.bindings if isinstance(t, Value)}
-    return out
-
-
 def constraint_constants(p: Procedure) -> frozenset[Value]:
     """Constants the procedure's constraints and safety queries mention."""
     out: set[Value] = set()
     for c in tuple(p.pre) + tuple(p.post):
         if isinstance(c, Tgd):
-            out |= _cq_constants(c.body) | _cq_constants(c.head)
+            out |= cq_constants(c.body) | cq_constants(c.head)
         elif isinstance(c, Egd):
-            out |= _cq_constants(c.body)
+            out |= cq_constants(c.body)
     for q in p.safe:
         if isinstance(q, ConjunctiveQuery):
-            out |= _cq_constants(q)
+            out |= cq_constants(q)
         elif isinstance(q, FilteredTotalQuery):
             out |= _condition_constants(q.condition)
     return frozenset(out)
@@ -374,7 +356,7 @@ def enumerate_outcomes(
     in as the next step's input.
     """
     sequence = [ps] if isinstance(ps, Procedure) else list(ps)
-    meter = _Meter(_hard_cap())
+    meter = _Meter(BUDGET_CAP)
     # Constants named anywhere in the sequence join every step's value
     # pool: a later step's constant can force an earlier step's choice.
     shared = frozenset().union(

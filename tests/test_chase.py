@@ -17,6 +17,7 @@ from dqworkbench.chase import (
     ready_for,
 )
 from dqworkbench.constraints import (
+    ConstantAtom,
     NamedAtom,
     StructureConstraint,
     Tgd,
@@ -46,7 +47,7 @@ from dqworkbench.errors import (
     UnsupportedClass,
     UnsupportedPrecondition,
 )
-from dqworkbench.model import Instance, Row, Schema, const
+from dqworkbench.model import Instance, Row, Schema, const, null_marker
 from dqworkbench.procedures import Procedure, instantiate_template
 
 from .conftest import migrate_cq_proc, migrate_total_proc, visit
@@ -474,6 +475,28 @@ class TestCertainty:
         )
         assert certain_boolean_cq(t, boolean_cq([NamedAtom.of("R", {"a": Var("x")})]))
         assert not certain_boolean_cq(t, boolean_cq([NamedAtom.of("R", {"a": const(5)})]))
+
+    def test_nonnull_goals_are_not_certain_over_a_null(self):
+        # a labeled null may stand for a null marker, which nonnull rejects
+        x = Var("x")
+        r = (CRow.of({"a": LabeledNull("n1")}), TRUE)
+        q = boolean_cq([NamedAtom.of("R", {"a": x}), ConstantAtom(x)])
+        t = ConditionalInstance.of(Schema.of({"R": ["a"]}), {"R": [r]})
+        assert not certain_boolean_cq(t, q)
+        # a null marker in an unrelated relation leaves the verdict alone
+        s = (CRow.of({"b": null_marker("m")}), TRUE)
+        wider = ConditionalInstance.of(
+            Schema.of({"R": ["a"], "S": ["b"]}), {"R": [r], "S": [s]}
+        )
+        assert not certain_boolean_cq(wider, q)
+
+    def test_inequality_conditions_are_rejected(self):
+        n = LabeledNull("n1")
+        t = ConditionalInstance.of(
+            Schema.of({"R": ["a"]}), {"R": [(CRow.of({"a": n}), CondNeq(n, const(5)))]}
+        )
+        with pytest.raises(NotPositive):
+            certain_boolean_cq(t, boolean_cq([NamedAtom.of("R", {"a": Var("x")})]))
 
     def test_non_boolean_or_incompatible_queries_are_rejected(self, instance_i):
         t = ConditionalInstance.from_instance(instance_i)

@@ -389,6 +389,76 @@ class TestChaseCommands:
         assert payload["plan"] == ["migrate"]
         assert payload["ignored"] == ["migrate_cq"]
 
+    def test_plan_rejects_a_negative_bound(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            run_command(
+                [
+                    "plan",
+                    "--workspace",
+                    FIG1,
+                    "--instance",
+                    "I",
+                    "--query",
+                    "q_visit",
+                    "--max-len",
+                    "-1",
+                ]
+            )
+        assert e.value.code == 2
+        assert "--max-len" in capsys.readouterr().err
+
+
+# Figure 1 plus an outcome of alter_age whose new ages are all null
+# markers, and a goal asking for a known age: since that outcome is
+# possible, the fix sequence cannot guarantee the goal.
+NULL_AGES = """
+instance J3_null : S_age {
+  EVisits: (1234, 33, "070916 12:00"), (2087, 91, "090916 03:10");
+  LocVisits: (?u1, 1234, 33, "070916 12:00"), (?u2, 1222, 33, "020715 07:50"),
+             (?u3, 2087, 91, "090916 03:10");
+}
+
+query q_age_known : exists a . LocVisits(age: a, facility: 2087) and nonnull(a)
+"""
+
+
+class TestNullMarkerAges:
+    @pytest.fixture(scope="class")
+    def ws(self, tmp_path_factory) -> str:
+        path = tmp_path_factory.mktemp("cli") / "fig1_null_ages.dq"
+        path.write_text(Path(FIG1).read_text() + NULL_AGES)
+        return str(path)
+
+    def test_all_null_ages_are_a_possible_outcome(self, capsys, ws):
+        code, out, _ = run(
+            capsys,
+            "check-outcome",
+            "--workspace",
+            ws,
+            "--proc",
+            "alter_age",
+            "--before",
+            "J1",
+            "--after",
+            "J3_null",
+        )
+        assert (code, out.strip()) == (0, "possible outcome: yes")
+
+    def test_a_known_age_is_not_guaranteed(self, capsys, ws):
+        code, out, _ = run(
+            capsys,
+            "ready",
+            "--workspace",
+            ws,
+            "--instance",
+            "I",
+            "--seq",
+            "fix",
+            "--query",
+            "q_age_known",
+        )
+        assert (code, out.strip()) == (1, "ready: no")
+
 
 # A copy step whose body pins a constant that occurs only in a procedure:
 # the oracle's minimal outcomes may take that constant for the alter

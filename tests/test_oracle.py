@@ -23,7 +23,6 @@ from dqworkbench.ctables import ConditionalInstance
 from dqworkbench.errors import BudgetExceeded, MalformedParams
 from dqworkbench.model import Instance, Row, Schema, const
 from dqworkbench.oracle import (
-    BUDGET_CAP_VAR,
     Budget,
     compare_with_chase,
     enumerate_outcomes,
@@ -383,17 +382,12 @@ class TestBudgets:
             with pytest.raises(MalformedParams):
                 Budget(**{field: -1})
 
-    def test_env_cap_limits_the_search(self, monkeypatch):
-        monkeypatch.setenv(BUDGET_CAP_VAR, "10")
+    def test_hard_cap_limits_the_search(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "BUDGET_CAP", 10)
         with pytest.raises(BudgetExceeded):
             enumerate_outcomes(
                 migrate_total_proc(), fig_instance(), Budget(max_new_tuples=1)
             )
-
-    def test_unparseable_env_cap_is_rejected(self, monkeypatch):
-        monkeypatch.setenv(BUDGET_CAP_VAR, "lots")
-        with pytest.raises(MalformedParams):
-            enumerate_outcomes(migrate_total_proc(), fig_instance(), Budget())
 
     def test_growth_flag_only_adds_outcomes(self):
         small = Instance.of(

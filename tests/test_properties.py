@@ -1,6 +1,7 @@
 """Bulk generated-case suites: representation closure, enumerator/checker
-agreement, fold reproducibility, workspace format round-trips, and the
-matcher against brute-force references.
+agreement, fold reproducibility, certainty against the minimal-member
+enumeration, workspace format round-trips, and the matcher against
+brute-force references.
 
 The module-level *_EXAMPLES constants are the configured case counts; the
 acceptance suite checks their sum.
@@ -19,16 +20,21 @@ from dqworkbench.chase import (
     TableResult,
     approximate_outcomes,
     canonical_table,
+    certain_boolean_cq,
     outcomes_nonempty,
 )
 from dqworkbench import constraints
 from dqworkbench.constraints import (
+    ConstantAtom,
     NamedAtom,
     StructureConstraint,
     Tgd,
     TotalQuery,
     Var,
+    boolean_cq,
     cq,
+    cq_constants,
+    evaluate_query,
     homomorphisms,
 )
 from dqworkbench.ctables import (
@@ -40,6 +46,8 @@ from dqworkbench.ctables import (
     LabeledNull,
     apply_valuation,
     cond_and,
+    enumerate_minimal,
+    fresh_null_valuation,
     render_ctable,
     rep_contains,
 )
@@ -61,6 +69,7 @@ AGREEMENT_EXAMPLES = 100
 DETERMINISM_EXAMPLES = 120
 ROUND_TRIP_EXAMPLES = 150
 MATCHER_EXAMPLES = 150
+CERTAINTY_EXAMPLES = 150
 
 X = Var("x")
 
@@ -190,6 +199,81 @@ def test_folding_is_reproducible(rs, ts, names):
     if isinstance(first, TableResult):
         assert canonical_table(first.table) == canonical_table(second.table)
         assert render_ctable(first.table) == render_ctable(second.table)
+
+
+# --- certainty against the minimal-member enumeration ------------------------
+
+def _pin_proc(src: str, dst: str, k: int) -> Procedure:
+    """Copy src's A into dst where src's B is k. Chased over the nulls an
+    alter step puts in B, this gives tuples conditioned on equalities."""
+    tgd = Tgd(
+        cq([NamedAtom.of(src, {"A": X, "B": const(k)})], free=[X]),
+        cq([NamedAtom.of(dst, {"A": X})], free=[X]),
+    )
+    return _copy_proc(src, dst, tgd)
+
+
+_PINNED = {"pin_r": _pin_proc("R", "T", 0), "pin_t": _pin_proc("T", "R", 1)}
+
+
+@st.composite
+def chase_table_st(draw) -> ConditionalInstance:
+    i = rt_instance(draw(st.sampled_from(_SUBSETS)), draw(st.sampled_from(_SUBSETS)))
+    alters = draw(st.lists(st.sampled_from(("alter_r", "alter_t")), min_size=1, unique=True))
+    # a pinned body needs the column its relation's alter step adds
+    copies = ["cp_rt", "cp_tr"] + [n for n in sorted(_PINNED) if f"alter_{n[-1]}" in alters]
+    names = alters + draw(st.lists(st.sampled_from(copies), min_size=1, max_size=2))
+    res = approximate_outcomes(i, [{**_STEPS, **_PINNED}[n] for n in names])
+    assert isinstance(res, TableResult)
+    return res.table
+
+
+@st.composite
+def goal_st(draw, t: ConditionalInstance):
+    """A boolean goal over the table's schema, sometimes read off its rows
+    with each null a variable, so that goals hinge on which nulls are equal."""
+    rows = [(rel, row) for rel, pairs in t.data for row, _ in pairs]
+    atoms, bound = [], set()
+    for _ in range(draw(st.integers(1, 3))):
+        if rows and draw(st.booleans()):
+            rel, row = draw(st.sampled_from(rows))
+            cells = dict(row.cells)
+        else:
+            rel = draw(st.sampled_from(t.schema.names))
+            cells = dict.fromkeys(t.schema.attrs(rel))
+        named = draw(st.lists(st.sampled_from(sorted(cells)), min_size=1, unique=True))
+        bindings = {}
+        for a in named:
+            if isinstance(cells[a], LabeledNull):
+                bindings[a] = draw(st.sampled_from(VARS[:2]))
+            elif cells[a] is not None and draw(st.booleans()):
+                bindings[a] = cells[a]
+            else:
+                bindings[a] = draw(st.sampled_from(VARS[:2] + CONSTS))
+        bound |= {v for v in bindings.values() if isinstance(v, Var)}
+        atoms.append(NamedAtom.of(rel, bindings))
+    if bound and draw(st.booleans()):
+        atoms.append(ConstantAtom(draw(st.sampled_from(sorted(bound)))))
+    return boolean_cq(atoms)
+
+
+@settings(max_examples=CERTAINTY_EXAMPLES, deadline=None)
+@given(t=chase_table_st(), data=st.data())
+def test_certainty_agrees_with_the_minimal_members(t, data):
+    q = data.draw(goal_st(t), label="goal")
+    verdict = certain_boolean_cq(t, q)
+    reference = all(evaluate_query(q, m) for m in enumerate_minimal(t))
+    if not any(isinstance(a, ConstantAtom) for a in q.atoms):
+        assert verdict == reference
+    else:
+        # the enumeration reads nulls as constants only, so a nonnull goal
+        # may hold on all its members and still fail on a null marker
+        assert reference or not verdict
+    if not verdict:
+        # the one image is a member on which the goal fails
+        image = apply_valuation(t, fresh_null_valuation(t, cq_constants(q)))
+        assert rep_contains(t, image)
+        assert not evaluate_query(q, image)
 
 
 @settings(max_examples=ROUND_TRIP_EXAMPLES, deadline=None)

@@ -409,7 +409,9 @@ def _build_parser() -> argparse.ArgumentParser:
             action="store_const",
             const="strict",
             default="strict",
-            help="out-of-scope content preserved as one joint query (default)",
+            help="out-of-scope content preserved as one joint query: the product "
+            "of the per-relation answers, also unchanged when each side has an "
+            "empty relation (default)",
         )
         group.add_argument(
             "--per-relation-residual",

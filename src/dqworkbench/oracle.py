@@ -42,11 +42,7 @@ from .model import (
     instance_extends,
     rename_values,
 )
-from .procedures import (
-    Procedure,
-    is_applicable,
-    is_possible_outcome,
-)
+from .procedures import Procedure, outcome_inputs, possible_outcome_report
 
 # candidates any one oracle run may examine before giving up
 BUDGET_CAP = 500_000
@@ -319,7 +315,8 @@ def _single_step_outcomes(
     residual_mode: str,
     shared: frozenset[Value],
 ) -> set[Instance]:
-    if not is_applicable(p, i):
+    inputs = outcome_inputs(p, i)
+    if not inputs.applicable:
         return set()
     pool = _value_pool(i, shared, b)
     scope = _scope_map(p)
@@ -336,7 +333,9 @@ def _single_step_outcomes(
             candidate = Instance.of(
                 schema, {rel: rows for (rel, _), rows in zip(per_relation, combo)}
             )
-            if is_possible_outcome(p, i, candidate, residual_mode):
+            if possible_outcome_report(
+                p, i, candidate, residual_mode, inputs=inputs
+            ).ok:
                 found.add(candidate)
     return found
 

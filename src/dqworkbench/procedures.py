@@ -9,7 +9,7 @@ running the procedure on another; nothing here executes anything.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import Incompatible, MalformedParams
 from .model import Instance, Schema, Value
@@ -86,7 +86,15 @@ def residual_atoms(s: Schema, scope: Iterable[StructureConstraint]) -> list[Name
 
 
 def residual_query(s: Schema, scope: Iterable[StructureConstraint]) -> ConjunctiveQuery:
-    """Conjunction retrieving everything the scope does not permit to change."""
+    """Conjunction retrieving everything the scope does not permit to change.
+
+    Its atoms share no variables, so its answer set is the product of the
+    per-atom answer sets. Two such products are equal exactly when every
+    factor is equal, or when each side has an empty factor (both products
+    are then empty). `possible_outcome_report` decides the strict residual
+    clause by that rule without building the product; this query is the
+    reference definition.
+    """
     atoms = residual_atoms(s, scope)
     free = tuple(t for a in atoms for _, t in a.bindings if isinstance(t, Var))
     return ConjunctiveQuery(tuple(atoms), free, frozenset())
@@ -109,6 +117,11 @@ def is_applicable(p: Procedure, i: Instance) -> bool:
 
 
 RESIDUAL_MODES = ("strict", "per-relation")
+_UNADDRESSABLE = (
+    "preserved content no longer addressable: "
+    "result schema dropped preserved attributes of {}"
+)
+_CHANGED = "content outside the scope changed in {}"
 
 
 @dataclass(frozen=True)
@@ -126,17 +139,63 @@ class OutcomeReport:
         return self.applicable and self.post_ok and self.residual_ok and self.safety_ok
 
 
+@dataclass(frozen=True)
+class OutcomeInputs:
+    """What the outcome check reads of the input instance alone.
+
+    Applicability, each one-atom residual query with its answers, and each
+    safety query's answers or the `Incompatible` it raised. Both residual
+    modes read the same value.
+    """
+
+    applicable: bool
+    residual: tuple[tuple[ConjunctiveQuery, frozenset], ...]
+    safety: tuple[Union[frozenset, Incompatible], ...]
+
+
+def outcome_inputs(p: Procedure, before: Instance) -> OutcomeInputs:
+    """Read `before` once for any number of candidate outcomes.
+
+    The residual answers are kept per atom, each linear in its relation.
+    The strict clause compares their products: equal when every factor is
+    equal, or when each side has an empty factor.
+    """
+    residual = []
+    for a in residual_atoms(before.schema, p.scope):
+        q = ConjunctiveQuery((a,), tuple(sorted(a.vars)), frozenset())
+        residual.append((q, evaluate_query(q, before)))
+    safety: list[Union[frozenset, Incompatible]] = []
+    for q in p.safe:
+        try:
+            safety.append(evaluate_query(q, before))
+        except Incompatible as e:
+            safety.append(e)
+    return OutcomeInputs(is_applicable(p, before), tuple(residual), tuple(safety))
+
+
 def possible_outcome_report(
     p: Procedure,
     before: Instance,
     after: Instance,
     residual_mode: str = "strict",
+    *,
+    inputs: OutcomeInputs | None = None,
 ) -> OutcomeReport:
+    """Check the four outcome clauses of `after` as a result of `p` on `before`.
+
+    `inputs` must be `outcome_inputs(p, before)`; it is built here when not
+    given. The residual clause compares the per-atom answers of the
+    residual query. Per-relation mode needs every atom's answers unchanged.
+    Strict mode needs the products unchanged: every factor equal, or an
+    empty factor on each side. Each residual failure names its relations.
+    """
     if residual_mode not in RESIDUAL_MODES:
         raise ValueError(f"residual_mode must be one of {RESIDUAL_MODES}")
+    if inputs is None:
+        inputs = outcome_inputs(p, before)
     failures: list[str] = []
 
-    applicable = is_applicable(p, before)
+    applicable = inputs.applicable
     if not applicable:
         failures.append("procedure is not applicable on the input instance")
 
@@ -150,36 +209,43 @@ def possible_outcome_report(
             post_ok = False
             failures.append(f"postcondition {idx} does not hold on the result")
 
-    if residual_mode == "strict":
-        checks = [residual_query(before.schema, p.scope)]
-    else:
-        checks = [
-            ConjunctiveQuery((a,), tuple(sorted(a.vars)), frozenset())
-            for a in residual_atoms(before.schema, p.scope)
+    # per residual atom: relation, answers on before, answers on after
+    # (None when the result schema no longer fits the atom)
+    checked = []
+    for q, old in inputs.residual:
+        new = evaluate_query(q, after) if is_compatible(q, after.schema) else None
+        checked.append((q.atoms[0].relation, old, new))
+    if residual_mode == "per-relation":
+        residual_failures = [
+            (_UNADDRESSABLE if new is None else _CHANGED).format(rel)
+            for rel, old, new in checked
+            if new != old
         ]
-    residual_ok = True
-    for q in checks:
-        try:
-            if not is_compatible(q, after.schema):
-                raise Incompatible("result schema dropped preserved attributes")
-            if evaluate_query(q, before) != evaluate_query(q, after):
-                residual_ok = False
-                failures.append("content outside the scope changed")
-        except Incompatible as e:
-            residual_ok = False
-            failures.append(f"preserved content no longer addressable: {e}")
+    else:
+        lost = [rel for rel, _, new in checked if new is None]
+        changed = [rel for rel, old, new in checked if new != old]
+        # an empty factor on each side makes both products empty
+        both_empty = not all(old for _, old, _ in checked) and not all(
+            new for _, _, new in checked
+        )
+        residual_failures = []
+        if lost:
+            residual_failures.append(_UNADDRESSABLE.format(", ".join(lost)))
+        elif changed and not both_empty:
+            residual_failures.append(_CHANGED.format(", ".join(changed)))
+    residual_ok = not residual_failures
+    failures += residual_failures
 
     safety_ok = True
-    for idx, q in enumerate(p.safe):
-        try:
-            if not is_compatible(q, after.schema):
-                raise Incompatible("safety query incompatible with the result schema")
-            if not evaluate_query(q, before) <= evaluate_query(q, after):
-                safety_ok = False
-                failures.append(f"safety query {idx} lost answers")
-        except Incompatible as e:
+    for idx, (q, old) in enumerate(zip(p.safe, inputs.safety)):
+        if not is_compatible(q, after.schema):
+            old = Incompatible("safety query incompatible with the result schema")
+        if isinstance(old, Incompatible):
             safety_ok = False
-            failures.append(f"safety query {idx}: {e}")
+            failures.append(f"safety query {idx}: {old}")
+        elif not old <= evaluate_query(q, after):
+            safety_ok = False
+            failures.append(f"safety query {idx} lost answers")
 
     return OutcomeReport(applicable, post_ok, residual_ok, safety_ok, tuple(failures))
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,6 +178,68 @@ def test_strict_vs_per_relation_residual():
     p = Procedure.of()
     assert is_possible_outcome(p, before, after, residual_mode="strict")
     assert not is_possible_outcome(p, before, after, residual_mode="per-relation")
+
+
+def test_residual_failures_name_their_relations():
+    s = Schema.of({"R": ("a",), "T": ("a",), "U": ("a",)})
+    one, two = Row.of({"a": const(1)}), Row.of({"a": const(2)})
+    before = Instance.of(s, {"R": [one], "T": [one], "U": [one]})
+    after = Instance.of(s, {"R": [two], "T": [one], "U": [two]})
+    p = Procedure.of()
+    strict = possible_outcome_report(p, before, after)
+    assert strict.failures == ("content outside the scope changed in R, U",)
+    per = possible_outcome_report(p, before, after, residual_mode="per-relation")
+    assert per.failures == (
+        "content outside the scope changed in R",
+        "content outside the scope changed in U",
+    )
+    narrowed = Instance.of(
+        Schema.of({"R": ("a",), "T": ("a",), "U": ()}), {"R": [one], "T": [one]}
+    )
+    assert possible_outcome_report(p, before, narrowed).failures == (
+        "preserved content no longer addressable: "
+        "result schema dropped preserved attributes of U",
+    )
+
+
+def _join_proc() -> Procedure:
+    return Procedure.of(
+        scope=[StructureConstraint.of("U")],
+        post=[
+            Tgd(
+                open_cq(
+                    [NamedAtom.of("R", {"a": X, "b": Y}), NamedAtom.of("T", {"b": Y, "c": Z})]
+                ),
+                open_cq([NamedAtom.of("U", {"a": X, "c": Z})]),
+            )
+        ],
+        safe=[TotalQuery("U")],
+    )
+
+
+def test_outcome_check_scales_linearly_with_the_residual():
+    # the residual of R(a,b), T(b,c) -> U(a,c) is R and T; their product
+    # would hold 10^6 tuples per side at 1,000 rows
+    s = Schema.of({"R": ("a", "b"), "T": ("b", "c"), "U": ("a", "c")})
+    join = _join_proc()
+
+    def clocked(n: int) -> float:
+        r = [Row.of({"a": const(k), "b": const(f"b{k}")}) for k in range(n)]
+        t = [Row.of({"b": const(f"b{k}"), "c": const(-k)}) for k in range(n)]
+        u = [Row.of({"a": const(k), "c": const(-k)}) for k in range(n)]
+        before = Instance.of(s, {"R": r, "T": t})
+        after = Instance.of(s, {"R": r, "T": t, "U": u})
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert possible_outcome_report(join, before, after).ok
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    t100, t1000 = clocked(100), clocked(1000)
+    assert t1000 < 2.0, t1000
+    # quadratic growth would show ~100x per decade
+    assert t1000 / max(t100, 1e-3) < 30.0, (t100, t1000)
 
 
 def test_unknown_residual_mode_rejected(instance_i):

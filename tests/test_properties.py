@@ -1,7 +1,8 @@
 """Bulk generated-case suites: representation closure, enumerator/checker
 agreement, fold reproducibility, certainty against the minimal-member
-enumeration, workspace format round-trips, and the matcher against
-brute-force references.
+enumeration, workspace format round-trips, the matcher against
+brute-force references, and the residual clause against the joint
+residual query.
 
 The module-level *_EXAMPLES constants are the configured case counts; the
 acceptance suite checks their sum.
@@ -25,6 +26,7 @@ from dqworkbench.chase import (
 )
 from dqworkbench import constraints
 from dqworkbench.constraints import (
+    ConjunctiveQuery,
     ConstantAtom,
     NamedAtom,
     StructureConstraint,
@@ -36,6 +38,7 @@ from dqworkbench.constraints import (
     cq_constants,
     evaluate_query,
     homomorphisms,
+    is_compatible,
 )
 from dqworkbench.ctables import (
     TRUE,
@@ -57,12 +60,23 @@ from dqworkbench.dsl import (
     workspace_from_json,
     workspace_to_json,
 )
+from dqworkbench.errors import Incompatible
 from dqworkbench.model import Instance, Row, Schema, active_domain, const, null_marker
 from dqworkbench.oracle import Budget, enumerate_outcomes
-from dqworkbench.procedures import Procedure, instantiate_template, is_possible_outcome
+from dqworkbench.procedures import (
+    RESIDUAL_MODES,
+    Procedure,
+    instantiate_template,
+    is_possible_outcome,
+    outcome_inputs,
+    possible_outcome_report,
+    residual_atoms,
+    residual_query,
+)
 
 from .test_dsl import workspace_st
 from .test_oracle import inclusion_tgd, rt_instance
+from .test_procedures import schema_and_scope
 
 REP_CLOSURE_EXAMPLES = 150
 AGREEMENT_EXAMPLES = 100
@@ -70,6 +84,7 @@ DETERMINISM_EXAMPLES = 120
 ROUND_TRIP_EXAMPLES = 150
 MATCHER_EXAMPLES = 150
 CERTAINTY_EXAMPLES = 150
+RESIDUAL_EXAMPLES = 200
 
 X = Var("x")
 
@@ -382,3 +397,75 @@ def test_rep_contains_matches_brute_force(t, j, data, scan_below):
         j = Instance.of(REP_SCHEMA, {rel: j.rows(rel) | image.rows(rel) for rel in REP_SCHEMA.names})
     found = _with_scan_below(scan_below, lambda: rep_contains(t, j))
     assert found == _brute_rep_contains(t, j)
+
+
+# --- the residual clause against the joint residual query --------------------
+
+BITS = (const(0), const(1))
+
+
+@st.composite
+def residual_case_st(draw) -> tuple[Procedure, Instance, Instance]:
+    """A procedure with a drawn scope and a before/after pair over its schema.
+
+    Relations are often empty on either side; the after side often repeats
+    the before side's rows, and now and then drops an attribute, so that
+    the residual query may no longer fit it.
+    """
+    s, scope = draw(schema_and_scope())
+
+    def rows(rel: str, attrs) -> set[Row]:
+        cells = st.tuples(*(st.sampled_from(BITS) for _ in attrs))
+        return {Row.of(dict(zip(attrs, c))) for c in draw(st.lists(cells, max_size=3))}
+
+    before = {rel: rows(rel, sorted(s.attrs(rel))) for rel in s.names}
+    after = {
+        rel: before[rel] if draw(st.booleans()) else rows(rel, sorted(s.attrs(rel)))
+        for rel in s.names
+    }
+    after_attrs = {rel: sorted(s.attrs(rel)) for rel in s.names}
+    if draw(st.integers(0, 4)) == 0:
+        rel = draw(st.sampled_from(s.names))
+        gone = draw(st.sampled_from(after_attrs[rel]))
+        after_attrs[rel].remove(gone)
+        after[rel] = {row.project(after_attrs[rel]) for row in after[rel]}
+    # "V" is in no schema: its safety query is incompatible with both sides
+    safe = draw(
+        st.lists(st.sampled_from([TotalQuery(r) for r in s.names + ("V",)]), max_size=2)
+    )
+    p = Procedure.of(scope=scope, safe=safe)
+    return p, Instance.of(s, before), Instance.of(Schema.of(after_attrs), after)
+
+
+def _atom_unchanged(atom: NamedAtom, before: Instance, after: Instance) -> bool:
+    q = ConjunctiveQuery((atom,), tuple(sorted(atom.vars)), frozenset())
+    return is_compatible(q, after.schema) and evaluate_query(q, before) == evaluate_query(
+        q, after
+    )
+
+
+@settings(max_examples=RESIDUAL_EXAMPLES, deadline=None)
+@given(case=residual_case_st())
+def test_residual_clause_matches_the_joint_residual_query(case):
+    p, before, after = case
+    q = residual_query(before.schema, p.scope)
+    try:
+        unchanged = evaluate_query(q, before) == evaluate_query(q, after)
+    except Incompatible:
+        unchanged = False
+    assert possible_outcome_report(p, before, after).residual_ok == unchanged
+
+    atoms = residual_atoms(before.schema, p.scope)
+    per = possible_outcome_report(p, before, after, "per-relation")
+    assert per.residual_ok == all(_atom_unchanged(a, before, after) for a in atoms)
+    named = {
+        f.rsplit(" ", 1)[1]
+        for f in per.failures
+        if "outside the scope" in f or "no longer addressable" in f
+    }
+    assert named == {a.relation for a in atoms if not _atom_unchanged(a, before, after)}
+
+    inputs = outcome_inputs(p, before)
+    for mode in RESIDUAL_MODES:
+        fresh = possible_outcome_report(p, before, after, mode)
+        assert possible_outcome_report(p, before, after, mode, inputs=inputs) == fresh

@@ -31,6 +31,23 @@ queries, and procedure sequences. The text format is line-oriented with
 
     seq fix = migrate, alter_age
 
+Lexical rules. Whitespace is space, tab, CR and LF only; a form feed or a
+no-break space is an error. `#` starts a comment that runs to the end of
+its line. Tokens:
+
+- identifier: a letter (`str.isalpha`) or `_`, then any `str.isalnum`
+  characters and `_`; a `.` joins two such runs, so `a.b` is one name. A
+  name containing `@` is an error at the name's first character.
+- number: an optional `-`, then digits (`str.isdigit`, so `²` counts),
+  with at most one `.` that has digits on both sides. `1.` lexes as `1`
+  and `.`, `.5` as `.` and `5`, and `-.5` is an error at the `-`.
+- string: double quotes around anything but a newline; the only escapes
+  are `\\"` and `\\\\`.
+- null: `?` followed by one or more identifier characters.
+- punctuation: `-> != { } ( ) [ ] , ; : . * =`.
+
+Any other character, `½` included, is an error where a token would start.
+
 Instance tuples list values in the relation's canonical (sorted) attribute
 order. Inside queries and dependencies bare identifiers are variables;
 constants must be numbers or quoted strings. Inside instance tuples bare
@@ -48,8 +65,9 @@ The JSON mirror (`.dq.json`) carries the same constructs one-to-one;
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .constraints import (
     And,
@@ -78,7 +96,7 @@ from .errors import (
     SchemaConformance,
     WorkspaceSyntaxError,
 )
-from .model import Instance, Row, Schema, Value, const, null_marker
+from .model import Instance, Row, Schema, Value, const, null_marker, number_rule
 from .procedures import Procedure, instantiate_template
 
 TOP_KEYWORDS = ("schema", "instance", "tgd", "egd", "struct", "proc", "query", "seq")
@@ -104,130 +122,92 @@ class Workspace:
 
 # --- tokenizer ---------------------------------------------------------------
 
-_PUNCT = ("->", "!=", "{", "}", "(", ")", "[", "]", ",", ";", ":", ".", "*", "=")
+_STRING_BODY = r'[^"\\\n]*(?:\\["\\][^"\\\n]*)*'  # up to the closing quote
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
+class _Token(NamedTuple):
+    kind: str  # string, null, number, ident, punct, or end
     text: str
-    line: int
-    col: int
+    pos: int  # character offset into the source text
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+def _lexer(digits: str = "", numerals: str = "") -> re.Pattern:
+    """The master token pattern: skip blanks and comments, then one token.
+
+    `re` has no class for `str.isdigit` or `str.isalpha`: `\\d` is
+    `str.isdecimal`, and a word character may be a numeral such as `²` or
+    `½`. `digits` adds the text's non-decimal digits to the number rule, and
+    `numerals` (those digits plus the other non-letter numerals) leaves the
+    identifier-start class. A character no token can start matches `error`
+    and the end of the text matches the unnamed `\\Z`, so the first attempt
+    at every position succeeds: `finditer` never skips text, and the engine
+    never backtracks into a comment to read its tail as tokens.
+    """
+    number = number_rule(rf"[\d{digits}]")
+    return re.compile(
+        r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:"
+        r"(?P<punct>->|!=|[{}()\[\],;:.*=])"
+        rf"|(?P<number>{number})"
+        rf"|(?P<ident>[^\W\d{numerals}]\w*(?:\.\w+)*)(?![\w@]|\.[\w@])"
+        r"|(?P<null>\?\w+)"
+        rf'|(?P<string>"{_STRING_BODY}")'
+        r"|(?P<error>.)|\Z)"
+    )
 
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+_LEXER = _lexer()
+_ESCAPE = re.compile(r"\\(.)")
+_STRING_PREFIX = re.compile(_STRING_BODY)
+
+
+def _lexer_for(text: str) -> re.Pattern:
+    """`_LEXER`, or for a text with non-letter numerals its own variant."""
+    if text.isascii():
+        return _LEXER
+    numerals = "".join(
+        sorted(c for c in set(text) if c.isalnum() and not (c.isalpha() or c.isdecimal()))
+    )
+    if not numerals:
+        return _LEXER
+    return _lexer("".join(c for c in numerals if c.isdigit()), numerals)
+
+
+def _syntax_error(text: str, pos: int, message: str) -> WorkspaceSyntaxError:
+    """`message` at the line and column of character offset `pos`."""
+    line = text.count("\n", 0, pos) + 1
+    return WorkspaceSyntaxError(line, pos - text.rfind("\n", 0, pos), message)
+
+
+def _lex_error(text: str, pos: int) -> WorkspaceSyntaxError:
+    """Diagnose the character at `pos`, where no token matches."""
+    ch = text[pos]
+    if ch == '"':
+        stop = _STRING_PREFIX.match(text, pos + 1).end()
+        if text.startswith("\\", stop) and stop + 1 < len(text):
+            return _syntax_error(
+                text, stop, f"unknown escape \\{text[stop + 1]} (only \\\" and \\\\)"
+            )
+        return _syntax_error(text, pos, "unterminated string")
+    if ch == "?":
+        return _syntax_error(text, pos, "? must start a null name")
+    if ch == "@" or ch == "_" or ch.isalpha():
+        # a name that starts here runs into an @
+        return _syntax_error(text, pos, "names containing @ are reserved for generated values")
+    return _syntax_error(text, pos, f"unexpected character {ch!r}")
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            pos, line, col = pos + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            pos, col = pos + 1, col + 1
-            continue
-        if ch == "#":
-            while pos < n and text[pos] != "\n":
-                pos += 1
-            continue
-        start_line, start_col = line, col
-        if ch == '"':
-            pos += 1
-            col += 1
-            out = []
-            while True:
-                if pos >= n or text[pos] == "\n":
-                    raise WorkspaceSyntaxError(start_line, start_col, "unterminated string")
-                c = text[pos]
-                if c == "\\":
-                    if pos + 1 >= n:
-                        raise WorkspaceSyntaxError(start_line, start_col, "unterminated string")
-                    nxt = text[pos + 1]
-                    if nxt not in ('"', "\\"):
-                        raise WorkspaceSyntaxError(
-                            line, col, f"unknown escape \\{nxt} (only \\\" and \\\\)"
-                        )
-                    out.append(nxt)
-                    pos += 2
-                    col += 2
-                    continue
-                if c == '"':
-                    pos += 1
-                    col += 1
-                    break
-                out.append(c)
-                pos += 1
-                col += 1
-            tokens.append(_Token("string", "".join(out), start_line, start_col))
-            continue
-        if ch == "?":
-            pos += 1
-            col += 1
-            name = []
-            while pos < n and _is_ident_char(text[pos]):
-                name.append(text[pos])
-                pos += 1
-                col += 1
-            if not name:
-                raise WorkspaceSyntaxError(start_line, start_col, "? must start a null name")
-            tokens.append(_Token("null", "".join(name), start_line, start_col))
-            continue
-        if ch.isdigit() or (ch == "-" and pos + 1 < n and text[pos + 1].isdigit()):
-            num = [ch]
-            pos += 1
-            col += 1
-            seen_dot = False
-            while pos < n and (text[pos].isdigit() or (text[pos] == "." and not seen_dot
-                               and pos + 1 < n and text[pos + 1].isdigit())):
-                seen_dot = seen_dot or text[pos] == "."
-                num.append(text[pos])
-                pos += 1
-                col += 1
-            tokens.append(_Token("number", "".join(num), start_line, start_col))
-            continue
-        if _is_ident_start(ch) or ch == "@":
-            name = [ch]
-            pos += 1
-            col += 1
-            while pos < n:
-                c = text[pos]
-                if _is_ident_char(c) or c == "@":
-                    name.append(c)
-                    pos += 1
-                    col += 1
-                elif c == "." and pos + 1 < n and (_is_ident_char(text[pos + 1]) or text[pos + 1] == "@"):
-                    name.append(c)
-                    pos += 1
-                    col += 1
-                else:
-                    break
-            word = "".join(name)
-            if word.startswith("@") or "@" in word:
-                raise WorkspaceSyntaxError(
-                    start_line, start_col, "names containing @ are reserved for generated values"
-                )
-            tokens.append(_Token("ident", word, start_line, start_col))
-            continue
-        matched = None
-        for p in _PUNCT:
-            if text.startswith(p, pos):
-                matched = p
-                break
-        if matched is None:
-            raise WorkspaceSyntaxError(start_line, start_col, f"unexpected character {ch!r}")
-        tokens.append(_Token("punct", matched, start_line, start_col))
-        pos += len(matched)
-        col += len(matched)
+    for m in _lexer_for(text).finditer(text):
+        kind = m.lastgroup
+        if kind == "number" or kind == "punct" or kind == "ident":
+            tokens.append(_Token(kind, m[kind], m.start(kind)))
+        elif kind == "string":
+            tokens.append(_Token(kind, _ESCAPE.sub(r"\1", m[kind][1:-1]), m.start(kind)))
+        elif kind == "null":
+            tokens.append(_Token(kind, m[kind][1:], m.start(kind)))
+        elif kind == "error":
+            raise _lex_error(text, m.start(kind))
     return tokens
 
 
@@ -235,36 +215,42 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    def __init__(self, text: str, tokens: list[_Token] | None = None):
+        self.text = text
+        tokens = _tokenize(text) if tokens is None else tokens
+        # "found end of file" points at the last token, or at the text's start
+        self.tokens = tokens + [_Token("end", "", tokens[-1].pos if tokens else 0)]
         self.pos = 0
         self.ws = Workspace()
+        self.values: dict[tuple[str, str], Value] = {}
 
     # token plumbing
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def _error(self, tok: _Token, message: str) -> WorkspaceSyntaxError:
+        return _syntax_error(self.text, tok.pos, message)
 
-    def _next(self, expected: str) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("punct", "", 1, 1)
-            raise WorkspaceSyntaxError(last.line, last.col, f"expected {expected}, found end of file")
+    def _peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def _next(self) -> _Token:
+        """The current token, consumed; at the end every caller fails on it."""
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def _fail(self, tok: _Token, expected: str):
+        if tok.kind == "end":
+            raise self._error(tok, f"expected {expected}, found end of file")
         shown = tok.text if tok.kind != "string" else f'"{tok.text}"'
-        raise WorkspaceSyntaxError(tok.line, tok.col, f"expected {expected}, found {shown!r}")
+        raise self._error(tok, f"expected {expected}, found {shown!r}")
 
     def _punct(self, p: str) -> _Token:
-        tok = self._next(f"{p!r}")
+        tok = self._next()
         if tok.kind != "punct" or tok.text != p:
             self._fail(tok, f"{p!r}")
         return tok
 
     def _ident(self, what: str) -> _Token:
-        tok = self._next(what)
+        tok = self._next()
         if tok.kind != "ident":
             self._fail(tok, what)
         return tok
@@ -272,32 +258,32 @@ class _Parser:
     def _name(self, what: str) -> _Token:
         tok = self._ident(what)
         if tok.text in RESERVED_WORDS:
-            raise WorkspaceSyntaxError(tok.line, tok.col, f"{tok.text!r} is a reserved word")
+            raise self._error(tok, f"{tok.text!r} is a reserved word")
         return tok
 
     def _at_punct(self, p: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.kind == "punct" and tok.text == p
+        tok = self.tokens[self.pos]
+        return tok.kind == "punct" and tok.text == p
 
     def _at_word(self, w: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.kind == "ident" and tok.text == w
+        tok = self.tokens[self.pos]
+        return tok.kind == "ident" and tok.text == w
 
     def _word(self, w: str) -> _Token:
-        tok = self._next(f"{w!r}")
+        tok = self._next()
         if tok.kind != "ident" or tok.text != w:
             self._fail(tok, f"{w!r}")
         return tok
 
     def _declare(self, table: dict, tok: _Token, kind: str):
         if tok.text in table:
-            raise WorkspaceSyntaxError(tok.line, tok.col, f"duplicate {kind} {tok.text!r}")
+            raise self._error(tok, f"duplicate {kind} {tok.text!r}")
 
     # entry point
 
     def parse(self) -> Workspace:
-        while self._peek() is not None:
-            tok = self._next("a declaration")
+        while self._peek().kind != "end":
+            tok = self._next()
             if tok.kind != "ident" or tok.text not in TOP_KEYWORDS:
                 self._fail(tok, f"one of {', '.join(TOP_KEYWORDS)}")
             getattr(self, f"_parse_{tok.text}")()
@@ -314,7 +300,7 @@ class _Parser:
             self._word("rel")
             rel = self._name("relation name")
             if rel.text in rels:
-                raise WorkspaceSyntaxError(rel.line, rel.col, f"duplicate relation {rel.text!r}")
+                raise self._error(rel, f"duplicate relation {rel.text!r}")
             self._punct("(")
             attrs = [self._name("attribute name").text]
             while self._at_punct(","):
@@ -323,7 +309,7 @@ class _Parser:
             self._punct(")")
             self._punct(";")
             if len(set(attrs)) != len(attrs):
-                raise WorkspaceSyntaxError(rel.line, rel.col, f"duplicate attribute in {rel.text!r}")
+                raise self._error(rel, f"duplicate attribute in {rel.text!r}")
             rels[rel.text] = attrs
         self._punct("}")
         self.ws.schemas[name.text] = Schema.of(rels)
@@ -345,54 +331,57 @@ class _Parser:
                     f"instance {name.text!r} lists relation {rel.text!r} missing from schema {schema_name.text!r}"
                 )
             if rel.text in data:
-                raise WorkspaceSyntaxError(rel.line, rel.col, f"duplicate relation section {rel.text!r}")
+                raise self._error(rel, f"duplicate relation section {rel.text!r}")
             self._punct(":")
-            attrs = sorted(schema.attrs(rel.text))
-            rows: set[Row] = set()
-            idx = 0
-            while self._at_punct("("):
-                values = self._parse_tuple()
-                if len(values) != len(attrs):
-                    raise SchemaConformance(
-                        f"relation {rel.text}, tuple {idx}: expected {len(attrs)} values, got {len(values)}"
-                    )
-                rows.add(Row.of(dict(zip(attrs, values))))
-                idx += 1
-                if self._at_punct(","):
-                    self._punct(",")
+            data[rel.text] = _rows(rel.text, sorted(schema.attrs(rel.text)), self._tuples())
             self._punct(";")
-            data[rel.text] = rows
         self._punct("}")
         self.ws.instances[name.text] = Instance.of(schema, data)
         self.ws.instance_schema[name.text] = schema_name.text
 
-    def _parse_tuple(self) -> list[Value]:
-        self._punct("(")
-        tok = self._peek()
-        if tok is not None and tok.kind == "punct" and tok.text == ")":
-            raise WorkspaceSyntaxError(tok.line, tok.col, "tuples need at least one value")
-        values = [self._parse_value()]
-        while self._at_punct(","):
-            self._punct(",")
-            values.append(self._parse_value())
-        self._punct(")")
-        return values
+    def _tuples(self) -> Iterable[list[Value]]:
+        """The value lists of `(v, ...), (v, ...)`, read straight from the
+        token list; an unexpected token raises the usual diagnostic."""
+        tokens, values, i = self.tokens, self.values, self.pos
+        while tokens[i].kind == "punct" and tokens[i].text == "(":
+            i += 1
+            if tokens[i].kind == "punct" and tokens[i].text == ")":
+                raise self._error(tokens[i], "tuples need at least one value")
+            row: list[Value] = []
+            while True:
+                tok = tokens[i]
+                row.append(values.get((tok.kind, tok.text)) or self._value(tok))
+                sep = tokens[i + 1]
+                i += 2
+                if sep.kind != "punct" or sep.text != ",":
+                    break
+            if sep.kind != "punct" or sep.text != ")":
+                self._fail(sep, "')'")
+            yield row
+            if tokens[i].kind == "punct" and tokens[i].text == ",":
+                i += 1
+        self.pos = i
 
     def _parse_value(self) -> Value:
-        tok = self._next("a value")
-        if tok.kind == "number":
-            return const(tok.text)
-        if tok.kind == "string":
-            if "@" in tok.text:
-                raise WorkspaceSyntaxError(tok.line, tok.col, "values containing @ are reserved")
-            return const(tok.text)
+        return self._value(self._next())
+
+    def _value(self, tok: _Token) -> Value:
+        """The value `tok` denotes; equal tokens share one `Value` per parse."""
+        key = (tok.kind, tok.text)
+        if key in self.values:
+            return self.values[key]
         if tok.kind == "null":
-            return null_marker(tok.text)
-        if tok.kind == "ident":
+            value = null_marker(tok.text)
+        elif tok.kind == "string" and "@" in tok.text:
+            raise self._error(tok, "values containing @ are reserved")
+        elif tok.kind in ("number", "string", "ident"):
             # Value positions never hold variables or keywords, so even
             # reserved words read as constants here.
-            return const(tok.text)
-        self._fail(tok, "a value")
+            value = const(tok.text)
+        else:
+            self._fail(tok, "a value")
+        self.values[key] = value
+        return value
 
     def _parse_tgd(self):
         name = self._name("dependency name")
@@ -416,7 +405,7 @@ class _Parser:
         try:
             return Tgd(body, head)
         except DomainMismatch as e:
-            raise WorkspaceSyntaxError(at.line, at.col, str(e))
+            raise self._error(at, str(e))
 
     def _parse_egd(self):
         name = self._name("dependency name")
@@ -435,7 +424,7 @@ class _Parser:
         try:
             return Egd(body, (Var(x.text), Var(y.text)))
         except DomainMismatch as e:
-            raise WorkspaceSyntaxError(at.line, at.col, str(e))
+            raise self._error(at, str(e))
 
     def _parse_struct(self):
         name = self._name("constraint name")
@@ -461,7 +450,7 @@ class _Parser:
             attrs.append(self._name("attribute name").text)
         closing = self._punct("]")
         if len(set(attrs)) != len(attrs):
-            raise WorkspaceSyntaxError(closing.line, closing.col, "duplicate attribute in structure constraint")
+            raise self._error(closing, "duplicate attribute in structure constraint")
         return StructureConstraint.of(rel.text, attrs)
 
     # queries and atoms
@@ -489,7 +478,7 @@ class _Parser:
         while True:
             attr = self._name("attribute name")
             if attr.text in bindings:
-                raise WorkspaceSyntaxError(attr.line, attr.col, f"duplicate attribute {attr.text!r}")
+                raise self._error(attr, f"duplicate attribute {attr.text!r}")
             self._punct(":")
             bindings[attr.text] = self._parse_term()
             if self._at_punct(","):
@@ -501,8 +490,8 @@ class _Parser:
 
     def _parse_term(self):
         tok = self._peek()
-        if tok is not None and tok.kind == "ident" and tok.text not in RESERVED_WORDS:
-            self._next("a term")
+        if tok.kind == "ident" and tok.text not in RESERVED_WORDS:
+            self._next()
             return Var(tok.text)
         return self._parse_value()
 
@@ -524,7 +513,7 @@ class _Parser:
         try:
             return ConjunctiveQuery(tuple(atoms), free, occurring - frozenset(free))
         except DomainMismatch as e:
-            raise WorkspaceSyntaxError(at.line, at.col, str(e))
+            raise self._error(at, str(e))
 
     def _parse_query(self):
         name = self._name("query name")
@@ -540,9 +529,7 @@ class _Parser:
         colon = self._punct(":")
         if self._at_word("total") or self._at_word("filtered"):
             if free_names is not None:
-                raise WorkspaceSyntaxError(
-                    colon.line, colon.col, "total and filtered queries take no variable list"
-                )
+                raise self._error(colon, "total and filtered queries take no variable list")
             self.ws.queries[name.text] = self._parse_total_or_filtered()
             return
         self.ws.queries[name.text] = self._parse_cq(free_names, name)
@@ -588,12 +575,12 @@ class _Parser:
             self._punct(")")
             return inner
         lhs = self._name("attribute name")
-        op_tok = self._next("'=' or '!='")
+        op_tok = self._next()
         if op_tok.kind != "punct" or op_tok.text not in ("=", "!="):
             self._fail(op_tok, "'=' or '!='")
         tok = self._peek()
-        if tok is not None and tok.kind == "ident" and tok.text not in RESERVED_WORDS:
-            self._next("an attribute")
+        if tok.kind == "ident" and tok.text not in RESERVED_WORDS:
+            self._next()
             rhs: Union[str, Value] = tok.text
         else:
             rhs = self._parse_value()
@@ -612,11 +599,11 @@ class _Parser:
         self._punct("{")
         sections: dict[str, list] = {}
         while not self._at_punct("}"):
-            section = self._next("scope, pre, post, or safe")
+            section = self._next()
             if section.kind != "ident" or section.text not in ("scope", "pre", "post", "safe"):
                 self._fail(section, "scope, pre, post, or safe")
             if section.text in sections:
-                raise WorkspaceSyntaxError(section.line, section.col, f"duplicate {section.text} section")
+                raise self._error(section, f"duplicate {section.text} section")
             sections[section.text] = self._parse_proc_section(section.text)
         self._punct("}")
         self.ws.procedures[name.text] = Procedure.of(
@@ -642,7 +629,7 @@ class _Parser:
         return entries
 
     def _parse_constraint_entry(self) -> Constraint:
-        tok = self._next("tgd, egd, or struct")
+        tok = self._next()
         if tok.kind != "ident" or tok.text not in ("tgd", "egd", "struct"):
             self._fail(tok, "tgd, egd, or struct")
         if tok.text == "tgd":
@@ -674,8 +661,8 @@ class _Parser:
         depth = 0
         while True:
             tok = self._peek()
-            if tok is None:
-                raise WorkspaceSyntaxError(name.line, name.col, "unterminated template call")
+            if tok.kind == "end":
+                raise self._error(name, "unterminated template call")
             if tok.kind == "punct" and tok.text == "(":
                 depth += 1
             if tok.kind == "punct" and tok.text == ")":
@@ -687,12 +674,12 @@ class _Parser:
                 self._punct(";")
                 groups.append([])
                 continue
-            groups[-1].append(self._next("template arguments"))
+            groups[-1].append(self._next())
         try:
             params = self._template_params(kind, groups, name)
             return instantiate_template(kind.text, {**params, "name": name.text})
         except MalformedParams as e:
-            raise WorkspaceSyntaxError(name.line, name.col, f"template {kind.text}: {e}")
+            raise self._error(name, f"template {kind.text}: {e}")
 
     def _template_params(self, kind: _Token, groups: list[list[_Token]], name: _Token) -> dict:
         def idents(group: list[_Token], what: str) -> list[str]:
@@ -709,20 +696,19 @@ class _Parser:
                 out.append(tok.text)
                 expect_comma = True
             if not out or not expect_comma:
-                raise WorkspaceSyntaxError(name.line, name.col, f"expected {what} in template call")
+                raise self._error(name, f"expected {what} in template call")
             return out
 
         def single(group: list[_Token], what: str) -> str:
             items = idents(group, what)
             if len(items) != 1:
-                raise WorkspaceSyntaxError(name.line, name.col, f"expected exactly one {what}")
+                raise self._error(name, f"expected exactly one {what}")
             return items[0]
 
         def group_count(expected: str, *counts: int):
             if len(groups) not in counts:
-                raise WorkspaceSyntaxError(
-                    name.line, name.col,
-                    f"template {kind.text} takes {expected}, got {len(groups)} argument groups",
+                raise self._error(
+                    name, f"template {kind.text} takes {expected}, got {len(groups)} argument groups"
                 )
 
         if kind.text == "alter_table":
@@ -740,7 +726,7 @@ class _Parser:
             group_count("(target, source; keys; attribute)", 3)
             pair = idents(groups[0], "target and source relations")
             if len(pair) != 2:
-                raise WorkspaceSyntaxError(name.line, name.col, "expected target and source relations")
+                raise self._error(name, "expected target and source relations")
             return {
                 "target": pair[0],
                 "source": pair[1],
@@ -765,36 +751,32 @@ class _Parser:
             last = groups[2]
             if last and last[0].kind == "ident" and last[0].text == "query":
                 if len(last) != 2 or last[1].kind != "ident":
-                    raise WorkspaceSyntaxError(name.line, name.col, "expected query <name>")
+                    raise self._error(name, "expected query <name>")
                 qname = last[1].text
                 if qname not in self.ws.queries:
                     raise ResolutionError(f"template references unknown query {qname!r}")
                 q = self.ws.queries[qname]
                 if not isinstance(q, ConjunctiveQuery):
-                    raise WorkspaceSyntaxError(
-                        name.line, name.col, f"query {qname!r} must be a conjunctive query"
-                    )
+                    raise self._error(name, f"query {qname!r} must be a conjunctive query")
                 params["query"] = q
                 return params
-            sub = _Parser("")
-            sub.tokens = last
+            sub = _Parser(self.text, last)
             values = [sub._parse_value()]
             while sub._at_punct(","):
                 sub._punct(",")
                 values.append(sub._parse_value())
-            if sub._peek() is not None:
+            if sub._peek().kind != "end":
                 self._fail(sub._peek(), "','")
             params["values"] = values
             return params
         if kind.text == "sql_delete":
             group_count("(relation; condition)", 2)
-            sub = _Parser("")
-            sub.tokens = groups[1]
+            sub = _Parser(self.text, groups[1])
             condition = sub._parse_condition()
-            if sub._peek() is not None:
+            if sub._peek().kind != "end":
                 self._fail(sub._peek(), "end of condition")
             return {"relation": single(groups[0], "a relation"), "condition": condition}
-        raise WorkspaceSyntaxError(kind.line, kind.col, f"unknown template kind {kind.text!r}")
+        raise self._error(kind, f"unknown template kind {kind.text!r}")
 
     # sequences
 
@@ -810,6 +792,19 @@ class _Parser:
             if tok.text not in self.ws.procedures:
                 raise ResolutionError(f"sequence {name.text!r} references unknown procedure {tok.text!r}")
         self.ws.sequences[name.text] = tuple(t.text for t in names)
+
+
+def _rows(relation: str, attrs: list[str], tuples: Iterable[Sequence[Value]]) -> set[Row]:
+    """Rows of `relation` from value tuples listed in sorted attribute order,
+    each checked for arity as it arrives."""
+    rows: set[Row] = set()
+    for idx, values in enumerate(tuples):
+        if len(values) != len(attrs):
+            raise SchemaConformance(
+                f"relation {relation}, tuple {idx}: expected {len(attrs)} values, got {len(values)}"
+            )
+        rows.add(Row(tuple(zip(attrs, values))))
+    return rows
 
 
 def parse_workspace(text: str) -> Workspace:
@@ -903,6 +898,13 @@ def serialize_workspace(ws: Workspace) -> str:
     totality conjunction over a single relation shares its text form with
     the plain totality check and reparses as the plain form.  The JSON
     mirror keeps the two apart.
+
+    A constant prints bare when `str.isidentifier` accepts it or it matches
+    the number rule with decimal digits (`model.number_rule`); any other
+    constant is quoted, so `1.`, `.5`, `-.5` and `²` come out as strings
+    while `007` stays bare.  Inside atoms and conditions identifier-shaped
+    constants are quoted as well, since bare they would read as variables
+    or attribute names.
     """
     lines: list[str] = []
     for name, schema in ws.schemas.items():
@@ -1144,15 +1146,8 @@ def workspace_from_json(obj: Mapping) -> Workspace:
                 raise ResolutionError(
                     f"instance {name!r} lists relation {rel!r} missing from schema {schema_name!r}"
                 )
-            attrs = sorted(schema.attrs(rel))
-            out = set()
-            for idx, row in enumerate(rows):
-                if len(row) != len(attrs):
-                    raise SchemaConformance(
-                        f"relation {rel}, tuple {idx}: expected {len(attrs)} values, got {len(row)}"
-                    )
-                out.add(Row.of(dict(zip(attrs, (_value_from_json(v) for v in row)))))
-            data[rel] = out
+            values = ([_value_from_json(v) for v in row] for row in rows)
+            data[rel] = _rows(rel, sorted(schema.attrs(rel)), values)
         ws.instances[name] = Instance.of(schema, data)
         ws.instance_schema[name] = schema_name
     for name, c in obj.get("constraints", {}).items():

@@ -8,6 +8,7 @@ a tuple can always be viewed unnamed by listing its values in that order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
@@ -30,17 +31,20 @@ class Value:
     def render(self) -> str:
         if self.kind == NULL:
             return f"?{self.token}"
-        if self.token.isidentifier() or _is_plain_number(self.token):
+        if self.token.isidentifier() or _PLAIN_NUMBER.fullmatch(self.token):
             return self.token
         escaped = self.token.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
 
 
-def _is_plain_number(token: str) -> bool:
-    if not token:
-        return False
-    body = token[1:] if token[0] == "-" else token
-    return body.isdigit() or (body.count(".") == 1 and body.replace(".", "").isdigit())
+def number_rule(digit: str = r"\d") -> str:
+    """Regex source of a number token: an optional `-`, then digits with at
+    most one `.` between two of them. The workspace lexer adds the non-decimal
+    digits of its text (`²`) to `digit`; `Value.render` quotes those."""
+    return rf"-?{digit}+(?:\.{digit}+)?"
+
+
+_PLAIN_NUMBER = re.compile(number_rule())
 
 
 def const(token: object) -> Value:

@@ -26,6 +26,7 @@ from dqworkbench.constraints import (
     boolean_cq,
     cq,
 )
+from dqworkbench import dsl
 from dqworkbench.dsl import (
     Workspace,
     load_workspace,
@@ -101,6 +102,30 @@ class TestParsingBasics:
 
     def test_comments_only_file_gives_empty_workspace(self):
         assert parse_workspace("# nothing here\n  # still nothing\n") == Workspace()
+        assert parse_workspace("schema S { }\n# rel R(a);") == parse_workspace("schema S { }")
+
+    def test_equal_constants_share_one_value(self):
+        ws = parse_workspace(
+            "schema S { rel R(a, b); }\n"
+            'instance I : S { R: (1, x), (2, "x"); }\ninstance J : S { R: (1, x); }'
+        )
+        values = [v for name in "IJ" for row in ws.instances[name].rows("R") for v in row.values_in_order()]
+        ones = [v for v in values if v == const(1)]
+        plain_x = [v for v in values if v == const("x")]
+        assert len(ones) == 2 and ones[0] is ones[1]
+        assert len(plain_x) == 3
+
+    def test_number_shaped_constants_survive_a_text_round_trip(self):
+        tokens = ["1.", ".5", "-.5", "007", "\u00b2", "-\u00b2", "1.2.3", "-0", "2.50"]
+        ws = workspace_from_json(
+            {
+                "schemas": {"S": {"R": ["a"]}},
+                "instances": {"I": {"schema": "S", "rows": {"R": [[{"const": t}] for t in tokens]}}},
+            }
+        )
+        text = serialize_workspace(ws)
+        assert parse_workspace(text) == ws
+        assert "(007)" in text and '("1.")' in text and '("-.5")' in text
 
     def test_value_forms(self):
         ws = parse_workspace(
@@ -301,6 +326,10 @@ class TestDiagnostics:
 
     def test_reserved_at_namespace(self):
         self.assert_position("query q : @x(a: 1)", 1, 11, "reserved for generated values")
+        # a name with an @ inside is reported where the name starts
+        self.assert_position("query q : R(a: xy@z)", 1, 16, "reserved for generated values")
+        self.assert_position("query q : R(a: x.@z)", 1, 16, "reserved for generated values")
+        self.assert_position("query q : R(a: ?n@z)", 1, 18, "reserved for generated values")
 
     def test_duplicate_declaration(self):
         self.assert_position("schema S { }\nschema S { }", 2, 8, "duplicate schema")
@@ -341,6 +370,29 @@ class TestDiagnostics:
     def test_unknown_dependency_in_template(self):
         with pytest.raises(ResolutionError, match="ghost"):
             parse_workspace("proc dx = template data_exchange(ghost)")
+
+    def test_numerals_that_are_not_letters(self):
+        # `²` is a digit, `½` a numeral that may continue a name but not start one
+        ws = parse_workspace("schema S { rel R(a); }\ninstance I : S { R: (\u00b2), (-\u00b2), (x\u00bd); }")
+        assert {row["a"] for row in ws.instances["I"].rows("R")} == {
+            const("\u00b2"), const("-\u00b2"), const("x\u00bd")
+        }
+        self.assert_position("schema S { rel R(a); }\ninstance I : S { R: (\u00bd); }", 2, 22, "unexpected character")
+
+    def test_lexical_errors(self):
+        self.assert_position("schema S {\n  rel R(a);\f}", 2, 12, "unexpected character '\\x0c'")
+        self.assert_position("schema S {\xa0}", 1, 11, "unexpected character '\\xa0'")
+        self.assert_position("query q : R(a: -.5)", 1, 16, "unexpected character '-'")
+        self.assert_position("query q : R(a: ?)", 1, 16, "? must start a null name")
+        self.assert_position('query q : R(a: "x\\', 1, 16, "unterminated string")
+
+    def test_lexer_pattern_compiles_on_the_declared_python_floor(self):
+        # atomic groups and possessive quantifiers need Python 3.11;
+        # pyproject.toml declares requires-python >= 3.10
+        for pattern in (dsl._LEXER.pattern, dsl._lexer("\u00b2", "\u00b2\u00bd").pattern):
+            assert "(?>" not in pattern
+            for quantifier in ("*+", "++", "?+"):
+                assert quantifier not in pattern
 
     def test_diagnostics_are_deterministic(self):
         text = "schema S { rel R(a) }"

@@ -1,8 +1,8 @@
 """Bulk generated-case suites: representation closure, enumerator/checker
 agreement, fold reproducibility, certainty against the minimal-member
 enumeration, workspace format round-trips, the matcher against
-brute-force references, and the residual clause against the joint
-residual query.
+brute-force references, the residual clause against the joint
+residual query, and the workspace lexer against the reference tokenizer.
 
 The module-level *_EXAMPLES constants are the configured case counts; the
 acceptance suite checks their sum.
@@ -54,13 +54,14 @@ from dqworkbench.ctables import (
     render_ctable,
     rep_contains,
 )
+from dqworkbench import dsl
 from dqworkbench.dsl import (
     parse_workspace,
     serialize_workspace,
     workspace_from_json,
     workspace_to_json,
 )
-from dqworkbench.errors import Incompatible
+from dqworkbench.errors import Incompatible, WorkspaceSyntaxError
 from dqworkbench.model import Instance, Row, Schema, active_domain, const, null_marker
 from dqworkbench.oracle import Budget, enumerate_outcomes
 from dqworkbench.procedures import (
@@ -74,6 +75,7 @@ from dqworkbench.procedures import (
     residual_query,
 )
 
+from . import reference_tokenizer
 from .test_dsl import workspace_st
 from .test_oracle import inclusion_tgd, rt_instance
 from .test_procedures import schema_and_scope
@@ -85,6 +87,7 @@ ROUND_TRIP_EXAMPLES = 150
 MATCHER_EXAMPLES = 150
 CERTAINTY_EXAMPLES = 150
 RESIDUAL_EXAMPLES = 200
+LEXER_EXAMPLES = 500
 
 X = Var("x")
 
@@ -469,3 +472,38 @@ def test_residual_clause_matches_the_joint_residual_query(case):
     for mode in RESIDUAL_MODES:
         fresh = possible_outcome_report(p, before, after, mode)
         assert possible_outcome_report(p, before, after, mode, inputs=inputs) == fresh
+
+
+# --- the lexer against the reference tokenizer --------------------------------
+
+LEXER_ALPHABET = (
+    "abcxyzABCXYZ0123456789"
+    '_-."\\?@#(){}[],;:*=!> \t\r\n\f\xa0'
+    "\u00e9\u00df\u0663\u00b2\u00bd"  # é ß ٣ ² ½
+)
+
+
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    lines = text[:pos].split("\n")
+    return len(lines), len(lines[-1]) + 1
+
+
+def _lexed(tokenize, text: str):
+    try:
+        return tokenize(text)
+    except WorkspaceSyntaxError as e:
+        return ("error", e.line, e.col, e.reason)
+
+
+def _reference_tokens(text: str) -> list:
+    return [(t.kind, t.text, t.line, t.col) for t in reference_tokenizer._tokenize(text)]
+
+
+def _tokens(text: str) -> list:
+    return [(t.kind, t.text, *_line_col(text, t.pos)) for t in dsl._tokenize(text)]
+
+
+@settings(max_examples=LEXER_EXAMPLES, deadline=None)
+@given(text=st.text(st.sampled_from(LEXER_ALPHABET), max_size=16))
+def test_lexer_matches_the_reference_tokenizer(text):
+    assert _lexed(_tokens, text) == _lexed(_reference_tokens, text)

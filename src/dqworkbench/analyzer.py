@@ -17,13 +17,11 @@ from .errors import UnsupportedPrecondition
 from .model import Schema
 from .constraints import (
     ConjunctiveQuery,
-    Egd,
     FilteredTotalQuery,
-    NamedAtom,
     StructureConstraint,
-    Tgd,
     TotalConjQuery,
     TotalQuery,
+    demanded_attrs,
     is_compatible,
     structure_holds,
 )
@@ -47,12 +45,6 @@ class Failure:
     reason: str
 
 
-@dataclass(frozen=True)
-class RequirementPair:
-    relation: str
-    attributes: frozenset[str]
-
-
 def _arity_pinned_relations(p: Procedure) -> list[str]:
     rels: list[str] = []
     for q in p.safe:
@@ -63,35 +55,6 @@ def _arity_pinned_relations(p: Procedure) -> list[str]:
         elif isinstance(q, TotalConjQuery):
             rels.extend(q.relations)
     return rels
-
-
-def requirement_pairs(p: Procedure, s: Schema) -> list[RequirementPair]:
-    """Attribute demands every outcome schema must honor."""
-    pairs: list[RequirementPair] = []
-    mentioned = {c.relation for c in p.scope}
-    for rel in s.names:
-        if rel not in mentioned:
-            pairs.append(RequirementPair(rel, s.attrs(rel)))
-    for c in p.scope:
-        if not c.is_wildcard and s.defines(c.relation):
-            pairs.append(
-                RequirementPair(c.relation, s.attrs(c.relation) - set(c.attributes))
-            )
-    for q in p.safe:
-        if isinstance(q, ConjunctiveQuery):
-            for atom in q.atoms:
-                if isinstance(atom, NamedAtom):
-                    pairs.append(RequirementPair(atom.relation, atom.attrs))
-    for c in p.post:
-        if isinstance(c, (Tgd, Egd)):
-            queries = [c.body, c.head] if isinstance(c, Tgd) else [c.body]
-            for q in queries:
-                for atom in q.atoms:
-                    if isinstance(atom, NamedAtom):
-                        pairs.append(RequirementPair(atom.relation, atom.attrs))
-        elif isinstance(c, StructureConstraint) and not c.is_wildcard:
-            pairs.append(RequirementPair(c.relation, frozenset(c.attributes)))
-    return pairs
 
 
 def min_schema(
@@ -121,11 +84,18 @@ def min_schema(
     for rel in _arity_pinned_relations(p):
         required[rel] = set(s.attrs(rel))
         labels[rel] = len(s.attrs(rel))
-    for c in p.post:
-        if isinstance(c, StructureConstraint) and c.is_wildcard:
-            required.setdefault(c.relation, set())
-    for pair in requirement_pairs(p, s):
-        required.setdefault(pair.relation, set()).update(pair.attributes)
+    # attribute demands every outcome schema must honor
+    mentioned = {c.relation for c in p.scope}
+    for rel in s.names:
+        if rel not in mentioned:
+            required.setdefault(rel, set()).update(s.attrs(rel))
+    for c in p.scope:
+        if not c.is_wildcard and s.defines(c.relation):
+            required.setdefault(c.relation, set()).update(
+                s.attrs(c.relation).difference(c.attributes)
+            )
+    demanded_attrs((q for q in p.safe if isinstance(q, ConjunctiveQuery)), required)
+    demanded_attrs(p.post, required)
     for rel, limit in labels.items():
         if len(required[rel]) > limit:
             return Failure(

@@ -153,7 +153,8 @@ def _proc_label(p: Procedure) -> str:
 
 
 # --- subcommand handlers ---------------------------------------------------
-# Each returns (exit code, text lines, json payload).
+# Each returns (exit code, text lines, json payload); the oracle handlers,
+# whose reports run to thousands of instances, fill only the format asked for.
 
 Report = tuple[int, list[str], dict]
 
@@ -302,18 +303,21 @@ def _cmd_oracle(ws: Workspace, args) -> Report:
     )
     if args.minimal:
         outcomes = minimal_outcomes(outcomes)
-    ordered = sorted(outcomes, key=render_instance)
+    code = EXIT_YES if outcomes else EXIT_NO
+    # the rendered text orders the outcomes in both formats
+    ordered = sorted(((render_instance(o), o) for o in outcomes), key=lambda pair: pair[0])
+    if args.format == "json":
+        return code, [], {
+            "count": len(ordered),
+            "minimal_only": bool(args.minimal),
+            "outcomes": [_instance_json(out) for _, out in ordered],
+        }
     label = "minimal outcomes" if args.minimal else "outcomes"
     lines = [f"{label} within budget: {len(ordered)}"]
-    for idx, out in enumerate(ordered):
+    for idx, (text, _) in enumerate(ordered):
         lines.append(f"--- outcome {idx} ---")
-        lines.extend(render_instance(out).splitlines())
-    payload = {
-        "count": len(ordered),
-        "minimal_only": bool(args.minimal),
-        "outcomes": [_instance_json(out) for out in ordered],
-    }
-    return (EXIT_YES if ordered else EXIT_NO), lines, payload
+        lines.extend(text.splitlines())
+    return code, lines, {}
 
 
 def _cmd_compare(ws: Workspace, args) -> Report:
@@ -325,33 +329,30 @@ def _cmd_compare(ws: Workspace, args) -> Report:
         residual_mode=args.residual_mode,
         max_valuations=args.max_valuations,
     )
-    payload = {
-        "ok": report.ok,
-        "outcomes_checked": len(report.outcomes),
-        "missing": [_instance_json(i) for i in report.missing],
-        "minimal_only_oracle": [_instance_json(i) for i in report.minimal_only_oracle],
-        "minimal_only_chase": [_instance_json(i) for i in report.minimal_only_chase],
-    }
-    if report.ok:
-        lines = [
-            "approximation agrees with the oracle: "
-            f"{len(report.outcomes)} outcomes checked"
-        ]
-        return EXIT_YES, lines, payload
-    lines = ["approximation disagrees with the oracle"]
+    code = EXIT_YES if report.ok else EXIT_NO
     sections = (
-        ("outcomes the approximation fails to represent", report.missing),
-        ("minimal only on the oracle side", report.minimal_only_oracle),
-        ("minimal only on the approximation side", report.minimal_only_chase),
+        ("missing", "outcomes the approximation fails to represent", report.missing),
+        ("minimal_only_oracle", "minimal only on the oracle side", report.minimal_only_oracle),
+        ("minimal_only_chase", "minimal only on the approximation side", report.minimal_only_chase),
     )
-    for title, instances in sections:
+    if args.format == "json":
+        return code, [], {
+            "ok": report.ok,
+            "outcomes_checked": len(report.outcomes),
+            **{key: [_instance_json(i) for i in found] for key, _, found in sections},
+        }
+    if report.ok:
+        checked = f"{len(report.outcomes)} outcomes checked"
+        return code, [f"approximation agrees with the oracle: {checked}"], {}
+    lines = ["approximation disagrees with the oracle"]
+    for _, title, instances in sections:
         if not instances:
             continue
         lines.append(f"{title}: {len(instances)}")
         for idx, out in enumerate(instances):
             lines.append(f"--- {title} {idx} ---")
             lines.extend(render_instance(out).splitlines())
-    return EXIT_NO, lines, payload
+    return code, lines, {}
 
 
 _HANDLERS = {
@@ -474,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True, help="sequence name or comma-separated procedures")
     p.add_argument("--budget", required=True, help='e.g. "extra=1,tuples=2,growth"')
     p.add_argument(
-        "--minimal", action="store_true", help="report only minimal outcomes"
+        "--minimal", action="store_true", help="report only minimal outcomes (an exact set)"
     )
     residual_flags(p)
 

@@ -292,6 +292,23 @@ def is_compatible(obj: Union[Query, Tgd, Egd, Atom], s: Schema) -> bool:
     raise TypeError(f"cannot check compatibility of {type(obj).__name__}")
 
 
+def demanded_attrs(
+    items: Iterable[Union[ConjunctiveQuery, Constraint]], need: dict[str, set[str]]
+) -> dict[str, set[str]]:
+    """Add to `need`, per relation, the attributes that the relation atoms of
+    queries and dependencies and the structure constraints name; return it."""
+    for c in items:
+        if isinstance(c, StructureConstraint):
+            need.setdefault(c.relation, set()).update(c.attributes or ())
+            continue
+        body = c.body if isinstance(c, (Tgd, Egd)) else c
+        for q in (body, c.head) if isinstance(c, Tgd) else (body,):
+            for a in q.atoms:
+                if isinstance(a, NamedAtom):
+                    need.setdefault(a.relation, set()).update(a.attrs)
+    return need
+
+
 def _split_atoms(atoms: Iterable[Atom]) -> tuple[list[NamedAtom], list[ConstantAtom]]:
     named = [a for a in atoms if isinstance(a, NamedAtom)]
     constant = [a for a in atoms if isinstance(a, ConstantAtom)]

@@ -96,7 +96,17 @@ from .errors import (
     SchemaConformance,
     WorkspaceSyntaxError,
 )
-from .model import Instance, Row, Schema, Value, const, null_marker, number_rule
+from .model import (
+    Instance,
+    Row,
+    Schema,
+    Value,
+    const,
+    is_plain_name,
+    name_rule,
+    null_marker,
+    number_rule,
+)
 from .procedures import Procedure, instantiate_template
 
 TOP_KEYWORDS = ("schema", "instance", "tgd", "egd", "struct", "proc", "query", "seq")
@@ -148,7 +158,7 @@ def _lexer(digits: str = "", numerals: str = "") -> re.Pattern:
         r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:"
         r"(?P<punct>->|!=|[{}()\[\],;:.*=])"
         rf"|(?P<number>{number})"
-        rf"|(?P<ident>[^\W\d{numerals}]\w*(?:\.\w+)*)(?![\w@]|\.[\w@])"
+        rf"|(?P<ident>{name_rule(numerals)}(?:\.\w+)*)(?![\w@]|\.[\w@])"
         r"|(?P<null>\?\w+)"
         rf'|(?P<string>"{_STRING_BODY}")'
         r"|(?P<error>.)|\Z)"
@@ -818,7 +828,7 @@ def parse_workspace(text: str) -> Workspace:
 def _guarded_value(v: Value) -> str:
     # Bare identifier-shaped constants would reparse as variables (in
     # atoms) or attribute names (in conditions), so force quotes there.
-    if v.is_constant and v.token.isidentifier():
+    if v.is_constant and is_plain_name(v.token):
         return f'"{v.token}"'
     return v.render()
 
@@ -899,7 +909,7 @@ def serialize_workspace(ws: Workspace) -> str:
     the plain totality check and reparses as the plain form.  The JSON
     mirror keeps the two apart.
 
-    A constant prints bare when `str.isidentifier` accepts it or it matches
+    A constant prints bare when it is a plain name (`model.name_rule`) or it matches
     the number rule with decimal digits (`model.number_rule`); any other
     constant is quoted, so `1.`, `.5`, `-.5` and `²` come out as strings
     while `007` stays bare.  Inside atoms and conditions identifier-shaped

@@ -31,7 +31,7 @@ class Value:
     def render(self) -> str:
         if self.kind == NULL:
             return f"?{self.token}"
-        if self.token.isidentifier() or _PLAIN_NUMBER.fullmatch(self.token):
+        if is_plain_name(self.token) or _PLAIN_NUMBER.fullmatch(self.token):
             return self.token
         escaped = self.token.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
@@ -44,7 +44,20 @@ def number_rule(digit: str = r"\d") -> str:
     return rf"-?{digit}+(?:\.{digit}+)?"
 
 
+def name_rule(numerals: str = "") -> str:
+    """Regex source of a name token: a letter (`str.isalpha`) or `_`, then
+    `\\w`s. A name must not start with a numeral that `\\w` takes (`²`, `Ⅻ`):
+    the lexer lists its text's in `numerals`, `is_plain_name` checks `isalpha`."""
+    return rf"[^\W\d{numerals}]\w*"
+
+
 _PLAIN_NUMBER = re.compile(number_rule())
+_PLAIN_NAME = re.compile(name_rule())
+
+
+def is_plain_name(token: str) -> bool:
+    """True iff the workspace lexer reads `token` as one undotted name."""
+    return (token[:1] == "_" or token[:1].isalpha()) and _PLAIN_NAME.fullmatch(token) is not None
 
 
 def const(token: object) -> Value:
@@ -124,7 +137,7 @@ class Schema:
         return dict(self.rels)
 
     def __hash__(self):
-        return hash(tuple((r, tuple(sorted(a))) for r, a in self.rels))
+        return hash(self.rels)
 
 
 @dataclass(frozen=True)
@@ -167,7 +180,7 @@ class Instance:
         return sum(len(rows) for _, rows in self.data)
 
     def __hash__(self):
-        return hash((self.schema, tuple((r, tuple(sorted(rows))) for r, rows in self.data)))
+        return hash((self.schema, self.data))
 
 
 def schema_extends(candidate: Schema, base: Schema) -> bool:

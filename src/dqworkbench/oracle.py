@@ -10,6 +10,7 @@ the other modules at desk scale.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -20,15 +21,14 @@ from .constraints import (
     ConjunctiveQuery,
     Egd,
     FilteredTotalQuery,
-    NamedAtom,
     Not,
     Or,
-    StructureConstraint,
     Tgd,
     TotalConjQuery,
     TotalQuery,
     condition_attrs,
     cq_constants,
+    demanded_attrs,
 )
 from .ctables import enumerate_minimal, rep_contains
 from .errors import BudgetExceeded, MalformedParams
@@ -44,7 +44,8 @@ from .model import (
 )
 from .procedures import Procedure, outcome_inputs, possible_outcome_report
 
-# candidates any one oracle run may examine before giving up
+# Candidates one oracle run may charge, each batch before it is built: per relation
+# its sets of additions and its row-set candidates, per step the cross-relation ones.
 BUDGET_CAP = 500_000
 
 EXTRA_CONSTANT_PREFIX = "@c"
@@ -73,16 +74,20 @@ class Budget:
 
 
 class _Meter:
+    """Candidates charged against the cap, and the step (`at`) now charging."""
+
     def __init__(self, cap: int):
         self.cap = cap
         self.used = 0
+        self.at = "step 0"
 
-    def tick(self, n: int = 1) -> None:
-        self.used += n
-        if self.used > self.cap:
+    def tick(self, n: int) -> None:
+        if self.used + n > self.cap:
             raise BudgetExceeded(
-                f"oracle candidate space exceeds the hard cap of {self.cap}"
+                f"oracle candidate space exceeds the hard cap of {self.cap} at {self.at}: "
+                f"{self.used} candidates charged so far, and the next charge of {n} does not fit"
             )
+        self.used += n
 
 
 def _condition_constants(c) -> set[Value]:
@@ -111,35 +116,11 @@ def constraint_constants(p: Procedure) -> frozenset[Value]:
     return frozenset(out)
 
 
-def _post_requirements(p: Procedure) -> dict[str, set[str]]:
-    """Relations and attributes the postcondition needs present."""
-    need: dict[str, set[str]] = {}
-
-    def add_atom(atom) -> None:
-        if isinstance(atom, NamedAtom):
-            need.setdefault(atom.relation, set()).update(atom.attrs)
-
-    for c in p.post:
-        if isinstance(c, StructureConstraint):
-            need.setdefault(c.relation, set()).update(c.attributes or ())
-        elif isinstance(c, Tgd):
-            for atom in c.body.atoms + c.head.atoms:
-                add_atom(atom)
-        elif isinstance(c, Egd):
-            for atom in c.body.atoms:
-                add_atom(atom)
-    return need
-
-
 def _safety_mentions(p: Procedure) -> dict[str, set[str]]:
     """Attributes the safety queries name explicitly, per relation."""
-    need: dict[str, set[str]] = {}
+    need = demanded_attrs((q for q in p.safe if isinstance(q, ConjunctiveQuery)), {})
     for q in p.safe:
-        if isinstance(q, ConjunctiveQuery):
-            for atom in q.atoms:
-                if isinstance(atom, NamedAtom):
-                    need.setdefault(atom.relation, set()).update(atom.attrs)
-        elif isinstance(q, FilteredTotalQuery):
+        if isinstance(q, FilteredTotalQuery):
             need.setdefault(q.relation, set()).update(condition_attrs(q.condition))
         elif isinstance(q, TotalQuery):
             need.setdefault(q.relation, set())
@@ -177,7 +158,7 @@ def _candidate_schemas(i: Instance, p: Procedure, b: Budget) -> Iterator[Schema]
     reserved unconstrained attributes.
     """
     scope = _scope_map(p)
-    required = _post_requirements(p)
+    required = demanded_attrs(p.post, {})
     safety = _safety_mentions(p)
 
     base: dict[str, frozenset[str]] = {r: i.schema.attrs(r) for r in i.schema.names}
@@ -288,11 +269,10 @@ def _relation_choices(
         if not fill:
             return [frozenset(old_rows)]
 
-    additions: list[frozenset[Row]] = []
-    for k in range(b.max_new_tuples + 1):
-        for combo in itertools.combinations(addition_pool, k):
-            additions.append(frozenset(combo))
-            meter.tick()
+    sizes = range(b.max_new_tuples + 1)
+    n_add = sum(math.comb(len(addition_pool), k) for k in sizes)
+    meter.tick(n_add + n_add * math.prod(len(options) for options in per_row))
+    additions = [frozenset(c) for k in sizes for c in itertools.combinations(addition_pool, k)]
 
     out: list[frozenset[Row]] = []
     seen: set[frozenset[Row]] = set()
@@ -300,7 +280,6 @@ def _relation_choices(
         kept = frozenset(r for r in chosen if r is not None)
         for extra in additions:
             candidate = kept | extra
-            meter.tick()
             if candidate not in seen:
                 seen.add(candidate)
                 out.append(candidate)
@@ -328,8 +307,8 @@ def _single_step_outcomes(
                 rel, schema.attrs(rel), i, scope.get(rel, frozenset()), pool, b, meter
             )
             per_relation.append((rel, choices))
+        meter.tick(math.prod(len(c) for _, c in per_relation))
         for combo in itertools.product(*(c for _, c in per_relation)):
-            meter.tick()
             candidate = Instance.of(
                 schema, {rel: rows for (rel, _), rows in zip(per_relation, combo)}
             )
@@ -362,7 +341,8 @@ def enumerate_outcomes(
         frozenset(), *(constraint_constants(p) for p in sequence)
     )
     current: set[Instance] = {i}
-    for p in sequence:
+    for idx, p in enumerate(sequence):
+        meter.at = f"step {idx} ({p.name or '<anonymous>'})"
         step_result: set[Instance] = set()
         for j in sorted(current, key=_instance_sort_key):
             step_result |= _single_step_outcomes(
@@ -384,16 +364,25 @@ def _instance_sort_key(j: Instance):
 
 
 def minimal_outcomes(outcomes: Iterable[Instance]) -> frozenset[Instance]:
-    """The outcomes no other outcome sits strictly inside."""
-    pool = list(outcomes)
-    out = []
-    for j in pool:
-        dominated = any(
-            k != j and instance_extends(j, k) for k in pool
-        )
-        if not dominated:
-            out.append(j)
-    return frozenset(out)
+    """The outcomes no other outcome sits strictly inside.
+
+    Each distinct outcome, taken in order of rows and then of relations plus
+    attributes, is tested only against the minimal outcomes kept before it
+    (the extremal-sets scheme), and that is exact. If k sits inside j, each
+    row of k is the projection of its own row of j, so k has no more rows
+    than j; with as many rows and k != j, j's schema strictly extends k's,
+    so k sorts first. Sitting inside is transitive and antisymmetric, so a
+    non-minimal j has a minimal outcome inside it, and that one is kept
+    before j is reached.
+    """
+    def by_size(j: Instance) -> tuple[int, int]:
+        return j.total_size(), sum(1 + len(attrs) for _, attrs in j.schema.rels)
+
+    kept: list[Instance] = []
+    for j in sorted(set(outcomes), key=by_size):
+        if not any(instance_extends(j, k) for k in kept):
+            kept.append(j)
+    return frozenset(kept)
 
 
 def _rename_reserved(j: Instance, rigid: frozenset[Value]) -> Instance:

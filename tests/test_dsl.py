@@ -127,6 +127,20 @@ class TestParsingBasics:
         assert parse_workspace(text) == ws
         assert "(007)" in text and '("1.")' in text and '("-.5")' in text
 
+    def test_name_shaped_constants_survive_a_text_round_trip(self):
+        # `str.isidentifier` accepts both, the lexer's name rule does not:
+        # a letter number, and a letter followed by a combining accent
+        tokens = ["\u216b", "e\u0301", "a\u216b", "a\u00b2", "_x", "plain"]
+        ws = workspace_from_json(
+            {
+                "schemas": {"S": {"R": ["a"]}},
+                "instances": {"I": {"schema": "S", "rows": {"R": [[{"const": t}] for t in tokens]}}},
+            }
+        )
+        text = serialize_workspace(ws)
+        assert parse_workspace(text) == ws
+        assert '("\u216b")' in text and '("e\u0301")' in text and "(a\u216b)" in text
+
     def test_value_forms(self):
         ws = parse_workspace(
             'schema S { rel R(a); }\n'

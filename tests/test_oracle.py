@@ -384,9 +384,27 @@ class TestBudgets:
 
     def test_hard_cap_limits_the_search(self, monkeypatch):
         monkeypatch.setattr(oracle_mod, "BUDGET_CAP", 10)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as caught:
             enumerate_outcomes(
                 migrate_total_proc(), fig_instance(), Budget(max_new_tuples=1)
+            )
+        # LocVisits: 513 sets of additions (none, or one of the 8^3 rows),
+        # each joined to 4 choices of kept rows
+        assert str(caught.value) == (
+            "oracle candidate space exceeds the hard cap of 10 at step 0 (migrate): "
+            "0 candidates charged so far, and the next charge of 2565 does not fit"
+        )
+
+    def test_cap_message_names_the_step_that_overflows(self, monkeypatch):
+        # step 0 charges 2565 + 2044 and fits; step 1 starts from J1's 3 rows
+        monkeypatch.setattr(oracle_mod, "BUDGET_CAP", 5000)
+        with pytest.raises(
+            BudgetExceeded,
+            match=r"at step 1 \(migrate\): 4609 candidates charged so far, "
+            r"and the next charge of 4617 does not fit$",
+        ):
+            enumerate_outcomes(
+                [migrate_total_proc()] * 2, fig_instance(), Budget(max_new_tuples=1)
             )
 
     def test_growth_flag_only_adds_outcomes(self):

@@ -2,7 +2,9 @@
 agreement, fold reproducibility, certainty against the minimal-member
 enumeration, workspace format round-trips, the matcher against
 brute-force references, the residual clause against the joint
-residual query, and the workspace lexer against the reference tokenizer.
+residual query, the workspace lexer against the reference tokenizer, and
+size-ordered minimality and the oracle's up-front meter against the
+all-pairs test and the candidate totals they replace.
 
 The module-level *_EXAMPLES constants are the configured case counts; the
 acceptance suite checks their sum.
@@ -13,7 +15,9 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqworkbench.chase import (
@@ -55,15 +59,17 @@ from dqworkbench.ctables import (
     rep_contains,
 )
 from dqworkbench import dsl
+from dqworkbench import oracle as oracle_mod
 from dqworkbench.dsl import (
+    load_workspace,
     parse_workspace,
     serialize_workspace,
     workspace_from_json,
     workspace_to_json,
 )
-from dqworkbench.errors import Incompatible, WorkspaceSyntaxError
+from dqworkbench.errors import BudgetExceeded, Incompatible, WorkspaceSyntaxError
 from dqworkbench.model import Instance, Row, Schema, active_domain, const, null_marker
-from dqworkbench.oracle import Budget, enumerate_outcomes
+from dqworkbench.oracle import Budget, enumerate_outcomes, minimal_outcomes
 from dqworkbench.procedures import (
     RESIDUAL_MODES,
     Procedure,
@@ -75,7 +81,7 @@ from dqworkbench.procedures import (
     residual_query,
 )
 
-from . import reference_tokenizer
+from . import reference_oracle, reference_tokenizer
 from .test_dsl import workspace_st
 from .test_oracle import inclusion_tgd, rt_instance
 from .test_procedures import schema_and_scope
@@ -88,6 +94,12 @@ MATCHER_EXAMPLES = 150
 CERTAINTY_EXAMPLES = 150
 RESIDUAL_EXAMPLES = 200
 LEXER_EXAMPLES = 500
+MINIMALITY_EXAMPLES = 300
+
+# The candidates the oracle charges for Figure 1's `migrate, migrate` with
+# budget extra=1,tuples=1: the total the per-candidate meter reached.
+FIG1_MIGRATE_TWICE_CHARGE = 18_948
+FIG1 = Path(__file__).resolve().parent.parent / "workspaces" / "fig1.dq"
 
 X = Var("x")
 
@@ -507,3 +519,68 @@ def _tokens(text: str) -> list:
 @given(text=st.text(st.sampled_from(LEXER_ALPHABET), max_size=16))
 def test_lexer_matches_the_reference_tokenizer(text):
     assert _lexed(_tokens, text) == _lexed(_reference_tokens, text)
+
+
+# --- size-ordered minimality and the up-front meter ----------------------------
+
+# Schemas where some extend others, with relations that have no attributes.
+MINIMALITY_SCHEMAS = tuple(
+    Schema.of(rels)
+    for rels in (
+        {},
+        {"U": ()},
+        {"R": ("a",)},
+        {"R": ("a", "b")},
+        {"R": ("a",), "U": ()},
+        {"R": ("a", "b"), "U": ()},
+        {"R": ("a",), "T": ("a",)},
+        {"R": ("a", "b"), "T": ("a",), "U": ()},
+    )
+)
+
+
+@st.composite
+def outcome_st(draw) -> Instance:
+    s = draw(st.sampled_from(MINIMALITY_SCHEMAS))
+    data = {}
+    for rel in s.names:
+        attrs = sorted(s.attrs(rel))
+        rows = [Row.of(dict(zip(attrs, vs))) for vs in itertools.product(BITS, repeat=len(attrs))]
+        data[rel] = draw(st.sets(st.sampled_from(rows), max_size=3))
+    return Instance.of(s, data)
+
+
+@settings(max_examples=MINIMALITY_EXAMPLES, deadline=None)
+@given(outs=st.lists(outcome_st(), max_size=10), data=st.data())
+def test_size_ordered_minimality_matches_the_all_pairs_test(outs, data):
+    if outs:
+        outs += data.draw(st.lists(st.sampled_from(outs), max_size=3), label="duplicates")
+    assert minimal_outcomes(outs) == reference_oracle.minimal_outcomes(outs)
+
+
+def _fig1_migrate_twice():
+    ws = load_workspace(str(FIG1))
+    migrate = ws.procedures["migrate"]
+    return [migrate, migrate], ws.instances["I"], Budget(extra_constants=1, max_new_tuples=1)
+
+
+def test_meter_charges_exactly_the_per_candidate_total(monkeypatch):
+    seq, i, b = _fig1_migrate_twice()
+    monkeypatch.setattr(oracle_mod, "BUDGET_CAP", FIG1_MIGRATE_TWICE_CHARGE)
+    assert len(enumerate_outcomes(seq, i, b)) == 727
+    monkeypatch.setattr(oracle_mod, "BUDGET_CAP", FIG1_MIGRATE_TWICE_CHARGE - 1)
+    with pytest.raises(BudgetExceeded):
+        enumerate_outcomes(seq, i, b)
+
+
+def test_meter_stops_before_any_candidate_is_checked(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a candidate was checked")
+
+    seq, i, _ = _fig1_migrate_twice()
+    monkeypatch.setattr(oracle_mod, "possible_outcome_report", unreachable)
+    # One more than the first schema's per-relation charge (2565): a
+    # per-candidate meter would check one cross-relation candidate first.
+    monkeypatch.setattr(oracle_mod, "BUDGET_CAP", 2566)
+    with pytest.raises(BudgetExceeded, match="2565 candidates charged so far"):
+        enumerate_outcomes(seq[0], i, Budget(max_new_tuples=1))

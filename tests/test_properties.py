@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,7 +81,7 @@ from dqworkbench.procedures import (
 )
 
 from . import reference_oracle, reference_tokenizer
-from .test_dsl import workspace_st
+from .test_dsl import FIG1, workspace_st
 from .test_oracle import inclusion_tgd, rt_instance
 from .test_procedures import schema_and_scope
 
@@ -99,7 +98,6 @@ MINIMALITY_EXAMPLES = 300
 # The candidates the oracle charges for Figure 1's `migrate, migrate` with
 # budget extra=1,tuples=1: the total the per-candidate meter reached.
 FIG1_MIGRATE_TWICE_CHARGE = 18_948
-FIG1 = Path(__file__).resolve().parent.parent / "workspaces" / "fig1.dq"
 
 X = Var("x")
 

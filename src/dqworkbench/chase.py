@@ -11,6 +11,7 @@ scoped reading of the table captures the outcome set precisely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence, Union
 
 from .analyzer import Failure, min_schema
@@ -38,7 +39,6 @@ from .ctables import (
     CondOr,
     ConditionalInstance,
     ConditionalRow,
-    CRow,
     LabeledNull,
     ScopedConditionalInstance,
     TrueCond,
@@ -58,7 +58,7 @@ from .errors import (
     UnsupportedClass,
     UnsupportedPrecondition,
 )
-from .model import Instance
+from .model import Instance, Row, first_appearance, map_cells
 from .procedures import (
     ALTER_SCHEMA,
     NEITHER,
@@ -218,7 +218,7 @@ def chase_safe_scope(
                     cells[attr] = LabeledNull(
                         f"p{step}_t{tgd_idx}_{ordinal}_a{atom_idx}.{attr}"
                     )
-                store.add(atom.relation, (CRow.of(cells), trigger_cond))
+                store.add(atom.relation, (Row.of(cells), trigger_cond))
             ordinal += 1
     return ConditionalInstance.of(t.schema, store.entries)
 
@@ -254,7 +254,7 @@ def apply_alter_schema(
             cells = dict(row.cells)
             for attr in new_attrs:
                 cells[attr] = LabeledNull(f"p{step}_a_{rel}_{attr}_{k}")
-            widened.append((CRow.of(cells), cond))
+            widened.append((Row.of(cells), cond))
         data[rel] = widened
     return ConditionalInstance.of(target, data)
 
@@ -387,34 +387,20 @@ def _map_condition(c: Condition, rename: dict[LabeledNull, LabeledNull]) -> Cond
 
 def canonical_table(t: ConditionalInstance) -> ConditionalInstance:
     """Rename labeled nulls by first appearance, for state comparison."""
-    rename: dict[LabeledNull, LabeledNull] = {}
-
-    def visit(n: LabeledNull) -> None:
-        if n not in rename:
-            rename[n] = LabeledNull(f"c{len(rename):03d}")
-
-    for rel in t.schema.names:
-        for row, cond in t.rows(rel):
-            for cell in row.values_in_order():
-                if isinstance(cell, LabeledNull):
-                    visit(cell)
-            for n in condition_nulls(cond):
-                visit(n)
+    rename = first_appearance(
+        (
+            c
+            for rel in t.schema.names
+            for row, cond in t.rows(rel)
+            for c in chain(row.values_in_order(), condition_nulls(cond))
+        ),
+        lambda c: isinstance(c, LabeledNull),
+        lambda k: LabeledNull(f"c{k:03d}"),
+    )
     if not rename:
         return t
     data = {
-        rel: [
-            (
-                CRow(
-                    tuple(
-                        (a, rename.get(c, c) if isinstance(c, LabeledNull) else c)
-                        for a, c in row.cells
-                    )
-                ),
-                _map_condition(cond, rename) if not isinstance(cond, TrueCond) else cond,
-            )
-            for row, cond in t.rows(rel)
-        ]
+        rel: [(map_cells(row, rename), _map_condition(cond, rename)) for row, cond in t.rows(rel)]
         for rel in t.schema.names
     }
     return ConditionalInstance.of(t.schema, data)

@@ -122,7 +122,7 @@ def _table_json(t: ConditionalInstance) -> dict:
     out: dict = {"schema": _schema_json(t.schema), "rows": {}}
     for rel in t.schema.names:
         entries = []
-        for row, cond in sorted(t.rows(rel), key=lambda pair: str(pair)):
+        for row, cond in t.rows(rel):
             entries.append(
                 {
                     "cells": [_cell_json(c) for c in row.values_in_order()],

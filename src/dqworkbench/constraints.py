@@ -162,13 +162,21 @@ class Not:
 BooleanCondition = Union[Comparison, And, Or, Not]
 
 
-def condition_attrs(c: BooleanCondition) -> frozenset[str]:
+def comparisons(c: BooleanCondition) -> Iterator[Comparison]:
+    """The comparison leaves of a condition, left to right."""
     if isinstance(c, Comparison):
-        rhs = {c.rhs} if isinstance(c.rhs, str) else set()
-        return frozenset({c.lhs} | rhs)
-    if isinstance(c, (And, Or)):
-        return frozenset(a for item in c.items for a in condition_attrs(item))
-    return condition_attrs(c.item)
+        yield c
+    elif isinstance(c, (And, Or)):
+        for item in c.items:
+            yield from comparisons(item)
+    else:
+        yield from comparisons(c.item)
+
+
+def condition_attrs(c: BooleanCondition) -> frozenset[str]:
+    return frozenset(
+        a for leaf in comparisons(c) for a in (leaf.lhs, leaf.rhs) if isinstance(a, str)
+    )
 
 
 def eval_condition(c: BooleanCondition, row: Row) -> bool:
@@ -479,18 +487,9 @@ def evaluate_query(q: Query, i: Instance) -> frozenset[tuple[Value, ...]]:
     if not is_compatible(q, i.schema):
         raise Incompatible(f"query is not compatible with schema {i.schema.names}")
     if isinstance(q, ConjunctiveQuery):
-        named, constant = _split_atoms(q.atoms)
-        named_vars = frozenset(v for a in named for v in a.vars)
-        loose = q.vars - named_vars
-        if loose:
-            raise Incompatible(
-                f"variables {sorted(v.name for v in loose)} occur in no relation atom"
-            )
-        answers = set()
-        for h in homomorphisms(named, i):
-            if _constant_atoms_hold(constant, h):
-                answers.add(tuple(h[v] for v in q.free))
-        return frozenset(answers)
+        return frozenset(
+            tuple(h[v] for v in q.free) for h in _body_assignments(q, i, RowIndex(i.data))
+        )
     if isinstance(q, TotalQuery):
         return frozenset(row.values_in_order() for row in i.rows(q.relation))
     if isinstance(q, FilteredTotalQuery):

@@ -1,5 +1,10 @@
 """Conditional instances: tables with labeled nulls and tuple conditions.
 
+A table row is a `model.Row` whose cells may be labeled nulls as well as
+values, paired with a condition over those nulls (Imielinski and Lipski,
+JACM 1984). An `Instance` never holds a labeled null: `apply_valuation`
+raises `PartialValuation` unless every null gets a value.
+
 A conditional instance stands for the set of ordinary instances obtained
 by substituting values for its labeled nulls, keeping the tuples whose
 condition the substitution satisfies, and then optionally extending the
@@ -20,28 +25,22 @@ from .errors import BudgetExceeded, DomainMismatch, NotPositive, PartialValuatio
 from .model import (
     CONST,
     NULL,
+    Cell,
     Instance,
+    LabeledNull,
     Row,
     Schema,
     Value,
     active_domain,
     instance_extends,
+    map_cells,
     rename_values,
     schema_extends,
 )
 
 FRESH_PREFIX = "@fresh"
-
-
-@dataclass(frozen=True, order=True)
-class LabeledNull:
-    id: str
-
-    def render(self) -> str:
-        return f"?{self.id}"
-
-
-Cell = Union[Value, LabeledNull]
+# valuations and match steps one membership search may try
+REP_STEP_CAP = 2_000_000
 
 
 def cell_key(c: Cell) -> tuple:
@@ -250,40 +249,7 @@ def _cond_key(c: Condition) -> tuple:
     return (tag, tuple(_cond_key(item) for item in c.items))
 
 
-@dataclass(frozen=True)
-class CRow:
-    """Named tuple over constants and labeled nulls, in attribute order."""
-
-    cells: tuple[tuple[str, Cell], ...]
-
-    def __post_init__(self):
-        attrs = [a for a, _ in self.cells]
-        if attrs != sorted(attrs) or len(set(attrs)) != len(attrs):
-            raise DomainMismatch(f"row attributes must be distinct and ordered: {attrs}")
-
-    @staticmethod
-    def of(mapping: Mapping[str, Cell]) -> "CRow":
-        return CRow(tuple(sorted(mapping.items())))
-
-    def __getitem__(self, attr: str) -> Cell:
-        for a, c in self.cells:
-            if a == attr:
-                return c
-        raise KeyError(attr)
-
-    @property
-    def attrs(self) -> frozenset[str]:
-        return frozenset(a for a, _ in self.cells)
-
-    @property
-    def nulls(self) -> frozenset[LabeledNull]:
-        return frozenset(c for _, c in self.cells if isinstance(c, LabeledNull))
-
-    def values_in_order(self) -> tuple[Cell, ...]:
-        return tuple(c for _, c in self.cells)
-
-
-ConditionalRow = tuple[CRow, Condition]
+ConditionalRow = tuple[Row, Condition]
 
 
 def _pair_key(pair: ConditionalRow) -> tuple:
@@ -293,6 +259,9 @@ def _pair_key(pair: ConditionalRow) -> tuple:
 
 @dataclass(frozen=True)
 class ConditionalInstance:
+    """Per relation, distinct (row, condition) pairs; `of` stores them in
+    `_pair_key` order, the order the text and JSON renderings list."""
+
     schema: Schema
     data: tuple[tuple[str, tuple[ConditionalRow, ...]], ...]
 
@@ -333,7 +302,7 @@ class ConditionalInstance:
         return ConditionalInstance.of(
             i.schema,
             {
-                r: [(CRow(row.cells), TRUE) for row in i.rows(r)]
+                r: [(row, TRUE) for row in i.rows(r)]
                 for r in i.schema.names
             },
         )
@@ -348,7 +317,7 @@ class ConditionalInstance:
         out: set[LabeledNull] = set()
         for _, pairs in self.data:
             for row, cond in pairs:
-                out |= row.nulls
+                out.update(c for _, c in row.cells if isinstance(c, LabeledNull))
                 out.update(condition_nulls(cond))
         return frozenset(out)
 
@@ -393,14 +362,7 @@ def apply_valuation(t: ConditionalInstance, v: Valuation) -> Instance:
         rows: set[Row] = set()
         for row, cond in pairs:
             if cond_eval(cond, v) is True:
-                rows.add(
-                    Row(
-                        tuple(
-                            (a, v[c] if isinstance(c, LabeledNull) else c)
-                            for a, c in row.cells
-                        )
-                    )
-                )
+                rows.add(map_cells(row, v))
         data[rel] = rows
     return Instance.of(t.schema, data)
 
@@ -443,7 +405,6 @@ def _rep_witness(
     t: ConditionalInstance,
     i: Instance,
     rel_scope: frozenset[str] | None,
-    max_steps: int = 2_000_000,
 ) -> dict[LabeledNull, Value] | None:
     """Search for a valuation showing i sits above t; None when there is none.
 
@@ -457,13 +418,13 @@ def _rep_witness(
     """
     if not schema_extends(i.schema, t.schema):
         return None
-    pairs: list[tuple[str, CRow, Condition]] = [
+    pairs: list[tuple[str, Row, Condition]] = [
         (rel, row, cond) for rel, rel_pairs in t.data for row, cond in rel_pairs
     ]
     steps = itertools.count(1)
 
     def tick():
-        if next(steps) > max_steps:
+        if next(steps) > REP_STEP_CAP:
             raise BudgetExceeded("membership search exceeded its step budget")
 
     def verify(v: dict[LabeledNull, Value]) -> bool:
@@ -601,7 +562,7 @@ def render_ctable(t: ConditionalInstance) -> str:
     for rel, attrs in t.schema.rels:
         header = ", ".join(sorted(attrs))
         lines.append(f"{rel}({header}):")
-        pairs = sorted(t.rows(rel), key=_pair_key)
+        pairs = t.rows(rel)
         if not pairs:
             lines.append("  (empty)")
         for row, cond in pairs:

@@ -4,6 +4,8 @@ Values are uninterpreted text tokens tagged as ordinary constants or as
 null markers (SQL-style unknown data values). Attribute names carry a
 global total order, realized as the lexicographic order over tokens, and
 a tuple can always be viewed unnamed by listing its values in that order.
+Labeled nulls, the variables of conditional tables (`ctables`), live here
+too, so that one row type serves instances and tables.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar, Union
 
 from .errors import AttributeMismatch, DomainMismatch
 
@@ -69,10 +71,28 @@ def null_marker(token: object) -> Value:
 
 
 @dataclass(frozen=True, order=True)
-class Row:
-    """Named tuple: values keyed by attribute, stored in attribute order."""
+class LabeledNull:
+    """A conditional table's variable cell (`ctables`): it ranges over every value."""
 
-    cells: tuple[tuple[str, Value], ...]
+    id: str
+
+    def render(self) -> str:
+        return f"?{self.id}"
+
+
+Cell = Union[Value, LabeledNull]
+
+
+@dataclass(frozen=True, order=True)
+class Row:
+    """Named tuple: cells keyed by attribute, stored in attribute order.
+
+    A cell is a `Value`. A conditional table's row (`ctables`) may also hold
+    labeled nulls; an `Instance` never does, because `ctables.apply_valuation`
+    raises `PartialValuation` before it would build one.
+    """
+
+    cells: tuple[tuple[str, Cell], ...]
 
     def __post_init__(self):
         attrs = [a for a, _ in self.cells]
@@ -80,10 +100,10 @@ class Row:
             raise DomainMismatch(f"row attributes must be distinct and ordered: {attrs}")
 
     @staticmethod
-    def of(mapping: Mapping[str, Value]) -> "Row":
+    def of(mapping: Mapping[str, Cell]) -> "Row":
         return Row(tuple(sorted(mapping.items())))
 
-    def __getitem__(self, attr: str) -> Value:
+    def __getitem__(self, attr: str) -> Cell:
         for a, v in self.cells:
             if a == attr:
                 return v
@@ -97,11 +117,8 @@ class Row:
         keep = set(attrs)
         return Row(tuple((a, v) for a, v in self.cells if a in keep))
 
-    def values_in_order(self) -> tuple[Value, ...]:
+    def values_in_order(self) -> tuple[Cell, ...]:
         return tuple(v for _, v in self.cells)
-
-    def as_dict(self) -> dict[str, Value]:
-        return dict(self.cells)
 
 
 @dataclass(frozen=True, order=True)
@@ -132,9 +149,6 @@ class Schema:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(r for r, _ in self.rels)
-
-    def as_dict(self) -> dict[str, frozenset[str]]:
-        return dict(self.rels)
 
     def __hash__(self):
         return hash(self.rels)
@@ -172,9 +186,6 @@ class Instance:
             if r == relation:
                 return rows
         raise KeyError(relation)
-
-    def as_dict(self) -> dict[str, frozenset[Row]]:
-        return dict(self.data)
 
     def total_size(self) -> int:
         return sum(len(rows) for _, rows in self.data)
@@ -227,23 +238,36 @@ def instance_union(a: Instance, b: Instance) -> Instance:
     return Instance.of(schema, data)
 
 
+C = TypeVar("C")
+
+
+def first_appearance(
+    cells: Iterable[C], picked: Callable[[C], bool], name: Callable[[int], C]
+) -> dict[C, C]:
+    """Map each distinct cell `picked` accepts to `name(k)`, where k counts the
+    cells picked before its first appearance."""
+    mapping: dict[C, C] = {}
+    for c in cells:
+        if c not in mapping and picked(c):
+            mapping[c] = name(len(mapping))
+    return mapping
+
+
+def map_cells(row: Row, image: Mapping) -> Row:
+    """The row with each cell that `image` holds replaced by its image."""
+    return Row(tuple((a, image.get(c, c)) for a, c in row.cells))
+
+
 def rename_values(i: Instance, renamed: Callable[[Value], bool], prefix: str) -> Instance:
     """Rename the values `renamed` picks to constants prefix0, prefix1, ... by
     first appearance over sorted rows, for comparison up to that renaming."""
-    mapping: dict[Value, Value] = {}
-    for rel in i.schema.names:
-        for row in sorted(i.rows(rel)):
-            for v in row.values_in_order():
-                if v not in mapping and renamed(v):
-                    mapping[v] = const(f"{prefix}{len(mapping)}")
+    cells = (v for rel in i.schema.names for row in sorted(i.rows(rel)) for _, v in row.cells)
+    mapping = first_appearance(cells, renamed, lambda k: const(f"{prefix}{k}"))
     if not mapping:
         return i
     return Instance.of(
         i.schema,
-        {
-            rel: {Row(tuple((a, mapping.get(v, v)) for a, v in row.cells)) for row in i.rows(rel)}
-            for rel in i.schema.names
-        },
+        {rel: {map_cells(row, mapping) for row in i.rows(rel)} for rel in i.schema.names},
     )
 
 

@@ -16,16 +16,13 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from .chase import EmptyResult, approximate_outcomes
 from .constraints import (
-    And,
-    Comparison,
     ConjunctiveQuery,
     Egd,
     FilteredTotalQuery,
-    Not,
-    Or,
     Tgd,
     TotalConjQuery,
     TotalQuery,
+    comparisons,
     condition_attrs,
     cq_constants,
     demanded_attrs,
@@ -90,16 +87,6 @@ class _Meter:
         self.used += n
 
 
-def _condition_constants(c) -> set[Value]:
-    if isinstance(c, Comparison):
-        return {c.rhs} if isinstance(c.rhs, Value) else set()
-    if isinstance(c, (And, Or)):
-        return set().union(*(_condition_constants(item) for item in c.items))
-    if isinstance(c, Not):
-        return _condition_constants(c.item)
-    return set()
-
-
 def constraint_constants(p: Procedure) -> frozenset[Value]:
     """Constants the procedure's constraints and safety queries mention."""
     out: set[Value] = set()
@@ -112,7 +99,8 @@ def constraint_constants(p: Procedure) -> frozenset[Value]:
         if isinstance(q, ConjunctiveQuery):
             out |= cq_constants(q)
         elif isinstance(q, FilteredTotalQuery):
-            out |= _condition_constants(q.condition)
+            leaves = comparisons(q.condition)
+            out.update(leaf.rhs for leaf in leaves if isinstance(leaf.rhs, Value))
     return frozenset(out)
 
 

@@ -33,7 +33,6 @@ from dqworkbench.ctables import (
     CondEq,
     CondNeq,
     ConditionalInstance,
-    CRow,
     LabeledNull,
     enumerate_minimal,
     rep_contains,
@@ -162,7 +161,7 @@ class TestChaseSafeScope:
             chase_safe_scope(t, migrate_cq_proc())
         n = LabeledNull("n1")
         bad = ConditionalInstance.of(
-            Schema.of({"R": ["a"]}), {"R": [(CRow.of({"a": n}), CondNeq(n, const(1)))]}
+            Schema.of({"R": ["a"]}), {"R": [(Row.of({"a": n}), CondNeq(n, const(1)))]}
         )
         with pytest.raises(NotPositive):
             chase_safe_scope(bad, simple_copy_proc("R", "S"))
@@ -198,8 +197,8 @@ class TestChaseSafeScope:
         t = ConditionalInstance.of(
             s,
             {
-                "R": [(CRow.of({"k": const("k0"), "a": n}), TRUE)],
-                "S": [(CRow.of({"a": const(5)}), TRUE)],
+                "R": [(Row.of({"k": const("k0"), "a": n}), TRUE)],
+                "S": [(Row.of({"a": const(5)}), TRUE)],
             },
         )
         chased = chase_safe_scope(t, p)
@@ -234,8 +233,8 @@ class TestChaseSafeScope:
             s,
             {
                 "R": [
-                    (CRow.of({"a": const(1)}), CondEq(n, const(2))),
-                    (CRow.of({"a": const(1)}), CondEq(n, const(3))),
+                    (Row.of({"a": const(1)}), CondEq(n, const(2))),
+                    (Row.of({"a": const(1)}), CondEq(n, const(3))),
                 ]
             },
         )
@@ -471,7 +470,7 @@ class TestCertainty:
     def test_null_rows_witness_existentials_but_not_constants(self):
         t = ConditionalInstance.of(
             Schema.of({"R": ["a"]}),
-            {"R": [(CRow.of({"a": LabeledNull("n1")}), TRUE)]},
+            {"R": [(Row.of({"a": LabeledNull("n1")}), TRUE)]},
         )
         assert certain_boolean_cq(t, boolean_cq([NamedAtom.of("R", {"a": Var("x")})]))
         assert not certain_boolean_cq(t, boolean_cq([NamedAtom.of("R", {"a": const(5)})]))
@@ -479,12 +478,12 @@ class TestCertainty:
     def test_nonnull_goals_are_not_certain_over_a_null(self):
         # a labeled null may stand for a null marker, which nonnull rejects
         x = Var("x")
-        r = (CRow.of({"a": LabeledNull("n1")}), TRUE)
+        r = (Row.of({"a": LabeledNull("n1")}), TRUE)
         q = boolean_cq([NamedAtom.of("R", {"a": x}), ConstantAtom(x)])
         t = ConditionalInstance.of(Schema.of({"R": ["a"]}), {"R": [r]})
         assert not certain_boolean_cq(t, q)
         # a null marker in an unrelated relation leaves the verdict alone
-        s = (CRow.of({"b": null_marker("m")}), TRUE)
+        s = (Row.of({"b": null_marker("m")}), TRUE)
         wider = ConditionalInstance.of(
             Schema.of({"R": ["a"], "S": ["b"]}), {"R": [r], "S": [s]}
         )
@@ -493,7 +492,7 @@ class TestCertainty:
     def test_inequality_conditions_are_rejected(self):
         n = LabeledNull("n1")
         t = ConditionalInstance.of(
-            Schema.of({"R": ["a"]}), {"R": [(CRow.of({"a": n}), CondNeq(n, const(5)))]}
+            Schema.of({"R": ["a"]}), {"R": [(Row.of({"a": n}), CondNeq(n, const(5)))]}
         )
         with pytest.raises(NotPositive):
             certain_boolean_cq(t, boolean_cq([NamedAtom.of("R", {"a": Var("x")})]))
@@ -579,6 +578,18 @@ class TestCanonicalTable:
         a = chase_safe_scope(t, p, step=0)
         b = chase_safe_scope(t, p, step=7)
         assert canonical_table(a) == canonical_table(b)
+
+    def test_nulls_only_a_condition_mentions_are_renamed(self):
+        x, y, z = LabeledNull("n1"), LabeledNull("n2"), LabeledNull("n3")
+        c0, c1, c2 = (LabeledNull(f"c00{k}") for k in range(3))
+
+        def table(*pairs) -> ConditionalInstance:
+            return ConditionalInstance.of(Schema.of({"R": ["a"]}), {"R": pairs})
+
+        t = table((Row.of({"a": x}), CondEq(x, y)), (Row.of({"a": const(5)}), CondEq(z, const(1))))
+        assert canonical_table(t) == table(
+            (Row.of({"a": c0}), CondEq(c0, c1)), (Row.of({"a": const(5)}), CondEq(c2, const(1)))
+        )
 
     def test_distinct_content_stays_distinct(self, instance_i, instance_j1):
         a = canonical_table(ConditionalInstance.from_instance(instance_i))

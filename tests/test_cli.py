@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from dqworkbench import cli
 from dqworkbench.cli import parse_budget, run_command
+from dqworkbench.ctables import TRUE, CondEq, ConditionalInstance, LabeledNull, render_ctable
 from dqworkbench.errors import MalformedParams
-from dqworkbench.model import render_instance
+from dqworkbench.model import Row, Schema, const, render_instance
 from dqworkbench.oracle import Budget
 
 FIG1 = str(Path(__file__).resolve().parent.parent / "workspaces" / "fig1.dq")
@@ -275,6 +277,16 @@ class TestChaseCommands:
         assert all(len(r["cells"]) == 4 for r in rows)
         assert all(r["condition"] is None for r in rows)
         assert any("null" in cell for r in rows for cell in r["cells"])
+
+    def test_text_and_json_list_table_rows_in_one_order(self):
+        n = LabeledNull("n")
+        t = ConditionalInstance.of(
+            Schema.of({"R": ["a"]}),
+            {"R": [(Row.of({"a": n}), CondEq(n, const(1))), (Row.of({"a": n}), TRUE)]},
+        )
+        assert render_ctable(t).splitlines()[1:] == ["  (?n)", "  (?n) | ?n = 1"]
+        rows = cli._table_json(t)["rows"]["R"]
+        assert [r["condition"] for r in rows] == [None, "?n = 1"]
 
     def test_nonempty(self, capsys, small_ws):
         code, out, _ = run(

@@ -151,6 +151,18 @@ def test_constant_atom_filters_null_markers():
     assert evaluate_query(q, i) == frozenset({(const(1),)})
 
 
+def test_variable_only_under_nonnull_is_rejected():
+    i = Instance.of(Schema.of({"R": ("a",)}), {"R": [Row.of({"a": const(1)})]})
+    loose = r"variables \['x'\] occur in no relation atom"
+    q = cq([visit_atom("R", a=const(1)), ConstantAtom(X)], existential=[X])
+    with pytest.raises(Incompatible, match=loose):
+        evaluate_query(q, i)
+    body = open_cq([visit_atom("R", a=const(1)), ConstantAtom(X)])
+    for d in (Tgd(body, boolean_cq([visit_atom("R", a=const(1))])), Egd(body, (X, X))):
+        with pytest.raises(Incompatible, match=loose):
+            satisfies(d, i)
+
+
 def test_migration_tgd_on_fig1(instance_i, instance_j1):
     d = migrate_tgd()
     assert not satisfies(d, instance_i)

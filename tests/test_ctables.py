@@ -11,7 +11,6 @@ from dqworkbench.ctables import (
     CondNeq,
     CondOr,
     ConditionalInstance,
-    CRow,
     LabeledNull,
     ScopedConditionalInstance,
     apply_valuation,
@@ -95,12 +94,12 @@ class TestConditions:
 class TestTableBasics:
     def test_rows_must_fit_schema(self):
         with pytest.raises(DomainMismatch):
-            ConditionalInstance.of(R_SCHEMA, {"R": [(CRow.of({"b": const(1)}), TRUE)]})
+            ConditionalInstance.of(R_SCHEMA, {"R": [(Row.of({"b": const(1)}), TRUE)]})
         with pytest.raises(DomainMismatch):
             ConditionalInstance.of(R_SCHEMA, {"S": []})
 
     def test_duplicate_pairs_collapse(self):
-        t = r_table((CRow.of({"a": N1}), TRUE), (CRow.of({"a": N1}), TRUE))
+        t = r_table((Row.of({"a": N1}), TRUE), (Row.of({"a": N1}), TRUE))
         assert t.total_size() == 1
 
     def test_from_instance_round_trips_under_empty_valuation(self, instance_i):
@@ -110,28 +109,28 @@ class TestTableBasics:
         assert apply_valuation(t, {}) == instance_i
 
     def test_positivity_flags_inequalities(self):
-        t = r_table((CRow.of({"a": N1}), CondNeq(N1, const(1))))
+        t = r_table((Row.of({"a": N1}), CondNeq(N1, const(1))))
         assert not t.is_positive
 
 
 class TestApplyValuation:
     def test_condition_selects_the_tuple(self):
-        t = r_table((CRow.of({"a": N1}), CondEq(N1, const(2))))
+        t = r_table((Row.of({"a": N1}), CondEq(N1, const(2))))
         assert apply_valuation(t, {N1: const(2)}) == r_instance(2)
         assert apply_valuation(t, {N1: const(3)}) == r_instance()
 
     def test_inequality_drops_the_tuple(self):
-        t = r_table((CRow.of({"a": N1}), CondNeq(N1, N2)))
+        t = r_table((Row.of({"a": N1}), CondNeq(N1, N2)))
         assert apply_valuation(t, {N1: const(1), N2: const(1)}) == r_instance()
         assert apply_valuation(t, {N1: const(1), N2: const(2)}) == r_instance(1)
 
     def test_missing_nulls_are_rejected(self):
-        t = r_table((CRow.of({"a": N1}), TRUE))
+        t = r_table((Row.of({"a": N1}), TRUE))
         with pytest.raises(PartialValuation):
             apply_valuation(t, {})
 
     def test_condition_only_nulls_still_need_values(self):
-        t = r_table((CRow.of({"a": const(1)}), CondEq(N2, const(5))))
+        t = r_table((Row.of({"a": const(1)}), CondEq(N2, const(5))))
         with pytest.raises(PartialValuation):
             apply_valuation(t, {})
         assert apply_valuation(t, {N2: const(5)}) == r_instance(1)
@@ -153,17 +152,17 @@ class TestRepContains:
         assert rep_contains(t, instance_j3)
 
     def test_null_row_matches_any_witness(self, visit_schema, instance_i, instance_j1, instance_j2):
-        rows = [(CRow(row.cells), TRUE) for row in instance_i.rows("LocVisits")]
+        rows = [(Row(row.cells), TRUE) for row in instance_i.rows("LocVisits")]
         rows.append(
             (
-                CRow.of({"facility": N1, "patInsur": N2, "timestp": LabeledNull("n3")}),
+                Row.of({"facility": N1, "patInsur": N2, "timestp": LabeledNull("n3")}),
                 TRUE,
             )
         )
         t = ConditionalInstance.of(
             visit_schema,
             {
-                "EVisits": [(CRow(r.cells), TRUE) for r in instance_i.rows("EVisits")],
+                "EVisits": [(Row(r.cells), TRUE) for r in instance_i.rows("EVisits")],
                 "LocVisits": rows,
             },
         )
@@ -173,22 +172,22 @@ class TestRepContains:
 
     def test_conditional_row_may_be_dropped(self):
         t = r_table(
-            (CRow.of({"a": const(1)}), TRUE),
-            (CRow.of({"a": N1}), CondEq(N1, const(2))),
+            (Row.of({"a": const(1)}), TRUE),
+            (Row.of({"a": N1}), CondEq(N1, const(2))),
         )
         assert rep_contains(t, r_instance(1))
         assert rep_contains(t, r_instance(1, 2))
         assert not rep_contains(t, r_instance(2))
 
     def test_true_condition_row_cannot_be_dropped(self):
-        t = r_table((CRow.of({"a": const(1)}), TRUE))
+        t = r_table((Row.of({"a": const(1)}), TRUE))
         assert not rep_contains(t, r_instance(2))
 
     def test_shared_null_forces_equal_cells(self):
         s = Schema.of({"R": ["a"], "S": ["b"]})
         t = ConditionalInstance.of(
             s,
-            {"R": [(CRow.of({"a": N1}), TRUE)], "S": [(CRow.of({"b": N1}), TRUE)]},
+            {"R": [(Row.of({"a": N1}), TRUE)], "S": [(Row.of({"b": N1}), TRUE)]},
         )
         same = Instance.of(
             s, {"R": {Row.of({"a": const(7)})}, "S": {Row.of({"b": const(7)})}}
@@ -236,12 +235,13 @@ class TestRepContains:
         )
         assert rep_contains(ConditionalInstance.from_instance(i), i)
 
-    def test_step_budget_is_enforced(self):
-        t = r_table(*((CRow.of({"a": LabeledNull(f"m{k}")}), TRUE) for k in range(6)))
-        from dqworkbench.ctables import _rep_witness
+    def test_step_budget_is_enforced(self, monkeypatch):
+        t = r_table(*((Row.of({"a": LabeledNull(f"m{k}")}), TRUE) for k in range(6)))
+        from dqworkbench import ctables
 
+        monkeypatch.setattr(ctables, "REP_STEP_CAP", 3)
         with pytest.raises(BudgetExceeded):
-            _rep_witness(t, r_instance(*range(6)), None, max_steps=3)
+            rep_contains(t, r_instance(*range(6)))
 
 
 class TestEnumerateMinimal:
@@ -251,35 +251,35 @@ class TestEnumerateMinimal:
 
     def test_conditional_tuple_drops_out_of_the_minimum(self):
         t = r_table(
-            (CRow.of({"a": const(1)}), TRUE),
-            (CRow.of({"a": N1}), CondEq(N1, const(2))),
+            (Row.of({"a": const(1)}), TRUE),
+            (Row.of({"a": N1}), CondEq(N1, const(2))),
         )
         assert enumerate_minimal(t) == frozenset({r_instance(1)})
 
     def test_unconstrained_null_becomes_a_reserved_constant(self):
-        t = r_table((CRow.of({"a": N1}), TRUE))
+        t = r_table((Row.of({"a": N1}), TRUE))
         assert enumerate_minimal(t) == frozenset({r_instance("@fresh0")})
 
     def test_two_free_nulls_collapse_to_one_row(self):
-        t = r_table((CRow.of({"a": N1}), TRUE), (CRow.of({"a": N2}), TRUE))
+        t = r_table((Row.of({"a": N1}), TRUE), (Row.of({"a": N2}), TRUE))
         assert enumerate_minimal(t) == frozenset({r_instance("@fresh0")})
 
     def test_inequality_row_collapses_away_in_the_minimum(self):
         t = r_table(
-            (CRow.of({"a": N1}), TRUE),
-            (CRow.of({"a": N2}), CondNeq(N1, N2)),
+            (Row.of({"a": N1}), TRUE),
+            (Row.of({"a": N2}), CondNeq(N1, N2)),
         )
         assert enumerate_minimal(t) == frozenset({r_instance("@fresh0")})
 
     def test_condition_that_can_fail_leaves_the_empty_instance(self):
-        t = r_table((CRow.of({"a": N1}), CondEq(N1, const(1))))
+        t = r_table((Row.of({"a": N1}), CondEq(N1, const(1))))
         assert enumerate_minimal(t) == frozenset({r_instance()})
 
     def test_shared_null_across_relations(self):
         s = Schema.of({"R": ["a"], "S": ["b"]})
         t = ConditionalInstance.of(
             s,
-            {"R": [(CRow.of({"a": N1}), TRUE)], "S": [(CRow.of({"b": N1}), TRUE)]},
+            {"R": [(Row.of({"a": N1}), TRUE)], "S": [(Row.of({"b": N1}), TRUE)]},
         )
         expected = Instance.of(
             s,
@@ -292,15 +292,15 @@ class TestEnumerateMinimal:
 
     def test_minimal_members_belong_to_the_represented_set(self):
         t = r_table(
-            (CRow.of({"a": N1}), TRUE),
-            (CRow.of({"a": N2}), CondNeq(N1, N2)),
+            (Row.of({"a": N1}), TRUE),
+            (Row.of({"a": N2}), CondNeq(N1, N2)),
         )
         for m in enumerate_minimal(t):
             assert rep_contains(t, m)
 
     def test_valuation_budget_is_enforced(self):
         nulls = [LabeledNull(f"m{k}") for k in range(8)]
-        t = r_table(*((CRow.of({"a": n}), TRUE) for n in nulls))
+        t = r_table(*((Row.of({"a": n}), TRUE) for n in nulls))
         with pytest.raises(BudgetExceeded):
             enumerate_minimal(t, max_valuations=10)
 
@@ -309,7 +309,7 @@ class TestRendering:
     def test_render_lists_conditions_after_a_bar(self):
         t = ConditionalInstance.of(
             Schema.of({"R": ["a"], "S": ["b"]}),
-            {"R": [(CRow.of({"a": N1}), CondEq(N1, const(2)))]},
+            {"R": [(Row.of({"a": N1}), CondEq(N1, const(2)))]},
         )
         assert render_ctable(t) == "\n".join(
             ["R(a):", "  (?n1) | ?n1 = 2", "S(b):", "  (empty)"]
@@ -335,7 +335,7 @@ def small_tables(draw):
     n_rows = draw(st.integers(min_value=1, max_value=3))
     pairs = []
     for _ in range(n_rows):
-        row = CRow.of({"a": draw(cells), "b": draw(cells)})
+        row = Row.of({"a": draw(cells), "b": draw(cells)})
         pairs.append((row, draw(simple_conditions)))
     return ConditionalInstance.of(Schema.of({"R": ["a", "b"]}), {"R": pairs})
 

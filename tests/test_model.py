@@ -14,6 +14,7 @@ from dqworkbench.model import (
     instance_extends,
     instance_union,
     null_marker,
+    rename_values,
     render_instance,
     schema_extends,
     unnamed_view,
@@ -147,6 +148,33 @@ def test_active_domain(instance_i):
     assert const(1234) in dom
     assert const("070916 12:00") in dom
     assert const(4561) not in dom
+
+
+def test_rename_values_numbers_by_first_appearance_over_sorted_rows():
+    s = Schema.of({"R": ["a", "b"], "S": ["c"]})
+    i = Instance.of(
+        s,
+        {
+            "R": [
+                Row.of({"a": const("x"), "b": null_marker("m")}),
+                Row.of({"a": const(1), "b": const("y")}),
+            ],
+            "S": [Row.of({"c": const("x")})],
+        },
+    )
+    renamed = rename_values(i, lambda v: v != const(1), "@r")
+    expected = Instance.of(
+        s,
+        {
+            "R": [
+                Row.of({"a": const("@r1"), "b": const("@r2")}),
+                Row.of({"a": const(1), "b": const("@r0")}),
+            ],
+            "S": [Row.of({"c": const("@r1")})],
+        },
+    )
+    assert renamed == expected
+    assert rename_values(i, lambda v: False, "@r") is i
 
 
 def test_render_is_deterministic(instance_j2):

@@ -48,7 +48,6 @@ from dqworkbench.ctables import (
     CondEq,
     CondNeq,
     ConditionalInstance,
-    CRow,
     LabeledNull,
     apply_valuation,
     cond_and,
@@ -126,7 +125,7 @@ def ctable_st(draw) -> ConditionalInstance:
         attrs = sorted(REP_SCHEMA.attrs(rel))
         pairs = []
         for _ in range(draw(st.integers(0, 2))):
-            row = CRow.of({a: draw(cell_st) for a in attrs})
+            row = Row.of({a: draw(cell_st) for a in attrs})
             pairs.append((row, draw(cond_st)))
         data[rel] = pairs
     return ConditionalInstance.of(REP_SCHEMA, data)

@@ -48,6 +48,7 @@ from .ctables import (
     condition_nulls,
     fresh_null_valuation,
     positive_condition_satisfiable,
+    shape_key,
 )
 from .errors import (
     Incompatible,
@@ -386,12 +387,15 @@ def _map_condition(c: Condition, rename: dict[LabeledNull, LabeledNull]) -> Cond
 
 
 def canonical_table(t: ConditionalInstance) -> ConditionalInstance:
-    """Rename labeled nulls by first appearance, for state comparison."""
+    """Rename labeled nulls by first appearance, for state comparison.
+
+    The pairs are read in `shape_key` order, so the numbering does not
+    depend on the names the nulls had."""
     rename = first_appearance(
         (
             c
             for rel in t.schema.names
-            for row, cond in t.rows(rel)
+            for row, cond in sorted(t.rows(rel), key=shape_key)
             for c in chain(row.values_in_order(), condition_nulls(cond))
         ),
         lambda c: isinstance(c, LabeledNull),

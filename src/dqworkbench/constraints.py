@@ -21,7 +21,7 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DomainMismatch, Incompatible
-from .model import Instance, Row, Schema, Value
+from .model import Instance, Row, Schema, Value, first_appearance
 
 
 @dataclass(frozen=True, order=True)
@@ -471,15 +471,7 @@ def homomorphisms(
 def _constant_atoms_hold(
     constant_atoms: Iterable[ConstantAtom], binding: Mapping[Var, Value]
 ) -> bool:
-    for a in constant_atoms:
-        v = binding.get(a.variable)
-        if v is None:
-            raise Incompatible(
-                f"variable {a.variable.name} is tested for constancy but never bound"
-            )
-        if not v.is_constant:
-            return False
-    return True
+    return all(binding[a.variable].is_constant for a in constant_atoms)
 
 
 def evaluate_query(q: Query, i: Instance) -> frozenset[tuple[Value, ...]]:
@@ -584,27 +576,18 @@ def _atom_sort_key(a: Atom) -> tuple:
 def canonicalize_cq(q: ConjunctiveQuery) -> ConjunctiveQuery:
     """Structural normal form: atoms sorted, variables renamed by first occurrence."""
     atoms = sorted(q.atoms, key=_atom_sort_key)
-    rename: dict[Var, Var] = {}
-
-    def fresh(v: Var) -> Var:
-        if v not in rename:
-            rename[v] = Var(f"v{len(rename):03d}")
-        return rename[v]
-
-    new_atoms: list[Atom] = []
-    for a in atoms:
-        if isinstance(a, ConstantAtom):
-            new_atoms.append(ConstantAtom(fresh(a.variable)))
-        else:
-            new_atoms.append(
-                NamedAtom(
-                    a.relation,
-                    tuple(
-                        (attr, fresh(t) if isinstance(t, Var) else t)
-                        for attr, t in a.bindings
-                    ),
-                )
-            )
+    terms = (
+        term
+        for a in atoms
+        for term in ((a.variable,) if isinstance(a, ConstantAtom) else (t for _, t in a.bindings))
+    )
+    rename = first_appearance(terms, lambda t: isinstance(t, Var), lambda k: Var(f"v{k:03d}"))
+    new_atoms = [
+        ConstantAtom(rename[a.variable])
+        if isinstance(a, ConstantAtom)
+        else NamedAtom(a.relation, tuple((attr, rename.get(t, t)) for attr, t in a.bindings))
+        for a in atoms
+    ]
     free = tuple(sorted((rename[v] for v in q.free), key=lambda v: v.name))
     existential = frozenset(rename[v] for v in q.existential)
     return ConjunctiveQuery(tuple(new_atoms), free, existential)

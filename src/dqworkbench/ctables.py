@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .constraints import RowIndex, join
-from .errors import BudgetExceeded, DomainMismatch, NotPositive, PartialValuation
+from .errors import DomainMismatch, Meter, NotPositive, PartialValuation
 from .model import (
     CONST,
     NULL,
@@ -41,6 +41,8 @@ from .model import (
 FRESH_PREFIX = "@fresh"
 # valuations and match steps one membership search may try
 REP_STEP_CAP = 2_000_000
+# canonical valuations one minimal-member search may try
+MINIMAL_VALUATION_CAP = 200_000
 
 
 def cell_key(c: Cell) -> tuple:
@@ -121,23 +123,24 @@ def cond_and(items: Iterable[Condition]) -> Condition:
     return CondAnd(tuple(deduped))
 
 
-def condition_nulls(c: Condition) -> tuple[LabeledNull, ...]:
-    """The nulls a condition mentions, once each, in order of first appearance."""
+def condition_cells(c: Condition) -> tuple[Cell, ...]:
+    """The cells of a condition's comparisons, left to right."""
     if isinstance(c, TrueCond):
         return ()
     if isinstance(c, (CondEq, CondNeq)):
-        cells = (c.left, c.right)
-    else:
-        cells = (n for item in c.items for n in condition_nulls(item))
-    return tuple(dict.fromkeys(n for n in cells if isinstance(n, LabeledNull)))
+        return (c.left, c.right)
+    return tuple(cell for item in c.items for cell in condition_cells(item))
+
+
+def condition_nulls(c: Condition) -> tuple[LabeledNull, ...]:
+    """The nulls a condition mentions, once each, in order of first appearance."""
+    cells = condition_cells(c)
+    return tuple(dict.fromkeys(n for n in cells if isinstance(n, LabeledNull))) if cells else ()
 
 
 def condition_constants(c: Condition) -> frozenset[Value]:
-    if isinstance(c, TrueCond):
-        return frozenset()
-    if isinstance(c, (CondEq, CondNeq)):
-        return frozenset({c.right}) if isinstance(c.right, Value) else frozenset()
-    return frozenset(v for item in c.items for v in condition_constants(item))
+    cells = condition_cells(c)
+    return frozenset(v for v in cells if isinstance(v, Value)) if cells else frozenset()
 
 
 def condition_is_positive(c: Condition) -> bool:
@@ -238,23 +241,33 @@ def condition_entails(stronger: Condition, weaker: Condition) -> bool:
     return all(needed <= set(d) for d in strong)
 
 
-def _cond_key(c: Condition) -> tuple:
+def _cond_key(c: Condition, cell: Callable[[Cell], tuple]) -> tuple:
     if isinstance(c, TrueCond):
         return ("0true",)
     if isinstance(c, CondEq):
-        return ("1eq", cell_key(c.left), cell_key(c.right))
+        return ("1eq", cell(c.left), cell(c.right))
     if isinstance(c, CondNeq):
-        return ("2neq", cell_key(c.left), cell_key(c.right))
+        return ("2neq", cell(c.left), cell(c.right))
     tag = "3and" if isinstance(c, CondAnd) else "4or"
-    return (tag, tuple(_cond_key(item) for item in c.items))
+    return (tag, tuple(_cond_key(item, cell) for item in c.items))
 
 
 ConditionalRow = tuple[Row, Condition]
 
 
-def _pair_key(pair: ConditionalRow) -> tuple:
+def _pair_key(pair: ConditionalRow, cell: Callable[[Cell], tuple] = cell_key) -> tuple:
     row, cond = pair
-    return (tuple(cell_key(c) for c in row.values_in_order()), _cond_key(cond))
+    return (tuple(cell(c) for c in row.values_in_order()), _cond_key(cond, cell))
+
+
+def _cell_shape(c: Cell) -> tuple:
+    return ("null", "", "") if isinstance(c, LabeledNull) else cell_key(c)
+
+
+def shape_key(pair: ConditionalRow) -> tuple:
+    """`_pair_key` with the null ids left out: an order that renaming the
+    nulls cannot change."""
+    return _pair_key(pair, _cell_shape)
 
 
 @dataclass(frozen=True)
@@ -421,11 +434,7 @@ def _rep_witness(
     pairs: list[tuple[str, Row, Condition]] = [
         (rel, row, cond) for rel, rel_pairs in t.data for row, cond in rel_pairs
     ]
-    steps = itertools.count(1)
-
-    def tick():
-        if next(steps) > REP_STEP_CAP:
-            raise BudgetExceeded("membership search exceeded its step budget")
+    meter = Meter(REP_STEP_CAP, "membership search", "steps")
 
     def verify(v: dict[LabeledNull, Value]) -> bool:
         image = apply_valuation(t, v)
@@ -449,17 +458,17 @@ def _rep_witness(
         remaining = sorted(nulls - frozenset(v))
         pool = pool_base + _fresh_values(len(remaining), taken)
         for full in _completions(remaining, pool, v):
-            tick()
+            meter.tick()
             if verify(full):
                 return full
         return None
 
     def consistent(v: dict[LabeledNull, Value], k: int, target: Row) -> bool:
-        tick()
+        meter.tick()
         return cond_eval(pairs[k][2], v) is not False
 
     def may_drop(v: dict[LabeledNull, Value], k: int) -> bool:
-        tick()
+        meter.tick()
         cond = pairs[k][2]
         return not isinstance(cond, TrueCond) and cond_eval(cond, v) is not True
 
@@ -492,12 +501,12 @@ def _set_partitions(items: list) -> Iterator[list[list]]:
 
 
 def _canonical_valuations(
-    t: ConditionalInstance, max_valuations: int, constants: frozenset[Value]
+    t: ConditionalInstance, constants: frozenset[Value]
 ) -> Iterator[dict[LabeledNull, Value]]:
     nulls = sorted(t.nulls())
     pool = sorted(t.constants() | constants)
     taken = frozenset(pool)
-    count = 0
+    meter = Meter(MINIMAL_VALUATION_CAP, "minimal-instance search", "valuations")
     for partition in _set_partitions(nulls):
         blocks = sorted(partition, key=lambda b: min(b))
         fresh = _fresh_values(len(blocks), taken)
@@ -506,11 +515,7 @@ def _canonical_valuations(
             chosen_constants = [v for v in combo if not v.token.startswith(FRESH_PREFIX)]
             if len(set(chosen_constants)) != len(chosen_constants):
                 continue
-            count += 1
-            if count > max_valuations:
-                raise BudgetExceeded(
-                    f"minimal-instance search needs more than {max_valuations} valuations"
-                )
+            meter.tick()
             v: dict[LabeledNull, Value] = {}
             for block, value in zip(blocks, combo):
                 for n in block:
@@ -537,7 +542,6 @@ def _strictly_dominated(t: ConditionalInstance, j: Instance) -> bool:
 
 def enumerate_minimal(
     t: ConditionalInstance,
-    max_valuations: int = 200_000,
     constants: frozenset[Value] = frozenset(),
 ) -> frozenset[Instance]:
     """Canonical representatives of the minimal instances the table represents.
@@ -547,10 +551,11 @@ def enumerate_minimal(
     table's own values or of the given constants, or sent to a reserved
     fresh constant. The images that no other valuation image strictly
     undercuts are the minimal ones; every represented instance extends one
-    of them up to renaming of the constants outside that pool.
+    of them up to renaming of the constants outside that pool. More than
+    MINIMAL_VALUATION_CAP valuations end the search with BudgetExceeded.
     """
     images: set[Instance] = set()
-    for v in _canonical_valuations(t, max_valuations, constants):
+    for v in _canonical_valuations(t, constants):
         image = apply_valuation(t, v)
         images.add(rename_values(image, lambda c: c.token.startswith(FRESH_PREFIX), FRESH_PREFIX))
     return frozenset(j for j in images if not _strictly_dominated(t, j))

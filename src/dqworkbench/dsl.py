@@ -67,7 +67,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 from .constraints import (
     And,
@@ -223,6 +223,8 @@ def _tokenize(text: str) -> list[_Token]:
 
 # --- parser ------------------------------------------------------------------
 
+_T = TypeVar("_T")
+
 
 class _Parser:
     def __init__(self, text: str, tokens: list[_Token] | None = None):
@@ -289,6 +291,23 @@ class _Parser:
         if tok.text in table:
             raise self._error(tok, f"duplicate {kind} {tok.text!r}")
 
+    def _comma_list(self, read: Callable[..., _T], *args) -> list[_T]:
+        """`read(*args)`, then again after each ','."""
+        items = [read(*args)]
+        while self._at_punct(","):
+            self._next()
+            items.append(read(*args))
+        return items
+
+    def _free_list(self) -> list[_Token] | None:
+        """The `(x, y)` free-variable list, when one follows."""
+        if not self._at_punct("("):
+            return None
+        self._next()
+        names = self._comma_list(self._name, "a variable")
+        self._punct(")")
+        return names
+
     # entry point
 
     def parse(self) -> Workspace:
@@ -312,10 +331,7 @@ class _Parser:
             if rel.text in rels:
                 raise self._error(rel, f"duplicate relation {rel.text!r}")
             self._punct("(")
-            attrs = [self._name("attribute name").text]
-            while self._at_punct(","):
-                self._punct(",")
-                attrs.append(self._name("attribute name").text)
+            attrs = [t.text for t in self._comma_list(self._name, "attribute name")]
             self._punct(")")
             self._punct(";")
             if len(set(attrs)) != len(attrs):
@@ -454,10 +470,7 @@ class _Parser:
         if self._at_punct("]"):
             self._punct("]")
             return StructureConstraint(rel.text, ())
-        attrs = [self._name("attribute name").text]
-        while self._at_punct(","):
-            self._punct(",")
-            attrs.append(self._name("attribute name").text)
+        attrs = [t.text for t in self._comma_list(self._name, "attribute name")]
         closing = self._punct("]")
         if len(set(attrs)) != len(attrs):
             raise self._error(closing, "duplicate attribute in structure constraint")
@@ -485,16 +498,15 @@ class _Parser:
         rel = self._name("relation name")
         self._punct("(")
         bindings: dict[str, object] = {}
-        while True:
+
+        def binding():
             attr = self._name("attribute name")
             if attr.text in bindings:
                 raise self._error(attr, f"duplicate attribute {attr.text!r}")
             self._punct(":")
             bindings[attr.text] = self._parse_term()
-            if self._at_punct(","):
-                self._punct(",")
-                continue
-            break
+
+        self._comma_list(binding)
         self._punct(")")
         return NamedAtom.of(rel.text, bindings)
 
@@ -509,10 +521,7 @@ class _Parser:
         existential: list[Var] = []
         if self._at_word("exists"):
             self._word("exists")
-            existential.append(Var(self._name("a variable").text))
-            while self._at_punct(","):
-                self._punct(",")
-                existential.append(Var(self._name("a variable").text))
+            existential = [Var(t.text) for t in self._comma_list(self._name, "a variable")]
             self._punct(".")
         atoms = self._parse_atom_list()
         occurring = frozenset(v for a in atoms for v in a.vars)
@@ -528,14 +537,7 @@ class _Parser:
     def _parse_query(self):
         name = self._name("query name")
         self._declare(self.ws.queries, name, "query")
-        free_names: list[_Token] | None = None
-        if self._at_punct("("):
-            self._punct("(")
-            free_names = [self._name("a variable")]
-            while self._at_punct(","):
-                self._punct(",")
-                free_names.append(self._name("a variable"))
-            self._punct(")")
+        free_names = self._free_list()
         colon = self._punct(":")
         if self._at_word("total") or self._at_word("filtered"):
             if free_names is not None:
@@ -551,10 +553,7 @@ class _Parser:
             self._word("where")
             return FilteredTotalQuery(rel.text, self._parse_condition())
         self._word("total")
-        rels = [self._name("relation name").text]
-        while self._at_punct(","):
-            self._punct(",")
-            rels.append(self._name("relation name").text)
+        rels = [t.text for t in self._comma_list(self._name, "relation name")]
         if len(rels) == 1:
             return TotalQuery(rels[0])
         return TotalConjQuery(tuple(rels))
@@ -652,15 +651,7 @@ class _Parser:
         if self._at_word("total") or self._at_word("filtered"):
             return self._parse_total_or_filtered()
         tok = self._word("cq")
-        free_names: list[_Token] | None = None
-        if self._at_punct("("):
-            self._punct("(")
-            free_names = [self._name("a variable")]
-            while self._at_punct(","):
-                self._punct(",")
-                free_names.append(self._name("a variable"))
-            self._punct(")")
-        return self._parse_cq(free_names, tok)
+        return self._parse_cq(self._free_list(), tok)
 
     # templates
 
@@ -771,10 +762,7 @@ class _Parser:
                 params["query"] = q
                 return params
             sub = _Parser(self.text, last)
-            values = [sub._parse_value()]
-            while sub._at_punct(","):
-                sub._punct(",")
-                values.append(sub._parse_value())
+            values = sub._comma_list(sub._parse_value)
             if sub._peek().kind != "end":
                 self._fail(sub._peek(), "','")
             params["values"] = values
@@ -794,10 +782,7 @@ class _Parser:
         name = self._name("sequence name")
         self._declare(self.ws.sequences, name, "sequence")
         self._punct("=")
-        names = [self._name("a procedure name")]
-        while self._at_punct(","):
-            self._punct(",")
-            names.append(self._name("a procedure name"))
+        names = self._comma_list(self._name, "a procedure name")
         for tok in names:
             if tok.text not in self.ws.procedures:
                 raise ResolutionError(f"sequence {name.text!r} references unknown procedure {tok.text!r}")

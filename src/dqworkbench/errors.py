@@ -55,6 +55,30 @@ class BudgetExceeded(WorkbenchError):
     """An enumeration outgrew its configured budget."""
 
 
+class Meter:
+    """Work charged against a hard cap, and the place (`at`) now charging.
+
+    `what` names the search and `unit` what it counts, for the message
+    `BudgetExceeded` carries when a charge does not fit.
+    """
+
+    def __init__(self, cap: int, what: str, unit: str):
+        self.cap = cap
+        self.what = what
+        self.unit = unit
+        self.used = 0
+        self.at = ""
+
+    def tick(self, n: int = 1) -> None:
+        if self.used + n > self.cap:
+            where = f" at {self.at}" if self.at else ""
+            raise BudgetExceeded(
+                f"{self.what} exceeds the hard cap of {self.cap}{where}: "
+                f"{self.used} {self.unit} charged so far, and the next charge of {n} does not fit"
+            )
+        self.used += n
+
+
 class WorkspaceSyntaxError(WorkbenchError):
     """Parse failure with source position information."""
 

@@ -28,7 +28,7 @@ from .constraints import (
     demanded_attrs,
 )
 from .ctables import enumerate_minimal, rep_contains
-from .errors import BudgetExceeded, MalformedParams
+from .errors import MalformedParams, Meter
 from .model import (
     Instance,
     Row,
@@ -68,23 +68,6 @@ class Budget:
         for field in ("extra_constants", "max_new_tuples", "max_new_attributes"):
             if getattr(self, field) < 0:
                 raise MalformedParams(f"budget field {field} must be nonnegative")
-
-
-class _Meter:
-    """Candidates charged against the cap, and the step (`at`) now charging."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.used = 0
-        self.at = "step 0"
-
-    def tick(self, n: int) -> None:
-        if self.used + n > self.cap:
-            raise BudgetExceeded(
-                f"oracle candidate space exceeds the hard cap of {self.cap} at {self.at}: "
-                f"{self.used} candidates charged so far, and the next charge of {n} does not fit"
-            )
-        self.used += n
 
 
 def constraint_constants(p: Procedure) -> frozenset[Value]:
@@ -220,7 +203,7 @@ def _relation_choices(
     pinned: frozenset[str] | None,
     pool: Sequence[Value],
     b: Budget,
-    meter: _Meter,
+    meter: Meter,
 ) -> list[frozenset[Row]]:
     """Candidate row sets for one relation of one candidate schema.
 
@@ -278,7 +261,7 @@ def _single_step_outcomes(
     p: Procedure,
     i: Instance,
     b: Budget,
-    meter: _Meter,
+    meter: Meter,
     residual_mode: str,
     shared: frozenset[Value],
 ) -> set[Instance]:
@@ -322,7 +305,7 @@ def enumerate_outcomes(
     in as the next step's input.
     """
     sequence = [ps] if isinstance(ps, Procedure) else list(ps)
-    meter = _Meter(BUDGET_CAP)
+    meter = Meter(BUDGET_CAP, "oracle candidate space", "candidates")
     # Constants named anywhere in the sequence join every step's value
     # pool: a later step's constant can force an earlier step's choice.
     shared = frozenset().union(
@@ -400,7 +383,6 @@ def compare_with_chase(
     b: Budget,
     *,
     residual_mode: str = "strict",
-    max_valuations: int = 200_000,
 ) -> ChaseComparison:
     """Check the approximation's two guarantees against the oracle.
 
@@ -437,9 +419,7 @@ def compare_with_chase(
     }
     chase_min = {
         _rename_reserved(j, rigid)
-        for j in enumerate_minimal(
-            table, max_valuations=max_valuations, constants=rigid
-        )
+        for j in enumerate_minimal(table, constants=rigid)
     }
     return ChaseComparison(
         outcomes=outcomes,

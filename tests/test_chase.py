@@ -591,6 +591,14 @@ class TestCanonicalTable:
             (Row.of({"a": c0}), CondEq(c0, c1)), (Row.of({"a": const(5)}), CondEq(c2, const(1)))
         )
 
+    def test_numbering_ignores_the_null_names(self):
+        def table(x, y, z) -> ConditionalInstance:
+            pairs = [(Row.of({"a": x}), CondEq(x, y)), (Row.of({"a": x}), CondEq(z, const(1)))]
+            return ConditionalInstance.of(Schema.of({"R": ["a"]}), {"R": pairs})
+
+        nulls = [LabeledNull(name) for name in ("n1", "n2", "n3", "m9", "m8", "m7")]
+        assert canonical_table(table(*nulls[:3])) == canonical_table(table(*nulls[3:]))
+
     def test_distinct_content_stays_distinct(self, instance_i, instance_j1):
         a = canonical_table(ConditionalInstance.from_instance(instance_i))
         b = canonical_table(ConditionalInstance.from_instance(instance_j1))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqworkbench import ctables
 from dqworkbench.ctables import (
     TRUE,
     CondAnd,
@@ -243,6 +244,16 @@ class TestRepContains:
         with pytest.raises(BudgetExceeded):
             rep_contains(t, r_instance(*range(6)))
 
+    def test_step_budget_message_reports_the_steps_used(self, monkeypatch):
+        t = r_table(*((Row.of({"a": LabeledNull(f"m{k}")}), TRUE) for k in range(6)))
+        monkeypatch.setattr(ctables, "REP_STEP_CAP", 3)
+        with pytest.raises(BudgetExceeded) as caught:
+            rep_contains(t, r_instance(*range(6)))
+        assert str(caught.value) == (
+            "membership search exceeds the hard cap of 3: "
+            "3 steps charged so far, and the next charge of 1 does not fit"
+        )
+
 
 class TestEnumerateMinimal:
     def test_null_free_table_is_its_own_minimum(self, instance_i):
@@ -298,11 +309,16 @@ class TestEnumerateMinimal:
         for m in enumerate_minimal(t):
             assert rep_contains(t, m)
 
-    def test_valuation_budget_is_enforced(self):
+    def test_valuation_budget_is_enforced(self, monkeypatch):
         nulls = [LabeledNull(f"m{k}") for k in range(8)]
         t = r_table(*((Row.of({"a": n}), TRUE) for n in nulls))
-        with pytest.raises(BudgetExceeded):
-            enumerate_minimal(t, max_valuations=10)
+        monkeypatch.setattr(ctables, "MINIMAL_VALUATION_CAP", 10)
+        with pytest.raises(BudgetExceeded) as caught:
+            enumerate_minimal(t)
+        assert str(caught.value) == (
+            "minimal-instance search exceeds the hard cap of 10: "
+            "10 valuations charged so far, and the next charge of 1 does not fit"
+        )
 
 
 class TestRendering:
@@ -367,7 +383,9 @@ def test_property_membership_closed_under_extra_rows(t, v, extra):
 @settings(max_examples=60, deadline=None)
 @given(t=small_tables())
 def test_property_minimal_members_are_incomparable_members(t):
-    minimal = enumerate_minimal(t, max_valuations=50_000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ctables, "MINIMAL_VALUATION_CAP", 50_000)
+        minimal = enumerate_minimal(t)
     assert minimal
     for m in minimal:
         assert rep_contains(t, m)
@@ -381,7 +399,9 @@ def test_property_minimal_members_are_incomparable_members(t):
 @given(t=small_tables(), v=valuations())
 def test_property_every_image_extends_some_minimal_shape(t, v):
     image = apply_valuation(t, v)
-    minimal = enumerate_minimal(t, max_valuations=50_000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ctables, "MINIMAL_VALUATION_CAP", 50_000)
+        minimal = enumerate_minimal(t)
     assert any(
         image.total_size() >= m.total_size()
         and all(len(image.rows(r)) >= len(m.rows(r)) for r in m.schema.names)

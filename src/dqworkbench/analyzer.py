@@ -17,15 +17,12 @@ from .errors import UnsupportedPrecondition
 from .model import Schema
 from .constraints import (
     ConjunctiveQuery,
-    FilteredTotalQuery,
     StructureConstraint,
-    TotalConjQuery,
-    TotalQuery,
     demanded_attrs,
     is_compatible,
     structure_holds,
 )
-from .procedures import Procedure
+from .procedures import Procedure, scope_map
 
 
 @dataclass(frozen=True)
@@ -45,22 +42,22 @@ class Failure:
     reason: str
 
 
-def _arity_pinned_relations(p: Procedure) -> list[str]:
-    rels: list[str] = []
-    for q in p.safe:
-        if isinstance(q, TotalQuery):
-            rels.append(q.relation)
-        elif isinstance(q, FilteredTotalQuery):
-            rels.append(q.relation)
-        elif isinstance(q, TotalConjQuery):
-            rels.extend(q.relations)
-    return rels
-
-
 def min_schema(
     p: Procedure, s: Schema, *, allow_data_preconditions: bool = False
 ) -> Union[SchemaRequirement, Failure]:
     """Smallest schema every outcome extends, or Failure when none can exist.
+
+    Scope rule: an outcome keeps every attribute the scope does not let
+    change (`procedures.scope_map`). A relation the scope does not name
+    keeps all its attributes, one with a wildcard entry may lose them all,
+    and one whose entries list attributes keeps the others; entries on one
+    relation unite, and a wildcard entry wins. The safety queries and the
+    postcondition add the attributes they name.
+
+    Arity pin: a total, total-conjunction or filtered safety query keeps
+    whole tuples of each relation it reads, so those relations keep exactly
+    their input attributes, and demands beyond them are a Failure. The pin
+    holds only while the query has an answer on the input to keep.
 
     Data-level preconditions (dependencies) cannot be decided at the schema
     level. By default they are rejected; with allow_data_preconditions they
@@ -81,20 +78,17 @@ def min_schema(
 
     required: dict[str, set[str]] = {}
     labels: dict[str, int] = {}
-    for rel in _arity_pinned_relations(p):
-        required[rel] = set(s.attrs(rel))
-        labels[rel] = len(s.attrs(rel))
-    # attribute demands every outcome schema must honor
-    mentioned = {c.relation for c in p.scope}
-    for rel in s.names:
-        if rel not in mentioned:
-            required.setdefault(rel, set()).update(s.attrs(rel))
-    for c in p.scope:
-        if not c.is_wildcard and s.defines(c.relation):
-            required.setdefault(c.relation, set()).update(
-                s.attrs(c.relation).difference(c.attributes)
-            )
-    demanded_attrs((q for q in p.safe if isinstance(q, ConjunctiveQuery)), required)
+    for q in p.safe:
+        if not isinstance(q, ConjunctiveQuery):
+            for rel in q.relations:
+                required[rel] = set(s.attrs(rel))
+                labels[rel] = len(s.attrs(rel))
+    changes = scope_map(p.scope)
+    for rel, attrs in s.rels:
+        changed = changes.get(rel, frozenset())
+        if changed is not None:
+            required.setdefault(rel, set()).update(attrs - changed)
+    demanded_attrs(p.safe, required)
     demanded_attrs(p.post, required)
     for rel, limit in labels.items():
         if len(required[rel]) > limit:

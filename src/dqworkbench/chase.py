@@ -269,16 +269,20 @@ def _structural_preconditions(p: Procedure) -> list[StructureConstraint]:
     return [c for c in p.pre if isinstance(c, StructureConstraint)]
 
 
+def _require_classified(ps: Iterable[Procedure]) -> None:
+    for p in ps:
+        if classify(p) == NEITHER:
+            raise UnsupportedClass(
+                f"procedure {p.name or '<anonymous>'} is neither safe-scope nor alter-schema"
+            )
+
+
 def _fold_step(
     t: ConditionalInstance, p: Procedure, *, step: int
 ) -> ConditionalInstance | EmptyResult:
-    kind = classify(p)
-    if kind == ALTER_SCHEMA:
+    """One step of a sequence whose procedures `_require_classified` passed."""
+    if classify(p) == ALTER_SCHEMA:
         return apply_alter_schema(t, p, step=step)
-    if kind != SAFE_SCOPE:
-        raise UnsupportedClass(
-            f"procedure {p.name or '<anonymous>'} is neither safe-scope nor alter-schema"
-        )
     structural = _structural_preconditions(p)
     applicable = all(structure_holds(c, t.schema) for c in structural) and all(
         is_compatible(q, t.schema) for q in p.safe
@@ -297,11 +301,7 @@ def approximate_outcomes(
     set, and the table's minimal members are minimal outcomes. Empty means
     some step cannot apply, so the sequence reaches no outcome at all.
     """
-    for p in ps:
-        if classify(p) == NEITHER:
-            raise UnsupportedClass(
-                f"procedure {p.name or '<anonymous>'} is neither safe-scope nor alter-schema"
-            )
+    _require_classified(ps)
     t = ConditionalInstance.from_instance(i)
     for step, p in enumerate(ps):
         result = _fold_step(t, p, step=step)
@@ -425,11 +425,7 @@ def plan_search(
     if q.free:
         raise Incompatible("readiness goals must be boolean queries")
     procs = sorted(pool, key=lambda p: (p.name, str(p)))
-    for p in procs:
-        if classify(p) == NEITHER:
-            raise UnsupportedClass(
-                f"procedure {p.name or '<anonymous>'} is neither safe-scope nor alter-schema"
-            )
+    _require_classified(procs)
 
     def certain(t: ConditionalInstance) -> bool:
         return is_compatible(q, t.schema) and certain_boolean_cq(t, q)

@@ -276,10 +276,10 @@ def _cmd_plan(ws: Workspace, args) -> Report:
         # The default pool is best effort: procedures the planner cannot
         # reason about are dropped with a notice.  An explicit --pool is
         # taken literally and may error instead.
-        pool = [p for p in ws.procedures.values() if classify(p) != NEITHER]
-        ignored = sorted(
-            _proc_label(p) for p in ws.procedures.values() if classify(p) == NEITHER
-        )
+        pool, unsupported = [], []
+        for p in ws.procedures.values():
+            (unsupported if classify(p) == NEITHER else pool).append(p)
+        ignored = sorted(_proc_label(p) for p in unsupported)
         if ignored:
             notices.append(
                 "ignoring procedures outside the supported classes: "

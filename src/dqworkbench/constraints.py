@@ -197,6 +197,10 @@ class TotalQuery:
 
     relation: str
 
+    @property
+    def relations(self) -> tuple[str, ...]:
+        return (self.relation,)
+
 
 @dataclass(frozen=True)
 class FilteredTotalQuery:
@@ -204,6 +208,10 @@ class FilteredTotalQuery:
 
     relation: str
     condition: BooleanCondition
+
+    @property
+    def relations(self) -> tuple[str, ...]:
+        return (self.relation,)
 
 
 @dataclass(frozen=True)
@@ -285,14 +293,12 @@ def is_compatible(obj: Union[Query, Tgd, Egd, Atom], s: Schema) -> bool:
         return True
     if isinstance(obj, ConjunctiveQuery):
         return all(is_compatible(a, s) for a in obj.atoms)
-    if isinstance(obj, TotalQuery):
-        return s.defines(obj.relation)
+    if isinstance(obj, (TotalQuery, TotalConjQuery)):
+        return all(s.defines(r) for r in obj.relations)
     if isinstance(obj, FilteredTotalQuery):
         return s.defines(obj.relation) and condition_attrs(obj.condition) <= s.attrs(
             obj.relation
         )
-    if isinstance(obj, TotalConjQuery):
-        return all(s.defines(r) for r in obj.relations)
     if isinstance(obj, Tgd):
         return is_compatible(obj.body, s) and is_compatible(obj.head, s)
     if isinstance(obj, Egd):
@@ -301,13 +307,21 @@ def is_compatible(obj: Union[Query, Tgd, Egd, Atom], s: Schema) -> bool:
 
 
 def demanded_attrs(
-    items: Iterable[Union[ConjunctiveQuery, Constraint]], need: dict[str, set[str]]
+    items: Iterable[Union[Query, Constraint]], need: dict[str, set[str]]
 ) -> dict[str, set[str]]:
     """Add to `need`, per relation, the attributes that the relation atoms of
-    queries and dependencies and the structure constraints name; return it."""
+    queries and dependencies, the structure constraints and the conditions
+    of filtered queries name; return it. A total-type query adds each of its
+    relations, with no attribute of its own."""
     for c in items:
         if isinstance(c, StructureConstraint):
             need.setdefault(c.relation, set()).update(c.attributes or ())
+            continue
+        if isinstance(c, (TotalQuery, FilteredTotalQuery, TotalConjQuery)):
+            for rel in c.relations:
+                need.setdefault(rel, set())
+            if isinstance(c, FilteredTotalQuery):
+                need[c.relation].update(condition_attrs(c.condition))
             continue
         body = c.body if isinstance(c, (Tgd, Egd)) else c
         for q in (body, c.head) if isinstance(c, Tgd) else (body,):

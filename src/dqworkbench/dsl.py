@@ -67,6 +67,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 from .constraints import (
@@ -88,6 +89,7 @@ from .constraints import (
     TotalConjQuery,
     TotalQuery,
     Var,
+    demanded_attrs,
 )
 from .errors import (
     DomainMismatch,
@@ -960,10 +962,11 @@ def _value_to_json(v: Value) -> dict:
 
 
 def _value_from_json(obj) -> Value:
-    if isinstance(obj, Mapping) and set(obj) == {"const"}:
-        return const(obj["const"])
-    if isinstance(obj, Mapping) and set(obj) == {"null"}:
-        return null_marker(obj["null"])
+    if isinstance(obj, Mapping) and set(obj) in ({"const"}, {"null"}):
+        v = const(obj["const"]) if "const" in obj else null_marker(obj["null"])
+        if "@" in v.token:
+            raise WorkspaceSyntaxError(1, 1, "json: values containing @ are reserved")
+        return v
     raise WorkspaceSyntaxError(1, 1, f"json: bad value {obj!r}")
 
 
@@ -1126,7 +1129,36 @@ def workspace_to_json(ws: Workspace) -> dict:
 
 
 def workspace_from_json(obj: Mapping) -> Workspace:
-    """Rebuild a workspace from its JSON image, revalidating references."""
+    """Rebuild a workspace from its JSON image, revalidating references.
+
+    A missing field or a field of the wrong shape is a syntax error, and so,
+    as in the text grammar, is an `@` in a value or in a relation or
+    attribute name: the searches generate such values and attributes.
+    """
+    try:
+        ws = _workspace_from_json(obj)
+    except KeyError as e:
+        raise WorkspaceSyntaxError(1, 1, f"json: missing field {e.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as e:
+        raise WorkspaceSyntaxError(1, 1, f"json: malformed workspace: {e}") from None
+    named = demanded_attrs(
+        chain(
+            (StructureConstraint.of(r, a) for s in ws.schemas.values() for r, a in s.rels),
+            ws.constraints.values(),
+            ws.queries.values(),
+            *(p.scope + p.pre + p.post + p.safe for p in ws.procedures.values()),
+        ),
+        {},
+    )
+    reserved = sorted(n for rel, attrs in named.items() for n in (rel, *attrs) if "@" in n)
+    if reserved:
+        raise WorkspaceSyntaxError(
+            1, 1, f"json: names containing @ are reserved for generated values: {reserved[0]!r}"
+        )
+    return ws
+
+
+def _workspace_from_json(obj: Mapping) -> Workspace:
     ws = Workspace()
     for name, rels in obj.get("schemas", {}).items():
         ws.schemas[name] = Schema.of(rels)

@@ -20,10 +20,7 @@ from .constraints import (
     Egd,
     FilteredTotalQuery,
     Tgd,
-    TotalConjQuery,
-    TotalQuery,
     comparisons,
-    condition_attrs,
     cq_constants,
     demanded_attrs,
 )
@@ -39,7 +36,7 @@ from .model import (
     instance_extends,
     rename_values,
 )
-from .procedures import Procedure, outcome_inputs, possible_outcome_report
+from .procedures import Procedure, outcome_inputs, possible_outcome_report, scope_map
 
 # Candidates one oracle run may charge, each batch before it is built: per relation
 # its sets of additions and its row-set candidates, per step the cross-relation ones.
@@ -87,33 +84,6 @@ def constraint_constants(p: Procedure) -> frozenset[Value]:
     return frozenset(out)
 
 
-def _safety_mentions(p: Procedure) -> dict[str, set[str]]:
-    """Attributes the safety queries name explicitly, per relation."""
-    need = demanded_attrs((q for q in p.safe if isinstance(q, ConjunctiveQuery)), {})
-    for q in p.safe:
-        if isinstance(q, FilteredTotalQuery):
-            need.setdefault(q.relation, set()).update(condition_attrs(q.condition))
-        elif isinstance(q, TotalQuery):
-            need.setdefault(q.relation, set())
-        elif isinstance(q, TotalConjQuery):
-            for rel in q.relations:
-                need.setdefault(rel, set())
-    return need
-
-
-def _scope_map(p: Procedure) -> dict[str, frozenset[str] | None]:
-    """Scoped attributes per relation; None marks a whole-relation scope."""
-    out: dict[str, frozenset[str] | None] = {}
-    for c in p.scope:
-        if c.is_wildcard or out.get(c.relation, frozenset()) is None:
-            out[c.relation] = None
-        else:
-            out[c.relation] = out.get(c.relation, frozenset()) | frozenset(
-                c.attributes
-            )
-    return out
-
-
 def _value_pool(i: Instance, shared: frozenset[Value], b: Budget) -> list[Value]:
     extras = [const(f"{EXTRA_CONSTANT_PREFIX}{k}") for k in range(b.extra_constants)]
     return sorted(active_domain(i) | shared) + extras
@@ -128,9 +98,9 @@ def _candidate_schemas(i: Instance, p: Procedure, b: Budget) -> Iterator[Schema]
     relations and attributes are added, plus up to max_new_attributes
     reserved unconstrained attributes.
     """
-    scope = _scope_map(p)
+    scope = scope_map(p.scope)
     required = demanded_attrs(p.post, {})
-    safety = _safety_mentions(p)
+    needed = demanded_attrs(p.post + p.safe, {})
 
     base: dict[str, frozenset[str]] = {r: i.schema.attrs(r) for r in i.schema.names}
     if b.allow_schema_growth:
@@ -138,26 +108,18 @@ def _candidate_schemas(i: Instance, p: Procedure, b: Budget) -> Iterator[Schema]
             base[rel] = base.get(rel, frozenset()) | frozenset(attrs)
 
     droppable_rels = [
-        r
-        for r in sorted(base)
-        if scope.get(r, frozenset()) is None
-        and r not in required
-        and r not in safety
+        r for r in sorted(base) if scope.get(r, frozenset()) is None and r not in needed
     ]
-    drop_attr_options: list[tuple[str, str]] = []
-    for rel, pinned in scope.items():
-        if pinned is None or rel not in base:
-            continue
-        for attr in sorted(pinned):
-            if attr in required.get(rel, set()) or attr in safety.get(rel, set()):
-                continue
-            if attr in base[rel]:
-                drop_attr_options.append((rel, attr))
+    drop_attr_options = [
+        (rel, attr)
+        for rel, changed in scope.items()
+        if changed is not None and rel in base
+        for attr in sorted((changed & base[rel]) - needed.get(rel, set()))
+    ]
 
     growth_slots: list[tuple[str, ...]] = [()]
     if b.allow_schema_growth and b.max_new_attributes > 0:
         rels = sorted(base)
-        growth_slots = [()]
         for k in range(1, b.max_new_attributes + 1):
             growth_slots.extend(itertools.combinations_with_replacement(rels, k))
 
@@ -269,7 +231,7 @@ def _single_step_outcomes(
     if not inputs.applicable:
         return set()
     pool = _value_pool(i, shared, b)
-    scope = _scope_map(p)
+    scope = scope_map(p.scope)
     found: set[Instance] = set()
     for schema in _candidate_schemas(i, p, b):
         per_relation = []

@@ -68,20 +68,26 @@ class Procedure:
         return Procedure(_dedup(scope), _dedup(pre), _dedup(post), _dedup(safe), name)
 
 
+def scope_map(scope: Iterable[StructureConstraint]) -> dict[str, frozenset[str] | None]:
+    """The attributes the scope lets change, per relation; None for the whole
+    relation. Entries on one relation unite, and a wildcard entry wins."""
+    out: dict[str, frozenset[str] | None] = {}
+    for c in scope:
+        if c.is_wildcard or out.get(c.relation, frozenset()) is None:
+            out[c.relation] = None
+        else:
+            out[c.relation] = out.get(c.relation, frozenset()) | frozenset(c.attributes)
+    return out
+
+
 def residual_atoms(s: Schema, scope: Iterable[StructureConstraint]) -> list[NamedAtom]:
     """One atom per relation whose content must survive outside the scope."""
-    scope = list(scope)
-    wild = {c.relation for c in scope if c.is_wildcard}
-    pinned: dict[str, set[str]] = {}
-    for c in scope:
-        if not c.is_wildcard:
-            pinned.setdefault(c.relation, set()).update(c.attributes)
+    changes = scope_map(scope)
     atoms = []
     for rel, attrs in s.rels:
-        if rel in wild:
-            continue
-        keep = sorted(attrs - pinned[rel]) if rel in pinned else sorted(attrs)
-        atoms.append(NamedAtom.of(rel, {a: Var(f"{rel}.{a}") for a in keep}))
+        changed = changes.get(rel, frozenset())
+        if changed is not None:
+            atoms.append(NamedAtom.of(rel, {a: Var(f"{rel}.{a}") for a in attrs - changed}))
     return atoms
 
 
@@ -295,13 +301,7 @@ def classify(p: Procedure) -> str:
         if len(p.safe) != 1:
             return NEITHER
         guard = p.safe[0]
-        if isinstance(guard, TotalQuery):
-            if heads != {guard.relation}:
-                return NEITHER
-        elif isinstance(guard, TotalConjQuery):
-            if frozenset(guard.relations) != heads:
-                return NEITHER
-        else:
+        if not isinstance(guard, (TotalQuery, TotalConjQuery)) or frozenset(guard.relations) != heads:
             return NEITHER
         return SAFE_SCOPE
     return NEITHER

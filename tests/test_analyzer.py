@@ -116,6 +116,27 @@ def test_wildcard_scoped_relation_may_vanish():
     assert req.schema.attrs("R") == frozenset({"a"})
 
 
+def test_split_scope_entries_require_what_one_entry_requires():
+    s = Schema.of({"R": ("a", "b", "c")})
+    split = Procedure.of(
+        scope=[StructureConstraint.of("R", ["a"]), StructureConstraint.of("R", ["b"])]
+    )
+    joint = Procedure.of(scope=[StructureConstraint.of("R", ["a", "b"])])
+    assert min_schema(split, s) == min_schema(joint, s)
+    assert min_schema(split, s).schema == Schema.of({"R": ("c",)})
+
+
+def test_wildcard_entry_wins_over_named_entries():
+    s = Schema.of({"R": ("a", "b"), "T": ("a",)})
+    for scope in (
+        [StructureConstraint.of("R"), StructureConstraint.of("R", ["a"])],
+        [StructureConstraint.of("R", ["a"]), StructureConstraint.of("R")],
+    ):
+        req = min_schema(Procedure.of(scope=scope), s)
+        assert req == min_schema(Procedure.of(scope=[StructureConstraint.of("R")]), s)
+        assert req.schema == Schema.of({"T": ("a",)})
+
+
 def test_empty_sequence_applicable(visit_schema):
     report = sequence_applicability([], visit_schema)
     assert report.applicable

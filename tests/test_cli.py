@@ -10,9 +10,10 @@ import pytest
 from dqworkbench import cli
 from dqworkbench.cli import parse_budget, run_command
 from dqworkbench.ctables import TRUE, CondEq, ConditionalInstance, LabeledNull, render_ctable
+from dqworkbench.dsl import parse_workspace, workspace_to_json
 from dqworkbench.errors import MalformedParams
-from dqworkbench.model import Row, Schema, const, render_instance
-from dqworkbench.oracle import Budget
+from dqworkbench.model import Instance, Row, Schema, const, render_instance
+from dqworkbench.oracle import Budget, ChaseComparison
 
 FIG1 = str(Path(__file__).resolve().parent.parent / "workspaces" / "fig1.dq")
 
@@ -241,6 +242,25 @@ class TestApplicability:
             "patInsur",
             "timestp",
         ]
+
+    def test_split_scope_entries_require_what_one_entry_requires(self, capsys, tmp_path):
+        path = tmp_path / "split.dq"
+        path.write_text(
+            "schema S { rel R(a, b, c); }\n"
+            "proc split { scope { R[a]; R[b]; } }\n"
+            "proc joint { scope { R[a, b]; } }\n"
+            "proc wild { scope { R[*]; R[a]; } }\n"
+        )
+        outputs = {}
+        for proc in ("split", "joint", "wild"):
+            code, out, _ = run(
+                capsys, "schema-min", "--workspace", str(path), "--proc", proc, "--schema", "S"
+            )
+            assert code == 0
+            outputs[proc] = out
+        assert outputs["split"] == outputs["joint"]
+        assert outputs["split"].splitlines()[-1] == "  R(c)"
+        assert outputs["wild"].splitlines()[-1] == "  (empty schema)"
 
 
 class TestChaseCommands:
@@ -644,6 +664,43 @@ class TestOracleCommands:
         assert payload["outcomes_checked"] == 2
         assert payload["missing"] == []
 
+    def test_compare_reports_each_disagreement_section(self, capsys, monkeypatch):
+        def one(v):
+            return Instance.of(Schema.of({"R": ("a",)}), {"R": {Row.of({"a": const(v)})}})
+
+        found = {"missing": one(1), "minimal_only_oracle": one(2), "minimal_only_chase": one(3)}
+        report = ChaseComparison(frozenset({one(1), one(2)}), *((j,) for j in found.values()))
+        monkeypatch.setattr(cli, "compare_with_chase", lambda *args, **kwargs: report)
+        argv = ("compare", "--workspace", FIG1, "--instance", "I", "--seq", "migrate",
+                "--budget", "tuples=1")
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert out.splitlines() == [
+            "approximation disagrees with the oracle",
+            "outcomes the approximation fails to represent: 1",
+            "--- outcomes the approximation fails to represent 0 ---",
+            "R(a):",
+            "  (1)",
+            "minimal only on the oracle side: 1",
+            "--- minimal only on the oracle side 0 ---",
+            "R(a):",
+            "  (2)",
+            "minimal only on the approximation side: 1",
+            "--- minimal only on the approximation side 0 ---",
+            "R(a):",
+            "  (3)",
+        ]
+        code, payload = run_json(capsys, *argv)
+        assert code == 1
+        assert payload == {
+            "ok": False,
+            "outcomes_checked": 2,
+            **{
+                key: [{"schema": {"R": ["a"]}, "rows": {"R": [[{"const": token}]]}}]
+                for key, token in zip(found, "123")
+            },
+        }
+
     def test_budget_cap_is_an_error(self, capsys):
         code, _, err = run(
             capsys,
@@ -749,6 +806,42 @@ class TestArgumentErrors:
         assert code == 2
         assert err.startswith("error:")
         assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize(
+        "image",
+        [
+            [],
+            {"schemas": {"S": 5}},
+            {"schemas": {"S": {"R": ["a"]}}, "instances": {"I": {"schema": "S"}}},
+            {"constraints": {"d": {"kind": "tgd", "head": {"atoms": [], "free": [], "existential": []}}}},
+        ],
+        ids=["list", "schema-not-an-object", "instance-without-rows", "tgd-without-body"],
+    )
+    def test_malformed_json_workspace_is_an_error(self, capsys, tmp_path, image):
+        path = tmp_path / "bad.dq.json"
+        path.write_text(json.dumps(image))
+        code, out, err = run(capsys, "validate", "--workspace", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 1, col 1: json: ")
+        assert "Traceback" not in err
+
+    def test_json_workspace_rejects_reserved_values(self, capsys, tmp_path):
+        text = (
+            "schema S { rel R(a); rel T(a); }\n"
+            "instance I : S { R: (k); T: ; }\n"
+            "proc cpe { scope { T[*]; } post { tgd R(a: x) -> T(a: y); } safe { total T; } }\n"
+        )
+        image = workspace_to_json(parse_workspace(text))
+        argv = ["compare", "--instance", "I", "--seq", "cpe", "--budget", "extra=1,tuples=1"]
+        path = tmp_path / "plain.dq.json"
+        path.write_text(json.dumps(image))
+        assert run(capsys, *argv, "--workspace", str(path))[0] == 0
+        image["instances"]["I"]["rows"]["R"] = [[{"const": "@c0"}]]
+        path.write_text(json.dumps(image))
+        code, _, err = run(capsys, *argv, "--workspace", str(path))
+        assert code == 2
+        assert err == "error: line 1, col 1: json: values containing @ are reserved\n"
 
     def test_missing_workspace_flag(self, capsys):
         with pytest.raises(SystemExit) as e:

@@ -15,6 +15,7 @@ from dqworkbench.constraints import (
     FilteredTotalQuery,
     NamedAtom,
     Not,
+    Or,
     StructureConstraint,
     Tgd,
     TotalConjQuery,
@@ -23,6 +24,7 @@ from dqworkbench.constraints import (
     boolean_cq,
     canonicalize_cq,
     cq,
+    demanded_attrs,
     evaluate_query,
     is_compatible,
     open_cq,
@@ -140,6 +142,32 @@ def test_total_conj_cross_product(instance_i):
         const(33),
         const("020715 07:50"),
     ) in answers
+
+
+def test_total_type_queries_list_their_relations(visit_schema):
+    cond = Comparison("patInsur", "=", const(33))
+    assert TotalQuery("LocVisits").relations == ("LocVisits",)
+    assert FilteredTotalQuery("LocVisits", cond).relations == ("LocVisits",)
+    assert is_compatible(TotalConjQuery(("EVisits", "LocVisits")), visit_schema)
+    assert not is_compatible(TotalConjQuery(("EVisits", "Patients")), visit_schema)
+
+
+def test_demanded_attrs_reads_every_query_kind():
+    cond = Or((Comparison("a", "=", const(1)), Comparison("b", "!=", "c")))
+    queries = [
+        TotalQuery("R"),
+        TotalConjQuery(("R", "T")),
+        FilteredTotalQuery("U", cond),
+        open_cq([NamedAtom.of("R", {"d": X})]),
+    ]
+    assert demanded_attrs(queries, {}) == {
+        "R": {"d"},
+        "T": set(),
+        "U": {"a", "b", "c"},
+    }
+    need = {"T": {"e"}}
+    assert demanded_attrs([TotalQuery("T")], need) is need
+    assert need == {"T": {"e"}}
 
 
 def test_constant_atom_filters_null_markers():

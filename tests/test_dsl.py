@@ -473,9 +473,20 @@ def atom_st(draw, schema: Schema) -> NamedAtom:
 
 
 @st.composite
+def atoms_st(draw, schema: Schema, min_size: int = 1) -> list:
+    """Relation atoms, now and then followed by `nonnull` on one of their variables."""
+    atoms = draw(st.lists(atom_st(schema), min_size=min_size, max_size=2))
+    named_vars = sorted({v for a in atoms for v in a.vars})
+    if named_vars and draw(st.booleans()):
+        atoms.append(ConstantAtom(draw(st.sampled_from(named_vars))))
+    return atoms
+
+
+@st.composite
 def tgd_st(draw, schema: Schema) -> Tgd:
-    body_atoms = draw(st.lists(atom_st(schema), min_size=1, max_size=2))
-    head_atoms = draw(st.lists(atom_st(schema), min_size=1, max_size=2))
+    # an empty body is written `true`
+    body_atoms = draw(atoms_st(schema, min_size=0))
+    head_atoms = draw(atoms_st(schema))
     body_vars = frozenset(v for a in body_atoms for v in a.vars)
     head_vars = frozenset(v for a in head_atoms for v in a.vars)
     body = ConjunctiveQuery(tuple(body_atoms), tuple(sorted(body_vars)), frozenset())
@@ -483,6 +494,33 @@ def tgd_st(draw, schema: Schema) -> Tgd:
         tuple(head_atoms), tuple(sorted(head_vars & body_vars)), head_vars - body_vars
     )
     return Tgd(body, head)
+
+
+@st.composite
+def egd_st(draw, schema: Schema) -> Egd:
+    atoms = draw(atoms_st(schema))
+    body_vars = sorted({v for a in atoms for v in a.vars})
+    if not body_vars:
+        atoms.append(NamedAtom.of(schema.names[0], {min(schema.attrs(schema.names[0])): Var("x")}))
+        body_vars = [Var("x")]
+    equated = (draw(st.sampled_from(body_vars)), draw(st.sampled_from(body_vars)))
+    return Egd(ConjunctiveQuery(tuple(atoms), tuple(body_vars), frozenset()), equated)
+
+
+@st.composite
+def struct_st(draw, schema: Schema) -> StructureConstraint:
+    """`R[*]`, `R[]` or `R[a, ...]`, on a declared relation or a new one."""
+    rel = draw(st.sampled_from(schema.names + ("U",)))
+    form = draw(st.sampled_from(["wild", "empty", "named"]))
+    if form == "wild":
+        return StructureConstraint.of(rel)
+    if form == "empty":
+        return StructureConstraint(rel, ())
+    return StructureConstraint.of(rel, draw(st.sets(st.sampled_from(ATTR_POOL), min_size=1)))
+
+
+def constraint_st(schema: Schema):
+    return st.one_of(tgd_st(schema), egd_st(schema), struct_st(schema))
 
 
 @st.composite
@@ -531,14 +569,16 @@ def query_st(draw, schema: Schema):
 def procedure_st(draw, schema: Schema) -> Procedure:
     scope = []
     for rel in schema.names:
-        form = draw(st.sampled_from(["skip", "wild", "named"]))
-        if form == "wild":
-            scope.append(StructureConstraint.of(rel))
-        elif form == "named":
-            attrs = draw(st.sets(st.sampled_from(sorted(schema.attrs(rel))), min_size=1))
-            scope.append(StructureConstraint.of(rel, attrs))
-    pre = draw(st.lists(st.one_of(tgd_st(schema)), max_size=1))
-    post = draw(st.lists(st.one_of(tgd_st(schema)), max_size=2))
+        # a relation may take a second entry
+        for _ in range(draw(st.integers(1, 2))):
+            form = draw(st.sampled_from(["skip", "wild", "named"]))
+            if form == "wild":
+                scope.append(StructureConstraint.of(rel))
+            elif form == "named":
+                attrs = draw(st.sets(st.sampled_from(sorted(schema.attrs(rel))), min_size=1))
+                scope.append(StructureConstraint.of(rel, attrs))
+    pre = draw(st.lists(constraint_st(schema), max_size=1))
+    post = draw(st.lists(constraint_st(schema), max_size=2))
     safe = draw(st.lists(query_st(schema), max_size=2))
     return Procedure.of(scope=scope, pre=pre, post=post, safe=safe)
 
@@ -552,7 +592,7 @@ def workspace_st(draw) -> Workspace:
         ws.instances[f"i{idx}"] = draw(instance_st(schema))
         ws.instance_schema[f"i{idx}"] = "s0"
     for idx in range(draw(st.integers(0, 2))):
-        ws.constraints[f"d{idx}"] = draw(tgd_st(schema))
+        ws.constraints[f"d{idx}"] = draw(constraint_st(schema))
     for idx in range(draw(st.integers(0, 2))):
         ws.queries[f"q{idx}"] = draw(query_st(schema))
     proc_count = draw(st.integers(0, 2))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,7 @@ from dqworkbench.constraints import (
 )
 from dqworkbench.ctables import ConditionalInstance
 from dqworkbench.errors import BudgetExceeded, MalformedParams
-from dqworkbench.model import Instance, Row, Schema, const
+from dqworkbench.model import Instance, Row, Schema, const, null_marker
 from dqworkbench.oracle import (
     Budget,
     compare_with_chase,
@@ -281,6 +282,83 @@ class TestDataExchange:
                     if satisfies(dep, j):
                         expected.add(j)
             assert outs == frozenset(expected)
+
+
+def _r_instance(attrs, *rows) -> Instance:
+    return Instance.of(
+        Schema.of({"R": attrs}), {"R": {Row.of(dict(zip(attrs, r))) for r in rows}}
+    )
+
+
+def _attrs_of_r(outs) -> Counter:
+    return Counter(tuple(sorted(j.schema.attrs("R"))) for j in outs)
+
+
+class TestAttributeScopes:
+    """Scopes that name attributes: rewritten cells, dropped and grown attributes."""
+
+    def test_null_scrub_on_one_row_fills_the_null_from_the_pool(self):
+        # pool {1, ?n}: b may become 1 or stay ?n, and the postcondition
+        # rejects every row that keeps the null; a must still read 1
+        scrub = instantiate_template("null_scrub", {"relation": "R", "attribute": "b"})
+        i = _r_instance(("a", "b"), (const(1), null_marker("n")))
+        outs = enumerate_outcomes(scrub, i, Budget(max_new_tuples=1))
+        assert outs == frozenset({_r_instance(("a", "b"), (const(1), const(1)))})
+
+    def test_null_scrub_on_two_rows_keeps_a_and_the_known_b(self):
+        # Each old row is dropped or rewritten on b, plus one addition from
+        # the rewrites. An outcome keeps a = 1 and a = 2 (residual), has
+        # no null (post) and keeps the answer b = 3 (safety): the 5 two-row
+        # sets with a 3, and the 14 three-row ones.
+        scrub = instantiate_template("null_scrub", {"relation": "R", "attribute": "b"})
+        i = _r_instance(
+            ("a", "b"), (const(1), null_marker("n")), (const(2), const(3))
+        )
+        outs = enumerate_outcomes(scrub, i, Budget(max_new_tuples=1))
+        rows = [(const(a), const(b)) for a in (1, 2) for b in (1, 2, 3)]
+        expected = {
+            _r_instance(("a", "b"), *chosen)
+            for k in (2, 3)
+            for chosen in itertools.combinations(rows, k)
+            if {a for a, _ in chosen} == {const(1), const(2)}
+            and const(3) in {b for _, b in chosen}
+        }
+        assert len(expected) == 19
+        assert outs == frozenset(expected)
+
+    def test_split_scope_entries_unite(self):
+        i = _r_instance(("a", "b", "c"), (const(1), const(2), const(3)))
+        split = Procedure.of(
+            scope=[StructureConstraint.of("R", ["a"]), StructureConstraint.of("R", ["b"])]
+        )
+        joint = Procedure.of(scope=[StructureConstraint.of("R", ["a", "b"])])
+        b = Budget(max_new_tuples=1)
+        outs = enumerate_outcomes(split, i, b)
+        assert outs == enumerate_outcomes(joint, i, b)
+        # both scoped attributes may go; c must keep its one value
+        assert _r_instance(("c",), (const(3),)) in outs
+        assert set(_attrs_of_r(outs)) == {
+            ("a", "b", "c"),
+            ("a", "c"),
+            ("b", "c"),
+            ("c",),
+        }
+
+    def test_growth_adds_a_reserved_attribute(self):
+        # Over R(@attr0, a, b) the one row's a and @attr0 take 1 or ?n: 4
+        # rows, kept alone or with one addition, 4 + 6 outcomes. R(a, b)
+        # and R(@attr0, b) give 2 + 1 each; R(b) keeps the projected row.
+        i = _r_instance(("a", "b"), (const(1), null_marker("n")))
+        p = Procedure.of(scope=[StructureConstraint.of("R", ["a"])])
+        b = Budget(max_new_attributes=1, allow_schema_growth=True)
+        outs = enumerate_outcomes(p, i, b)
+        assert _attrs_of_r(outs) == {
+            ("@attr0", "a", "b"): 10,
+            ("a", "b"): 3,
+            ("@attr0", "b"): 3,
+            ("b",): 1,
+        }
+        assert all(j.rows("R") for j in outs)
 
 
 class TestMinimalOutcomes:

@@ -37,7 +37,9 @@ from dqworkbench.procedures import (
     is_possible_outcome,
     is_safe_sequence,
     possible_outcome_report,
+    residual_atoms,
     residual_query,
+    scope_map,
 )
 
 from .conftest import migrate_cq_proc, migrate_total_proc, migration_tgd, visit
@@ -89,6 +91,27 @@ def test_residual_fully_pinned_relation_keeps_empty_conjunct():
     q = residual_query(s, [StructureConstraint.of("R", ["a"])])
     assert len(q.atoms) == 1
     assert q.atoms[0].bindings == ()
+
+
+def test_scope_map_unites_entries_and_lets_a_wildcard_win():
+    a, b, wild = (
+        StructureConstraint.of("R", ["a"]),
+        StructureConstraint.of("R", ["b"]),
+        StructureConstraint.of("R"),
+    )
+    assert scope_map([a, b, StructureConstraint.of("T")]) == {
+        "R": frozenset({"a", "b"}),
+        "T": None,
+    }
+    assert scope_map([a, wild, b]) == scope_map([wild, a]) == {"R": None}
+    assert scope_map([]) == {}
+
+
+def test_split_scope_residual_matches_the_joined_entry():
+    s = Schema.of({"R": ("a", "b", "c")})
+    split = [StructureConstraint.of("R", ["a"]), StructureConstraint.of("R", ["b"])]
+    assert residual_atoms(s, split) == residual_atoms(s, [StructureConstraint.of("R", ["a", "b"])])
+    assert residual_atoms(s, split + [StructureConstraint.of("R")]) == []
 
 
 # Applicability

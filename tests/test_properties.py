@@ -2,12 +2,13 @@
 agreement, fold reproducibility, certainty against the minimal-member
 enumeration, workspace format round-trips, the matcher against
 brute-force references, the residual clause against the joint
-residual query, the workspace lexer against the reference tokenizer, and
+residual query, the workspace lexer against the reference tokenizer,
 size-ordered minimality and the oracle's up-front meter against the
-all-pairs test and the candidate totals they replace.
+all-pairs test and the candidate totals they replace, and the minimal
+schema as a lower bound on the oracle's outcome schemas.
 
 The module-level *_EXAMPLES constants are the configured case counts; the
-acceptance suite checks their sum.
+acceptance suite checks the sum of the first four.
 """
 
 from __future__ import annotations
@@ -28,9 +29,12 @@ from dqworkbench.chase import (
     outcomes_nonempty,
 )
 from dqworkbench import constraints
+from dqworkbench.analyzer import Failure, min_schema
 from dqworkbench.constraints import (
+    Comparison,
     ConjunctiveQuery,
     ConstantAtom,
+    FilteredTotalQuery,
     NamedAtom,
     StructureConstraint,
     Tgd,
@@ -42,6 +46,7 @@ from dqworkbench.constraints import (
     evaluate_query,
     homomorphisms,
     is_compatible,
+    open_cq,
 )
 from dqworkbench.ctables import (
     TRUE,
@@ -66,7 +71,15 @@ from dqworkbench.dsl import (
     workspace_to_json,
 )
 from dqworkbench.errors import BudgetExceeded, Incompatible, WorkspaceSyntaxError
-from dqworkbench.model import Instance, Row, Schema, active_domain, const, null_marker
+from dqworkbench.model import (
+    Instance,
+    Row,
+    Schema,
+    active_domain,
+    const,
+    null_marker,
+    schema_extends,
+)
 from dqworkbench.oracle import Budget, enumerate_outcomes, minimal_outcomes
 from dqworkbench.procedures import (
     RESIDUAL_MODES,
@@ -93,6 +106,7 @@ CERTAINTY_EXAMPLES = 150
 RESIDUAL_EXAMPLES = 200
 LEXER_EXAMPLES = 500
 MINIMALITY_EXAMPLES = 300
+MIN_SCHEMA_SOUNDNESS_EXAMPLES = 300
 
 # The candidates the oracle charges for Figure 1's `migrate, migrate` with
 # budget extra=1,tuples=1: the total the per-candidate meter reached.
@@ -581,3 +595,64 @@ def test_meter_stops_before_any_candidate_is_checked(monkeypatch):
     monkeypatch.setattr(oracle_mod, "BUDGET_CAP", 2566)
     with pytest.raises(BudgetExceeded, match="2565 candidates charged so far"):
         enumerate_outcomes(seq[0], i, Budget(max_new_tuples=1))
+
+
+# --- the minimal schema against the oracle's outcomes -------------------------
+
+
+@st.composite
+def scoped_case_st(draw) -> tuple[Procedure, Instance]:
+    """One or two small relations over a, b, c with one or two rows of bits,
+    a scope of one to three entries that may repeat a relation and mix
+    wildcards with attribute lists, and at most one safety query."""
+    names = draw(st.lists(st.sampled_from(["R", "T"]), min_size=1, max_size=2, unique=True))
+    attrs = {
+        rel: sorted(draw(st.sets(st.sampled_from("abc"), min_size=1)))
+        for rel in names
+    }
+    s = Schema.of(attrs)
+    data = {}
+    for rel in names:
+        cells = st.tuples(*(st.sampled_from(BITS) for _ in attrs[rel]))
+        data[rel] = {
+            Row.of(dict(zip(attrs[rel], c)))
+            for c in draw(st.lists(cells, min_size=1, max_size=2))
+        }
+    scope = []
+    for _ in range(draw(st.integers(1, 3))):
+        rel = draw(st.sampled_from(names))
+        if draw(st.booleans()):
+            scope.append(StructureConstraint.of(rel))
+        else:
+            scope.append(
+                StructureConstraint.of(rel, draw(st.sets(st.sampled_from(attrs[rel]), min_size=1)))
+            )
+    rel = draw(st.sampled_from(names))
+    safe_kind = draw(st.sampled_from(["none", "cq", "total", "filtered"]))
+    safe = []
+    if safe_kind == "cq":
+        bound = draw(st.sets(st.sampled_from(attrs[rel]), min_size=1))
+        safe.append(open_cq([NamedAtom.of(rel, {a: Var(a) for a in bound})]))
+    elif safe_kind == "total":
+        safe.append(TotalQuery(rel))
+    elif safe_kind == "filtered":
+        cond = Comparison(draw(st.sampled_from(attrs[rel])), "=", draw(st.sampled_from(BITS)))
+        safe.append(FilteredTotalQuery(rel, cond))
+    return Procedure.of(scope=scope, safe=safe), Instance.of(s, data)
+
+
+@settings(max_examples=MIN_SCHEMA_SOUNDNESS_EXAMPLES, deadline=None)
+@given(case=scoped_case_st())
+def test_min_schema_bounds_every_oracle_outcome(case):
+    p, i = case
+    # An arity pin bounds outcomes only while its query has an answer to keep.
+    if any(
+        not isinstance(q, ConjunctiveQuery) and not evaluate_query(q, i) for q in p.safe
+    ):
+        return
+    outs = enumerate_outcomes(p, i, Budget(max_new_tuples=1))
+    req = min_schema(p, i.schema)
+    if isinstance(req, Failure):
+        assert not outs
+    else:
+        assert all(schema_extends(j.schema, req.schema) for j in outs)

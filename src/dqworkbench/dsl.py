@@ -1158,10 +1158,22 @@ def workspace_from_json(obj: Mapping) -> Workspace:
     return ws
 
 
+def _attrs_from_json(relation: str, attrs) -> list[str]:
+    if (
+        not isinstance(attrs, list)
+        or not all(isinstance(a, str) for a in attrs)
+        or len(set(attrs)) != len(attrs)
+    ):
+        raise WorkspaceSyntaxError(
+            1, 1, f"json: attributes of {relation!r} must be a list of distinct strings"
+        )
+    return attrs
+
+
 def _workspace_from_json(obj: Mapping) -> Workspace:
     ws = Workspace()
     for name, rels in obj.get("schemas", {}).items():
-        ws.schemas[name] = Schema.of(rels)
+        ws.schemas[name] = Schema.of({rel: _attrs_from_json(rel, a) for rel, a in rels.items()})
     for name, spec in obj.get("instances", {}).items():
         schema_name = spec["schema"]
         if schema_name not in ws.schemas:

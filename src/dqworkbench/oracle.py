@@ -3,8 +3,11 @@
 The reasoning modules over-approximate or decide; this module instead
 enumerates candidate result instances within an explicit budget and keeps
 exactly those the four-clause outcome checker accepts. It is deliberately
-slow and literal: its only job is to be an independent ground truth for
-the other modules at desk scale.
+slow: its only job is to be an independent ground truth for the other
+modules at desk scale. It fixes one relation's rows at a time and checks
+each clause of `procedures.outcome_clauses` as soon as the relations it
+reads are fixed, dropping a prefix at its first failing clause; the result
+equals checking every candidate of the full product literally.
 """
 
 from __future__ import annotations
@@ -36,10 +39,11 @@ from .model import (
     instance_extends,
     rename_values,
 )
-from .procedures import Procedure, outcome_inputs, possible_outcome_report, scope_map
+from .procedures import Clause, Procedure, outcome_clauses, outcome_inputs, scope_map
 
-# Candidates one oracle run may charge, each batch before it is built: per relation
-# its sets of additions and its row-set candidates, per step the cross-relation ones.
+# Candidates one oracle run may charge, each batch before it is built and before
+# any clause is checked: per relation its sets of additions and its row-set
+# candidates, per schema the cross-relation ones, so it counts the literal space.
 BUDGET_CAP = 500_000
 
 EXTRA_CONSTANT_PREFIX = "@c"
@@ -123,6 +127,8 @@ def _candidate_schemas(i: Instance, p: Procedure, b: Budget) -> Iterator[Schema]
         for k in range(1, b.max_new_attributes + 1):
             growth_slots.extend(itertools.combinations_with_replacement(rels, k))
 
+    # growth slots on a dropped relation add nothing: such schemas repeat
+    seen: set[Schema] = set()
     for dropped_rels in _subsets(droppable_rels):
         for dropped_attrs in _subsets(drop_attr_options):
             for slots in growth_slots:
@@ -138,8 +144,10 @@ def _candidate_schemas(i: Instance, p: Procedure, b: Budget) -> Iterator[Schema]
                 for idx, rel in enumerate(slots):
                     if rel in rels:
                         rels[rel].add(f"{EXTRA_ATTRIBUTE_PREFIX}{idx}")
-                if ok:
-                    yield Schema.of(rels)
+                schema = Schema.of(rels)
+                if ok and schema not in seen:
+                    seen.add(schema)
+                    yield schema
 
 
 def _subsets(items: Sequence) -> Iterator[tuple]:
@@ -230,6 +238,11 @@ def _single_step_outcomes(
     inputs = outcome_inputs(p, i)
     if not inputs.applicable:
         return set()
+    # Strict mode accepts what per-relation mode accepts while no residual
+    # factor of the input is empty; the per-atom clauses are decided sooner.
+    if all(old for _, old in inputs.residual):
+        residual_mode = "per-relation"
+    clauses = outcome_clauses(p, inputs, residual_mode)
     pool = _value_pool(i, shared, b)
     scope = scope_map(p.scope)
     found: set[Instance] = set()
@@ -241,15 +254,60 @@ def _single_step_outcomes(
             )
             per_relation.append((rel, choices))
         meter.tick(math.prod(len(c) for _, c in per_relation))
-        for combo in itertools.product(*(c for _, c in per_relation)):
-            candidate = Instance.of(
-                schema, {rel: rows for (rel, _), rows in zip(per_relation, combo)}
-            )
-            if possible_outcome_report(
-                p, i, candidate, residual_mode, inputs=inputs
-            ).ok:
-                found.add(candidate)
+        found.update(_accepted(schema, per_relation, clauses))
     return found
+
+
+def _accepted(
+    schema: Schema,
+    per_relation: list[tuple[str, list[frozenset[Row]]]],
+    clauses: list[Clause],
+) -> Iterator[Instance]:
+    """The candidates over `schema`, one row set per relation, that pass
+    every clause (forward checking).
+
+    Relations are fixed in order of fewest choices first, depth first. A
+    clause is checked at the first depth where every relation it reads is
+    fixed, on the instance holding the fixed rows (the rest empty); a
+    clause reading a relation outside the schema waits for the full
+    candidate. A prefix that fails a clause is dropped with all its
+    extensions.
+    """
+    order = sorted(per_relation, key=lambda rc: len(rc[1]))
+    n = len(order)
+    depth = {rel: k + 1 for k, (rel, _) in enumerate(order)}
+    checks: list[list] = [[] for _ in range(n + 1)]
+    # at one depth, a clause over fewer relations first: it is the cheaper
+    for reads, check in sorted(clauses, key=lambda clause: len(clause[0])):
+        checks[max((depth.get(rel, n) for rel in reads), default=0)].append(check)
+
+    empty = Instance.of(schema)
+    if any(check(empty) for check in checks[0]):
+        return
+    if n == 0:
+        yield empty
+        return
+    rels = [rel for rel, _ in order]
+    chosen: list[frozenset[Row]] = []
+    stack = [iter(order[0][1])]
+    while stack:
+        rows = next(stack[-1], None)
+        if rows is None:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        chosen.append(rows)
+        k = len(chosen)
+        if checks[k] or k == n:
+            fixed = Instance.of(schema, dict(zip(rels, chosen)))
+        if any(check(fixed) for check in checks[k]):
+            chosen.pop()
+        elif k == n:
+            yield fixed
+            chosen.pop()
+        else:
+            stack.append(iter(order[k][1]))
 
 
 def enumerate_outcomes(

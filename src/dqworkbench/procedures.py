@@ -9,7 +9,8 @@ running the procedure on another; nothing here executes anything.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from functools import partial
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import Incompatible, MalformedParams
 from .model import Instance, Schema, Value
@@ -30,6 +31,7 @@ from .constraints import (
     Var,
     condition_attrs,
     cq,
+    demanded_attrs,
     evaluate_query,
     is_compatible,
     satisfies,
@@ -179,6 +181,95 @@ def outcome_inputs(p: Procedure, before: Instance) -> OutcomeInputs:
     return OutcomeInputs(is_applicable(p, before), tuple(residual), tuple(safety))
 
 
+def _post_failures(idx: int, c: Constraint, after: Instance) -> list[str]:
+    try:
+        holds = satisfies(c, after)
+    except Incompatible:
+        holds = False
+    return [] if holds else [f"postcondition {idx} does not hold on the result"]
+
+
+def _residual_failures(
+    factors: Sequence[tuple[ConjunctiveQuery, frozenset]], after: Instance
+) -> list[str]:
+    """Failures of the claim that the product of these factors' answers is
+    unchanged; with one factor, that the atom's answers are."""
+    # per factor: relation, answers on before, answers on after (None when
+    # the result schema no longer fits the atom)
+    checked = []
+    for q, old in factors:
+        new = evaluate_query(q, after) if is_compatible(q, after.schema) else None
+        checked.append((q.atoms[0].relation, old, new))
+    lost = [rel for rel, _, new in checked if new is None]
+    changed = [rel for rel, old, new in checked if new != old]
+    # an empty factor on each side makes both products empty
+    both_empty = not all(old for _, old, _ in checked) and not all(
+        new for _, _, new in checked
+    )
+    if lost:
+        return [_UNADDRESSABLE.format(", ".join(lost))]
+    if changed and not both_empty:
+        return [_CHANGED.format(", ".join(changed))]
+    return []
+
+
+def _safety_failures(
+    idx: int, q: Query, old: Union[frozenset, Incompatible], after: Instance
+) -> list[str]:
+    if not is_compatible(q, after.schema):
+        old = Incompatible("safety query incompatible with the result schema")
+    if isinstance(old, Incompatible):
+        return [f"safety query {idx}: {old}"]
+    return [] if old <= evaluate_query(q, after) else [f"safety query {idx} lost answers"]
+
+
+def _reads(c: Union[Constraint, Query]) -> frozenset[str]:
+    # a structure constraint reads the schema only
+    return frozenset(() if isinstance(c, StructureConstraint) else demanded_attrs([c], {}))
+
+
+# The relations a clause reads rows of, and its failures on a result instance.
+Clause = tuple[frozenset[str], Callable[[Instance], list[str]]]
+
+
+def _clause_groups(p: Procedure, inputs: OutcomeInputs, residual_mode: str) -> list[list[Clause]]:
+    if residual_mode not in RESIDUAL_MODES:
+        raise ValueError(f"residual_mode must be one of {RESIDUAL_MODES}")
+    if residual_mode == "per-relation":
+        factor_groups = [(f,) for f in inputs.residual]
+    else:
+        factor_groups = [inputs.residual]
+    return [
+        [(_reads(c), partial(_post_failures, idx, c)) for idx, c in enumerate(p.post)],
+        [
+            (frozenset(q.atoms[0].relation for q, _ in fs), partial(_residual_failures, fs))
+            for fs in factor_groups
+        ],
+        [
+            (_reads(q), partial(_safety_failures, idx, q, old))
+            for idx, (q, old) in enumerate(zip(p.safe, inputs.safety))
+        ],
+    ]
+
+
+def outcome_clauses(
+    p: Procedure, inputs: OutcomeInputs, residual_mode: str = "strict"
+) -> list[Clause]:
+    """The postcondition, residual and safety clauses of `p`, in that order.
+
+    `inputs` must be `outcome_inputs(p, before)`. A clause is a pair
+    (relations read, check); `check(after)` lists the clause's failures,
+    and lists the same on any instance over the schema of `after` with the
+    same rows in the relations read. Each postcondition and each safety
+    query is one clause. Per-relation mode has one residual clause per
+    atom, strict mode one joint clause over every residual relation. While
+    no residual factor of the input is empty the two modes accept the same
+    results: a product of nonempty factors is unchanged exactly when every
+    factor is.
+    """
+    return [c for group in _clause_groups(p, inputs, residual_mode) for c in group]
+
+
 def possible_outcome_report(
     p: Procedure,
     before: Instance,
@@ -190,70 +281,26 @@ def possible_outcome_report(
     """Check the four outcome clauses of `after` as a result of `p` on `before`.
 
     `inputs` must be `outcome_inputs(p, before)`; it is built here when not
-    given. The residual clause compares the per-atom answers of the
-    residual query. Per-relation mode needs every atom's answers unchanged.
-    Strict mode needs the products unchanged: every factor equal, or an
-    empty factor on each side. Each residual failure names its relations.
+    given. The failures are the applicability line, then the failures of
+    every clause of `outcome_clauses` on `after`. The residual clause
+    compares the per-atom answers of the residual query. Per-relation mode
+    needs every atom's answers unchanged. Strict mode needs the products
+    unchanged: every factor equal, or an empty factor on each side; so it
+    decides as per-relation mode does when no factor of `before` is empty.
+    Each residual failure names its relations.
     """
-    if residual_mode not in RESIDUAL_MODES:
-        raise ValueError(f"residual_mode must be one of {RESIDUAL_MODES}")
     if inputs is None:
         inputs = outcome_inputs(p, before)
     failures: list[str] = []
-
-    applicable = inputs.applicable
-    if not applicable:
+    if not inputs.applicable:
         failures.append("procedure is not applicable on the input instance")
-
-    post_ok = True
-    for idx, c in enumerate(p.post):
-        try:
-            holds = satisfies(c, after)
-        except Incompatible:
-            holds = False
-        if not holds:
-            post_ok = False
-            failures.append(f"postcondition {idx} does not hold on the result")
-
-    # per residual atom: relation, answers on before, answers on after
-    # (None when the result schema no longer fits the atom)
-    checked = []
-    for q, old in inputs.residual:
-        new = evaluate_query(q, after) if is_compatible(q, after.schema) else None
-        checked.append((q.atoms[0].relation, old, new))
-    if residual_mode == "per-relation":
-        residual_failures = [
-            (_UNADDRESSABLE if new is None else _CHANGED).format(rel)
-            for rel, old, new in checked
-            if new != old
-        ]
-    else:
-        lost = [rel for rel, _, new in checked if new is None]
-        changed = [rel for rel, old, new in checked if new != old]
-        # an empty factor on each side makes both products empty
-        both_empty = not all(old for _, old, _ in checked) and not all(
-            new for _, _, new in checked
-        )
-        residual_failures = []
-        if lost:
-            residual_failures.append(_UNADDRESSABLE.format(", ".join(lost)))
-        elif changed and not both_empty:
-            residual_failures.append(_CHANGED.format(", ".join(changed)))
-    residual_ok = not residual_failures
-    failures += residual_failures
-
-    safety_ok = True
-    for idx, (q, old) in enumerate(zip(p.safe, inputs.safety)):
-        if not is_compatible(q, after.schema):
-            old = Incompatible("safety query incompatible with the result schema")
-        if isinstance(old, Incompatible):
-            safety_ok = False
-            failures.append(f"safety query {idx}: {old}")
-        elif not old <= evaluate_query(q, after):
-            safety_ok = False
-            failures.append(f"safety query {idx} lost answers")
-
-    return OutcomeReport(applicable, post_ok, residual_ok, safety_ok, tuple(failures))
+    held = []
+    for group in _clause_groups(p, inputs, residual_mode):
+        found = [f for _, check in group for f in check(after)]
+        held.append(not found)
+        failures += found
+    post_ok, residual_ok, safety_ok = held
+    return OutcomeReport(inputs.applicable, post_ok, residual_ok, safety_ok, tuple(failures))
 
 
 def is_possible_outcome(

@@ -814,8 +814,19 @@ class TestArgumentErrors:
             {"schemas": {"S": 5}},
             {"schemas": {"S": {"R": ["a"]}}, "instances": {"I": {"schema": "S"}}},
             {"constraints": {"d": {"kind": "tgd", "head": {"atoms": [], "free": [], "existential": []}}}},
+            {"schemas": {"S": {"R": "ab"}}},
+            {"schemas": {"S": {"R": ["a", "b"], "T": ["a", "a"]}}},
+            {"schemas": {"S": {"R": [1]}}},
         ],
-        ids=["list", "schema-not-an-object", "instance-without-rows", "tgd-without-body"],
+        ids=[
+            "list",
+            "schema-not-an-object",
+            "instance-without-rows",
+            "tgd-without-body",
+            "attributes-as-a-string",
+            "repeated-attribute",
+            "attribute-not-a-string",
+        ],
     )
     def test_malformed_json_workspace_is_an_error(self, capsys, tmp_path, image):
         path = tmp_path / "bad.dq.json"

@@ -485,6 +485,27 @@ class TestBudgets:
                 [migrate_total_proc()] * 2, fig_instance(), Budget(max_new_tuples=1)
             )
 
+    def test_candidate_schemas_come_once_each(self):
+        # dropping R makes the growth slot on R a no-op, which used to yield
+        # T(a) twice and enumerate and charge its product twice
+        i = Instance.of(
+            Schema.of({"R": ("a",), "T": ("a",)}),
+            {"R": {Row.of({"a": const(1)})}, "T": {Row.of({"a": const(2)})}},
+        )
+        wipe = Procedure.of(scope=[StructureConstraint.of("R")])
+        b = Budget(max_new_tuples=0, max_new_attributes=1, allow_schema_growth=True)
+        schemas = list(oracle_mod._candidate_schemas(i, wipe, b))
+        assert sorted(schemas) == sorted(
+            Schema.of(rels)
+            for rels in (
+                {"R": ("a",), "T": ("a",)},
+                {"R": ("a", "@attr0"), "T": ("a",)},
+                {"R": ("a",), "T": ("a", "@attr0")},
+                {"T": ("a",)},
+                {"T": ("a", "@attr0")},
+            )
+        )
+
     def test_growth_flag_only_adds_outcomes(self):
         small = Instance.of(
             Schema.of({"LocVisits": VISIT_ATTRS}),

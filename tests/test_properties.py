@@ -4,8 +4,9 @@ enumeration, workspace format round-trips, the matcher against
 brute-force references, the residual clause against the joint
 residual query, the workspace lexer against the reference tokenizer,
 size-ordered minimality and the oracle's up-front meter against the
-all-pairs test and the candidate totals they replace, and the minimal
-schema as a lower bound on the oracle's outcome schemas.
+all-pairs test and the candidate totals they replace, the oracle's staged
+clause checks against the literal enumerator, and the minimal schema as a
+lower bound on the oracle's outcome schemas.
 
 The module-level *_EXAMPLES constants are the configured case counts; the
 acceptance suite checks the sum of the first four.
@@ -34,10 +35,12 @@ from dqworkbench.constraints import (
     Comparison,
     ConjunctiveQuery,
     ConstantAtom,
+    Egd,
     FilteredTotalQuery,
     NamedAtom,
     StructureConstraint,
     Tgd,
+    TotalConjQuery,
     TotalQuery,
     Var,
     boolean_cq,
@@ -107,6 +110,7 @@ RESIDUAL_EXAMPLES = 200
 LEXER_EXAMPLES = 500
 MINIMALITY_EXAMPLES = 300
 MIN_SCHEMA_SOUNDNESS_EXAMPLES = 300
+STAGED_ORACLE_EXAMPLES = 200
 
 # The candidates the oracle charges for Figure 1's `migrate, migrate` with
 # budget extra=1,tuples=1: the total the per-candidate meter reached.
@@ -588,13 +592,103 @@ def test_meter_stops_before_any_candidate_is_checked(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a candidate was checked")
 
+    clauses = oracle_mod.outcome_clauses
     seq, i, _ = _fig1_migrate_twice()
-    monkeypatch.setattr(oracle_mod, "possible_outcome_report", unreachable)
+    monkeypatch.setattr(
+        oracle_mod,
+        "outcome_clauses",
+        lambda *args: [(reads, unreachable) for reads, _ in clauses(*args)],
+    )
     # One more than the first schema's per-relation charge (2565): a
     # per-candidate meter would check one cross-relation candidate first.
     monkeypatch.setattr(oracle_mod, "BUDGET_CAP", 2566)
     with pytest.raises(BudgetExceeded, match="2565 candidates charged so far"):
         enumerate_outcomes(seq[0], i, Budget(max_new_tuples=1))
+
+
+# --- the staged oracle against the literal enumerator -------------------------
+
+
+@st.composite
+def staged_case_st(draw) -> tuple[Procedure, Instance, Budget]:
+    """R and T over a and b with up to two rows of bits each, so either may
+    be empty; one or two scope entries, whole or on attributes; a tgd or an
+    egd across R and T, whose head may name an attribute only growth adds;
+    a CQ, total, filtered or total-conjunction safety query; and a budget
+    with or without schema growth."""
+    attrs = {rel: sorted(draw(st.sets(st.sampled_from("ab"), min_size=1))) for rel in "RT"}
+    data = {}
+    for rel in attrs:
+        cells = st.tuples(*(st.sampled_from(BITS) for _ in attrs[rel]))
+        data[rel] = {Row.of(dict(zip(attrs[rel], c))) for c in draw(st.lists(cells, max_size=2))}
+    scope = []
+    for rel in draw(st.lists(st.sampled_from("RT"), min_size=1, max_size=2, unique=True)):
+        if draw(st.booleans()):
+            scope.append(StructureConstraint.of(rel))
+        else:
+            scope.append(StructureConstraint.of(rel, draw(st.sets(st.sampled_from(attrs[rel]), min_size=1))))
+    src, dst = draw(st.permutations("RT"))
+    post = []
+    dependency = draw(st.sampled_from(["none", "tgd", "egd"]))
+    if dependency == "tgd":
+        post.append(
+            Tgd(
+                cq([NamedAtom.of(src, {draw(st.sampled_from(attrs[src])): X})], free=[X]),
+                cq([NamedAtom.of(dst, {draw(st.sampled_from("ab")): X})], free=[X]),
+            )
+        )
+    elif dependency == "egd":
+        y = Var("y")
+        body = [
+            NamedAtom.of(src, {draw(st.sampled_from(attrs[src])): X}),
+            NamedAtom.of(dst, {draw(st.sampled_from(attrs[dst])): y}),
+        ]
+        post.append(Egd(cq(body, free=[X, y]), (X, y)))
+    safe = []
+    safe_kind = draw(st.sampled_from(["none", "cq", "total", "filtered", "conjunction"]))
+    if safe_kind == "cq":
+        bound = draw(st.sets(st.sampled_from(attrs[src]), min_size=1))
+        safe.append(open_cq([NamedAtom.of(src, {a: Var(a) for a in bound})]))
+    elif safe_kind == "total":
+        safe.append(TotalQuery(src))
+    elif safe_kind == "filtered":
+        cond = Comparison(draw(st.sampled_from(attrs[src])), "=", draw(st.sampled_from(BITS)))
+        safe.append(FilteredTotalQuery(src, cond))
+    elif safe_kind == "conjunction":
+        safe.append(TotalConjQuery((src, dst)))
+    growth = draw(st.booleans())
+    b = Budget(
+        extra_constants=draw(st.integers(0, 1)),
+        max_new_tuples=1,
+        max_new_attributes=draw(st.integers(0, 1)) if growth else 0,
+        allow_schema_growth=growth,
+    )
+    return Procedure.of(scope=scope, post=post, safe=safe), Instance.of(Schema.of(attrs), data), b
+
+
+def _outcomes_or_cap_message(enumerate_, p, i, b, mode):
+    try:
+        return enumerate_(p, i, b, residual_mode=mode)
+    except BudgetExceeded as e:
+        return str(e)
+
+
+@settings(max_examples=STAGED_ORACLE_EXAMPLES, deadline=None)
+@given(
+    case=staged_case_st(),
+    mode=st.sampled_from(RESIDUAL_MODES),
+    cap=st.one_of(st.just(3000), st.integers(1, 3000)),
+)
+def test_staged_oracle_matches_the_literal_enumerator(case, mode, cap):
+    # Most cases fit a cap of 3,000 and compare outcome sets; under a smaller
+    # cap both sides must stop at the same charge, with the same message.
+    p, i, b = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle_mod, "BUDGET_CAP", cap)
+        patch.setattr(reference_oracle, "BUDGET_CAP", cap)
+        assert _outcomes_or_cap_message(
+            enumerate_outcomes, p, i, b, mode
+        ) == _outcomes_or_cap_message(reference_oracle.enumerate_outcomes, p, i, b, mode)
 
 
 # --- the minimal schema against the oracle's outcomes -------------------------

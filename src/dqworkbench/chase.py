@@ -33,27 +33,22 @@ from .constraints import (
 from .ctables import (
     Cell,
     Condition,
-    CondAnd,
     CondEq,
-    CondNeq,
-    CondOr,
     ConditionalInstance,
     ConditionalRow,
     LabeledNull,
     ScopedConditionalInstance,
-    TrueCond,
     apply_valuation,
     cond_and,
     condition_entails,
     condition_nulls,
+    condition_satisfiable,
     fresh_null_valuation,
-    positive_condition_satisfiable,
     shape_key,
 )
 from .errors import (
     Incompatible,
     NotAlterSchema,
-    NotPositive,
     NotSafeScope,
     NotSafeSequence,
     UnsupportedClass,
@@ -141,15 +136,13 @@ def _body_triggers(
                 literals.append(CondEq(cell, bound))
             else:
                 return None
-        new[k] = (cond, literals)
+        new[k] = (cond, tuple(literals))
         return new
 
     patterns = [(a.relation, a.bindings) for a in atoms]
     for state in join(patterns, rows, {}, extend=extend, pinnable=pinnable):
         matched = [state[k] for k in range(len(atoms))]
-        condition = cond_and(
-            [cond for cond, _ in matched] + [lit for _, lits in matched for lit in lits]
-        )
+        condition = cond_and([cond for cond, _ in matched] + [lits for _, lits in matched])
         yield condition, {v: c for v, c in state.items() if isinstance(v, Var)}
 
 
@@ -183,8 +176,6 @@ def chase_safe_scope(
     """
     if classify(p) != SAFE_SCOPE:
         raise NotSafeScope(f"procedure {p.name or '<anonymous>'} lacks safe-scope shape")
-    if not t.is_positive:
-        raise NotPositive("the chase requires a table without inequality conditions")
     _reject_constancy_tests(p)
     for dep in p.post:
         if not is_compatible(dep, t.schema):
@@ -196,7 +187,7 @@ def chase_safe_scope(
     for tgd_idx, dep in enumerate(p.post):
         ordinal = 0
         for trigger_cond, frontier in _body_triggers(body_rows, dep.body):
-            if not positive_condition_satisfiable(trigger_cond):
+            if not condition_satisfiable(trigger_cond):
                 continue
             if _head_matched(store, dep.head, frontier, trigger_cond):
                 continue
@@ -340,10 +331,11 @@ def exact_scoped_representation(
 def certain_boolean_cq(t: ConditionalInstance, q: ConjunctiveQuery) -> bool:
     """Whether the query holds in every instance the table represents.
 
-    Deciding it on one image suffices for a positive table (Imielinski and
+    Every table is positive, since its conditions are conjunctions of
+    equalities, and on a positive table one image decides it (Imielinski and
     Lipski, JACM 1984): the image under the valuation that sends each null
-    to its own fresh null marker. A positive condition that holds there
-    holds under every valuation, and the image maps homomorphically into
+    to its own fresh null marker. A conjunction of equalities that holds
+    there holds under every valuation, and the image maps homomorphically into
     every represented instance, fixing the query's constants. A nonnull
     test never passes on a fresh marker, so a match there survives the map.
     """
@@ -351,8 +343,6 @@ def certain_boolean_cq(t: ConditionalInstance, q: ConjunctiveQuery) -> bool:
         raise Incompatible("certainty is defined for boolean queries only")
     if not is_compatible(q, t.schema):
         raise Incompatible("query mentions relations or attributes the schema lacks")
-    if not t.is_positive:
-        raise NotPositive("certainty requires a table without inequality conditions")
     image = apply_valuation(t, fresh_null_valuation(t, cq_constants(q)))
     return bool(evaluate_query(q, image))
 
@@ -362,8 +352,9 @@ def ready_for(i: Instance, ps: Sequence[Procedure], q: ConjunctiveQuery) -> bool
 
     True when outcomes exist, the goal fits the resulting schema, and the
     goal holds on the table's image with every null a fresh null marker.
-    For this class the table is positive and every outcome is one of its
-    members, so that one image decides the goal for all of them.
+    The table's conditions are conjunctions of equalities, so it is
+    positive, and every outcome is one of its members, so that one image
+    decides the goal for all of them.
     """
     if q.free:
         raise Incompatible("readiness goals must be boolean queries")
@@ -373,17 +364,6 @@ def ready_for(i: Instance, ps: Sequence[Procedure], q: ConjunctiveQuery) -> bool
     if not is_compatible(q, res.table.schema):
         return False
     return certain_boolean_cq(res.table, q)
-
-
-def _map_condition(c: Condition, rename: dict[LabeledNull, LabeledNull]) -> Condition:
-    if isinstance(c, TrueCond):
-        return c
-    if isinstance(c, (CondEq, CondNeq)):
-        right = rename.get(c.right, c.right) if isinstance(c.right, LabeledNull) else c.right
-        make = CondEq if isinstance(c, CondEq) else CondNeq
-        return make(rename[c.left], right)
-    items = tuple(_map_condition(item, rename) for item in c.items)
-    return CondAnd(items) if isinstance(c, CondAnd) else CondOr(items)
 
 
 def canonical_table(t: ConditionalInstance) -> ConditionalInstance:
@@ -404,7 +384,13 @@ def canonical_table(t: ConditionalInstance) -> ConditionalInstance:
     if not rename:
         return t
     data = {
-        rel: [(map_cells(row, rename), _map_condition(cond, rename)) for row, cond in t.rows(rel)]
+        rel: [
+            (
+                map_cells(row, rename),
+                tuple(CondEq(rename[eq.left], rename.get(eq.right, eq.right)) for eq in cond),
+            )
+            for row, cond in t.rows(rel)
+        ]
         for rel in t.schema.names
     }
     return ConditionalInstance.of(t.schema, data)

@@ -32,10 +32,10 @@ from .chase import (
     ready_for,
 )
 from .constraints import ConjunctiveQuery
-from .ctables import ConditionalInstance, LabeledNull, TrueCond, render_ctable
-from .dsl import Workspace, load_workspace
+from .ctables import ConditionalInstance, render_condition, render_ctable
+from .dsl import Workspace, cell_to_json, instance_to_json, load_workspace, schema_to_json
 from .errors import Incompatible, MalformedParams, ResolutionError, WorkbenchError
-from .model import Instance, Schema, render_instance
+from .model import render_instance
 from .oracle import Budget, compare_with_chase, enumerate_outcomes, minimal_outcomes
 from .procedures import NEITHER, Procedure, classify, possible_outcome_report
 
@@ -97,38 +97,15 @@ def parse_budget(spec: str) -> Budget:
 # --- JSON shapes ----------------------------------------------------------
 
 
-def _schema_json(s: Schema) -> dict:
-    return {rel: sorted(attrs) for rel, attrs in s.rels}
-
-
-def _cell_json(cell) -> dict:
-    if isinstance(cell, LabeledNull):
-        return {"null": cell.id}
-    return {"const": cell.token} if cell.is_constant else {"null": cell.token}
-
-
-def _instance_json(i: Instance) -> dict:
-    return {
-        "schema": _schema_json(i.schema),
-        "rows": {
-            rel: [
-                [_cell_json(v) for v in row.values_in_order()]
-                for row in sorted(i.rows(rel))
-            ]
-            for rel in i.schema.names
-        },
-    }
-
-
 def _table_json(t: ConditionalInstance) -> dict:
-    out: dict = {"schema": _schema_json(t.schema), "rows": {}}
+    out: dict = {"schema": schema_to_json(t.schema), "rows": {}}
     for rel in t.schema.names:
         entries = []
         for row, cond in t.rows(rel):
             entries.append(
                 {
-                    "cells": [_cell_json(c) for c in row.values_in_order()],
-                    "condition": None if isinstance(cond, TrueCond) else cond.render(),
+                    "cells": [cell_to_json(c) for c in row.values_in_order()],
+                    "condition": render_condition(cond) if cond else None,
                 }
             )
         out["rows"][rel] = entries
@@ -147,7 +124,7 @@ def _requirement_lines(req: SchemaRequirement) -> list[str]:
 
 
 def _requirement_json(req: SchemaRequirement) -> dict:
-    return {"schema": _schema_json(req.schema), "pinned": dict(req.labels)}
+    return {"schema": schema_to_json(req.schema), "pinned": dict(req.labels)}
 
 
 def _proc_label(p: Procedure) -> str:
@@ -312,7 +289,7 @@ def _cmd_oracle(ws: Workspace, args) -> Report:
         return code, [], {
             "count": len(ordered),
             "minimal_only": bool(args.minimal),
-            "outcomes": [_instance_json(out) for _, out in ordered],
+            "outcomes": [instance_to_json(out) for _, out in ordered],
         }
     label = "minimal outcomes" if args.minimal else "outcomes"
     lines = [f"{label} within budget: {len(ordered)}"]
@@ -340,7 +317,7 @@ def _cmd_compare(ws: Workspace, args) -> Report:
         return code, [], {
             "ok": report.ok,
             "outcomes_checked": len(report.outcomes),
-            **{key: [_instance_json(i) for i in found] for key, _, found in sections},
+            **{key: [instance_to_json(i) for i in found] for key, _, found in sections},
         }
     if report.ok:
         checked = f"{len(report.outcomes)} outcomes checked"

@@ -2,8 +2,10 @@
 
 A table row is a `model.Row` whose cells may be labeled nulls as well as
 values, paired with a condition over those nulls (Imielinski and Lipski,
-JACM 1984). An `Instance` never holds a labeled null: `apply_valuation`
-raises `PartialValuation` unless every null gets a value.
+JACM 1984). A condition is a conjunction of equalities between a null and
+a cell, so every table is positive by construction: it has no inequality
+and no disjunction. An `Instance` never holds a labeled null:
+`apply_valuation` raises `PartialValuation` unless every null gets a value.
 
 A conditional instance stands for the set of ordinary instances obtained
 by substituting values for its labeled nulls, keeping the tuples whose
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .constraints import RowIndex, join
-from .errors import DomainMismatch, Meter, NotPositive, PartialValuation
+from .errors import DomainMismatch, Meter, PartialValuation
 from .model import (
     CONST,
     NULL,
@@ -52,146 +54,44 @@ def cell_key(c: Cell) -> tuple:
 
 
 @dataclass(frozen=True)
-class TrueCond:
-    def render(self) -> str:
-        return "true"
-
-
-TRUE = TrueCond()
-
-
-@dataclass(frozen=True)
 class CondEq:
     left: LabeledNull
     right: Cell
 
-    def render(self) -> str:
-        return f"{self.left.render()} = {self.right.render()}"
 
-
-@dataclass(frozen=True)
-class CondNeq:
-    left: LabeledNull
-    right: Cell
-
-    def render(self) -> str:
-        return f"{self.left.render()} != {self.right.render()}"
-
-
-@dataclass(frozen=True)
-class CondAnd:
-    items: tuple["Condition", ...]
-
-    def render(self) -> str:
-        return " and ".join(
-            f"({c.render()})" if isinstance(c, CondOr) else c.render()
-            for c in self.items
-        )
-
-
-@dataclass(frozen=True)
-class CondOr:
-    items: tuple["Condition", ...]
-
-    def render(self) -> str:
-        return " or ".join(
-            f"({c.render()})" if isinstance(c, CondAnd) else c.render()
-            for c in self.items
-        )
-
-
-Condition = Union[TrueCond, CondEq, CondNeq, CondAnd, CondOr]
+# A condition is a conjunction of equalities, each listed once, in order of
+# first appearance; the empty conjunction is true.
+Condition = tuple[CondEq, ...]
+TRUE: Condition = ()
 
 
 def cond_and(items: Iterable[Condition]) -> Condition:
-    flat: list[Condition] = []
-    for c in items:
-        if isinstance(c, TrueCond):
-            continue
-        if isinstance(c, CondAnd):
-            flat.extend(c.items)
-        else:
-            flat.append(c)
-    deduped = []
-    for c in flat:
-        if c not in deduped:
-            deduped.append(c)
-    if not deduped:
-        return TRUE
-    if len(deduped) == 1:
-        return deduped[0]
-    return CondAnd(tuple(deduped))
-
-
-def condition_cells(c: Condition) -> tuple[Cell, ...]:
-    """The cells of a condition's comparisons, left to right."""
-    if isinstance(c, TrueCond):
-        return ()
-    if isinstance(c, (CondEq, CondNeq)):
-        return (c.left, c.right)
-    return tuple(cell for item in c.items for cell in condition_cells(item))
+    return tuple(dict.fromkeys(eq for c in items for eq in c))
 
 
 def condition_nulls(c: Condition) -> tuple[LabeledNull, ...]:
     """The nulls a condition mentions, once each, in order of first appearance."""
-    cells = condition_cells(c)
-    return tuple(dict.fromkeys(n for n in cells if isinstance(n, LabeledNull))) if cells else ()
-
-
-def condition_constants(c: Condition) -> frozenset[Value]:
-    cells = condition_cells(c)
-    return frozenset(v for v in cells if isinstance(v, Value)) if cells else frozenset()
-
-
-def condition_is_positive(c: Condition) -> bool:
-    if isinstance(c, CondNeq):
-        return False
-    if isinstance(c, (CondAnd, CondOr)):
-        return all(condition_is_positive(item) for item in c.items)
-    return True
+    return tuple(
+        dict.fromkeys(n for eq in c for n in (eq.left, eq.right) if isinstance(n, LabeledNull))
+    )
 
 
 def cond_eval(c: Condition, v: Mapping[LabeledNull, Value]) -> bool | None:
     """Three-valued evaluation: None when unassigned nulls leave it open."""
-    if isinstance(c, TrueCond):
-        return True
-    if isinstance(c, (CondEq, CondNeq)):
-        left = v.get(c.left)
-        right = v.get(c.right) if isinstance(c.right, LabeledNull) else c.right
+    result: bool | None = True
+    for eq in c:
+        left = v.get(eq.left)
+        right = v.get(eq.right) if isinstance(eq.right, LabeledNull) else eq.right
         if left is None or right is None:
-            return None
-        return (left == right) if isinstance(c, CondEq) else (left != right)
-    results = [cond_eval(item, v) for item in c.items]
-    if isinstance(c, CondAnd):
-        if any(r is False for r in results):
+            result = None
+        elif left != right:
             return False
-        if all(r is True for r in results):
-            return True
-        return None
-    if any(r is True for r in results):
-        return True
-    if all(r is False for r in results):
-        return False
-    return None
+    return result
 
 
-def _dnf(c: Condition) -> list[list[CondEq]]:
-    """Disjunctive normal form of a positive condition, as lists of equalities."""
-    if isinstance(c, TrueCond):
-        return [[]]
-    if isinstance(c, CondEq):
-        return [[c]]
-    if isinstance(c, CondAnd):
-        disjuncts = [[]]
-        for item in c.items:
-            disjuncts = [d + e for d in disjuncts for e in _dnf(item)]
-        return disjuncts
-    if isinstance(c, CondOr):
-        return [d for item in c.items for d in _dnf(item)]
-    raise NotPositive("condition uses an inequality")
-
-
-def _equalities_consistent(literals: Iterable[CondEq]) -> bool:
+def condition_satisfiable(c: Condition) -> bool:
+    """Whether some valuation satisfies the condition: the equalities, closed
+    under union-find, never equate two different constants."""
     parent: dict[tuple, tuple] = {}
     constant: dict[tuple, Value] = {}
 
@@ -202,11 +102,11 @@ def _equalities_consistent(literals: Iterable[CondEq]) -> bool:
             k = parent[k]
         return k
 
-    for lit in literals:
-        left = cell_key(lit.left)
-        right = cell_key(lit.right)
-        if isinstance(lit.right, Value):
-            constant.setdefault(find(right), lit.right)
+    for eq in c:
+        left = cell_key(eq.left)
+        right = cell_key(eq.right)
+        if isinstance(eq.right, Value):
+            constant.setdefault(find(right), eq.right)
         a, b = find(left), find(right)
         if a == b:
             continue
@@ -219,37 +119,23 @@ def _equalities_consistent(literals: Iterable[CondEq]) -> bool:
     return True
 
 
-def positive_condition_satisfiable(c: Condition) -> bool:
-    """Whether some valuation satisfies a positive (inequality-free) condition."""
-    if not condition_is_positive(c):
-        raise NotPositive("satisfiability check requires a positive condition")
-    return any(_equalities_consistent(d) for d in _dnf(c))
-
-
 def condition_entails(stronger: Condition, weaker: Condition) -> bool:
-    """Cheap syntactic entailment check; False is always a safe answer."""
-    if isinstance(weaker, TrueCond):
-        return True
-    try:
-        strong = _dnf(stronger)
-        weak = _dnf(weaker)
-    except NotPositive:
-        return False
-    if len(weak) != 1:
-        return False
-    needed = set(weak[0])
-    return all(needed <= set(d) for d in strong)
+    """Syntactic entailment: every equality of weaker is one of stronger's.
+    False is always a safe answer."""
+    return all(eq in stronger for eq in weaker)
+
+
+def render_condition(c: Condition) -> str:
+    return " and ".join(f"{eq.left.render()} = {eq.right.render()}" for eq in c)
 
 
 def _cond_key(c: Condition, cell: Callable[[Cell], tuple]) -> tuple:
-    if isinstance(c, TrueCond):
-        return ("0true",)
-    if isinstance(c, CondEq):
-        return ("1eq", cell(c.left), cell(c.right))
-    if isinstance(c, CondNeq):
-        return ("2neq", cell(c.left), cell(c.right))
-    tag = "3and" if isinstance(c, CondAnd) else "4or"
-    return (tag, tuple(_cond_key(item, cell) for item in c.items))
+    # true sorts before a single equality, and that before a conjunction:
+    # the order text and JSON output list a row's conditions in
+    keys = tuple(("1eq", cell(eq.left), cell(eq.right)) for eq in c)
+    if len(keys) == 1:
+        return keys[0]
+    return ("3and", keys) if keys else ("0true",)
 
 
 ConditionalRow = tuple[Row, Condition]
@@ -331,7 +217,8 @@ class ConditionalInstance:
         for _, pairs in self.data:
             for row, cond in pairs:
                 out.update(c for _, c in row.cells if isinstance(c, LabeledNull))
-                out.update(condition_nulls(cond))
+                for eq in cond:
+                    out.update(n for n in (eq.left, eq.right) if isinstance(n, LabeledNull))
         return frozenset(out)
 
     def constants(self) -> frozenset[Value]:
@@ -339,14 +226,8 @@ class ConditionalInstance:
         for _, pairs in self.data:
             for row, cond in pairs:
                 out |= {c for c in row.values_in_order() if isinstance(c, Value)}
-                out |= condition_constants(cond)
+                out |= {eq.right for eq in cond if isinstance(eq.right, Value)}
         return frozenset(out)
-
-    @property
-    def is_positive(self) -> bool:
-        return all(
-            condition_is_positive(cond) for _, pairs in self.data for _, cond in pairs
-        )
 
     def total_size(self) -> int:
         return sum(len(pairs) for _, pairs in self.data)
@@ -470,7 +351,7 @@ def _rep_witness(
     def may_drop(v: dict[LabeledNull, Value], k: int) -> bool:
         meter.tick()
         cond = pairs[k][2]
-        return not isinstance(cond, TrueCond) and cond_eval(cond, v) is not True
+        return bool(cond) and cond_eval(cond, v) is not True
 
     patterns = [(rel, row.cells) for rel, row, _ in pairs]
     for v in join(patterns, RowIndex(i.data), {}, accept=consistent, skip=may_drop):
@@ -572,8 +453,8 @@ def render_ctable(t: ConditionalInstance) -> str:
             lines.append("  (empty)")
         for row, cond in pairs:
             body = ", ".join(c.render() for c in row.values_in_order())
-            if isinstance(cond, TrueCond):
-                lines.append(f"  ({body})")
+            if cond:
+                lines.append(f"  ({body}) | {render_condition(cond)}")
             else:
-                lines.append(f"  ({body}) | {cond.render()}")
+                lines.append(f"  ({body})")
     return "\n".join(lines)

@@ -99,7 +99,9 @@ from .errors import (
     WorkspaceSyntaxError,
 )
 from .model import (
+    Cell,
     Instance,
+    LabeledNull,
     Row,
     Schema,
     Value,
@@ -957,12 +959,34 @@ def serialize_workspace(ws: Workspace) -> str:
 # --- JSON mirror ---------------------------------------------------------------
 
 
-def _value_to_json(v: Value) -> dict:
-    return {"const": v.token} if v.is_constant else {"null": v.token}
+def cell_to_json(c: Cell) -> dict:
+    if isinstance(c, LabeledNull):
+        return {"null": c.id}
+    return {"const": c.token} if c.is_constant else {"null": c.token}
+
+
+def schema_to_json(s: Schema) -> dict:
+    return {rel: sorted(attrs) for rel, attrs in s.rels}
+
+
+def instance_to_json(i: Instance, schema=None) -> dict:
+    """The instance's rows in sorted order, under `schema` (a workspace names
+    its instance's schema) or else the image of its own schema."""
+    return {
+        "schema": schema_to_json(i.schema) if schema is None else schema,
+        "rows": {
+            rel: [[cell_to_json(v) for v in row.values_in_order()] for row in sorted(i.rows(rel))]
+            for rel in i.schema.names
+        },
+    }
 
 
 def _value_from_json(obj) -> Value:
-    if isinstance(obj, Mapping) and set(obj) in ({"const"}, {"null"}):
+    if (
+        isinstance(obj, Mapping)
+        and set(obj) in ({"const"}, {"null"})
+        and all(isinstance(token, str) for token in obj.values())
+    ):
         v = const(obj["const"]) if "const" in obj else null_marker(obj["null"])
         if "@" in v.token:
             raise WorkspaceSyntaxError(1, 1, "json: values containing @ are reserved")
@@ -973,12 +997,18 @@ def _value_from_json(obj) -> Value:
 def _term_to_json(t) -> dict:
     if isinstance(t, Var):
         return {"var": t.name}
-    return _value_to_json(t)
+    return cell_to_json(t)
+
+
+def _var_from_json(name) -> Var:
+    if not isinstance(name, str):
+        raise WorkspaceSyntaxError(1, 1, f"json: bad variable name {name!r}")
+    return Var(name)
 
 
 def _term_from_json(obj):
     if isinstance(obj, Mapping) and set(obj) == {"var"}:
-        return Var(obj["var"])
+        return _var_from_json(obj["var"])
     return _value_from_json(obj)
 
 
@@ -993,7 +1023,7 @@ def _atom_to_json(a: Atom) -> dict:
 
 def _atom_from_json(obj) -> Atom:
     if "nonnull" in obj:
-        return ConstantAtom(Var(obj["nonnull"]))
+        return ConstantAtom(_var_from_json(obj["nonnull"]))
     return NamedAtom.of(
         obj["relation"], {attr: _term_from_json(t) for attr, t in obj["bindings"].items()}
     )
@@ -1008,16 +1038,15 @@ def _cq_to_json(q: ConjunctiveQuery) -> dict:
 
 
 def _cq_from_json(obj) -> ConjunctiveQuery:
-    return ConjunctiveQuery(
-        tuple(_atom_from_json(a) for a in obj["atoms"]),
-        tuple(Var(n) for n in obj["free"]),
-        frozenset(Var(n) for n in obj["existential"]),
-    )
+    atoms = tuple(_atom_from_json(a) for a in obj["atoms"])
+    free = _names_from_json(obj["free"], "free variables", distinct=False)
+    existential = _names_from_json(obj["existential"], "existential variables", distinct=False)
+    return ConjunctiveQuery(atoms, tuple(map(Var, free)), frozenset(map(Var, existential)))
 
 
 def _condition_to_json(c: BooleanCondition) -> dict:
     if isinstance(c, Comparison):
-        rhs = {"attr": c.rhs} if isinstance(c.rhs, str) else _value_to_json(c.rhs)
+        rhs = {"attr": c.rhs} if isinstance(c.rhs, str) else cell_to_json(c.rhs)
         return {"kind": "cmp", "lhs": c.lhs, "op": c.op, "rhs": rhs}
     if isinstance(c, Not):
         return {"kind": "not", "item": _condition_to_json(c.item)}
@@ -1058,11 +1087,13 @@ def _constraint_from_json(obj) -> Constraint:
     if kind == "tgd":
         return Tgd(_cq_from_json(obj["body"]), _cq_from_json(obj["head"]))
     if kind == "egd":
-        x, y = obj["equated"]
+        x, y = _names_from_json(obj["equated"], "equated variables", distinct=False)
         return Egd(_cq_from_json(obj["body"]), (Var(x), Var(y)))
     if kind == "struct":
-        attrs = obj["attributes"]
-        return StructureConstraint(obj["relation"], None if attrs is None else tuple(attrs))
+        rel, attrs = obj["relation"], obj["attributes"]
+        if attrs is not None:
+            attrs = tuple(_names_from_json(attrs, f"attributes of {rel!r}"))
+        return StructureConstraint(rel, attrs)
     raise WorkspaceSyntaxError(1, 1, f"json: unknown constraint kind {kind!r}")
 
 
@@ -1087,7 +1118,8 @@ def _query_from_json(obj) -> Query:
     if kind == "total":
         return TotalQuery(obj["relation"])
     if kind == "total_conj":
-        return TotalConjQuery(tuple(obj["relations"]))
+        relations = _names_from_json(obj["relations"], "relations", distinct=False)
+        return TotalConjQuery(tuple(relations))
     if kind == "filtered":
         return FilteredTotalQuery(obj["relation"], _condition_from_json(obj["condition"]))
     raise WorkspaceSyntaxError(1, 1, f"json: unknown query kind {kind!r}")
@@ -1096,21 +1128,9 @@ def _query_from_json(obj) -> Query:
 def workspace_to_json(ws: Workspace) -> dict:
     """One-to-one JSON image of the workspace."""
     return {
-        "schemas": {
-            name: {rel: sorted(attrs) for rel, attrs in schema.rels}
-            for name, schema in ws.schemas.items()
-        },
+        "schemas": {name: schema_to_json(schema) for name, schema in ws.schemas.items()},
         "instances": {
-            name: {
-                "schema": ws.instance_schema[name],
-                "rows": {
-                    rel: [
-                        [_value_to_json(v) for v in row.values_in_order()]
-                        for row in sorted(instance.rows(rel))
-                    ]
-                    for rel in instance.schema.names
-                },
-            }
+            name: instance_to_json(instance, ws.instance_schema[name])
             for name, instance in ws.instances.items()
         },
         "constraints": {name: _constraint_to_json(c) for name, c in ws.constraints.items()},
@@ -1137,20 +1157,20 @@ def workspace_from_json(obj: Mapping) -> Workspace:
     """
     try:
         ws = _workspace_from_json(obj)
+        named = demanded_attrs(
+            chain(
+                (StructureConstraint.of(r, a) for s in ws.schemas.values() for r, a in s.rels),
+                ws.constraints.values(),
+                ws.queries.values(),
+                *(p.scope + p.pre + p.post + p.safe for p in ws.procedures.values()),
+            ),
+            {},
+        )
+        reserved = sorted(n for rel, attrs in named.items() for n in (rel, *attrs) if "@" in n)
     except KeyError as e:
         raise WorkspaceSyntaxError(1, 1, f"json: missing field {e.args[0]!r}") from None
     except (AttributeError, TypeError, ValueError) as e:
         raise WorkspaceSyntaxError(1, 1, f"json: malformed workspace: {e}") from None
-    named = demanded_attrs(
-        chain(
-            (StructureConstraint.of(r, a) for s in ws.schemas.values() for r, a in s.rels),
-            ws.constraints.values(),
-            ws.queries.values(),
-            *(p.scope + p.pre + p.post + p.safe for p in ws.procedures.values()),
-        ),
-        {},
-    )
-    reserved = sorted(n for rel, attrs in named.items() for n in (rel, *attrs) if "@" in n)
     if reserved:
         raise WorkspaceSyntaxError(
             1, 1, f"json: names containing @ are reserved for generated values: {reserved[0]!r}"
@@ -1158,22 +1178,23 @@ def workspace_from_json(obj: Mapping) -> Workspace:
     return ws
 
 
-def _attrs_from_json(relation: str, attrs) -> list[str]:
+def _names_from_json(names, what: str, *, distinct: bool = True) -> list[str]:
     if (
-        not isinstance(attrs, list)
-        or not all(isinstance(a, str) for a in attrs)
-        or len(set(attrs)) != len(attrs)
+        not isinstance(names, list)
+        or not all(isinstance(n, str) for n in names)
+        or (distinct and len(set(names)) != len(names))
     ):
-        raise WorkspaceSyntaxError(
-            1, 1, f"json: attributes of {relation!r} must be a list of distinct strings"
-        )
-    return attrs
+        kind = "distinct strings" if distinct else "strings"
+        raise WorkspaceSyntaxError(1, 1, f"json: {what} must be a list of {kind}")
+    return names
 
 
 def _workspace_from_json(obj: Mapping) -> Workspace:
     ws = Workspace()
     for name, rels in obj.get("schemas", {}).items():
-        ws.schemas[name] = Schema.of({rel: _attrs_from_json(rel, a) for rel, a in rels.items()})
+        ws.schemas[name] = Schema.of(
+            {rel: _names_from_json(a, f"attributes of {rel!r}") for rel, a in rels.items()}
+        )
     for name, spec in obj.get("instances", {}).items():
         schema_name = spec["schema"]
         if schema_name not in ws.schemas:
@@ -1205,7 +1226,7 @@ def _workspace_from_json(obj: Mapping) -> Workspace:
             name=name,
         )
     for name, steps in obj.get("sequences", {}).items():
-        for step in steps:
+        for step in _names_from_json(steps, f"steps of sequence {name!r}", distinct=False):
             if step not in ws.procedures:
                 raise ResolutionError(f"sequence {name!r} references unknown procedure {step!r}")
         ws.sequences[name] = tuple(steps)

@@ -43,10 +43,6 @@ class NotSafeSequence(WorkbenchError):
     """Operation requires a safe sequence of procedures."""
 
 
-class NotPositive(WorkbenchError):
-    """Operation requires a positive conditional instance (no inequalities)."""
-
-
 class MalformedParams(WorkbenchError):
     """Template parameters do not fit the requested template kind."""
 

@@ -302,7 +302,7 @@ class TestChaseCommands:
         n = LabeledNull("n")
         t = ConditionalInstance.of(
             Schema.of({"R": ["a"]}),
-            {"R": [(Row.of({"a": n}), CondEq(n, const(1))), (Row.of({"a": n}), TRUE)]},
+            {"R": [(Row.of({"a": n}), (CondEq(n, const(1)),)), (Row.of({"a": n}), TRUE)]},
         )
         assert render_ctable(t).splitlines()[1:] == ["  (?n)", "  (?n) | ?n = 1"]
         rows = cli._table_json(t)["rows"]["R"]
@@ -817,6 +817,38 @@ class TestArgumentErrors:
             {"schemas": {"S": {"R": "ab"}}},
             {"schemas": {"S": {"R": ["a", "b"], "T": ["a", "a"]}}},
             {"schemas": {"S": {"R": [1]}}},
+            {"constraints": {"c": {"kind": "struct", "relation": "R", "attributes": [1]}}},
+            {
+                "procedures": {
+                    "p": {"scope": [{"kind": "struct", "relation": "R", "attributes": "ab"}]}
+                }
+            },
+            {
+                "schemas": {"S": {"R": ["a"]}},
+                "instances": {"I": {"schema": "S", "rows": {"R": [[{"const": 5}]]}}},
+            },
+            {
+                "queries": {
+                    "q": {
+                        "kind": "cq",
+                        "atoms": [{"relation": "R", "bindings": {"a": {"var": 1}}}],
+                        "free": [],
+                        "existential": [],
+                    }
+                }
+            },
+            {"procedures": {"migrate": {}}, "sequences": {"fix": "migrate"}},
+            {
+                "queries": {
+                    "q": {
+                        "kind": "cq",
+                        "atoms": [{"relation": "R", "bindings": {"a": {"var": "x"}}}],
+                        "free": "x",
+                        "existential": [],
+                    }
+                }
+            },
+            {"queries": {"q": {"kind": "total", "relation": 5}}},
         ],
         ids=[
             "list",
@@ -826,6 +858,13 @@ class TestArgumentErrors:
             "attributes-as-a-string",
             "repeated-attribute",
             "attribute-not-a-string",
+            "struct-attribute-not-a-string",
+            "scope-attributes-as-a-string",
+            "value-not-a-string",
+            "variable-not-a-string",
+            "sequence-as-a-string",
+            "free-variables-as-a-string",
+            "relation-not-a-string",
         ],
     )
     def test_malformed_json_workspace_is_an_error(self, capsys, tmp_path, image):

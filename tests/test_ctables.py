@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 from dqworkbench import ctables
 from dqworkbench.ctables import (
     TRUE,
-    CondAnd,
     CondEq,
-    CondNeq,
-    CondOr,
     ConditionalInstance,
     LabeledNull,
     ScopedConditionalInstance,
@@ -18,17 +15,12 @@ from dqworkbench.ctables import (
     cond_and,
     cond_eval,
     condition_entails,
+    condition_satisfiable,
     enumerate_minimal,
-    positive_condition_satisfiable,
     render_ctable,
     rep_contains,
 )
-from dqworkbench.errors import (
-    BudgetExceeded,
-    DomainMismatch,
-    NotPositive,
-    PartialValuation,
-)
+from dqworkbench.errors import BudgetExceeded, DomainMismatch, PartialValuation
 from dqworkbench.model import Instance, Row, Schema, const, instance_extends
 
 from .conftest import visit
@@ -49,47 +41,39 @@ def r_instance(*tokens) -> Instance:
 
 class TestConditions:
     def test_eval_is_three_valued(self):
-        c = CondEq(N1, const(2))
+        c = (CondEq(N1, const(2)),)
         assert cond_eval(c, {N1: const(2)}) is True
         assert cond_eval(c, {N1: const(3)}) is False
         assert cond_eval(c, {}) is None
 
     def test_and_or_shortcut_on_partial_assignments(self):
-        c = CondAnd((CondEq(N1, const(1)), CondEq(N2, const(2))))
+        # a conjunction: one false equality decides it, an open one leaves it open
+        c = (CondEq(N1, const(1)), CondEq(N2, const(2)))
         assert cond_eval(c, {N1: const(3)}) is False
         assert cond_eval(c, {N1: const(1)}) is None
-        d = CondOr((CondEq(N1, const(1)), CondEq(N2, const(2))))
-        assert cond_eval(d, {N1: const(1)}) is True
-        assert cond_eval(d, {N1: const(3)}) is None
+        assert cond_eval(c, {N1: const(1), N2: const(2)}) is True
+        assert cond_eval(TRUE, {}) is True
 
     def test_cond_and_flattens_and_dedupes(self):
         a = CondEq(N1, const(1))
         assert cond_and([]) == TRUE
-        assert cond_and([TRUE, a]) == a
-        assert cond_and([a, CondAnd((a, CondEq(N2, N1)))]) == CondAnd(
-            (a, CondEq(N2, N1))
-        )
+        assert cond_and([TRUE, (a,)]) == (a,)
+        assert cond_and([(a,), (a, CondEq(N2, N1))]) == (a, CondEq(N2, N1))
 
     def test_positive_satisfiability_uses_equality_closure(self):
-        sat = CondAnd((CondEq(N1, N2), CondEq(N2, const(1))))
-        unsat = CondAnd((CondEq(N1, N2), CondEq(N2, const(1)), CondEq(N1, const(2))))
-        assert positive_condition_satisfiable(sat)
-        assert not positive_condition_satisfiable(unsat)
-        rescued = CondOr((unsat, CondEq(N1, const(3))))
-        assert positive_condition_satisfiable(rescued)
-
-    def test_satisfiability_rejects_inequalities(self):
-        with pytest.raises(NotPositive):
-            positive_condition_satisfiable(CondNeq(N1, const(1)))
+        sat = (CondEq(N1, N2), CondEq(N2, const(1)))
+        unsat = (CondEq(N1, N2), CondEq(N2, const(1)), CondEq(N1, const(2)))
+        assert condition_satisfiable(sat)
+        assert condition_satisfiable(TRUE)
+        assert not condition_satisfiable(unsat)
 
     def test_entailment_is_syntactic_and_safe(self):
         a = CondEq(N1, const(1))
         b = CondEq(N2, const(2))
-        assert condition_entails(a, TRUE)
-        assert condition_entails(CondAnd((a, b)), a)
-        assert not condition_entails(a, CondAnd((a, b)))
-        assert not condition_entails(a, CondOr((a, b)))
-        assert not condition_entails(CondNeq(N1, const(1)), a)
+        assert condition_entails((a,), TRUE)
+        assert condition_entails((a, b), (a,))
+        assert not condition_entails((a,), (a, b))
+        assert not condition_entails(TRUE, (a,))
 
 
 class TestTableBasics:
@@ -105,25 +89,15 @@ class TestTableBasics:
 
     def test_from_instance_round_trips_under_empty_valuation(self, instance_i):
         t = ConditionalInstance.from_instance(instance_i)
-        assert t.is_positive
         assert t.nulls() == frozenset()
         assert apply_valuation(t, {}) == instance_i
-
-    def test_positivity_flags_inequalities(self):
-        t = r_table((Row.of({"a": N1}), CondNeq(N1, const(1))))
-        assert not t.is_positive
 
 
 class TestApplyValuation:
     def test_condition_selects_the_tuple(self):
-        t = r_table((Row.of({"a": N1}), CondEq(N1, const(2))))
+        t = r_table((Row.of({"a": N1}), (CondEq(N1, const(2)),)))
         assert apply_valuation(t, {N1: const(2)}) == r_instance(2)
         assert apply_valuation(t, {N1: const(3)}) == r_instance()
-
-    def test_inequality_drops_the_tuple(self):
-        t = r_table((Row.of({"a": N1}), CondNeq(N1, N2)))
-        assert apply_valuation(t, {N1: const(1), N2: const(1)}) == r_instance()
-        assert apply_valuation(t, {N1: const(1), N2: const(2)}) == r_instance(1)
 
     def test_missing_nulls_are_rejected(self):
         t = r_table((Row.of({"a": N1}), TRUE))
@@ -131,7 +105,7 @@ class TestApplyValuation:
             apply_valuation(t, {})
 
     def test_condition_only_nulls_still_need_values(self):
-        t = r_table((Row.of({"a": const(1)}), CondEq(N2, const(5))))
+        t = r_table((Row.of({"a": const(1)}), (CondEq(N2, const(5)),)))
         with pytest.raises(PartialValuation):
             apply_valuation(t, {})
         assert apply_valuation(t, {N2: const(5)}) == r_instance(1)
@@ -174,7 +148,7 @@ class TestRepContains:
     def test_conditional_row_may_be_dropped(self):
         t = r_table(
             (Row.of({"a": const(1)}), TRUE),
-            (Row.of({"a": N1}), CondEq(N1, const(2))),
+            (Row.of({"a": N1}), (CondEq(N1, const(2)),)),
         )
         assert rep_contains(t, r_instance(1))
         assert rep_contains(t, r_instance(1, 2))
@@ -263,7 +237,7 @@ class TestEnumerateMinimal:
     def test_conditional_tuple_drops_out_of_the_minimum(self):
         t = r_table(
             (Row.of({"a": const(1)}), TRUE),
-            (Row.of({"a": N1}), CondEq(N1, const(2))),
+            (Row.of({"a": N1}), (CondEq(N1, const(2)),)),
         )
         assert enumerate_minimal(t) == frozenset({r_instance(1)})
 
@@ -275,15 +249,8 @@ class TestEnumerateMinimal:
         t = r_table((Row.of({"a": N1}), TRUE), (Row.of({"a": N2}), TRUE))
         assert enumerate_minimal(t) == frozenset({r_instance("@fresh0")})
 
-    def test_inequality_row_collapses_away_in_the_minimum(self):
-        t = r_table(
-            (Row.of({"a": N1}), TRUE),
-            (Row.of({"a": N2}), CondNeq(N1, N2)),
-        )
-        assert enumerate_minimal(t) == frozenset({r_instance("@fresh0")})
-
     def test_condition_that_can_fail_leaves_the_empty_instance(self):
-        t = r_table((Row.of({"a": N1}), CondEq(N1, const(1))))
+        t = r_table((Row.of({"a": N1}), (CondEq(N1, const(1)),)))
         assert enumerate_minimal(t) == frozenset({r_instance()})
 
     def test_shared_null_across_relations(self):
@@ -304,7 +271,7 @@ class TestEnumerateMinimal:
     def test_minimal_members_belong_to_the_represented_set(self):
         t = r_table(
             (Row.of({"a": N1}), TRUE),
-            (Row.of({"a": N2}), CondNeq(N1, N2)),
+            (Row.of({"a": N2}), (CondEq(N1, N2), CondEq(N2, const(1)))),
         )
         for m in enumerate_minimal(t):
             assert rep_contains(t, m)
@@ -325,7 +292,7 @@ class TestRendering:
     def test_render_lists_conditions_after_a_bar(self):
         t = ConditionalInstance.of(
             Schema.of({"R": ["a"], "S": ["b"]}),
-            {"R": [(Row.of({"a": N1}), CondEq(N1, const(2)))]},
+            {"R": [(Row.of({"a": N1}), (CondEq(N1, const(2)),))]},
         )
         assert render_ctable(t) == "\n".join(
             ["R(a):", "  (?n1) | ?n1 = 2", "S(b):", "  (empty)"]
@@ -335,11 +302,11 @@ class TestRendering:
 simple_conditions = st.sampled_from(
     [
         TRUE,
-        CondEq(N1, const(1)),
-        CondEq(N1, N2),
-        CondNeq(N1, const(2)),
-        CondAnd((CondEq(N1, const(1)), CondNeq(N2, const(1)))),
-        CondOr((CondEq(N1, const(1)), CondEq(N2, const(2)))),
+        (CondEq(N1, const(1)),),
+        (CondEq(N1, N2),),
+        (CondEq(N2, const(2)),),
+        (CondEq(N1, const(1)), CondEq(N2, const(1))),
+        (CondEq(N1, const(1)), CondEq(N2, const(2))),
     ]
 )
 

@@ -5,8 +5,9 @@ brute-force references, the residual clause against the joint
 residual query, the workspace lexer against the reference tokenizer,
 size-ordered minimality and the oracle's up-front meter against the
 all-pairs test and the candidate totals they replace, the oracle's staged
-clause checks against the literal enumerator, and the minimal schema as a
-lower bound on the oracle's outcome schemas.
+clause checks against the literal enumerator, the minimal schema as a
+lower bound on the oracle's outcome schemas, and c-table conditions
+against brute-force valuations.
 
 The module-level *_EXAMPLES constants are the configured case counts; the
 acceptance suite checks the sum of the first four.
@@ -54,11 +55,14 @@ from dqworkbench.constraints import (
 from dqworkbench.ctables import (
     TRUE,
     CondEq,
-    CondNeq,
     ConditionalInstance,
     LabeledNull,
     apply_valuation,
     cond_and,
+    cond_eval,
+    condition_entails,
+    condition_nulls,
+    condition_satisfiable,
     enumerate_minimal,
     fresh_null_valuation,
     render_ctable,
@@ -111,6 +115,7 @@ LEXER_EXAMPLES = 500
 MINIMALITY_EXAMPLES = 300
 MIN_SCHEMA_SOUNDNESS_EXAMPLES = 300
 STAGED_ORACLE_EXAMPLES = 200
+CONDITION_EXAMPLES = 300
 
 # The candidates the oracle charges for Figure 1's `migrate, migrate` with
 # budget extra=1,tuples=1: the total the per-candidate meter reached.
@@ -124,11 +129,9 @@ CONSTS = tuple(const(k) for k in range(3))
 
 cell_st = st.one_of(st.sampled_from(CONSTS), st.sampled_from(NULLS))
 
-_leaf_cond_st = st.one_of(
-    st.just(TRUE),
-    st.builds(CondEq, st.sampled_from(NULLS), st.one_of(st.sampled_from(CONSTS), st.sampled_from(NULLS))),
-    st.builds(CondNeq, st.sampled_from(NULLS), st.sampled_from(CONSTS)),
-)
+eq_st = st.builds(CondEq, st.sampled_from(NULLS), cell_st)
+
+_leaf_cond_st = st.one_of(st.just(TRUE), eq_st.map(lambda eq: (eq,)))
 
 cond_st = st.one_of(
     _leaf_cond_st,
@@ -166,6 +169,34 @@ def test_valuation_images_plus_extra_rows_stay_represented(t, data):
             )
     j = Instance.of(REP_SCHEMA, grown)
     assert rep_contains(t, j)
+
+
+# every value a null can take that makes a difference to the conditions
+# cond_st draws: their constants, plus one fresh value per null
+_CONDITION_POOL = CONSTS + tuple(const(f"fresh{k}") for k in range(len(NULLS)))
+_FULL_VALUATIONS = [
+    dict(zip(NULLS, combo)) for combo in itertools.product(_CONDITION_POOL, repeat=len(NULLS))
+]
+conjunction_st = st.lists(eq_st, max_size=3).map(lambda eqs: cond_and([tuple(eqs)]))
+
+
+@settings(max_examples=CONDITION_EXAMPLES, deadline=None)
+@given(
+    a=conjunction_st,
+    b=conjunction_st,
+    partial=st.dictionaries(st.sampled_from(NULLS), st.sampled_from(_CONDITION_POOL)),
+)
+def test_conditions_agree_with_brute_force_valuations(a, b, partial):
+    satisfying = [v for v in _FULL_VALUATIONS if cond_eval(a, v) is True]
+    assert condition_satisfiable(a) == bool(satisfying)
+    if condition_entails(a, b):
+        assert all(cond_eval(b, v) is True for v in satisfying)
+    verdict = cond_eval(a, partial)
+    if verdict is None:
+        assert set(condition_nulls(a)) - partial.keys()
+    else:
+        completions = [v for v in _FULL_VALUATIONS if partial.items() <= v.items()]
+        assert all(cond_eval(a, v) is verdict for v in completions)
 
 
 def _stamp_tgd(src: str, dst: str, k: int) -> Tgd:

@@ -58,6 +58,16 @@ Every name must be declared before it is used. The closing dot of an
 `exists` list must be separated from a following dotted variable name by
 whitespace.
 
+A template call lists its parameters (`procedures.TEMPLATE_KINDS`) in
+`;`-separated groups, with `,` inside a group:
+
+    alter_table(relation; attributes)
+    data_exchange(dependency names)
+    attribute_copy(target, source; keys; attribute)
+    null_scrub(relation; attribute) or null_scrub(relation; attribute; kept attributes)
+    sql_insert(relation; columns; values) or sql_insert(relation; columns; query name)
+    sql_delete(relation; condition)
+
 The JSON mirror (`.dq.json`) carries the same constructs one-to-one;
 `load_workspace` picks the format by file extension.
 """
@@ -111,7 +121,7 @@ from .model import (
     null_marker,
     number_rule,
 )
-from .procedures import Procedure, instantiate_template
+from .procedures import TEMPLATE_KINDS, Procedure, instantiate_template
 
 TOP_KEYWORDS = ("schema", "instance", "tgd", "egd", "struct", "proc", "query", "seq")
 RESERVED_WORDS = frozenset(
@@ -119,6 +129,7 @@ RESERVED_WORDS = frozenset(
     + ("rel", "scope", "pre", "post", "safe", "total", "filtered", "cq", "where",
        "exists", "and", "or", "not", "true", "template", "nonnull")
 )
+_CONSTRAINT_WORDS = ("tgd", "egd", "struct")
 
 
 @dataclass(frozen=True)
@@ -231,9 +242,9 @@ _T = TypeVar("_T")
 
 
 class _Parser:
-    def __init__(self, text: str, tokens: list[_Token] | None = None):
+    def __init__(self, text: str):
         self.text = text
-        tokens = _tokenize(text) if tokens is None else tokens
+        tokens = _tokenize(text)
         # "found end of file" points at the last token, or at the text's start
         self.tokens = tokens + [_Token("end", "", tokens[-1].pos if tokens else 0)]
         self.pos = 0
@@ -319,7 +330,10 @@ class _Parser:
             tok = self._next()
             if tok.kind != "ident" or tok.text not in TOP_KEYWORDS:
                 self._fail(tok, f"one of {', '.join(TOP_KEYWORDS)}")
-            getattr(self, f"_parse_{tok.text}")()
+            if tok.text in _CONSTRAINT_WORDS:
+                self._parse_named_constraint(tok.text)
+            else:
+                getattr(self, f"_parse_{tok.text}")()
         return self.ws
 
     # declarations
@@ -413,54 +427,35 @@ class _Parser:
         self.values[key] = value
         return value
 
-    def _parse_tgd(self):
-        name = self._name("dependency name")
+    def _parse_named_constraint(self, kind: str):
+        name = self._name("constraint name" if kind == "struct" else "dependency name")
         self._declare(self.ws.constraints, name, "constraint")
         self._punct(":")
-        self.ws.constraints[name.text] = self._parse_tgd_body(name)
+        self.ws.constraints[name.text] = self._parse_constraint_body(kind, name)
 
-    def _parse_tgd_body(self, at: _Token) -> Tgd:
+    def _parse_constraint_body(self, kind: str, at: _Token) -> Constraint:
+        """A tgd, egd or structure constraint after its keyword; `at`
+        locates a dependency's shape error."""
+        if kind == "struct":
+            return self._parse_struct_body()
         body_atoms = self._parse_atom_list()
         self._punct("->")
-        head_atoms = self._parse_atom_list()
-        return self._build_tgd(body_atoms, head_atoms, at)
-
-    def _build_tgd(self, body_atoms: list[Atom], head_atoms: list[Atom], at: _Token) -> Tgd:
-        body_vars = frozenset(v for a in body_atoms for v in a.vars)
-        head_vars = frozenset(v for a in head_atoms for v in a.vars)
-        body = ConjunctiveQuery(tuple(body_atoms), tuple(sorted(body_vars)), frozenset())
-        head = ConjunctiveQuery(
-            tuple(head_atoms), tuple(sorted(head_vars & body_vars)), head_vars - body_vars
-        )
-        try:
-            return Tgd(body, head)
-        except DomainMismatch as e:
-            raise self._error(at, str(e))
-
-    def _parse_egd(self):
-        name = self._name("dependency name")
-        self._declare(self.ws.constraints, name, "constraint")
-        self._punct(":")
-        self.ws.constraints[name.text] = self._parse_egd_body(name)
-
-    def _parse_egd_body(self, at: _Token) -> Egd:
-        body_atoms = self._parse_atom_list()
-        self._punct("->")
-        x = self._name("a variable")
-        self._punct("=")
-        y = self._name("a variable")
         body_vars = frozenset(v for a in body_atoms for v in a.vars)
         body = ConjunctiveQuery(tuple(body_atoms), tuple(sorted(body_vars)), frozenset())
+        if kind == "egd":
+            x = self._name("a variable")
+            self._punct("=")
+            equated = (Var(x.text), Var(self._name("a variable").text))
+        else:
+            head_atoms = self._parse_atom_list()
+            head_vars = frozenset(v for a in head_atoms for v in a.vars)
+            head = ConjunctiveQuery(
+                tuple(head_atoms), tuple(sorted(head_vars & body_vars)), head_vars - body_vars
+            )
         try:
-            return Egd(body, (Var(x.text), Var(y.text)))
+            return Egd(body, equated) if kind == "egd" else Tgd(body, head)
         except DomainMismatch as e:
             raise self._error(at, str(e))
-
-    def _parse_struct(self):
-        name = self._name("constraint name")
-        self._declare(self.ws.constraints, name, "constraint")
-        self._punct(":")
-        self.ws.constraints[name.text] = self._parse_struct_body()
 
     def _parse_struct_body(self) -> StructureConstraint:
         rel = self._name("relation name")
@@ -643,13 +638,9 @@ class _Parser:
 
     def _parse_constraint_entry(self) -> Constraint:
         tok = self._next()
-        if tok.kind != "ident" or tok.text not in ("tgd", "egd", "struct"):
+        if tok.kind != "ident" or tok.text not in _CONSTRAINT_WORDS:
             self._fail(tok, "tgd, egd, or struct")
-        if tok.text == "tgd":
-            return self._parse_tgd_body(tok)
-        if tok.text == "egd":
-            return self._parse_egd_body(tok)
-        return self._parse_struct_body()
+        return self._parse_constraint_body(tok.text, tok)
 
     def _parse_safe_entry(self) -> Query:
         if self._at_word("total") or self._at_word("filtered"):
@@ -661,124 +652,53 @@ class _Parser:
 
     def _parse_template(self, name: _Token) -> Procedure:
         kind = self._name("template kind")
+        if kind.text not in TEMPLATE_KINDS:
+            raise self._error(kind, f"unknown template kind {kind.text!r}")
+        template = TEMPLATE_KINDS[kind.text]
         self._punct("(")
-        groups: list[list[_Token]] = [[]]
-        depth = 0
-        while True:
-            tok = self._peek()
-            if tok.kind == "end":
-                raise self._error(name, "unterminated template call")
-            if tok.kind == "punct" and tok.text == "(":
-                depth += 1
-            if tok.kind == "punct" and tok.text == ")":
-                if depth == 0:
-                    self._punct(")")
-                    break
-                depth -= 1
-            if tok.kind == "punct" and tok.text == ";" and depth == 0:
-                self._punct(";")
-                groups.append([])
-                continue
-            groups[-1].append(self._next())
+        read: list[tuple[str, str, object]] = []
+        for i, group in enumerate(template.groups):
+            if i >= len(template.groups) - template.optional and self._at_punct(")"):
+                break
+            for j, (key, shape) in enumerate(group.items()):
+                if i or j:
+                    self._punct("," if j else ";")
+                read.append((key, shape, self._template_argument(shape)))
+        self._punct(")")
+        params: dict = {"name": name.text}
+        # names resolve only after the ')', so a malformed call fails on its syntax first
+        for key, shape, value in read:
+            if shape == "dependencies":
+                value = [self._referenced(self.ws.constraints, t, "dependency") for t in value]
+            elif isinstance(value, _Token):
+                key, value = "query", self._referenced(self.ws.queries, value, "query")
+            params[key] = value
         try:
-            params = self._template_params(kind, groups, name)
-            return instantiate_template(kind.text, {**params, "name": name.text})
+            return instantiate_template(kind.text, params)
         except MalformedParams as e:
             raise self._error(name, f"template {kind.text}: {e}")
 
-    def _template_params(self, kind: _Token, groups: list[list[_Token]], name: _Token) -> dict:
-        def idents(group: list[_Token], what: str) -> list[str]:
-            out = []
-            expect_comma = False
-            for tok in group:
-                if expect_comma:
-                    if tok.kind != "punct" or tok.text != ",":
-                        self._fail(tok, "','")
-                    expect_comma = False
-                    continue
-                if tok.kind != "ident" or tok.text in RESERVED_WORDS:
-                    self._fail(tok, what)
-                out.append(tok.text)
-                expect_comma = True
-            if not out or not expect_comma:
-                raise self._error(name, f"expected {what} in template call")
-            return out
+    def _template_argument(self, shape: str):
+        """One template parameter of `shape` (see `procedures.Template`); a
+        name that refers to a declaration comes back as its token."""
+        if shape in ("relation", "attribute"):
+            return self._name(f"{shape} name").text
+        if shape == "attributes":
+            return [t.text for t in self._comma_list(self._name, "attribute name")]
+        if shape == "dependencies":
+            return self._comma_list(self._name, "dependency name")
+        if shape == "condition":
+            return self._parse_condition()
+        if self._at_word("query"):
+            self._next()
+            return self._ident("query name")
+        return self._comma_list(self._parse_value)
 
-        def single(group: list[_Token], what: str) -> str:
-            items = idents(group, what)
-            if len(items) != 1:
-                raise self._error(name, f"expected exactly one {what}")
-            return items[0]
-
-        def group_count(expected: str, *counts: int):
-            if len(groups) not in counts:
-                raise self._error(
-                    name, f"template {kind.text} takes {expected}, got {len(groups)} argument groups"
-                )
-
-        if kind.text == "alter_table":
-            group_count("(relation; attributes)", 2)
-            return {"relation": single(groups[0], "a relation"), "attributes": idents(groups[1], "an attribute")}
-        if kind.text == "data_exchange":
-            group_count("(dependency names)", 1)
-            deps = []
-            for dep_name in idents(groups[0], "a dependency name"):
-                if dep_name not in self.ws.constraints:
-                    raise ResolutionError(f"template references unknown dependency {dep_name!r}")
-                deps.append(self.ws.constraints[dep_name])
-            return {"dependencies": deps}
-        if kind.text == "attribute_copy":
-            group_count("(target, source; keys; attribute)", 3)
-            pair = idents(groups[0], "target and source relations")
-            if len(pair) != 2:
-                raise self._error(name, "expected target and source relations")
-            return {
-                "target": pair[0],
-                "source": pair[1],
-                "keys": idents(groups[1], "a key attribute"),
-                "attribute": single(groups[2], "an attribute"),
-            }
-        if kind.text == "null_scrub":
-            group_count("(relation; attribute) or (relation; attribute; kept attributes)", 2, 3)
-            params = {
-                "relation": single(groups[0], "a relation"),
-                "attribute": single(groups[1], "an attribute"),
-            }
-            if len(groups) == 3:
-                params["keep"] = idents(groups[2], "a kept attribute")
-            return params
-        if kind.text == "sql_insert":
-            group_count("(relation; columns; values or query reference)", 3)
-            params = {
-                "relation": single(groups[0], "a relation"),
-                "columns": idents(groups[1], "a column"),
-            }
-            last = groups[2]
-            if last and last[0].kind == "ident" and last[0].text == "query":
-                if len(last) != 2 or last[1].kind != "ident":
-                    raise self._error(name, "expected query <name>")
-                qname = last[1].text
-                if qname not in self.ws.queries:
-                    raise ResolutionError(f"template references unknown query {qname!r}")
-                q = self.ws.queries[qname]
-                if not isinstance(q, ConjunctiveQuery):
-                    raise self._error(name, f"query {qname!r} must be a conjunctive query")
-                params["query"] = q
-                return params
-            sub = _Parser(self.text, last)
-            values = sub._comma_list(sub._parse_value)
-            if sub._peek().kind != "end":
-                self._fail(sub._peek(), "','")
-            params["values"] = values
-            return params
-        if kind.text == "sql_delete":
-            group_count("(relation; condition)", 2)
-            sub = _Parser(self.text, groups[1])
-            condition = sub._parse_condition()
-            if sub._peek().kind != "end":
-                self._fail(sub._peek(), "end of condition")
-            return {"relation": single(groups[0], "a relation"), "condition": condition}
-        raise self._error(kind, f"unknown template kind {kind.text!r}")
+    def _referenced(self, table: dict, tok: _Token, what: str):
+        """The declaration in `table` that a template call names with `tok`."""
+        if tok.text not in table:
+            raise ResolutionError(f"template references unknown {what} {tok.text!r}")
+        return table[tok.text]
 
     # sequences
 
@@ -1000,10 +920,14 @@ def _term_to_json(t) -> dict:
     return cell_to_json(t)
 
 
-def _var_from_json(name) -> Var:
+def _str_from_json(name, what: str) -> str:
     if not isinstance(name, str):
-        raise WorkspaceSyntaxError(1, 1, f"json: bad variable name {name!r}")
-    return Var(name)
+        raise WorkspaceSyntaxError(1, 1, f"json: bad {what} {name!r}")
+    return name
+
+
+def _var_from_json(name) -> Var:
+    return Var(_str_from_json(name, "variable name"))
 
 
 def _term_from_json(obj):
@@ -1058,10 +982,15 @@ def _condition_from_json(obj) -> BooleanCondition:
     kind = obj["kind"]
     if kind == "cmp":
         rhs = obj["rhs"]
-        rhs_val = rhs["attr"] if isinstance(rhs, Mapping) and set(rhs) == {"attr"} else _value_from_json(rhs)
-        return Comparison(obj["lhs"], obj["op"], rhs_val)
+        if isinstance(rhs, Mapping) and set(rhs) == {"attr"}:
+            rhs = _str_from_json(rhs["attr"], "attribute name")
+        else:
+            rhs = _value_from_json(rhs)
+        return Comparison(_str_from_json(obj["lhs"], "attribute name"), obj["op"], rhs)
     if kind == "not":
         return Not(_condition_from_json(obj["item"]))
+    if kind not in ("and", "or") or not isinstance(obj["items"], list):
+        raise WorkspaceSyntaxError(1, 1, f"json: bad condition {obj!r}")
     items = tuple(_condition_from_json(item) for item in obj["items"])
     return And(items) if kind == "and" else Or(items)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import Incompatible, MalformedParams
 from .model import Instance, Schema, Value
@@ -487,7 +487,9 @@ def _template_sql_insert(params: Mapping) -> Procedure:
     if "query" in params and "values" in params:
         raise MalformedParams("insert takes a query or values, not both")
     if "query" in params:
-        q: ConjunctiveQuery = params["query"]
+        q = params["query"]
+        if not isinstance(q, ConjunctiveQuery):
+            raise MalformedParams("the insert query must be a conjunctive query")
         if len(q.free) != len(columns):
             raise MalformedParams(
                 f"query arity {len(q.free)} does not match {len(columns)} columns"
@@ -538,13 +540,29 @@ def _template_sql_delete(params: Mapping) -> Procedure:
     )
 
 
+class Template(NamedTuple):
+    """A stock procedure shape: its builder, and its parameters in the order
+    a template call lists them, as `;`-separated groups. A group maps its
+    parameters, separated by ',', to their shape: one "relation" or
+    "attribute" name, a comma list of "attributes" or of "dependencies"
+    names, a comma list of "values" (or `query` and a query name), or a
+    "condition". The last `optional` groups may be left out."""
+
+    build: Callable[[Mapping], Procedure]
+    groups: tuple[Mapping[str, str], ...]
+    optional: int = 0
+
+
 TEMPLATE_KINDS = {
-    "data_exchange": _template_data_exchange,
-    "alter_table": _template_alter_table,
-    "attribute_copy": _template_attribute_copy,
-    "null_scrub": _template_null_scrub,
-    "sql_insert": _template_sql_insert,
-    "sql_delete": _template_sql_delete,
+    "data_exchange": Template(_template_data_exchange, ({"dependencies": "dependencies"},)),
+    "alter_table": Template(_template_alter_table, ({"relation": "relation"}, {"attributes": "attributes"})),
+    "attribute_copy": Template(_template_attribute_copy, (
+        {"target": "relation", "source": "relation"}, {"keys": "attributes"}, {"attribute": "attribute"})),
+    "null_scrub": Template(_template_null_scrub, (
+        {"relation": "relation"}, {"attribute": "attribute"}, {"keep": "attributes"}), optional=1),
+    "sql_insert": Template(_template_sql_insert, (
+        {"relation": "relation"}, {"columns": "attributes"}, {"values": "values"})),
+    "sql_delete": Template(_template_sql_delete, ({"relation": "relation"}, {"condition": "condition"})),
 }
 
 
@@ -555,6 +573,6 @@ def instantiate_template(kind: str, params: Mapping) -> Procedure:
             f"unknown template {kind!r}; expected one of {sorted(TEMPLATE_KINDS)}"
         )
     try:
-        return TEMPLATE_KINDS[kind](params)
+        return TEMPLATE_KINDS[kind].build(params)
     except KeyError as e:
         raise MalformedParams(f"template {kind} is missing parameter {e.args[0]!r}") from e

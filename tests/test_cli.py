@@ -849,6 +849,17 @@ class TestArgumentErrors:
                 }
             },
             {"queries": {"q": {"kind": "total", "relation": 5}}},
+            *(
+                {
+                    "schemas": {"S": {"R": ["a"]}},
+                    "queries": {"q": {"kind": "filtered", "relation": "R", "condition": condition}},
+                }
+                for condition in (
+                    {"kind": "cmp", "lhs": 1, "op": "=", "rhs": {"const": "1"}},
+                    {"kind": "cmp", "lhs": "a", "op": "=", "rhs": {"attr": 1}},
+                    {"kind": "xor", "items": []},
+                )
+            ),
         ],
         ids=[
             "list",
@@ -865,6 +876,9 @@ class TestArgumentErrors:
             "sequence-as-a-string",
             "free-variables-as-a-string",
             "relation-not-a-string",
+            "condition-lhs-not-a-string",
+            "condition-attr-not-a-string",
+            "condition-kind-unknown",
         ],
     )
     def test_malformed_json_workspace_is_an_error(self, capsys, tmp_path, image):

@@ -313,7 +313,8 @@ class TestTemplates:
     def test_template_parameter_errors_carry_positions(self):
         with pytest.raises(WorkspaceSyntaxError) as e:
             parse_workspace("proc p = template alter_table(R)")
-        assert "argument groups" in str(e.value)
+        assert (e.value.line, e.value.col) == (1, 32)
+        assert e.value.reason == "expected ';', found ')'"
         with pytest.raises(WorkspaceSyntaxError) as e:
             parse_workspace("proc p = template nope(R; a)")
         assert "unknown template kind" in str(e.value)

@@ -6,8 +6,9 @@ residual query, the workspace lexer against the reference tokenizer,
 size-ordered minimality and the oracle's up-front meter against the
 all-pairs test and the candidate totals they replace, the oracle's staged
 clause checks against the literal enumerator, the minimal schema as a
-lower bound on the oracle's outcome schemas, and c-table conditions
-against brute-force valuations.
+lower bound on the oracle's outcome schemas, c-table conditions against
+brute-force valuations, template calls against their instantiation, and
+mutated JSON workspaces against the CLI's exit codes.
 
 The module-level *_EXAMPLES constants are the configured case counts; the
 acceptance suite checks the sum of the first four.
@@ -15,9 +16,14 @@ acceptance suite checks the sum of the first four.
 
 from __future__ import annotations
 
+import copy
+import functools
+import io
 import itertools
 import json
+import operator
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,13 +38,17 @@ from dqworkbench.chase import (
 )
 from dqworkbench import constraints
 from dqworkbench.analyzer import Failure, min_schema
+from dqworkbench.cli import run_command
 from dqworkbench.constraints import (
+    And,
     Comparison,
     ConjunctiveQuery,
     ConstantAtom,
     Egd,
     FilteredTotalQuery,
     NamedAtom,
+    Not,
+    Or,
     StructureConstraint,
     Tgd,
     TotalConjQuery,
@@ -77,7 +87,13 @@ from dqworkbench.dsl import (
     workspace_from_json,
     workspace_to_json,
 )
-from dqworkbench.errors import BudgetExceeded, Incompatible, WorkspaceSyntaxError
+from dqworkbench.errors import (
+    BudgetExceeded,
+    Incompatible,
+    MalformedParams,
+    WorkbenchError,
+    WorkspaceSyntaxError,
+)
 from dqworkbench.model import (
     Instance,
     Row,
@@ -90,6 +106,7 @@ from dqworkbench.model import (
 from dqworkbench.oracle import Budget, enumerate_outcomes, minimal_outcomes
 from dqworkbench.procedures import (
     RESIDUAL_MODES,
+    TEMPLATE_KINDS,
     Procedure,
     instantiate_template,
     is_possible_outcome,
@@ -116,6 +133,8 @@ MINIMALITY_EXAMPLES = 300
 MIN_SCHEMA_SOUNDNESS_EXAMPLES = 300
 STAGED_ORACLE_EXAMPLES = 200
 CONDITION_EXAMPLES = 300
+TEMPLATE_EXAMPLES = 200
+JSON_MUTATION_EXAMPLES = 150
 
 # The candidates the oracle charges for Figure 1's `migrate, migrate` with
 # budget extra=1,tuples=1: the total the per-candidate meter reached.
@@ -781,3 +800,173 @@ def test_min_schema_bounds_every_oracle_outcome(case):
         assert not outs
     else:
         assert all(schema_extends(j.schema, req.schema) for j in outs)
+
+
+# --- template calls against their instantiation ---------------------------------
+
+TEMPLATE_DECLARATIONS = (
+    "tgd d0 : R(a: x) -> T(a: x)\n"
+    "tgd d1 : R(b: x) -> U(b: x, c: y)\n"
+    "tgd d2 : T(a: x) -> R(a: x)\n"
+    "egd d3 : R(a: x) and R(a: y) -> x = y\n"
+    "query q1(x) : exists y . T(a: x, b: y)\n"
+    "query q2(x, y) : T(a: x, b: y)\n"
+    "query q3 : total T\n"
+)
+TEMPLATE_SCOPE = parse_workspace(TEMPLATE_DECLARATIONS)
+
+template_name_st = st.builds(
+    lambda head, tail, dotted: head + tail + dotted,
+    st.sampled_from("aRT_x"),
+    st.text("ab1_", max_size=3),
+    st.sampled_from(["", ".b"]),
+).filter(lambda name: name not in dsl.RESERVED_WORDS)
+
+# (text, value) pairs: constants and nulls; bare names are constants only in value lists
+template_literal_st = st.one_of(
+    st.integers(-20, 20).map(lambda n: (str(n), const(n))),
+    st.text("ab ", max_size=3).map(lambda s: (f'"{s}"', const(s))),
+    st.text("ab1", min_size=1, max_size=3).map(lambda s: (f"?{s}", null_marker(s))),
+)
+template_value_st = st.one_of(template_literal_st, template_name_st.map(lambda s: (s, const(s))))
+
+
+def _joined(op: str, items: list) -> tuple:
+    text = f" {op} ".join(f"({t})" for t, _ in items)
+    return text, (And if op == "and" else Or)(tuple(c for _, c in items))
+
+
+# (text, condition) pairs for `sql_delete`
+template_condition_st = st.recursive(
+    st.builds(
+        lambda lhs, op, rhs: (f"{lhs} {op} {rhs[0]}", Comparison(lhs, op, rhs[1])),
+        template_name_st,
+        st.sampled_from(["=", "!="]),
+        st.one_of(template_name_st.map(lambda s: (s, s)), template_literal_st),
+    ),
+    lambda sub: st.one_of(
+        sub.map(lambda tc: (f"not ({tc[0]})", Not(tc[1]))),
+        st.builds(_joined, st.sampled_from(["and", "or"]), st.lists(sub, min_size=2, max_size=3)),
+    ),
+    max_leaves=4,
+)
+
+
+def template_argument_st(key: str, shape: str):
+    """(text, parameter, value) for one parameter of a template call."""
+    names = st.lists(template_name_st, min_size=1, max_size=3)
+    if shape in ("relation", "attribute"):
+        return template_name_st.map(lambda s: (s, key, s))
+    if shape == "attributes":
+        return names.map(lambda ns: (", ".join(ns), key, ns))
+    if shape == "dependencies":
+        deps = st.lists(st.sampled_from(sorted(TEMPLATE_SCOPE.constraints)), min_size=1, max_size=3)
+        return deps.map(lambda ns: (", ".join(ns), key, [TEMPLATE_SCOPE.constraints[n] for n in ns]))
+    if shape == "condition":
+        return template_condition_st.map(lambda tc: (tc[0], key, tc[1]))
+    values = st.lists(template_value_st, min_size=1, max_size=3).map(
+        lambda tvs: (", ".join(t for t, _ in tvs), key, [v for _, v in tvs])
+    )
+    query = st.sampled_from(sorted(TEMPLATE_SCOPE.queries)).map(
+        lambda n: (f"query {n}", "query", TEMPLATE_SCOPE.queries[n])
+    )
+    return st.one_of(values, query)
+
+
+@settings(max_examples=TEMPLATE_EXAMPLES, deadline=None)
+@given(kind=st.sampled_from(sorted(TEMPLATE_KINDS)), data=st.data())
+def test_template_calls_parse_to_their_instantiation(kind, data):
+    template = TEMPLATE_KINDS[kind]
+    given_groups = len(template.groups) - data.draw(st.integers(0, template.optional))
+    params: dict = {"name": "p"}
+    groups = []
+    for group in template.groups[:given_groups]:
+        texts = []
+        for key, shape in group.items():
+            text, param, value = data.draw(template_argument_st(key, shape))
+            texts.append(text)
+            params[param] = value
+        groups.append(", ".join(texts))
+    text = f"{TEMPLATE_DECLARATIONS}proc p = template {kind}({'; '.join(groups)})\n"
+    try:
+        expected = instantiate_template(kind, params)
+    except WorkbenchError as e:
+        # the parser places a builder's complaint at the call; other errors pass through
+        wrapped = isinstance(e, MalformedParams)
+        with pytest.raises(WorkspaceSyntaxError if wrapped else type(e)) as err:
+            parse_workspace(text)
+        assert str(err.value).endswith(f"template {kind}: {e}" if wrapped else str(e))
+        return
+    p = parse_workspace(text).procedures["p"]
+    assert p == expected and p.name == "p"
+
+
+# --- mutated JSON images -------------------------------------------------------
+
+JSON_MUTATION_WORKSPACE = """
+schema S { rel R(a, b); rel T(a, b); }
+instance I : S { R: (1, 2), (3, 4); T: (1, 2); }
+instance J : S { R: (1, 2); T: (1, 2); }
+query q : exists x, y . T(a: x, b: y)
+proc del = template sql_delete(R; a = 3 or not (b != 2))
+proc copy {
+  scope { T[*]; }
+  pre { egd R(a: x, b: y) and R(a: x, b: z) -> y = z; }
+  post { tgd R(a: x, b: y) -> T(a: x, b: y); }
+  safe { total T; }
+}
+proc grow = template alter_table(T; c)
+seq s = grow
+"""
+JSON_MUTATION_COMMANDS = (
+    ["validate"],
+    ["check-outcome", "--proc", "del", "--before", "I", "--after", "J"],
+    ["schema-min", "--proc", "copy", "--schema", "S", "--allow-data-preconditions"],
+    ["outcomes", "--instance", "I", "--seq", "s"],
+    ["ready", "--instance", "I", "--seq", "s", "--query", "q"],
+)
+JSON_REPLACEMENTS = (1, None, [], {}, "x", "@x")
+JSON_KINDS = (
+    "cmp", "not", "and", "or", "xor", "tgd", "egd", "struct", "cq", "total", "total_conj", "filtered"
+)
+JSON_MUTATION_IMAGE = workspace_to_json(parse_workspace(JSON_MUTATION_WORKSPACE))
+
+
+def _json_slots(obj, path=()):
+    """The path of every object field and list item below `obj`."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_slots(value, path + (key,))
+
+
+@st.composite
+def json_mutation_st(draw, image):
+    """A copy of `image` with one field dropped or renamed, or one value replaced."""
+    image = copy.deepcopy(image)
+    path = draw(st.sampled_from(list(_json_slots(image))))
+    parent = functools.reduce(operator.getitem, path[:-1], image)
+    key, value = path[-1], parent[path[-1]]
+    ops = ["drop", "replace"] + ["rename"] * isinstance(parent, dict) + ["kind"] * (
+        isinstance(value, dict) and "kind" in value
+    )
+    op = draw(st.sampled_from(ops))
+    if op == "drop":
+        del parent[key]
+    elif op == "rename":
+        parent[f"{key}_"] = parent.pop(key)
+    elif op == "kind":
+        value["kind"] = draw(st.sampled_from([k for k in JSON_KINDS if k != value["kind"]]))
+    else:
+        parent[key] = copy.deepcopy(draw(st.sampled_from(JSON_REPLACEMENTS)))
+    return image
+
+
+@settings(max_examples=JSON_MUTATION_EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_mutated_json_workspaces_exit_cleanly(data, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "mutated.dq.json"
+    path.write_text(json.dumps(data.draw(json_mutation_st(JSON_MUTATION_IMAGE))))
+    for argv in JSON_MUTATION_COMMANDS:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert run_command([*argv, "--workspace", str(path)]) in (0, 1, 2)

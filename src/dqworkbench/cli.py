@@ -197,7 +197,7 @@ def _cmd_check_outcome(ws: Workspace, args) -> Report:
     proc = _pick(ws.procedures, args.proc, "procedure")
     before = _pick(ws.instances, args.before, "instance")
     after = _pick(ws.instances, args.after, "instance")
-    report = possible_outcome_report(proc, before, after, args.residual_mode)
+    report = possible_outcome_report(proc, before, after)
     payload = {
         "possible": report.ok,
         "applicable": report.applicable,
@@ -274,12 +274,7 @@ def _cmd_plan(ws: Workspace, args) -> Report:
 
 def _cmd_oracle(ws: Workspace, args) -> Report:
     instance = _pick(ws.instances, args.instance, "instance")
-    outcomes = enumerate_outcomes(
-        _sequence(ws, args.seq),
-        instance,
-        parse_budget(args.budget),
-        residual_mode=args.residual_mode,
-    )
+    outcomes = enumerate_outcomes(_sequence(ws, args.seq), instance, parse_budget(args.budget))
     if args.minimal:
         outcomes = minimal_outcomes(outcomes)
     code = EXIT_YES if outcomes else EXIT_NO
@@ -301,12 +296,7 @@ def _cmd_oracle(ws: Workspace, args) -> Report:
 
 def _cmd_compare(ws: Workspace, args) -> Report:
     instance = _pick(ws.instances, args.instance, "instance")
-    report = compare_with_chase(
-        instance,
-        _sequence(ws, args.seq),
-        parse_budget(args.budget),
-        residual_mode=args.residual_mode,
-    )
+    report = compare_with_chase(instance, _sequence(ws, args.seq), parse_budget(args.budget))
     code = EXIT_YES if report.ok else EXIT_NO
     sections = (
         ("missing", "outcomes the approximation fails to represent", report.missing),
@@ -380,26 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    def residual_flags(p: argparse.ArgumentParser) -> None:
-        group = p.add_mutually_exclusive_group()
-        group.add_argument(
-            "--strict-residual",
-            dest="residual_mode",
-            action="store_const",
-            const="strict",
-            default="strict",
-            help="out-of-scope content preserved as one joint query: the product "
-            "of the per-relation answers, also unchanged when each side has an "
-            "empty relation (default)",
-        )
-        group.add_argument(
-            "--per-relation-residual",
-            dest="residual_mode",
-            action="store_const",
-            const="per-relation",
-            help="out-of-scope content preserved relation by relation",
-        )
-
     command("validate", "parse the workspace and list its declarations")
 
     p = command("schema-min", "minimal outcome schema of one procedure")
@@ -424,7 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--proc", required=True, help="procedure name")
     p.add_argument("--before", required=True, help="input instance name")
     p.add_argument("--after", required=True, help="candidate outcome instance name")
-    residual_flags(p)
 
     p = command("outcomes", "conditional table over-approximating the outcome set")
     p.add_argument("--instance", required=True, help="input instance name")
@@ -455,13 +424,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--minimal", action="store_true", help="report only minimal outcomes (an exact set)"
     )
-    residual_flags(p)
 
     p = command("compare", "check the approximation against the budgeted oracle")
     p.add_argument("--instance", required=True, help="input instance name")
     p.add_argument("--seq", required=True, help="sequence name or comma-separated procedures")
     p.add_argument("--budget", required=True, help='e.g. "extra=1,tuples=2,growth"')
-    residual_flags(p)
 
     return top
 

@@ -331,12 +331,6 @@ def demanded_attrs(
     return need
 
 
-def _split_atoms(atoms: Iterable[Atom]) -> tuple[list[NamedAtom], list[ConstantAtom]]:
-    named = [a for a in atoms if isinstance(a, NamedAtom)]
-    constant = [a for a in atoms if isinstance(a, ConstantAtom)]
-    return named, constant
-
-
 class RowIndex:
     """Rows per relation, with hash indexes on pinned attributes built lazily.
 
@@ -482,19 +476,13 @@ def homomorphisms(
     )
 
 
-def _constant_atoms_hold(
-    constant_atoms: Iterable[ConstantAtom], binding: Mapping[Var, Value]
-) -> bool:
-    return all(binding[a.variable].is_constant for a in constant_atoms)
-
-
 def evaluate_query(q: Query, i: Instance) -> frozenset[tuple[Value, ...]]:
     """Answer set as unnamed value tuples; raises Incompatible on schema mismatch."""
     if not is_compatible(q, i.schema):
         raise Incompatible(f"query is not compatible with schema {i.schema.names}")
     if isinstance(q, ConjunctiveQuery):
         return frozenset(
-            tuple(h[v] for v in q.free) for h in _body_assignments(q, i, RowIndex(i.data))
+            tuple(h[v] for v in q.free) for h in _assignments(q, i, RowIndex(i.data))
         )
     if isinstance(q, TotalQuery):
         return frozenset(row.values_in_order() for row in i.rows(q.relation))
@@ -516,35 +504,22 @@ def evaluate_query(q: Query, i: Instance) -> frozenset[tuple[Value, ...]]:
     raise TypeError(f"cannot evaluate {type(q).__name__}")
 
 
-def _body_assignments(
-    body: ConjunctiveQuery, i: Instance, rows: RowIndex
+def _assignments(
+    q: ConjunctiveQuery, i: Instance, rows: RowIndex, init: Mapping[Var, Value] | None = None
 ) -> Iterator[dict[Var, Value]]:
-    named, constant = _split_atoms(body.atoms)
-    named_vars = frozenset(v for a in named for v in a.vars)
-    loose = body.vars - named_vars
+    """The assignments extending init that match q's relation atoms against
+    rows of i and send each variable of a constant atom to a constant.
+
+    Raises Incompatible when a variable is neither in init nor in a
+    relation atom."""
+    named = [a for a in q.atoms if isinstance(a, NamedAtom)]
+    loose = q.vars - frozenset(init or ()) - frozenset(v for a in named for v in a.vars)
     if loose:
-        raise Incompatible(
-            f"variables {sorted(v.name for v in loose)} occur in no relation atom"
-        )
-    for h in homomorphisms(named, i, rows=rows):
-        if _constant_atoms_hold(constant, h):
+        raise Incompatible(f"variables {sorted(v.name for v in loose)} occur in no relation atom")
+    constant = [a.variable for a in q.atoms if isinstance(a, ConstantAtom)]
+    for h in homomorphisms(named, i, init, rows=rows):
+        if all(h[v].is_constant for v in constant):
             yield h
-
-
-def _head_holds(
-    head: ConjunctiveQuery, i: Instance, frontier: Mapping[Var, Value], rows: RowIndex
-) -> bool:
-    named, constant = _split_atoms(head.atoms)
-    init = {v: frontier[v] for v in head.vars if v in frontier}
-    unbound = head.vars - frozenset(init) - frozenset(v for a in named for v in a.vars)
-    if unbound:
-        raise Incompatible(
-            f"head variables {sorted(v.name for v in unbound)} occur in no relation atom"
-        )
-    for h in homomorphisms(named, i, init=init, rows=rows):
-        if _constant_atoms_hold(constant, h):
-            return True
-    return False
 
 
 def structure_holds(c: StructureConstraint, s: Schema) -> bool:
@@ -564,12 +539,14 @@ def satisfies(c: Constraint, i: Instance, s: Schema | None = None) -> bool:
         )
     rows = RowIndex(i.data)
     if isinstance(c, Tgd):
+        head_vars = c.head.vars
         return all(
-            _head_holds(c.head, i, tau, rows) for tau in _body_assignments(c.body, i, rows)
+            any(True for _ in _assignments(c.head, i, rows, {v: tau[v] for v in head_vars if v in tau}))
+            for tau in _assignments(c.body, i, rows)
         )
     if isinstance(c, Egd):
         x, y = c.equated
-        return all(tau[x] == tau[y] for tau in _body_assignments(c.body, i, rows))
+        return all(tau[x] == tau[y] for tau in _assignments(c.body, i, rows))
     raise TypeError(f"cannot check satisfaction of {type(c).__name__}")
 
 

@@ -989,7 +989,7 @@ def _condition_from_json(obj) -> BooleanCondition:
         return Comparison(_str_from_json(obj["lhs"], "attribute name"), obj["op"], rhs)
     if kind == "not":
         return Not(_condition_from_json(obj["item"]))
-    if kind not in ("and", "or") or not isinstance(obj["items"], list):
+    if kind not in ("and", "or") or not isinstance(obj["items"], list) or len(obj["items"]) < 2:
         raise WorkspaceSyntaxError(1, 1, f"json: bad condition {obj!r}")
     items = tuple(_condition_from_json(item) for item in obj["items"])
     return And(items) if kind == "and" else Or(items)

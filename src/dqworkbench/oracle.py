@@ -7,7 +7,9 @@ slow: its only job is to be an independent ground truth for the other
 modules at desk scale. It fixes one relation's rows at a time and checks
 each clause of `procedures.outcome_clauses` as soon as the relations it
 reads are fixed, dropping a prefix at its first failing clause; the result
-equals checking every candidate of the full product literally.
+equals checking every candidate of the full product literally. Those
+clauses split the residual query per relation whenever the input allows
+it, so a residual relation is checked as soon as its rows are chosen.
 """
 
 from __future__ import annotations
@@ -232,17 +234,12 @@ def _single_step_outcomes(
     i: Instance,
     b: Budget,
     meter: Meter,
-    residual_mode: str,
     shared: frozenset[Value],
 ) -> set[Instance]:
     inputs = outcome_inputs(p, i)
     if not inputs.applicable:
         return set()
-    # Strict mode accepts what per-relation mode accepts while no residual
-    # factor of the input is empty; the per-atom clauses are decided sooner.
-    if all(old for _, old in inputs.residual):
-        residual_mode = "per-relation"
-    clauses = outcome_clauses(p, inputs, residual_mode)
+    clauses = outcome_clauses(p, inputs)
     pool = _value_pool(i, shared, b)
     scope = scope_map(p.scope)
     found: set[Instance] = set()
@@ -314,8 +311,6 @@ def enumerate_outcomes(
     ps: Union[Procedure, Sequence[Procedure]],
     i: Instance,
     b: Budget,
-    *,
-    residual_mode: str = "strict",
 ) -> frozenset[Instance]:
     """Every outcome of the procedure(s) inside the budgeted universe.
 
@@ -336,9 +331,7 @@ def enumerate_outcomes(
         meter.at = f"step {idx} ({p.name or '<anonymous>'})"
         step_result: set[Instance] = set()
         for j in sorted(current, key=_instance_sort_key):
-            step_result |= _single_step_outcomes(
-                p, j, b, meter, residual_mode, shared
-            )
+            step_result |= _single_step_outcomes(p, j, b, meter, shared)
         current = step_result
     return frozenset(current)
 
@@ -397,20 +390,14 @@ class ChaseComparison:
         )
 
 
-def compare_with_chase(
-    i: Instance,
-    ps: Sequence[Procedure],
-    b: Budget,
-    *,
-    residual_mode: str = "strict",
-) -> ChaseComparison:
+def compare_with_chase(i: Instance, ps: Sequence[Procedure], b: Budget) -> ChaseComparison:
     """Check the approximation's two guarantees against the oracle.
 
     missing lists budgeted outcomes the chase table fails to represent;
     the minimal sections list minimal instances present on one side only,
     compared after renaming reserved constants by first appearance.
     """
-    outcomes = enumerate_outcomes(ps, i, b, residual_mode=residual_mode)
+    outcomes = enumerate_outcomes(ps, i, b)
     res = approximate_outcomes(i, ps)
     rigid = frozenset(active_domain(i)) | frozenset().union(
         frozenset(), *(constraint_constants(p) for p in ps)

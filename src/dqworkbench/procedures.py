@@ -96,12 +96,13 @@ def residual_atoms(s: Schema, scope: Iterable[StructureConstraint]) -> list[Name
 def residual_query(s: Schema, scope: Iterable[StructureConstraint]) -> ConjunctiveQuery:
     """Conjunction retrieving everything the scope does not permit to change.
 
-    Its atoms share no variables, so its answer set is the product of the
-    per-atom answer sets. Two such products are equal exactly when every
-    factor is equal, or when each side has an empty factor (both products
-    are then empty). `possible_outcome_report` decides the strict residual
-    clause by that rule without building the product; this query is the
-    reference definition.
+    This is the reference definition of the residual clause: a result must
+    give this query the answers the input gives it. Its atoms share no
+    variables, so its answer set is the product of the per-atom answer
+    sets, and two such products are equal exactly when every factor is
+    equal, or when each side has an empty factor (both products are then
+    empty). The outcome check decides the clause by that rule, without
+    building the product.
     """
     atoms = residual_atoms(s, scope)
     free = tuple(t for a in atoms for _, t in a.bindings if isinstance(t, Var))
@@ -124,7 +125,6 @@ def is_applicable(p: Procedure, i: Instance) -> bool:
     return True
 
 
-RESIDUAL_MODES = ("strict", "per-relation")
 _UNADDRESSABLE = (
     "preserved content no longer addressable: "
     "result schema dropped preserved attributes of {}"
@@ -152,8 +152,7 @@ class OutcomeInputs:
     """What the outcome check reads of the input instance alone.
 
     Applicability, each one-atom residual query with its answers, and each
-    safety query's answers or the `Incompatible` it raised. Both residual
-    modes read the same value.
+    safety query's answers or the `Incompatible` it raised.
     """
 
     applicable: bool
@@ -164,9 +163,8 @@ class OutcomeInputs:
 def outcome_inputs(p: Procedure, before: Instance) -> OutcomeInputs:
     """Read `before` once for any number of candidate outcomes.
 
-    The residual answers are kept per atom, each linear in its relation.
-    The strict clause compares their products: equal when every factor is
-    equal, or when each side has an empty factor.
+    The residual answers are kept per atom, each linear in its relation;
+    the residual clause compares their products (see `residual_query`).
     """
     residual = []
     for a in residual_atoms(before.schema, p.scope):
@@ -232,81 +230,65 @@ def _reads(c: Union[Constraint, Query]) -> frozenset[str]:
 Clause = tuple[frozenset[str], Callable[[Instance], list[str]]]
 
 
-def _clause_groups(p: Procedure, inputs: OutcomeInputs, residual_mode: str) -> list[list[Clause]]:
-    if residual_mode not in RESIDUAL_MODES:
-        raise ValueError(f"residual_mode must be one of {RESIDUAL_MODES}")
-    if residual_mode == "per-relation":
-        factor_groups = [(f,) for f in inputs.residual]
-    else:
-        factor_groups = [inputs.residual]
-    return [
-        [(_reads(c), partial(_post_failures, idx, c)) for idx, c in enumerate(p.post)],
-        [
-            (frozenset(q.atoms[0].relation for q, _ in fs), partial(_residual_failures, fs))
-            for fs in factor_groups
-        ],
-        [
-            (_reads(q), partial(_safety_failures, idx, q, old))
-            for idx, (q, old) in enumerate(zip(p.safe, inputs.safety))
-        ],
-    ]
-
-
-def outcome_clauses(
-    p: Procedure, inputs: OutcomeInputs, residual_mode: str = "strict"
-) -> list[Clause]:
+def outcome_clauses(p: Procedure, inputs: OutcomeInputs) -> list[Clause]:
     """The postcondition, residual and safety clauses of `p`, in that order.
 
     `inputs` must be `outcome_inputs(p, before)`. A clause is a pair
     (relations read, check); `check(after)` lists the clause's failures,
     and lists the same on any instance over the schema of `after` with the
     same rows in the relations read. Each postcondition and each safety
-    query is one clause. Per-relation mode has one residual clause per
-    atom, strict mode one joint clause over every residual relation. While
-    no residual factor of the input is empty the two modes accept the same
-    results: a product of nonempty factors is unchanged exactly when every
-    factor is.
+    query is one clause. The residual query is one clause over every
+    residual relation, or one clause per residual atom when no residual
+    factor of `before` is empty: a product of nonempty factors is unchanged
+    exactly when every factor is, and a one-relation clause can be checked
+    as soon as its relation is fixed.
     """
-    return [c for group in _clause_groups(p, inputs, residual_mode) for c in group]
+    if all(old for _, old in inputs.residual):
+        factor_groups = [(f,) for f in inputs.residual]
+    else:
+        factor_groups = [inputs.residual]
+    return [
+        *((_reads(c), partial(_post_failures, idx, c)) for idx, c in enumerate(p.post)),
+        *(
+            (frozenset(q.atoms[0].relation for q, _ in fs), partial(_residual_failures, fs))
+            for fs in factor_groups
+        ),
+        *(
+            (_reads(q), partial(_safety_failures, idx, q, old))
+            for idx, (q, old) in enumerate(zip(p.safe, inputs.safety))
+        ),
+    ]
 
 
 def possible_outcome_report(
-    p: Procedure,
-    before: Instance,
-    after: Instance,
-    residual_mode: str = "strict",
-    *,
-    inputs: OutcomeInputs | None = None,
+    p: Procedure, before: Instance, after: Instance, *, inputs: OutcomeInputs | None = None
 ) -> OutcomeReport:
     """Check the four outcome clauses of `after` as a result of `p` on `before`.
 
     `inputs` must be `outcome_inputs(p, before)`; it is built here when not
-    given. The failures are the applicability line, then the failures of
-    every clause of `outcome_clauses` on `after`. The residual clause
-    compares the per-atom answers of the residual query. Per-relation mode
-    needs every atom's answers unchanged. Strict mode needs the products
-    unchanged: every factor equal, or an empty factor on each side; so it
-    decides as per-relation mode does when no factor of `before` is empty.
-    Each residual failure names its relations.
+    given. The failures are the applicability line, then those of each
+    postcondition, of the residual query as one clause, and of each safety
+    query. The residual clause holds when the residual query's answers are
+    unchanged (see `residual_query`); its one failure names every relation
+    that lost its preserved attributes or, failing that, changed.
     """
     if inputs is None:
         inputs = outcome_inputs(p, before)
-    failures: list[str] = []
+    post = [f for idx, c in enumerate(p.post) for f in _post_failures(idx, c, after)]
+    residual = _residual_failures(inputs.residual, after)
+    safety = [
+        f
+        for idx, (q, old) in enumerate(zip(p.safe, inputs.safety))
+        for f in _safety_failures(idx, q, old, after)
+    ]
+    failures = post + residual + safety
     if not inputs.applicable:
-        failures.append("procedure is not applicable on the input instance")
-    held = []
-    for group in _clause_groups(p, inputs, residual_mode):
-        found = [f for _, check in group for f in check(after)]
-        held.append(not found)
-        failures += found
-    post_ok, residual_ok, safety_ok = held
-    return OutcomeReport(inputs.applicable, post_ok, residual_ok, safety_ok, tuple(failures))
+        failures.insert(0, "procedure is not applicable on the input instance")
+    return OutcomeReport(inputs.applicable, not post, not residual, not safety, tuple(failures))
 
 
-def is_possible_outcome(
-    p: Procedure, before: Instance, after: Instance, residual_mode: str = "strict"
-) -> bool:
-    return possible_outcome_report(p, before, after, residual_mode).ok
+def is_possible_outcome(p: Procedure, before: Instance, after: Instance) -> bool:
+    return possible_outcome_report(p, before, after).ok
 
 
 def _tgds_of(p: Procedure) -> list[Tgd]:
@@ -377,6 +359,13 @@ def _structure_pre_for(q: ConjunctiveQuery) -> list[StructureConstraint]:
     ]
 
 
+def _distinct(names: Iterable[str], what: str) -> list[str]:
+    out = sorted(names)
+    if len(set(out)) != len(out):
+        raise MalformedParams(f"{what} must be distinct, got {out}")
+    return out
+
+
 def _template_data_exchange(params: Mapping) -> Procedure:
     deps = list(params["dependencies"])
     if not deps:
@@ -403,7 +392,7 @@ def _template_data_exchange(params: Mapping) -> Procedure:
 
 def _template_alter_table(params: Mapping) -> Procedure:
     rel = params["relation"]
-    attrs = sorted(params["attributes"])
+    attrs = _distinct(params["attributes"], "alter_table attributes")
     if not attrs:
         raise MalformedParams("alter_table needs at least one new attribute")
     return Procedure.of(
@@ -415,7 +404,7 @@ def _template_alter_table(params: Mapping) -> Procedure:
 
 def _template_attribute_copy(params: Mapping) -> Procedure:
     target, source = params["target"], params["source"]
-    keys = sorted(params["keys"])
+    keys = _distinct(params["keys"], "attribute_copy keys")
     attr = params["attribute"]
     if not keys:
         raise MalformedParams("attribute_copy needs at least one key attribute")
@@ -455,7 +444,7 @@ def _template_attribute_copy(params: Mapping) -> Procedure:
 def _template_null_scrub(params: Mapping) -> Procedure:
     rel = params["relation"]
     attr = params["attribute"]
-    keep = sorted(params.get("keep", ()))
+    keep = _distinct(params.get("keep", ()), "null_scrub kept attributes")
     if attr in keep:
         raise MalformedParams("the scrubbed attribute cannot be kept fixed")
     x = Var("x")

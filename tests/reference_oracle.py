@@ -49,7 +49,6 @@ def _single_step_outcomes(
     i: Instance,
     b: Budget,
     meter: Meter,
-    residual_mode: str,
     shared: frozenset[Value],
 ) -> set[Instance]:
     inputs = outcome_inputs(p, i)
@@ -70,9 +69,7 @@ def _single_step_outcomes(
             candidate = Instance.of(
                 schema, {rel: rows for (rel, _), rows in zip(per_relation, combo)}
             )
-            if possible_outcome_report(
-                p, i, candidate, residual_mode, inputs=inputs
-            ).ok:
+            if possible_outcome_report(p, i, candidate, inputs=inputs).ok:
                 found.add(candidate)
     return found
 
@@ -81,8 +78,6 @@ def enumerate_outcomes(
     ps: Union[Procedure, Sequence[Procedure]],
     i: Instance,
     b: Budget,
-    *,
-    residual_mode: str = "strict",
 ) -> frozenset[Instance]:
     """Every outcome of the procedure(s) inside the budgeted universe.
 
@@ -103,8 +98,6 @@ def enumerate_outcomes(
         meter.at = f"step {idx} ({p.name or '<anonymous>'})"
         step_result: set[Instance] = set()
         for j in sorted(current, key=_instance_sort_key):
-            step_result |= _single_step_outcomes(
-                p, j, b, meter, residual_mode, shared
-            )
+            step_result |= _single_step_outcomes(p, j, b, meter, shared)
         current = step_result
     return frozenset(current)

@@ -115,28 +115,6 @@ class TestCheckOutcome:
         assert code == 1
         assert "postcondition 0 does not hold" in out
 
-    def test_residual_mode_flags(self, capsys):
-        code, _, _ = self.check(capsys, "migrate", "I", "J1", "--per-relation-residual")
-        assert code == 0
-        with pytest.raises(SystemExit) as e:
-            run_command(
-                [
-                    "check-outcome",
-                    "--workspace",
-                    FIG1,
-                    "--proc",
-                    "migrate",
-                    "--before",
-                    "I",
-                    "--after",
-                    "J1",
-                    "--strict-residual",
-                    "--per-relation-residual",
-                ]
-            )
-        assert e.value.code == 2
-        capsys.readouterr()
-
     def test_json_clauses(self, capsys):
         code, payload = run_json(
             capsys,
@@ -858,6 +836,8 @@ class TestArgumentErrors:
                     {"kind": "cmp", "lhs": 1, "op": "=", "rhs": {"const": "1"}},
                     {"kind": "cmp", "lhs": "a", "op": "=", "rhs": {"attr": 1}},
                     {"kind": "xor", "items": []},
+                    {"kind": "and", "items": []},
+                    {"kind": "or", "items": [{"kind": "cmp", "lhs": "a", "op": "=", "rhs": {"const": "1"}}]},
                 )
             ),
         ],
@@ -879,6 +859,8 @@ class TestArgumentErrors:
             "condition-lhs-not-a-string",
             "condition-attr-not-a-string",
             "condition-kind-unknown",
+            "condition-and-of-nothing",
+            "condition-or-of-one-item",
         ],
     )
     def test_malformed_json_workspace_is_an_error(self, capsys, tmp_path, image):

@@ -318,6 +318,11 @@ class TestTemplates:
         with pytest.raises(WorkspaceSyntaxError) as e:
             parse_workspace("proc p = template nope(R; a)")
         assert "unknown template kind" in str(e.value)
+        for call in ("alter_table(R; c, c)", "attribute_copy(T, U; k, k; v)", "null_scrub(R; a; b, b)"):
+            with pytest.raises(WorkspaceSyntaxError) as e:
+                parse_workspace(f"schema S {{ rel R(a); }}\nproc p = template {call}")
+            assert (e.value.line, e.value.col) == (2, 6)
+            assert "must be distinct" in e.value.reason
 
 
 class TestDiagnostics:

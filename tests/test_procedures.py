@@ -195,12 +195,12 @@ def test_total_safety_rejects_arity_growth(instance_i, instance_j3):
 
 
 def test_strict_vs_per_relation_residual():
+    # R changes, but T is empty on both sides, so the joint residual query
+    # has no answers on either: R's change is not a per-relation failure
     s = Schema.of({"R": ("a",), "T": ("a",)})
     before = Instance.of(s, {"R": [Row.of({"a": const(1)})]})
     after = Instance.of(s, {"R": [Row.of({"a": const(1)}), Row.of({"a": const(2)})]})
-    p = Procedure.of()
-    assert is_possible_outcome(p, before, after, residual_mode="strict")
-    assert not is_possible_outcome(p, before, after, residual_mode="per-relation")
+    assert is_possible_outcome(Procedure.of(), before, after)
 
 
 def test_residual_failures_name_their_relations():
@@ -209,12 +209,8 @@ def test_residual_failures_name_their_relations():
     before = Instance.of(s, {"R": [one], "T": [one], "U": [one]})
     after = Instance.of(s, {"R": [two], "T": [one], "U": [two]})
     p = Procedure.of()
-    strict = possible_outcome_report(p, before, after)
-    assert strict.failures == ("content outside the scope changed in R, U",)
-    per = possible_outcome_report(p, before, after, residual_mode="per-relation")
-    assert per.failures == (
-        "content outside the scope changed in R",
-        "content outside the scope changed in U",
+    assert possible_outcome_report(p, before, after).failures == (
+        "content outside the scope changed in R, U",
     )
     narrowed = Instance.of(
         Schema.of({"R": ("a",), "T": ("a",), "U": ()}), {"R": [one], "T": [one]}
@@ -263,11 +259,6 @@ def test_outcome_check_scales_linearly_with_the_residual():
     assert t1000 < 2.0, t1000
     # quadratic growth would show ~100x per decade
     assert t1000 / max(t100, 1e-3) < 30.0, (t100, t1000)
-
-
-def test_unknown_residual_mode_rejected(instance_i):
-    with pytest.raises(ValueError):
-        is_possible_outcome(Procedure.of(), instance_i, instance_i, residual_mode="loose")
 
 
 # Templates

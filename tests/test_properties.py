@@ -105,11 +105,11 @@ from dqworkbench.model import (
 )
 from dqworkbench.oracle import Budget, enumerate_outcomes, minimal_outcomes
 from dqworkbench.procedures import (
-    RESIDUAL_MODES,
     TEMPLATE_KINDS,
     Procedure,
     instantiate_template,
     is_possible_outcome,
+    outcome_clauses,
     outcome_inputs,
     possible_outcome_report,
     residual_atoms,
@@ -517,8 +517,12 @@ def residual_case_st(draw) -> tuple[Procedure, Instance, Instance]:
     return p, Instance.of(s, before), Instance.of(Schema.of(after_attrs), after)
 
 
+def _atom_query(atom: NamedAtom) -> ConjunctiveQuery:
+    return ConjunctiveQuery((atom,), tuple(sorted(atom.vars)), frozenset())
+
+
 def _atom_unchanged(atom: NamedAtom, before: Instance, after: Instance) -> bool:
-    q = ConjunctiveQuery((atom,), tuple(sorted(atom.vars)), frozenset())
+    q = _atom_query(atom)
     return is_compatible(q, after.schema) and evaluate_query(q, before) == evaluate_query(
         q, after
     )
@@ -533,22 +537,20 @@ def test_residual_clause_matches_the_joint_residual_query(case):
         unchanged = evaluate_query(q, before) == evaluate_query(q, after)
     except Incompatible:
         unchanged = False
-    assert possible_outcome_report(p, before, after).residual_ok == unchanged
+    report = possible_outcome_report(p, before, after)
+    assert report.residual_ok == unchanged
 
+    # the premise of splitting the residual clause per atom: with no empty
+    # factor on the input, the joint query is unchanged exactly when every
+    # atom's answers are
     atoms = residual_atoms(before.schema, p.scope)
-    per = possible_outcome_report(p, before, after, "per-relation")
-    assert per.residual_ok == all(_atom_unchanged(a, before, after) for a in atoms)
-    named = {
-        f.rsplit(" ", 1)[1]
-        for f in per.failures
-        if "outside the scope" in f or "no longer addressable" in f
-    }
-    assert named == {a.relation for a in atoms if not _atom_unchanged(a, before, after)}
+    if all(evaluate_query(_atom_query(a), before) for a in atoms):
+        assert unchanged == all(_atom_unchanged(a, before, after) for a in atoms)
 
     inputs = outcome_inputs(p, before)
-    for mode in RESIDUAL_MODES:
-        fresh = possible_outcome_report(p, before, after, mode)
-        assert possible_outcome_report(p, before, after, mode, inputs=inputs) == fresh
+    clauses_hold = not any(check(after) for _, check in outcome_clauses(p, inputs))
+    assert clauses_hold == (report.post_ok and report.residual_ok and report.safety_ok)
+    assert possible_outcome_report(p, before, after, inputs=inputs) == report
 
 
 # --- the lexer against the reference tokenizer --------------------------------
@@ -716,9 +718,9 @@ def staged_case_st(draw) -> tuple[Procedure, Instance, Budget]:
     return Procedure.of(scope=scope, post=post, safe=safe), Instance.of(Schema.of(attrs), data), b
 
 
-def _outcomes_or_cap_message(enumerate_, p, i, b, mode):
+def _outcomes_or_cap_message(enumerate_, p, i, b):
     try:
-        return enumerate_(p, i, b, residual_mode=mode)
+        return enumerate_(p, i, b)
     except BudgetExceeded as e:
         return str(e)
 
@@ -726,10 +728,9 @@ def _outcomes_or_cap_message(enumerate_, p, i, b, mode):
 @settings(max_examples=STAGED_ORACLE_EXAMPLES, deadline=None)
 @given(
     case=staged_case_st(),
-    mode=st.sampled_from(RESIDUAL_MODES),
     cap=st.one_of(st.just(3000), st.integers(1, 3000)),
 )
-def test_staged_oracle_matches_the_literal_enumerator(case, mode, cap):
+def test_staged_oracle_matches_the_literal_enumerator(case, cap):
     # Most cases fit a cap of 3,000 and compare outcome sets; under a smaller
     # cap both sides must stop at the same charge, with the same message.
     p, i, b = case
@@ -737,8 +738,8 @@ def test_staged_oracle_matches_the_literal_enumerator(case, mode, cap):
         patch.setattr(oracle_mod, "BUDGET_CAP", cap)
         patch.setattr(reference_oracle, "BUDGET_CAP", cap)
         assert _outcomes_or_cap_message(
-            enumerate_outcomes, p, i, b, mode
-        ) == _outcomes_or_cap_message(reference_oracle.enumerate_outcomes, p, i, b, mode)
+            enumerate_outcomes, p, i, b
+        ) == _outcomes_or_cap_message(reference_oracle.enumerate_outcomes, p, i, b)
 
 
 # --- the minimal schema against the oracle's outcomes -------------------------

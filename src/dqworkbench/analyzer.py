@@ -54,10 +54,10 @@ def min_schema(
     relation unite, and a wildcard entry wins. The safety queries and the
     postcondition add the attributes they name.
 
-    Arity pin: a total, total-conjunction or filtered safety query keeps
-    whole tuples of each relation it reads, so those relations keep exactly
-    their input attributes, and demands beyond them are a Failure. The pin
-    holds only while the query has an answer on the input to keep.
+    Arity pin: a total safety query, filtered or not, keeps whole tuples
+    of each relation it reads, so those relations keep exactly their
+    input attributes, and demands beyond them are a Failure. The pin holds
+    only while the query has an answer on the input to keep.
 
     Data-level preconditions (dependencies) cannot be decided at the schema
     level. By default they are rejected; with allow_data_preconditions they

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from .analyzer import Failure, min_schema
 from .constraints import (
@@ -75,14 +75,6 @@ class EmptyResult:
 
 
 EMPTY = EmptyResult()
-
-
-@dataclass(frozen=True)
-class TableResult:
-    table: ConditionalInstance
-
-
-ApproximationResult = Union[EmptyResult, TableResult]
 
 
 def _reject_constancy_tests(p: Procedure) -> None:
@@ -285,7 +277,7 @@ def _fold_step(
 
 def approximate_outcomes(
     i: Instance, ps: Sequence[Procedure]
-) -> ApproximationResult:
+) -> ConditionalInstance | EmptyResult:
     """Fold the instance through the sequence, over-approximating its outcomes.
 
     The result table contains every reachable outcome in its represented
@@ -299,7 +291,7 @@ def approximate_outcomes(
         if isinstance(result, EmptyResult):
             return EMPTY
         t = result
-    return TableResult(t)
+    return t
 
 
 def outcomes_nonempty(i: Instance, ps: Sequence[Procedure]) -> bool:
@@ -318,14 +310,14 @@ def exact_scoped_representation(
     """
     if not is_safe_sequence(ps):
         raise NotSafeSequence("exact representation requires a safe sequence")
-    res = approximate_outcomes(i, ps)
-    if isinstance(res, EmptyResult):
+    t = approximate_outcomes(i, ps)
+    if isinstance(t, EmptyResult):
         return EMPTY
     rel: frozenset[str] = frozenset()
     for p in ps:
         if classify(p) == SAFE_SCOPE:
             rel |= scope_relations(p)
-    return ScopedConditionalInstance(res.table, rel)
+    return ScopedConditionalInstance(t, rel)
 
 
 def certain_boolean_cq(t: ConditionalInstance, q: ConjunctiveQuery) -> bool:
@@ -358,12 +350,12 @@ def ready_for(i: Instance, ps: Sequence[Procedure], q: ConjunctiveQuery) -> bool
     """
     if q.free:
         raise Incompatible("readiness goals must be boolean queries")
-    res = approximate_outcomes(i, ps)
-    if isinstance(res, EmptyResult):
+    t = approximate_outcomes(i, ps)
+    if isinstance(t, EmptyResult):
         return False
-    if not is_compatible(q, res.table.schema):
+    if not is_compatible(q, t.schema):
         return False
-    return certain_boolean_cq(res.table, q)
+    return certain_boolean_cq(t, q)
 
 
 def canonical_table(t: ConditionalInstance) -> ConditionalInstance:
@@ -446,10 +438,8 @@ def plan_search(
 
 
 __all__ = [
-    "ApproximationResult",
     "EMPTY",
     "EmptyResult",
-    "TableResult",
     "approximate_outcomes",
     "apply_alter_schema",
     "canonical_table",

@@ -217,8 +217,8 @@ def _cmd_outcomes(ws: Workspace, args) -> Report:
     result = approximate_outcomes(instance, _sequence(ws, args.seq))
     if isinstance(result, EmptyResult):
         return EXIT_NO, ["no outcomes"], {"outcomes": False, "table": None}
-    lines = render_ctable(result.table).splitlines()
-    return EXIT_YES, lines, {"outcomes": True, "table": _table_json(result.table)}
+    lines = render_ctable(result).splitlines()
+    return EXIT_YES, lines, {"outcomes": True, "table": _table_json(result)}
 
 
 def _cmd_nonempty(ws: Workspace, args) -> Report:

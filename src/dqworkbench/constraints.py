@@ -1,11 +1,11 @@
 """Queries, dependencies, and structure constraints.
 
-Covers conjunctive queries with named atoms, total and filtered-total
-queries, tuple- and equality-generating dependencies, and schema-level
-structure requirements, together with compatibility, evaluation, and
-satisfaction. Named atoms match by projection: an atom holds on a tuple
-when the tuple agrees with it on the named attributes, whatever else the
-tuple carries.
+Covers conjunctive queries with named atoms, one total query (whole
+tuples of one or more relations, filtered or not), tuple- and
+equality-generating dependencies, and schema-level structure
+requirements, together with compatibility, evaluation, and satisfaction.
+Named atoms match by projection: an atom holds on a tuple when the tuple
+agrees with it on the named attributes, whatever else the tuple carries.
 
 `join` is the workbench's single matcher: an iterative depth-first search
 for a homomorphism from patterns into indexed rows (`RowIndex`). Query
@@ -193,41 +193,25 @@ def eval_condition(c: BooleanCondition, row: Row) -> bool:
 
 @dataclass(frozen=True)
 class TotalQuery:
-    """All tuples of one relation, whatever its current attributes."""
-
-    relation: str
-
-    @property
-    def relations(self) -> tuple[str, ...]:
-        return (self.relation,)
-
-
-@dataclass(frozen=True)
-class FilteredTotalQuery:
-    """All tuples of one relation whose cells satisfy a boolean condition."""
-
-    relation: str
-    condition: BooleanCondition
-
-    @property
-    def relations(self) -> tuple[str, ...]:
-        return (self.relation,)
-
-
-@dataclass(frozen=True)
-class TotalConjQuery:
-    """Cross product of the full contents of several relations, in listed order."""
+    """Cross product of the whole tuples of the listed relations, in listed
+    order. A condition keeps only the tuples that satisfy it, and needs
+    exactly one relation."""
 
     relations: tuple[str, ...]
+    condition: BooleanCondition | None = None
 
     def __post_init__(self):
+        if isinstance(self.relations, str):
+            raise DomainMismatch(f"total query relations must be a tuple, got {self.relations!r}")
         if not self.relations:
-            raise DomainMismatch("total conjunction needs at least one relation")
+            raise DomainMismatch("total query needs at least one relation")
         if len(set(self.relations)) != len(self.relations):
-            raise DomainMismatch("total conjunction relations must be distinct")
+            raise DomainMismatch("total query relations must be distinct")
+        if self.condition is not None and len(self.relations) != 1:
+            raise DomainMismatch("a filtered total query reads exactly one relation")
 
 
-Query = Union[ConjunctiveQuery, TotalQuery, FilteredTotalQuery, TotalConjQuery]
+Query = Union[ConjunctiveQuery, TotalQuery]
 
 
 @dataclass(frozen=True)
@@ -293,11 +277,9 @@ def is_compatible(obj: Union[Query, Tgd, Egd, Atom], s: Schema) -> bool:
         return True
     if isinstance(obj, ConjunctiveQuery):
         return all(is_compatible(a, s) for a in obj.atoms)
-    if isinstance(obj, (TotalQuery, TotalConjQuery)):
-        return all(s.defines(r) for r in obj.relations)
-    if isinstance(obj, FilteredTotalQuery):
-        return s.defines(obj.relation) and condition_attrs(obj.condition) <= s.attrs(
-            obj.relation
+    if isinstance(obj, TotalQuery):
+        return all(s.defines(r) for r in obj.relations) and (
+            obj.condition is None or condition_attrs(obj.condition) <= s.attrs(obj.relations[0])
         )
     if isinstance(obj, Tgd):
         return is_compatible(obj.body, s) and is_compatible(obj.head, s)
@@ -311,17 +293,17 @@ def demanded_attrs(
 ) -> dict[str, set[str]]:
     """Add to `need`, per relation, the attributes that the relation atoms of
     queries and dependencies, the structure constraints and the conditions
-    of filtered queries name; return it. A total-type query adds each of its
+    of total queries name; return it. A total query adds each of its
     relations, with no attribute of its own."""
     for c in items:
         if isinstance(c, StructureConstraint):
             need.setdefault(c.relation, set()).update(c.attributes or ())
             continue
-        if isinstance(c, (TotalQuery, FilteredTotalQuery, TotalConjQuery)):
+        if isinstance(c, TotalQuery):
             for rel in c.relations:
                 need.setdefault(rel, set())
-            if isinstance(c, FilteredTotalQuery):
-                need[c.relation].update(condition_attrs(c.condition))
+            if c.condition is not None:
+                need[c.relations[0]].update(condition_attrs(c.condition))
             continue
         body = c.body if isinstance(c, (Tgd, Egd)) else c
         for q in (body, c.head) if isinstance(c, Tgd) else (body,):
@@ -485,21 +467,14 @@ def evaluate_query(q: Query, i: Instance) -> frozenset[tuple[Value, ...]]:
             tuple(h[v] for v in q.free) for h in _assignments(q, i, RowIndex(i.data))
         )
     if isinstance(q, TotalQuery):
-        return frozenset(row.values_in_order() for row in i.rows(q.relation))
-    if isinstance(q, FilteredTotalQuery):
-        return frozenset(
-            row.values_in_order()
-            for row in i.rows(q.relation)
-            if eval_condition(q.condition, row)
-        )
-    if isinstance(q, TotalConjQuery):
         answers: set[tuple[Value, ...]] = {()}
         for r in q.relations:
-            answers = {
-                prefix + row.values_in_order()
-                for prefix in answers
+            tuples = [
+                row.values_in_order()
                 for row in i.rows(r)
-            }
+                if q.condition is None or eval_condition(q.condition, row)
+            ]
+            answers = {prefix + values for prefix in answers for values in tuples}
         return frozenset(answers)
     raise TypeError(f"cannot evaluate {type(q).__name__}")
 

@@ -89,14 +89,12 @@ from .constraints import (
     Constraint,
     ConstantAtom,
     Egd,
-    FilteredTotalQuery,
     NamedAtom,
     Not,
     Or,
     Query,
     StructureConstraint,
     Tgd,
-    TotalConjQuery,
     TotalQuery,
     Var,
     demanded_attrs,
@@ -550,12 +548,9 @@ class _Parser:
             self._word("filtered")
             rel = self._name("relation name")
             self._word("where")
-            return FilteredTotalQuery(rel.text, self._parse_condition())
+            return TotalQuery((rel.text,), self._parse_condition())
         self._word("total")
-        rels = [t.text for t in self._comma_list(self._name, "relation name")]
-        if len(rels) == 1:
-            return TotalQuery(rels[0])
-        return TotalConjQuery(tuple(rels))
+        return TotalQuery(tuple(t.text for t in self._comma_list(self._name, "relation name")))
 
     # boolean conditions over attribute names
 
@@ -798,12 +793,10 @@ def _render_condition(c: BooleanCondition, *, parenthesize: bool = False) -> str
 
 
 def _render_query(q: Query) -> str:
+    if isinstance(q, TotalQuery) and q.condition is not None:
+        return f"filtered {q.relations[0]} where {_render_condition(q.condition)}"
     if isinstance(q, TotalQuery):
-        return f"total {q.relation}"
-    if isinstance(q, TotalConjQuery):
         return f"total {', '.join(q.relations)}"
-    if isinstance(q, FilteredTotalQuery):
-        return f"filtered {q.relation} where {_render_condition(q.condition)}"
     free = f"({', '.join(v.name for v in q.free)}) " if q.free else ""
     return f"cq {free}{_render_cq(q)}"
 
@@ -813,10 +806,7 @@ def serialize_workspace(ws: Workspace) -> str:
 
     Attribute lists and dependency variables come out in canonical sorted
     order, so the text is normalized rather than byte-identical to any
-    original source file.  One structural normalization applies: a
-    totality conjunction over a single relation shares its text form with
-    the plain totality check and reparses as the plain form.  The JSON
-    mirror keeps the two apart.
+    original source file.
 
     A constant prints bare when it is a plain name (`model.name_rule`) or it matches
     the number rule with decimal digits (`model.number_rule`); any other
@@ -1029,15 +1019,15 @@ def _constraint_from_json(obj) -> Constraint:
 def _query_to_json(q: Query) -> dict:
     if isinstance(q, ConjunctiveQuery):
         return {"kind": "cq", **_cq_to_json(q)}
-    if isinstance(q, TotalQuery):
-        return {"kind": "total", "relation": q.relation}
-    if isinstance(q, TotalConjQuery):
-        return {"kind": "total_conj", "relations": list(q.relations)}
-    return {
-        "kind": "filtered",
-        "relation": q.relation,
-        "condition": _condition_to_json(q.condition),
-    }
+    if q.condition is not None:
+        return {
+            "kind": "filtered",
+            "relation": q.relations[0],
+            "condition": _condition_to_json(q.condition),
+        }
+    if len(q.relations) == 1:
+        return {"kind": "total", "relation": q.relations[0]}
+    return {"kind": "total_conj", "relations": list(q.relations)}
 
 
 def _query_from_json(obj) -> Query:
@@ -1045,12 +1035,11 @@ def _query_from_json(obj) -> Query:
     if kind == "cq":
         return _cq_from_json(obj)
     if kind == "total":
-        return TotalQuery(obj["relation"])
+        return TotalQuery((obj["relation"],))
     if kind == "total_conj":
-        relations = _names_from_json(obj["relations"], "relations", distinct=False)
-        return TotalConjQuery(tuple(relations))
+        return TotalQuery(tuple(_names_from_json(obj["relations"], "relations", distinct=False)))
     if kind == "filtered":
-        return FilteredTotalQuery(obj["relation"], _condition_from_json(obj["condition"]))
+        return TotalQuery((obj["relation"],), _condition_from_json(obj["condition"]))
     raise WorkspaceSyntaxError(1, 1, f"json: unknown query kind {kind!r}")
 
 
@@ -1080,31 +1069,51 @@ def workspace_to_json(ws: Workspace) -> dict:
 def workspace_from_json(obj: Mapping) -> Workspace:
     """Rebuild a workspace from its JSON image, revalidating references.
 
-    A missing field or a field of the wrong shape is a syntax error, and so,
-    as in the text grammar, is an `@` in a value or in a relation or
-    attribute name: the searches generate such values and attributes.
+    A missing field or a field of the wrong shape is a syntax error, and so
+    is a name the text grammar would not read back: each declaration,
+    relation, attribute and variable name must lex as one identifier that
+    is not a reserved word. As in the text, a name containing `@` is
+    reserved: the searches generate such values and attributes.
     """
     try:
         ws = _workspace_from_json(obj)
-        named = demanded_attrs(
-            chain(
-                (StructureConstraint.of(r, a) for s in ws.schemas.values() for r, a in s.rels),
-                ws.constraints.values(),
-                ws.queries.values(),
-                *(p.scope + p.pre + p.post + p.safe for p in ws.procedures.values()),
-            ),
-            {},
+        items = [
+            *ws.constraints.values(),
+            *ws.queries.values(),
+            *(c for p in ws.procedures.values() for c in p.scope + p.pre + p.post + p.safe),
+        ]
+        schemas = (StructureConstraint.of(r, a) for s in ws.schemas.values() for r, a in s.rels)
+        named = demanded_attrs(chain(schemas, items), {})
+        cqs = (
+            q
+            for c in items
+            for q in ((c.body, c.head) if isinstance(c, Tgd) else (c.body,) if isinstance(c, Egd) else (c,))
+            if isinstance(q, ConjunctiveQuery)
         )
-        reserved = sorted(n for rel, attrs in named.items() for n in (rel, *attrs) if "@" in n)
+        names = chain(
+            *(ws.schemas, ws.instances, ws.constraints, ws.queries, ws.procedures, ws.sequences),
+            (n for rel, attrs in named.items() for n in (rel, *attrs)),
+            (v.name for q in cqs for v in q.vars),
+        )
+        bad = [n for n in names if not _reads_as_name(n)]
     except KeyError as e:
         raise WorkspaceSyntaxError(1, 1, f"json: missing field {e.args[0]!r}") from None
     except (AttributeError, TypeError, ValueError) as e:
         raise WorkspaceSyntaxError(1, 1, f"json: malformed workspace: {e}") from None
-    if reserved:
-        raise WorkspaceSyntaxError(
-            1, 1, f"json: names containing @ are reserved for generated values: {reserved[0]!r}"
-        )
+    if bad:
+        at = "@" in str(bad[0])
+        why = "names containing @ are reserved for generated values" if at else "not a valid name"
+        raise WorkspaceSyntaxError(1, 1, f"json: {why}: {bad[0]!r}")
     return ws
+
+
+def _reads_as_name(name) -> bool:
+    if not isinstance(name, str) or name in RESERVED_WORDS:
+        return False
+    try:
+        return _tokenize(name) == [_Token("ident", name, 0)]
+    except WorkspaceSyntaxError:
+        return False
 
 
 def _names_from_json(names, what: str, *, distinct: bool = True) -> list[str]:
@@ -1155,7 +1164,9 @@ def _workspace_from_json(obj: Mapping) -> Workspace:
             name=name,
         )
     for name, steps in obj.get("sequences", {}).items():
-        for step in _names_from_json(steps, f"steps of sequence {name!r}", distinct=False):
+        if not _names_from_json(steps, f"steps of sequence {name!r}", distinct=False):
+            raise WorkspaceSyntaxError(1, 1, f"json: sequence {name!r} has no steps")
+        for step in steps:
             if step not in ws.procedures:
                 raise ResolutionError(f"sequence {name!r} references unknown procedure {step!r}")
         ws.sequences[name] = tuple(steps)

@@ -23,7 +23,6 @@ from .chase import EmptyResult, approximate_outcomes
 from .constraints import (
     ConjunctiveQuery,
     Egd,
-    FilteredTotalQuery,
     Tgd,
     comparisons,
     cq_constants,
@@ -84,7 +83,7 @@ def constraint_constants(p: Procedure) -> frozenset[Value]:
     for q in p.safe:
         if isinstance(q, ConjunctiveQuery):
             out |= cq_constants(q)
-        elif isinstance(q, FilteredTotalQuery):
+        elif q.condition is not None:
             leaves = comparisons(q.condition)
             out.update(leaf.rhs for leaf in leaves if isinstance(leaf.rhs, Value))
     return frozenset(out)
@@ -123,17 +122,21 @@ def _candidate_schemas(i: Instance, p: Procedure, b: Budget) -> Iterator[Schema]
         for attr in sorted((changed & base[rel]) - needed.get(rel, set()))
     ]
 
-    growth_slots: list[tuple[str, ...]] = [()]
-    if b.allow_schema_growth and b.max_new_attributes > 0:
-        rels = sorted(base)
-        for k in range(1, b.max_new_attributes + 1):
-            growth_slots.extend(itertools.combinations_with_replacement(rels, k))
+    most = b.max_new_attributes if b.allow_schema_growth else 0
+    growable = sorted(base)
+
+    def growth_slots() -> Iterator[tuple[str, ...]]:
+        """No slot, then each multiset of 1 to `most` relations, listed one
+        size at a time as the search reaches it: the charge may stop the
+        search long before the last."""
+        for k in range(most + 1):
+            yield from itertools.combinations_with_replacement(growable, k)
 
     # growth slots on a dropped relation add nothing: such schemas repeat
     seen: set[Schema] = set()
     for dropped_rels in _subsets(droppable_rels):
         for dropped_attrs in _subsets(drop_attr_options):
-            for slots in growth_slots:
+            for slots in growth_slots():
                 rels: dict[str, set[str]] = {
                     r: set(a) for r, a in base.items() if r not in dropped_rels
                 }
@@ -193,28 +196,27 @@ def _relation_choices(
         else set()
     )
 
+    # every batch is counted and charged before it is built
     if pinned is None:
         fill = new_attrs
-        addition_pool = _extensions(Row.of({}), sorted(target_attrs), pool)
-        per_row = [[None] + _extensions(r, fill, pool) for r in old_rows]
-    elif pinned:
-        fill = sorted((frozenset(pinned) & target_attrs) | frozenset(new_attrs))
-        per_row = [[None] + _extensions(r, fill, pool) for r in old_rows]
-        addition_pool = sorted(
-            {ext for r in old_rows for ext in _extensions(r, fill, pool)}
-        )
+        n_pool = len(pool) ** len(target_attrs)
     else:
-        fill = new_attrs
-        per_row = [_extensions(r, fill, pool) for r in old_rows]
-        addition_pool = sorted(
-            {ext for r in old_rows for ext in _extensions(r, fill, pool)}
-        )
-        if not fill:
+        fill = sorted((pinned & target_attrs) | frozenset(new_attrs)) if pinned else new_attrs
+        if not pinned and not fill:
             return [frozenset(old_rows)]
-
+        unfilled = frozenset(kept_old) - frozenset(fill)
+        n_pool = len({r.project(unfilled) for r in old_rows}) * len(pool) ** len(fill)
+    drop = 0 if pinned == frozenset() else 1  # an in-scope old row may be dropped
     sizes = range(b.max_new_tuples + 1)
-    n_add = sum(math.comb(len(addition_pool), k) for k in sizes)
-    meter.tick(n_add + n_add * math.prod(len(options) for options in per_row))
+    n_add = sum(math.comb(n_pool, k) for k in sizes)
+    meter.tick(n_add + n_add * (len(pool) ** len(fill) + drop) ** len(old_rows))
+
+    extended = [_extensions(r, fill, pool) for r in old_rows]
+    per_row = [[None] * drop + rows for rows in extended]
+    if pinned is None:
+        addition_pool = _extensions(Row.of({}), sorted(target_attrs), pool)
+    else:
+        addition_pool = sorted({ext for rows in extended for ext in rows})
     additions = [frozenset(c) for k in sizes for c in itertools.combinations(addition_pool, k)]
 
     out: list[frozenset[Row]] = []
@@ -398,11 +400,11 @@ def compare_with_chase(i: Instance, ps: Sequence[Procedure], b: Budget) -> Chase
     compared after renaming reserved constants by first appearance.
     """
     outcomes = enumerate_outcomes(ps, i, b)
-    res = approximate_outcomes(i, ps)
+    table = approximate_outcomes(i, ps)
     rigid = frozenset(active_domain(i)) | frozenset().union(
         frozenset(), *(constraint_constants(p) for p in ps)
     )
-    if isinstance(res, EmptyResult):
+    if isinstance(table, EmptyResult):
         oracle_min = minimal_outcomes(outcomes)
         return ChaseComparison(
             outcomes=outcomes,
@@ -415,7 +417,6 @@ def compare_with_chase(i: Instance, ps: Sequence[Procedure], b: Budget) -> Chase
             ),
             minimal_only_chase=(),
         )
-    table = res.table
     missing = tuple(
         j
         for j in sorted(outcomes, key=_instance_sort_key)

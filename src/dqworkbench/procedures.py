@@ -20,13 +20,11 @@ from .constraints import (
     Constraint,
     ConstantAtom,
     Egd,
-    FilteredTotalQuery,
     NamedAtom,
     Not,
     Query,
     StructureConstraint,
     Tgd,
-    TotalConjQuery,
     TotalQuery,
     Var,
     condition_attrs,
@@ -330,7 +328,8 @@ def classify(p: Procedure) -> str:
         if len(p.safe) != 1:
             return NEITHER
         guard = p.safe[0]
-        if not isinstance(guard, (TotalQuery, TotalConjQuery)) or frozenset(guard.relations) != heads:
+        unfiltered = isinstance(guard, TotalQuery) and guard.condition is None
+        if not unfiltered or frozenset(guard.relations) != heads:
             return NEITHER
         return SAFE_SCOPE
     return NEITHER
@@ -385,7 +384,7 @@ def _template_data_exchange(params: Mapping) -> Procedure:
         scope=[StructureConstraint.of(r) for r in sorted(heads)],
         pre=pre,
         post=deps,
-        safe=[TotalConjQuery(tuple(sorted(heads | bodies)))],
+        safe=[TotalQuery(tuple(sorted(heads | bodies)))],
         name=str(params.get("name", "data_exchange")),
     )
 
@@ -511,7 +510,7 @@ def _template_sql_insert(params: Mapping) -> Procedure:
         scope=[StructureConstraint.of(rel)],
         pre=pre,
         post=[Tgd(body, head)],
-        safe=[TotalQuery(rel)],
+        safe=[TotalQuery((rel,))],
         name=str(params.get("name", f"insert_{rel}")),
     )
 
@@ -524,7 +523,7 @@ def _template_sql_delete(params: Mapping) -> Procedure:
         scope=[StructureConstraint.of(rel)],
         pre=[StructureConstraint.of(rel, attrs)] if attrs else [StructureConstraint.of(rel)],
         post=[],
-        safe=[FilteredTotalQuery(rel, Not(condition))],
+        safe=[TotalQuery((rel,), Not(condition))],
         name=str(params.get("name", f"delete_{rel}")),
     )
 

@@ -101,7 +101,7 @@ def migrate_total_proc() -> Procedure:
             StructureConstraint.of("LocVisits", ("facility", "patInsur", "timestp")),
         ],
         post=[migration_tgd()],
-        safe=[TotalQuery("LocVisits")],
+        safe=[TotalQuery(("LocVisits",))],
         name="migrate",
     )
 

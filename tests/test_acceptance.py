@@ -272,7 +272,7 @@ def _c5_safe_scope(rng, schema):
     return Procedure.of(
         scope=[StructureConstraint.of(dst)],
         post=[d],
-        safe=[TotalQuery(dst)],
+        safe=[TotalQuery((dst,))],
         name=f"copy_{src}_{dst}",
     )
 
@@ -344,14 +344,14 @@ def test_c05_approximation_agrees_with_the_oracle_on_generated_cases():
             added = 0
             max_attrs = 0
         else:
-            nulls = _c5_null_count(res.table)
+            nulls = _c5_null_count(res)
             added = max(
-                len(res.table.rows(rel))
+                len(res.rows(rel))
                 - (len(i.rows(rel)) if i.schema.defines(rel) else 0)
-                for rel in res.table.schema.names
+                for rel in res.schema.names
             )
             max_attrs = max(
-                len(res.table.schema.attrs(r)) for r in res.table.schema.names
+                len(res.schema.attrs(r)) for r in res.schema.names
             )
         # keep the brute-force side tractable: tiny null/tuple budgets only
         if nulls > 2 or added > 2:
@@ -412,11 +412,10 @@ def test_c07_representation_is_strictly_wider_than_the_outcome_set():
                 open_cq([NamedAtom.of("S", {"a": X})]),
             )
         ],
-        safe=[TotalQuery("S")],
+        safe=[TotalQuery(("S",))],
         name="copy_r_s",
     )
-    res = approximate_outcomes(i, [p])
-    table = res.table
+    table = approximate_outcomes(i, [p])
 
     # constructive witness: represented, yet violates the postcondition
     witness = Instance.of(
@@ -448,7 +447,7 @@ def _c8_copy(src: str, dst: str, dst_extra: str | None = None) -> Procedure:
     return Procedure.of(
         scope=[StructureConstraint.of(dst)],
         post=[Tgd(body, head)],
-        safe=[TotalQuery(dst)],
+        safe=[TotalQuery((dst,))],
         name=f"copy_{src}_{dst}",
     )
 

@@ -82,7 +82,7 @@ def test_unmet_structural_precondition(visit_schema):
 
 
 def test_incompatible_safety_query_fails(visit_schema):
-    p = Procedure.of(safe=[TotalQuery("Patients")])
+    p = Procedure.of(safe=[TotalQuery(("Patients",))])
     assert isinstance(min_schema(p, visit_schema), Failure)
 
 
@@ -236,7 +236,7 @@ def structural_procedures(draw, s: Schema):
         post.append(StructureConstraint.of(rel, [new_attr]))
     safe = []
     if draw(st.booleans()):
-        safe.append(TotalQuery(draw(st.sampled_from(names))))
+        safe.append(TotalQuery((draw(st.sampled_from(names)),)))
     return Procedure.of(scope=scope, pre=pre, post=post, safe=safe)
 
 

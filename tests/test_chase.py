@@ -5,7 +5,6 @@ import pytest
 from dqworkbench.chase import (
     EMPTY,
     EmptyResult,
-    TableResult,
     approximate_outcomes,
     apply_alter_schema,
     canonical_table,
@@ -93,7 +92,7 @@ class TestChaseSafeScope:
                     cq([NamedAtom.of("S", {"a": x, "b": y})], free=[x], existential=[y]),
                 )
             ],
-            safe=[TotalQuery("S")],
+            safe=[TotalQuery(("S",))],
             name="expand",
         )
         i = Instance.of(s, {"R": {Row.of({"a": const("a0")})}})
@@ -117,7 +116,7 @@ class TestChaseSafeScope:
                     cq([NamedAtom.of("S", {"a": x})], free=[x]),
                 )
             ],
-            safe=[TotalQuery("S")],
+            safe=[TotalQuery(("S",))],
             name="project",
         )
         i = Instance.of(s, {"R": {Row.of({"a": const("a0")})}})
@@ -139,7 +138,7 @@ class TestChaseSafeScope:
                     cq([NamedAtom.of("S", {"a": x})], free=[x]),
                 )
             ],
-            safe=[TotalQuery("S")],
+            safe=[TotalQuery(("S",))],
             name="project",
         )
         i = Instance.of(
@@ -182,7 +181,7 @@ class TestChaseSafeScope:
                     open_cq([NamedAtom.of("V", {"a": x})]),
                 )
             ],
-            safe=[TotalQuery("V")],
+            safe=[TotalQuery(("V",))],
             name="join_copy",
         )
         n = LabeledNull("n1")
@@ -239,7 +238,7 @@ class TestChaseSafeScope:
                     open_cq([NamedAtom.of("V", {"a": x})]),
                 )
             ],
-            safe=[TotalQuery("V")],
+            safe=[TotalQuery(("V",))],
             name="self_join",
         )
         chased = chase_safe_scope(t, p)
@@ -262,7 +261,7 @@ def simple_copy_proc(src: str, dst: str, extra_attr: str | None = None) -> Proce
                 open_cq([NamedAtom.of(dst, head_bindings)]),
             )
         ],
-        safe=[TotalQuery(dst)],
+        safe=[TotalQuery((dst,))],
         name=f"copy_{src}_{dst}",
     )
 
@@ -311,23 +310,23 @@ class TestAlterSchema:
 class TestApproximateOutcomes:
     def test_empty_sequence_returns_the_instance_itself(self, instance_i):
         res = approximate_outcomes(instance_i, [])
-        assert isinstance(res, TableResult)
-        assert res.table == ConditionalInstance.from_instance(instance_i)
+        assert isinstance(res, ConditionalInstance)
+        assert res == ConditionalInstance.from_instance(instance_i)
 
     def test_migration_table_has_unique_minimal_j1(self, instance_i, instance_j1):
         res = approximate_outcomes(instance_i, [migrate_total_proc()])
-        assert isinstance(res, TableResult)
-        assert enumerate_minimal(res.table) == frozenset({instance_j1})
+        assert isinstance(res, ConditionalInstance)
+        assert enumerate_minimal(res) == frozenset({instance_j1})
 
     def test_pipeline_adds_age_nulls_after_migration(self, instance_i):
         res = approximate_outcomes(
             instance_i, [migrate_total_proc(), alter_age_proc()]
         )
-        assert isinstance(res, TableResult)
-        assert len(res.table.rows("LocVisits")) == 3
+        assert isinstance(res, ConditionalInstance)
+        assert len(res.rows("LocVisits")) == 3
         assert all(
             isinstance(row["age"], LabeledNull)
-            for row, _ in res.table.rows("LocVisits")
+            for row, _ in res.rows("LocVisits")
         )
 
     def test_inapplicable_step_yields_empty(self, instance_i):
@@ -346,8 +345,8 @@ class TestApproximateOutcomes:
     def test_chase_on_empty_instance_changes_nothing(self, visit_schema):
         empty = Instance.of(visit_schema)
         res = approximate_outcomes(empty, [migrate_total_proc()])
-        assert isinstance(res, TableResult)
-        assert res.table == ConditionalInstance.from_instance(empty)
+        assert isinstance(res, ConditionalInstance)
+        assert res == ConditionalInstance.from_instance(empty)
 
     def test_unsupported_class_is_rejected_upfront(self, instance_i):
         with pytest.raises(UnsupportedClass):
@@ -427,7 +426,7 @@ class TestStrictnessWitness:
         )
         p = simple_copy_proc("R", "S")
         res = approximate_outcomes(i, [p])
-        assert res.table == ConditionalInstance.from_instance(i)
+        assert res == ConditionalInstance.from_instance(i)
         witness = Instance.of(
             s,
             {
@@ -435,7 +434,7 @@ class TestStrictnessWitness:
                 "S": i.rows("S"),
             },
         )
-        assert rep_contains(res.table, witness)
+        assert rep_contains(res, witness)
         assert not satisfies(p.post[0], witness)
         scoped = exact_scoped_representation(i, [p])
         assert not rep_contains(scoped, witness)
@@ -444,11 +443,11 @@ class TestStrictnessWitness:
 class TestCertainty:
     def test_goal_is_certain_after_migration(self, instance_i):
         res = approximate_outcomes(instance_i, [migrate_total_proc()])
-        assert certain_boolean_cq(res.table, visit_goal())
+        assert certain_boolean_cq(res, visit_goal())
 
     def test_goal_fails_on_the_bare_instance(self, instance_i):
         res = approximate_outcomes(instance_i, [])
-        assert not certain_boolean_cq(res.table, visit_goal())
+        assert not certain_boolean_cq(res, visit_goal())
 
     def test_empty_table_never_certain_for_matching_queries(self):
         t = ConditionalInstance.from_instance(Instance.of(Schema.of({"R": ["a"]})))

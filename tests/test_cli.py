@@ -840,6 +840,10 @@ class TestArgumentErrors:
                     {"kind": "or", "items": [{"kind": "cmp", "lhs": "a", "op": "=", "rhs": {"const": "1"}}]},
                 )
             ),
+            *({"schemas": {"S": {rel: ["a"]}}} for rel in ("total", "a b", "")),
+            {"schemas": {"1S": {"R": ["a"]}}},
+            {"schemas": {"S": {"R": ["a"]}}, "queries": {"@q": {"kind": "total", "relation": "R"}}},
+            {"procedures": {"p": {}}, "sequences": {"s": []}},
         ],
         ids=[
             "list",
@@ -861,6 +865,12 @@ class TestArgumentErrors:
             "condition-kind-unknown",
             "condition-and-of-nothing",
             "condition-or-of-one-item",
+            "relation-named-by-a-reserved-word",
+            "relation-name-with-a-space",
+            "relation-name-empty",
+            "schema-name-starting-with-a-digit",
+            "query-name-with-an-at",
+            "sequence-without-steps",
         ],
     )
     def test_malformed_json_workspace_is_an_error(self, capsys, tmp_path, image):

@@ -12,13 +12,11 @@ from dqworkbench.constraints import (
     ConjunctiveQuery,
     ConstantAtom,
     Egd,
-    FilteredTotalQuery,
     NamedAtom,
     Not,
     Or,
     StructureConstraint,
     Tgd,
-    TotalConjQuery,
     TotalQuery,
     Var,
     boolean_cq,
@@ -52,13 +50,13 @@ def migrate_tgd() -> Tgd:
 
 def test_atom_compatibility(visit_schema):
     assert is_compatible(visit_atom("LocVisits", facility=X), visit_schema)
-    assert is_compatible(TotalQuery("LocVisits"), visit_schema)
+    assert is_compatible(TotalQuery(("LocVisits",)), visit_schema)
     assert not is_compatible(visit_atom("LocVisits", age=X), visit_schema)
-    assert not is_compatible(TotalQuery("Patients"), visit_schema)
+    assert not is_compatible(TotalQuery(("Patients",)), visit_schema)
 
 
 def test_total_query_frozen_values(instance_i):
-    assert evaluate_query(TotalQuery("EVisits"), instance_i) == frozenset(
+    assert evaluate_query(TotalQuery(("EVisits",)), instance_i) == frozenset(
         {
             (const(1234), const(33), const("070916 12:00")),
             (const(2087), const(91), const("090916 03:10")),
@@ -112,12 +110,12 @@ def test_incompatible_query_raises(instance_i):
 
 
 def test_filtered_total(instance_i):
-    keep = FilteredTotalQuery("LocVisits", Not(Comparison("facility", "=", const(1222))))
+    keep = TotalQuery(("LocVisits",), Not(Comparison("facility", "=", const(1222))))
     assert evaluate_query(keep, instance_i) == frozenset(
         {(const(1234), const(33), const("070916 12:00"))}
     )
-    both = FilteredTotalQuery(
-        "LocVisits",
+    both = TotalQuery(
+        ("LocVisits",),
         And((Comparison("patInsur", "=", const(33)), Comparison("facility", "!=", const(1222)))),
     )
     assert evaluate_query(both, instance_i) == frozenset(
@@ -126,12 +124,12 @@ def test_filtered_total(instance_i):
 
 
 def test_filtered_total_compatibility(visit_schema):
-    bad = FilteredTotalQuery("LocVisits", Comparison("age", "=", const(5)))
+    bad = TotalQuery(("LocVisits",), Comparison("age", "=", const(5)))
     assert not is_compatible(bad, visit_schema)
 
 
 def test_total_conj_cross_product(instance_i):
-    q = TotalConjQuery(("EVisits", "LocVisits"))
+    q = TotalQuery(("EVisits", "LocVisits"))
     answers = evaluate_query(q, instance_i)
     assert len(answers) == 4
     assert (
@@ -146,18 +144,26 @@ def test_total_conj_cross_product(instance_i):
 
 def test_total_type_queries_list_their_relations(visit_schema):
     cond = Comparison("patInsur", "=", const(33))
-    assert TotalQuery("LocVisits").relations == ("LocVisits",)
-    assert FilteredTotalQuery("LocVisits", cond).relations == ("LocVisits",)
-    assert is_compatible(TotalConjQuery(("EVisits", "LocVisits")), visit_schema)
-    assert not is_compatible(TotalConjQuery(("EVisits", "Patients")), visit_schema)
+    assert TotalQuery(("LocVisits",)).relations == ("LocVisits",)
+    assert TotalQuery(("LocVisits",), cond).relations == ("LocVisits",)
+    assert is_compatible(TotalQuery(("EVisits", "LocVisits")), visit_schema)
+    assert not is_compatible(TotalQuery(("EVisits", "Patients")), visit_schema)
+
+
+def test_total_query_filters_one_relation_named_in_a_tuple():
+    cond = Comparison("a", "=", const(1))
+    with pytest.raises(DomainMismatch):
+        TotalQuery(("R", "T"), cond)
+    with pytest.raises(DomainMismatch):
+        TotalQuery("R")
 
 
 def test_demanded_attrs_reads_every_query_kind():
     cond = Or((Comparison("a", "=", const(1)), Comparison("b", "!=", "c")))
     queries = [
-        TotalQuery("R"),
-        TotalConjQuery(("R", "T")),
-        FilteredTotalQuery("U", cond),
+        TotalQuery(("R",)),
+        TotalQuery(("R", "T")),
+        TotalQuery(("U",), cond),
         open_cq([NamedAtom.of("R", {"d": X})]),
     ]
     assert demanded_attrs(queries, {}) == {
@@ -166,7 +172,7 @@ def test_demanded_attrs_reads_every_query_kind():
         "U": {"a", "b", "c"},
     }
     need = {"T": {"e"}}
-    assert demanded_attrs([TotalQuery("T")], need) is need
+    assert demanded_attrs([TotalQuery(("T",))], need) is need
     assert need == {"T": {"e"}}
 
 
@@ -383,7 +389,7 @@ def test_cq_monotone_under_row_addition(inst, data):
         existential=[Y],
     )
     assert evaluate_query(q, inst) <= evaluate_query(q, bigger)
-    assert evaluate_query(TotalQuery("R"), inst) <= evaluate_query(TotalQuery("R"), bigger)
+    assert evaluate_query(TotalQuery(("R",)), inst) <= evaluate_query(TotalQuery(("R",)), bigger)
 
 
 @settings(max_examples=100, deadline=None)

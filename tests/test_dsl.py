@@ -14,13 +14,11 @@ from dqworkbench.constraints import (
     ConjunctiveQuery,
     ConstantAtom,
     Egd,
-    FilteredTotalQuery,
     NamedAtom,
     Not,
     Or,
     StructureConstraint,
     Tgd,
-    TotalConjQuery,
     TotalQuery,
     Var,
     boolean_cq,
@@ -221,11 +219,11 @@ class TestParsingBasics:
         )
         assert ws.queries["b"].is_boolean
         assert ws.queries["open"].free == (Var("y"), Var("x"))
-        assert ws.queries["t"] == TotalQuery("R")
-        assert ws.queries["tc"] == TotalConjQuery(("R", "T"))
+        assert ws.queries["t"] == TotalQuery(("R",))
+        assert ws.queries["tc"] == TotalQuery(("R", "T"))
         f = ws.queries["f"]
-        assert f == FilteredTotalQuery(
-            "R",
+        assert f == TotalQuery(
+            ("R",),
             Or(
                 (
                     And((Not(Comparison("a", "=", const(1))), Comparison("b", "!=", "c"))),
@@ -244,7 +242,7 @@ class TestParsingBasics:
         )
         p = ws.procedures["p"]
         assert p.scope == (StructureConstraint("T", None),)
-        assert p.safe == (TotalQuery("T"),)
+        assert p.safe == (TotalQuery(("T",)),)
         assert p.pre == ()
 
     def test_safety_cq_with_explicit_variable_order(self):
@@ -551,17 +549,13 @@ def condition_st(draw, depth: int = 2):
 def query_st(draw, schema: Schema):
     kind = draw(st.sampled_from(["cq", "total", "total_conj", "filtered"]))
     if kind == "total":
-        return TotalQuery(draw(st.sampled_from(schema.names)))
+        return TotalQuery((draw(st.sampled_from(schema.names)),))
     if kind == "total_conj":
-        # A one-relation conjunction has the same text form as a plain
-        # totality check and normalizes to it on reparse.
-        if len(schema.names) < 2:
-            return TotalQuery(schema.names[0])
-        rels = draw(st.sets(st.sampled_from(schema.names), min_size=2))
-        return TotalConjQuery(tuple(sorted(rels)))
+        rels = draw(st.sets(st.sampled_from(schema.names), min_size=1))
+        return TotalQuery(tuple(sorted(rels)))
     if kind == "filtered":
-        return FilteredTotalQuery(
-            draw(st.sampled_from(schema.names)), draw(condition_st())
+        return TotalQuery(
+            (draw(st.sampled_from(schema.names)),), draw(condition_st())
         )
     atoms = draw(st.lists(atom_st(schema), min_size=1, max_size=2))
     occurring = sorted({v for a in atoms for v in a.vars})

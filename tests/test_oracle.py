@@ -5,12 +5,13 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqworkbench import oracle as oracle_mod
-from dqworkbench.chase import EMPTY, TableResult
+from dqworkbench.chase import EMPTY
 from dqworkbench.constraints import (
     NamedAtom,
     StructureConstraint,
@@ -214,7 +215,7 @@ class TestSequenceFiltering:
                     ),
                 )
             ],
-            safe=[TotalQuery("T")],
+            safe=[TotalQuery(("T",))],
             name="stamp",
         )
         b = Budget(extra_constants=1, max_new_tuples=1, allow_schema_growth=True)
@@ -434,7 +435,7 @@ class TestCompareWithChase:
         )
 
         def fake(instance, ps):
-            return TableResult(ConditionalInstance.from_instance(wrong))
+            return ConditionalInstance.from_instance(wrong)
 
         monkeypatch.setattr(oracle_mod, "approximate_outcomes", fake)
         rep = compare_with_chase(i, [migrate_total_proc()], Budget(max_new_tuples=1))
@@ -484,6 +485,44 @@ class TestBudgets:
             enumerate_outcomes(
                 [migrate_total_proc()] * 2, fig_instance(), Budget(max_new_tuples=1)
             )
+
+    def test_a_relation_is_charged_before_its_rows_are_built(self, monkeypatch):
+        # 7^7 fresh tuples over R's 7 attributes and 7 values: 2,470,632 candidates
+        built = []
+        extensions = oracle_mod._extensions
+
+        def counting(row, fill, pool):
+            rows = extensions(row, fill, pool)
+            built.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(oracle_mod, "_extensions", counting)
+        attrs = [f"a{k}" for k in range(7)]
+        i = Instance.of(
+            Schema.of({"R": attrs}), {"R": {Row.of({a: const(k) for k, a in enumerate(attrs)})}}
+        )
+        with pytest.raises(
+            BudgetExceeded,
+            match="0 candidates charged so far, and the next charge of 2470632 does not fit$",
+        ):
+            enumerate_outcomes(Procedure.of(scope=[StructureConstraint.of("R")]), i, Budget())
+        assert sum(built) == 0
+
+    def test_growth_slots_are_listed_as_the_search_reaches_them(self, monkeypatch):
+        groups = []
+
+        def counting(items, k):
+            groups.append(k)
+            return itertools.combinations_with_replacement(items, k)
+
+        lazy = SimpleNamespace(**{**vars(itertools), "combinations_with_replacement": counting})
+        monkeypatch.setattr(oracle_mod, "itertools", lazy)
+        b = Budget(max_new_attributes=600, allow_schema_growth=True)
+        schemas = oracle_mod._candidate_schemas(fig_instance(), migrate_total_proc(), b)
+        next(schemas)
+        assert groups == [0]
+        next(schemas)
+        assert groups == [0, 1]
 
     def test_candidate_schemas_come_once_each(self):
         # dropping R makes the growth slot on R a no-op, which used to yield

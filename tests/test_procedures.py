@@ -10,12 +10,10 @@ from dqworkbench.constraints import (
     Comparison,
     ConjunctiveQuery,
     Egd,
-    FilteredTotalQuery,
     NamedAtom,
     Not,
     StructureConstraint,
     Tgd,
-    TotalConjQuery,
     TotalQuery,
     Var,
     canonicalize_cq,
@@ -133,7 +131,7 @@ def test_empty_procedure_applicable_anywhere(instance_i):
 
 
 def test_incompatible_safety_query_blocks_applicability(instance_i):
-    p = Procedure.of(safe=[TotalQuery("Patients")])
+    p = Procedure.of(safe=[TotalQuery(("Patients",))])
     assert not is_applicable(p, instance_i)
 
 
@@ -232,7 +230,7 @@ def _join_proc() -> Procedure:
                 open_cq([NamedAtom.of("U", {"a": X, "c": Z})]),
             )
         ],
-        safe=[TotalQuery("U")],
+        safe=[TotalQuery(("U",))],
     )
 
 
@@ -271,7 +269,7 @@ def test_data_exchange_template_shape():
         StructureConstraint.of("EVisits", ("facility", "patInsur", "timestp")),
     )
     assert p.post == (migration_tgd(),)
-    assert p.safe == (TotalConjQuery(("EVisits", "LocVisits")),)
+    assert p.safe == (TotalQuery(("EVisits", "LocVisits")),)
 
 
 def test_data_exchange_admits_j1(instance_i, instance_j1):
@@ -428,7 +426,7 @@ def test_sql_insert_query_form(instance_i, instance_j1, instance_j2):
             "query": q,
         },
     )
-    assert p.safe == (TotalQuery("LocVisits"),)
+    assert p.safe == (TotalQuery(("LocVisits",)),)
     assert is_possible_outcome(p, instance_i, instance_j1)
     assert is_possible_outcome(p, instance_i, instance_j2)
     assert not is_possible_outcome(p, instance_i, instance_i)
@@ -460,7 +458,7 @@ def test_sql_delete_template(instance_i, visit_schema):
         {"relation": "LocVisits", "condition": Comparison("facility", "=", const(1222))},
     )
     assert p.post == ()
-    assert isinstance(p.safe[0], FilteredTotalQuery)
+    assert p.safe[0].condition is not None
     kept = Instance.of(
         visit_schema,
         {
@@ -528,7 +526,7 @@ def test_classify_requires_exact_scope():
     widened = Procedure.of(
         scope=[StructureConstraint.of("LocVisits"), StructureConstraint.of("EVisits")],
         post=[d],
-        safe=[TotalQuery("LocVisits")],
+        safe=[TotalQuery(("LocVisits",))],
     )
     assert classify(widened) == NEITHER
 
@@ -538,7 +536,7 @@ def test_classify_accepts_total_conj_guard():
     p = Procedure.of(
         scope=[StructureConstraint.of("LocVisits")],
         post=[d],
-        safe=[TotalConjQuery(("LocVisits",))],
+        safe=[TotalQuery(("LocVisits",))],
     )
     assert classify(p) == SAFE_SCOPE
 
@@ -555,17 +553,17 @@ def test_safe_sequence_rejects_reading_earlier_scope():
     p1 = Procedure.of(
         scope=[StructureConstraint.of("T")],
         post=[Tgd(open_cq([NamedAtom.of("R", {"a": X})]), open_cq([NamedAtom.of("T", {"a": X})]))],
-        safe=[TotalQuery("T")],
+        safe=[TotalQuery(("T",))],
     )
     p2 = Procedure.of(
         scope=[StructureConstraint.of("V")],
         post=[Tgd(open_cq([NamedAtom.of("T", {"a": X})]), open_cq([NamedAtom.of("V", {"a": X})]))],
-        safe=[TotalQuery("V")],
+        safe=[TotalQuery(("V",))],
     )
     p2_fresh_source = Procedure.of(
         scope=[StructureConstraint.of("T")],
         post=[Tgd(open_cq([NamedAtom.of("U", {"a": X})]), open_cq([NamedAtom.of("T", {"a": X})]))],
-        safe=[TotalQuery("T")],
+        safe=[TotalQuery(("T",))],
     )
     assert not is_safe_sequence([p1, p2])
     assert is_safe_sequence([p2, p1])

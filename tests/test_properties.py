@@ -30,7 +30,6 @@ from hypothesis import given, settings, strategies as st
 
 from dqworkbench.chase import (
     EmptyResult,
-    TableResult,
     approximate_outcomes,
     canonical_table,
     certain_boolean_cq,
@@ -45,13 +44,11 @@ from dqworkbench.constraints import (
     ConjunctiveQuery,
     ConstantAtom,
     Egd,
-    FilteredTotalQuery,
     NamedAtom,
     Not,
     Or,
     StructureConstraint,
     Tgd,
-    TotalConjQuery,
     TotalQuery,
     Var,
     boolean_cq,
@@ -229,7 +226,7 @@ def _copy_proc(src: str, dst: str, tgd: Tgd) -> Procedure:
     return Procedure.of(
         scope=[StructureConstraint.of(dst)],
         post=[tgd],
-        safe=[TotalQuery(dst)],
+        safe=[TotalQuery((dst,))],
         name=f"copy_{src}_{dst}",
     )
 
@@ -291,9 +288,9 @@ def test_folding_is_reproducible(rs, ts, names):
     second = approximate_outcomes(i, seq)
     assert first == second
     assert outcomes_nonempty(i, seq) == (not isinstance(first, EmptyResult))
-    if isinstance(first, TableResult):
-        assert canonical_table(first.table) == canonical_table(second.table)
-        assert render_ctable(first.table) == render_ctable(second.table)
+    if isinstance(first, ConditionalInstance):
+        assert canonical_table(first) == canonical_table(second)
+        assert render_ctable(first) == render_ctable(second)
 
 
 # --- certainty against the minimal-member enumeration ------------------------
@@ -319,8 +316,8 @@ def chase_table_st(draw) -> ConditionalInstance:
     copies = ["cp_rt", "cp_tr"] + [n for n in sorted(_PINNED) if f"alter_{n[-1]}" in alters]
     names = alters + draw(st.lists(st.sampled_from(copies), min_size=1, max_size=2))
     res = approximate_outcomes(i, [{**_STEPS, **_PINNED}[n] for n in names])
-    assert isinstance(res, TableResult)
-    return res.table
+    assert isinstance(res, ConditionalInstance)
+    return res
 
 
 @st.composite
@@ -511,7 +508,7 @@ def residual_case_st(draw) -> tuple[Procedure, Instance, Instance]:
         after[rel] = {row.project(after_attrs[rel]) for row in after[rel]}
     # "V" is in no schema: its safety query is incompatible with both sides
     safe = draw(
-        st.lists(st.sampled_from([TotalQuery(r) for r in s.names + ("V",)]), max_size=2)
+        st.lists(st.sampled_from([TotalQuery((r,)) for r in s.names + ("V",)]), max_size=2)
     )
     p = Procedure.of(scope=scope, safe=safe)
     return p, Instance.of(s, before), Instance.of(Schema.of(after_attrs), after)
@@ -702,12 +699,12 @@ def staged_case_st(draw) -> tuple[Procedure, Instance, Budget]:
         bound = draw(st.sets(st.sampled_from(attrs[src]), min_size=1))
         safe.append(open_cq([NamedAtom.of(src, {a: Var(a) for a in bound})]))
     elif safe_kind == "total":
-        safe.append(TotalQuery(src))
+        safe.append(TotalQuery((src,)))
     elif safe_kind == "filtered":
         cond = Comparison(draw(st.sampled_from(attrs[src])), "=", draw(st.sampled_from(BITS)))
-        safe.append(FilteredTotalQuery(src, cond))
+        safe.append(TotalQuery((src,), cond))
     elif safe_kind == "conjunction":
-        safe.append(TotalConjQuery((src, dst)))
+        safe.append(TotalQuery((src, dst)))
     growth = draw(st.booleans())
     b = Budget(
         extra_constants=draw(st.integers(0, 1)),
@@ -779,10 +776,10 @@ def scoped_case_st(draw) -> tuple[Procedure, Instance]:
         bound = draw(st.sets(st.sampled_from(attrs[rel]), min_size=1))
         safe.append(open_cq([NamedAtom.of(rel, {a: Var(a) for a in bound})]))
     elif safe_kind == "total":
-        safe.append(TotalQuery(rel))
+        safe.append(TotalQuery((rel,)))
     elif safe_kind == "filtered":
         cond = Comparison(draw(st.sampled_from(attrs[rel])), "=", draw(st.sampled_from(BITS)))
-        safe.append(FilteredTotalQuery(rel, cond))
+        safe.append(TotalQuery((rel,), cond))
     return Procedure.of(scope=scope, safe=safe), Instance.of(s, data)
 
 
@@ -908,7 +905,9 @@ JSON_MUTATION_WORKSPACE = """
 schema S { rel R(a, b); rel T(a, b); }
 instance I : S { R: (1, 2), (3, 4); T: (1, 2); }
 instance J : S { R: (1, 2); T: (1, 2); }
+instance K : S { R: (1, ?n); T: ; }
 query q : exists x, y . T(a: x, b: y)
+query both : total R, T
 proc del = template sql_delete(R; a = 3 or not (b != 2))
 proc copy {
   scope { T[*]; }
@@ -941,26 +940,58 @@ def _json_slots(obj, path=()):
         yield from _json_slots(value, path + (key,))
 
 
-@st.composite
-def json_mutation_st(draw, image):
-    """A copy of `image` with one field dropped or renamed, or one value replaced."""
-    image = copy.deepcopy(image)
-    path = draw(st.sampled_from(list(_json_slots(image))))
+def _json_mutations(image, path) -> dict[str, list]:
+    """The one-step mutations of the field at `path`: per operation, its arguments."""
     parent = functools.reduce(operator.getitem, path[:-1], image)
-    key, value = path[-1], parent[path[-1]]
-    ops = ["drop", "replace"] + ["rename"] * isinstance(parent, dict) + ["kind"] * (
-        isinstance(value, dict) and "kind" in value
-    )
-    op = draw(st.sampled_from(ops))
+    value = parent[path[-1]]
+    ops: dict[str, list] = {"drop": [None], "replace": list(JSON_REPLACEMENTS)}
+    if isinstance(parent, dict):
+        ops["rename"] = [None]
+    if isinstance(value, dict) and "kind" in value:
+        ops["kind"] = [k for k in JSON_KINDS if k != value["kind"]]
+    return ops
+
+
+def _mutated(image, path, op: str, arg):
+    """A copy of `image` with the field at `path` mutated by `op`."""
+    image = copy.deepcopy(image)
+    parent = functools.reduce(operator.getitem, path[:-1], image)
+    key = path[-1]
     if op == "drop":
         del parent[key]
     elif op == "rename":
         parent[f"{key}_"] = parent.pop(key)
     elif op == "kind":
-        value["kind"] = draw(st.sampled_from([k for k in JSON_KINDS if k != value["kind"]]))
+        parent[key]["kind"] = arg
     else:
-        parent[key] = copy.deepcopy(draw(st.sampled_from(JSON_REPLACEMENTS)))
+        parent[key] = copy.deepcopy(arg)
     return image
+
+
+@st.composite
+def json_mutation_st(draw, image):
+    """A copy of `image` with one field dropped or renamed, or one value replaced."""
+    path = draw(st.sampled_from(list(_json_slots(image))))
+    ops = _json_mutations(image, path)
+    op = draw(st.sampled_from(list(ops)))
+    return _mutated(image, path, op, draw(st.sampled_from(ops[op])))
+
+
+def test_every_json_mutation_fails_cleanly_or_round_trips():
+    """Each mutation `json_mutation_st` can draw either fails to load with a
+    WorkbenchError or loads a workspace whose text form reads back as it."""
+    walked = loaded = 0
+    for path in _json_slots(JSON_MUTATION_IMAGE):
+        for op, args in _json_mutations(JSON_MUTATION_IMAGE, path).items():
+            for arg in args:
+                walked += 1
+                try:
+                    ws = workspace_from_json(_mutated(JSON_MUTATION_IMAGE, path, op, arg))
+                except WorkbenchError:
+                    continue
+                loaded += 1
+                assert parse_workspace(serialize_workspace(ws)) == ws, (path, op, arg)
+    assert walked > 1000 and loaded > 100
 
 
 @settings(max_examples=JSON_MUTATION_EXAMPLES, deadline=None)

@@ -32,10 +32,6 @@ class SchemaRequirement:
     schema: Schema
     labels: tuple[tuple[str, int], ...]
 
-    @property
-    def labels_dict(self) -> dict[str, int]:
-        return dict(self.labels)
-
 
 @dataclass(frozen=True)
 class Failure:

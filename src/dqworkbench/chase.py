@@ -70,9 +70,6 @@ from .procedures import (
 class EmptyResult:
     """The approximation of an empty outcome set."""
 
-    def render(self) -> str:
-        return "no outcomes"
-
 
 EMPTY = EmptyResult()
 

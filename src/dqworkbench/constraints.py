@@ -21,7 +21,7 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DomainMismatch, Incompatible
-from .model import Instance, Row, Schema, Value, first_appearance
+from .model import Instance, Row, Schema, Value
 
 
 @dataclass(frozen=True, order=True)
@@ -97,10 +97,6 @@ class ConjunctiveQuery:
     def vars(self) -> frozenset[Var]:
         return frozenset(self.free) | self.existential
 
-    @property
-    def is_boolean(self) -> bool:
-        return not self.free
-
 
 def cq(
     atoms: Iterable[Atom],
@@ -108,11 +104,6 @@ def cq(
     existential: Iterable[Var] = (),
 ) -> ConjunctiveQuery:
     return ConjunctiveQuery(tuple(atoms), tuple(free), frozenset(existential))
-
-
-def boolean_cq(atoms: Iterable[Atom]) -> ConjunctiveQuery:
-    atoms = tuple(atoms)
-    return ConjunctiveQuery(atoms, (), frozenset(v for a in atoms for v in a.vars))
 
 
 def cq_constants(q: ConjunctiveQuery) -> frozenset[Value]:
@@ -124,13 +115,6 @@ def cq_constants(q: ConjunctiveQuery) -> frozenset[Value]:
         for _, t in a.bindings
         if isinstance(t, Value)
     )
-
-
-def open_cq(atoms: Iterable[Atom]) -> ConjunctiveQuery:
-    """All occurring variables free, in name order."""
-    atoms = tuple(atoms)
-    seen = sorted({v for a in atoms for v in a.vars})
-    return ConjunctiveQuery(atoms, tuple(seen), frozenset())
 
 
 @dataclass(frozen=True)
@@ -524,36 +508,3 @@ def satisfies(c: Constraint, i: Instance, s: Schema | None = None) -> bool:
         return all(tau[x] == tau[y] for tau in _assignments(c.body, i, rows))
     raise TypeError(f"cannot check satisfaction of {type(c).__name__}")
 
-
-def _term_shape(t: Term) -> tuple:
-    return ("var",) if isinstance(t, Var) else ("val", t.kind, t.token)
-
-
-def _atom_sort_key(a: Atom) -> tuple:
-    if isinstance(a, ConstantAtom):
-        return ("nonnull", "", ())
-    return (
-        "named",
-        a.relation,
-        tuple((attr, _term_shape(t)) for attr, t in a.bindings),
-    )
-
-
-def canonicalize_cq(q: ConjunctiveQuery) -> ConjunctiveQuery:
-    """Structural normal form: atoms sorted, variables renamed by first occurrence."""
-    atoms = sorted(q.atoms, key=_atom_sort_key)
-    terms = (
-        term
-        for a in atoms
-        for term in ((a.variable,) if isinstance(a, ConstantAtom) else (t for _, t in a.bindings))
-    )
-    rename = first_appearance(terms, lambda t: isinstance(t, Var), lambda k: Var(f"v{k:03d}"))
-    new_atoms = [
-        ConstantAtom(rename[a.variable])
-        if isinstance(a, ConstantAtom)
-        else NamedAtom(a.relation, tuple((attr, rename.get(t, t)) for attr, t in a.bindings))
-        for a in atoms
-    ]
-    free = tuple(sorted((rename[v] for v in q.free), key=lambda v: v.name))
-    existential = frozenset(rename[v] for v in q.existential)
-    return ConjunctiveQuery(tuple(new_atoms), free, existential)

@@ -97,6 +97,8 @@ from .constraints import (
     Tgd,
     TotalQuery,
     Var,
+    comparisons,
+    cq_constants,
     demanded_attrs,
 )
 from .errors import (
@@ -113,6 +115,7 @@ from .model import (
     Row,
     Schema,
     Value,
+    active_domain,
     const,
     is_plain_name,
     name_rule,
@@ -544,13 +547,16 @@ class _Parser:
         self.ws.queries[name.text] = self._parse_cq(free_names, name)
 
     def _parse_total_or_filtered(self) -> Query:
-        if self._at_word("filtered"):
-            self._word("filtered")
-            rel = self._name("relation name")
-            self._word("where")
-            return TotalQuery((rel.text,), self._parse_condition())
-        self._word("total")
-        return TotalQuery(tuple(t.text for t in self._comma_list(self._name, "relation name")))
+        """A `total` or `filtered` query; a shape error points at its keyword."""
+        word = self._next()
+        try:
+            if word.text == "filtered":
+                rel = self._name("relation name")
+                self._word("where")
+                return TotalQuery((rel.text,), self._parse_condition())
+            return TotalQuery(tuple(t.text for t in self._comma_list(self._name, "relation name")))
+        except DomainMismatch as e:
+            raise self._error(word, str(e))
 
     # boolean conditions over attribute names
 
@@ -1072,8 +1078,10 @@ def workspace_from_json(obj: Mapping) -> Workspace:
     A missing field or a field of the wrong shape is a syntax error, and so
     is a name the text grammar would not read back: each declaration,
     relation, attribute and variable name must lex as one identifier that
-    is not a reserved word. As in the text, a name containing `@` is
-    reserved: the searches generate such values and attributes.
+    is not a reserved word, and each value in an instance row, an atom or
+    a condition must render as one token that reads back as that value. As
+    in the text, a name containing `@` is reserved: the searches generate
+    such values and attributes.
     """
     try:
         ws = _workspace_from_json(obj)
@@ -1084,18 +1092,25 @@ def workspace_from_json(obj: Mapping) -> Workspace:
         ]
         schemas = (StructureConstraint.of(r, a) for s in ws.schemas.values() for r, a in s.rels)
         named = demanded_attrs(chain(schemas, items), {})
-        cqs = (
+        cqs = [
             q
             for c in items
             for q in ((c.body, c.head) if isinstance(c, Tgd) else (c.body,) if isinstance(c, Egd) else (c,))
             if isinstance(q, ConjunctiveQuery)
-        )
+        ]
         names = chain(
             *(ws.schemas, ws.instances, ws.constraints, ws.queries, ws.procedures, ws.sequences),
             (n for rel, attrs in named.items() for n in (rel, *attrs)),
             (v.name for q in cqs for v in q.vars),
         )
         bad = [n for n in names if not _reads_as_name(n)]
+        conditions = [q.condition for q in items if isinstance(q, TotalQuery) and q.condition is not None]
+        values = chain(
+            *map(active_domain, ws.instances.values()),
+            *map(cq_constants, cqs),
+            (leaf.rhs for c in conditions for leaf in comparisons(c) if isinstance(leaf.rhs, Value)),
+        )
+        bad_values = [v for v in dict.fromkeys(values) if not _reads_as_value(v)]
     except KeyError as e:
         raise WorkspaceSyntaxError(1, 1, f"json: missing field {e.args[0]!r}") from None
     except (AttributeError, TypeError, ValueError) as e:
@@ -1104,6 +1119,8 @@ def workspace_from_json(obj: Mapping) -> Workspace:
         at = "@" in str(bad[0])
         why = "names containing @ are reserved for generated values" if at else "not a valid name"
         raise WorkspaceSyntaxError(1, 1, f"json: {why}: {bad[0]!r}")
+    if bad_values:
+        raise WorkspaceSyntaxError(1, 1, f"json: not a valid value: {cell_to_json(bad_values[0])}")
     return ws
 
 
@@ -1114,6 +1131,14 @@ def _reads_as_name(name) -> bool:
         return _tokenize(name) == [_Token("ident", name, 0)]
     except WorkspaceSyntaxError:
         return False
+
+
+def _reads_as_value(v: Value) -> bool:
+    try:
+        tokens = _tokenize(v.render())
+    except WorkspaceSyntaxError:
+        return False
+    return [(t.kind == "null", t.text) for t in tokens] == [(not v.is_constant, v.token)]
 
 
 def _names_from_json(names, what: str, *, distinct: bool = True) -> list[str]:
@@ -1174,9 +1199,14 @@ def _workspace_from_json(obj: Mapping) -> Workspace:
 
 
 def load_workspace(path: str) -> Workspace:
-    """Read a workspace file; .dq.json is JSON, anything else is the DSL."""
-    with open(path, encoding="utf-8") as f:
+    """Read a UTF-8 workspace file; .dq.json is JSON, anything else is the DSL."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         text = f.read()
+    # surrogateescape decodes each byte that is not UTF-8 to U+DC80..U+DCFF
+    bad = re.search("[\udc80-\udcff]", text)
+    if bad:
+        prefix = "json: " if path.endswith(".json") else ""
+        raise _syntax_error(text, bad.start(), f"{prefix}invalid UTF-8 byte 0x{ord(bad[0]) - 0xDC00:02x}")
     if path.endswith(".json"):
         try:
             obj = json.loads(text)

@@ -7,10 +7,6 @@ class WorkbenchError(Exception):
     """Base class for all workbench errors."""
 
 
-class AttributeMismatch(WorkbenchError):
-    """A shared relation carries different attribute sets on the two sides."""
-
-
 class DomainMismatch(WorkbenchError):
     """A tuple is not defined on exactly the attribute set of its relation."""
 

@@ -1,4 +1,4 @@
-"""Value domain, schemas, instances, and their extension/union algebra.
+"""Value domain, schemas, instances, and their extension order.
 
 Values are uninterpreted text tokens tagged as ordinary constants or as
 null markers (SQL-style unknown data values). Attribute names carry a
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, TypeVar, Union
 
-from .errors import AttributeMismatch, DomainMismatch
+from .errors import DomainMismatch
 
 CONST = "const"
 NULL = "null"
@@ -217,27 +217,6 @@ def instance_extends(candidate: Instance, base: Instance) -> bool:
     return True
 
 
-def instance_union(a: Instance, b: Instance) -> Instance:
-    """Union instance over the union schema; shared relations must agree on attributes."""
-    merged: dict[str, frozenset[str]] = dict(a.schema.rels)
-    for r, attrs in b.schema.rels:
-        if r in merged and merged[r] != attrs:
-            raise AttributeMismatch(
-                f"relation {r} has attributes {sorted(merged[r])} vs {sorted(attrs)}"
-            )
-        merged[r] = attrs
-    schema = Schema.of(merged)
-    data: dict[str, frozenset[Row]] = {}
-    for r in schema.names:
-        rows: frozenset[Row] = frozenset()
-        if a.schema.defines(r):
-            rows |= a.rows(r)
-        if b.schema.defines(r):
-            rows |= b.rows(r)
-        data[r] = rows
-    return Instance.of(schema, data)
-
-
 C = TypeVar("C")
 
 
@@ -269,15 +248,6 @@ def rename_values(i: Instance, renamed: Callable[[Value], bool], prefix: str) ->
         i.schema,
         {rel: {map_cells(row, mapping) for row in i.rows(rel)} for rel in i.schema.names},
     )
-
-
-def unnamed_view(t: Row, relation: str, s: Schema) -> tuple[Value, ...]:
-    """Values of t listed in attribute order; t must span exactly s(relation)."""
-    if t.attrs != s.attrs(relation):
-        raise DomainMismatch(
-            f"tuple over {sorted(t.attrs)} does not fit {relation}({sorted(s.attrs(relation))})"
-        )
-    return t.values_in_order()
 
 
 def active_domain(i: Instance) -> frozenset[Value]:

@@ -36,14 +36,6 @@ from .constraints import (
 )
 
 
-def _dedup(items: Iterable) -> tuple:
-    out = []
-    for item in items:
-        if item not in out:
-            out.append(item)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Procedure:
     scope: tuple[StructureConstraint, ...]
@@ -65,7 +57,9 @@ class Procedure:
         safe: Iterable[Query] = (),
         name: str = "",
     ) -> "Procedure":
-        return Procedure(_dedup(scope), _dedup(pre), _dedup(post), _dedup(safe), name)
+        # one entry per distinct item, in first-appearance order
+        scope, pre, post, safe = (tuple(dict.fromkeys(x)) for x in (scope, pre, post, safe))
+        return Procedure(scope, pre, post, safe, name)
 
 
 def scope_map(scope: Iterable[StructureConstraint]) -> dict[str, frozenset[str] | None]:
@@ -81,7 +75,12 @@ def scope_map(scope: Iterable[StructureConstraint]) -> dict[str, frozenset[str] 
 
 
 def residual_atoms(s: Schema, scope: Iterable[StructureConstraint]) -> list[NamedAtom]:
-    """One atom per relation whose content must survive outside the scope."""
+    """One atom per relation whose content must survive outside the scope.
+
+    Their conjunction is the residual query, whose answers a result must
+    keep. The atoms share no variables, so its answers are the product of
+    the per-atom answers: two products are equal exactly when every factor
+    is, or when each side has an empty factor."""
     changes = scope_map(scope)
     atoms = []
     for rel, attrs in s.rels:
@@ -89,22 +88,6 @@ def residual_atoms(s: Schema, scope: Iterable[StructureConstraint]) -> list[Name
         if changed is not None:
             atoms.append(NamedAtom.of(rel, {a: Var(f"{rel}.{a}") for a in attrs - changed}))
     return atoms
-
-
-def residual_query(s: Schema, scope: Iterable[StructureConstraint]) -> ConjunctiveQuery:
-    """Conjunction retrieving everything the scope does not permit to change.
-
-    This is the reference definition of the residual clause: a result must
-    give this query the answers the input gives it. Its atoms share no
-    variables, so its answer set is the product of the per-atom answer
-    sets, and two such products are equal exactly when every factor is
-    equal, or when each side has an empty factor (both products are then
-    empty). The outcome check decides the clause by that rule, without
-    building the product.
-    """
-    atoms = residual_atoms(s, scope)
-    free = tuple(t for a in atoms for _, t in a.bindings if isinstance(t, Var))
-    return ConjunctiveQuery(tuple(atoms), free, frozenset())
 
 
 def is_applicable(p: Procedure, i: Instance) -> bool:
@@ -162,7 +145,7 @@ def outcome_inputs(p: Procedure, before: Instance) -> OutcomeInputs:
     """Read `before` once for any number of candidate outcomes.
 
     The residual answers are kept per atom, each linear in its relation;
-    the residual clause compares their products (see `residual_query`).
+    the residual clause compares their products (see `residual_atoms`).
     """
     residual = []
     for a in residual_atoms(before.schema, p.scope):
@@ -267,7 +250,7 @@ def possible_outcome_report(
     given. The failures are the applicability line, then those of each
     postcondition, of the residual query as one clause, and of each safety
     query. The residual clause holds when the residual query's answers are
-    unchanged (see `residual_query`); its one failure names every relation
+    unchanged (see `residual_atoms`); its one failure names every relation
     that lost its preserved attributes or, failing that, changed.
     """
     if inputs is None:
@@ -283,10 +266,6 @@ def possible_outcome_report(
     if not inputs.applicable:
         failures.insert(0, "procedure is not applicable on the input instance")
     return OutcomeReport(inputs.applicable, not post, not residual, not safety, tuple(failures))
-
-
-def is_possible_outcome(p: Procedure, before: Instance, after: Instance) -> bool:
-    return possible_outcome_report(p, before, after).ok
 
 
 def _tgds_of(p: Procedure) -> list[Tgd]:

@@ -1,21 +1,38 @@
-"""Shared fixtures: the hospital-visit running example used across the suite."""
+"""Shared fixtures: the hospital-visit running example used across the suite,
+and the conjunctive-query constructors the tests build queries with."""
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import pytest
 
 from dqworkbench.constraints import (
+    Atom,
+    ConjunctiveQuery,
     NamedAtom,
     StructureConstraint,
     Tgd,
     TotalQuery,
     Var,
-    open_cq,
 )
 from dqworkbench.model import Instance, Row, Schema, const
 from dqworkbench.procedures import Procedure
 
 VISIT_ATTRS = ("facility", "patInsur", "timestp")
+
+
+def boolean_cq(atoms: Iterable[Atom]) -> ConjunctiveQuery:
+    """All occurring variables existential."""
+    atoms = tuple(atoms)
+    return ConjunctiveQuery(atoms, (), frozenset(v for a in atoms for v in a.vars))
+
+
+def open_cq(atoms: Iterable[Atom]) -> ConjunctiveQuery:
+    """All occurring variables free, in name order."""
+    atoms = tuple(atoms)
+    seen = sorted({v for a in atoms for v in a.vars})
+    return ConjunctiveQuery(atoms, tuple(seen), frozenset())
 
 
 def visit(facility, pat_insur, timestp) -> Row:

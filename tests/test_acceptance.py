@@ -28,11 +28,8 @@ from dqworkbench.constraints import (
     Tgd,
     TotalQuery,
     Var,
-    boolean_cq,
-    canonicalize_cq,
     cq,
     evaluate_query,
-    open_cq,
     satisfies,
 )
 from dqworkbench.ctables import LabeledNull, enumerate_minimal, rep_contains
@@ -43,9 +40,10 @@ from dqworkbench.oracle import (
     enumerate_outcomes,
     minimal_outcomes,
 )
-from dqworkbench.procedures import Procedure, instantiate_template, residual_query
+from dqworkbench.procedures import Procedure, instantiate_template
 
-from .conftest import migrate_total_proc
+from .conftest import boolean_cq, migrate_total_proc, open_cq
+from .reference_queries import canonicalize_cq, residual_query
 from .test_oracle import (
     containment_check_proc,
     copy_into_both_proc,

@@ -16,7 +16,6 @@ from dqworkbench.constraints import (
     Tgd,
     TotalQuery,
     Var,
-    open_cq,
 )
 from dqworkbench.errors import UnsupportedPrecondition
 from dqworkbench.model import Schema
@@ -60,7 +59,7 @@ def test_safe_scope_migration_trace(visit_schema):
     req = min_schema(migrate_total_proc(), visit_schema)
     assert isinstance(req, SchemaRequirement)
     assert req.schema == Schema.of({"EVisits": VISIT_ATTRS, "LocVisits": VISIT_ATTRS})
-    assert req.labels_dict == {"LocVisits": 3}
+    assert dict(req.labels) == {"LocVisits": 3}
 
 
 def test_arity_pin_failure(visit_schema):

@@ -22,9 +22,7 @@ from dqworkbench.constraints import (
     Tgd,
     TotalQuery,
     Var,
-    boolean_cq,
     cq,
-    open_cq,
     satisfies,
 )
 from dqworkbench.ctables import (
@@ -46,7 +44,7 @@ from dqworkbench.errors import (
 from dqworkbench.model import Instance, Row, Schema, const, null_marker
 from dqworkbench.procedures import Procedure, instantiate_template
 
-from .conftest import migrate_cq_proc, migrate_total_proc, visit
+from .conftest import boolean_cq, migrate_cq_proc, migrate_total_proc, open_cq, visit
 
 
 def visit_goal():

@@ -69,10 +69,11 @@ class TestValidate:
 
     def test_parse_failure_is_an_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.dq"
-        bad.write_text("schema S {")
-        code, _, err = run(capsys, "validate", "--workspace", str(bad))
-        assert code == 2
-        assert "line 1" in err
+        for content in (b"schema S {", b"\xff\xfeschema S { }"):
+            bad.write_bytes(content)
+            code, _, err = run(capsys, "validate", "--workspace", str(bad))
+            assert code == 2
+            assert "line 1" in err
 
 
 class TestCheckOutcome:
@@ -844,6 +845,7 @@ class TestArgumentErrors:
             {"schemas": {"1S": {"R": ["a"]}}},
             {"schemas": {"S": {"R": ["a"]}}, "queries": {"@q": {"kind": "total", "relation": "R"}}},
             {"procedures": {"p": {}}, "sequences": {"s": []}},
+            b"\xff\xfe{}",
         ],
         ids=[
             "list",
@@ -871,11 +873,12 @@ class TestArgumentErrors:
             "schema-name-starting-with-a-digit",
             "query-name-with-an-at",
             "sequence-without-steps",
+            "invalid-utf-8",
         ],
     )
     def test_malformed_json_workspace_is_an_error(self, capsys, tmp_path, image):
         path = tmp_path / "bad.dq.json"
-        path.write_text(json.dumps(image))
+        path.write_bytes(image if isinstance(image, bytes) else json.dumps(image).encode())
         code, out, err = run(capsys, "validate", "--workspace", str(path))
         assert code == 2
         assert out == ""

@@ -19,17 +19,17 @@ from dqworkbench.constraints import (
     Tgd,
     TotalQuery,
     Var,
-    boolean_cq,
-    canonicalize_cq,
     cq,
     demanded_attrs,
     evaluate_query,
     is_compatible,
-    open_cq,
     satisfies,
 )
 from dqworkbench.errors import DomainMismatch, Incompatible
 from dqworkbench.model import Instance, Row, Schema, active_domain, const, null_marker
+
+from .conftest import boolean_cq, open_cq
+from .reference_queries import canonicalize_cq
 
 X, Y, Z, W = Var("x"), Var("y"), Var("z"), Var("w")
 

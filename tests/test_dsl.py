@@ -21,7 +21,6 @@ from dqworkbench.constraints import (
     Tgd,
     TotalQuery,
     Var,
-    boolean_cq,
     cq,
 )
 from dqworkbench import dsl
@@ -41,7 +40,7 @@ from dqworkbench.errors import (
 from dqworkbench.model import Instance, Row, Schema, const, null_marker
 from dqworkbench.procedures import Procedure, instantiate_template
 
-from .conftest import migrate_cq_proc, migrate_total_proc
+from .conftest import boolean_cq, migrate_cq_proc, migrate_total_proc
 
 FIG1 = Path(__file__).resolve().parent.parent / "workspaces" / "fig1.dq"
 
@@ -217,7 +216,7 @@ class TestParsingBasics:
             "query tc : total R, T\n"
             "query f : filtered R where not (a = 1) and b != c or a = \"x\"\n"
         )
-        assert ws.queries["b"].is_boolean
+        assert not ws.queries["b"].free
         assert ws.queries["open"].free == (Var("y"), Var("x"))
         assert ws.queries["t"] == TotalQuery(("R",))
         assert ws.queries["tc"] == TotalQuery(("R", "T"))
@@ -360,6 +359,18 @@ class TestDiagnostics:
 
     def test_free_list_on_total_query(self):
         self.assert_position("query q(x) : total R", 1, 12, "no variable list")
+
+    def test_invalid_utf8_is_reported_at_its_first_byte(self, tmp_path):
+        path = tmp_path / "bad.dq"
+        path.write_bytes(b"schema S {\r\n  rel R\xc3\xa9(a); \xff\xfe }")
+        with pytest.raises(WorkspaceSyntaxError) as e:
+            load_workspace(str(path))
+        assert str(e.value) == "line 2, col 14: invalid UTF-8 byte 0xff"
+
+    def test_total_query_shape_errors(self):
+        schema = "schema S { rel R(a); }\n"
+        self.assert_position(schema + "query q : total R, R", 2, 11, "must be distinct")
+        self.assert_position(schema + "proc p { safe { total R, R; } }", 2, 17, "must be distinct")
 
     def test_empty_tuple(self):
         self.assert_position("schema S { rel R(a); }\ninstance I : S { R: (); }", 2, 22, "at least one value")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqworkbench.errors import AttributeMismatch, DomainMismatch
+from dqworkbench.errors import DomainMismatch
 from dqworkbench.model import (
     Instance,
     Row,
@@ -12,15 +12,11 @@ from dqworkbench.model import (
     active_domain,
     const,
     instance_extends,
-    instance_union,
     null_marker,
     rename_values,
     render_instance,
     schema_extends,
-    unnamed_view,
 )
-
-from .conftest import visit
 
 
 def test_value_kinds():
@@ -74,17 +70,6 @@ def test_instance_defaults_to_empty_relations(visit_schema):
     assert empty.total_size() == 0
 
 
-def test_unnamed_view_uses_attribute_order(visit_schema):
-    row = visit(1234, 33, "070916 12:00")
-    assert unnamed_view(row, "EVisits", visit_schema) == (
-        const(1234),
-        const(33),
-        const("070916 12:00"),
-    )
-    with pytest.raises(DomainMismatch):
-        unnamed_view(Row.of({"facility": const(1)}), "EVisits", visit_schema)
-
-
 def test_schema_extends_allows_new_attrs_and_relations(visit_schema, aged_schema):
     assert schema_extends(aged_schema, visit_schema)
     assert not schema_extends(visit_schema, aged_schema)
@@ -109,38 +94,6 @@ def test_instance_extends_requires_all_rows(instance_i, instance_j1, instance_j2
     assert instance_extends(instance_j2, instance_j1)
     assert not instance_extends(instance_i, instance_j1)
     assert instance_extends(instance_i, instance_i)
-
-
-def test_instance_union_merges_rows(instance_i, instance_j1):
-    u = instance_union(instance_i, instance_j1)
-    assert u.rows("LocVisits") == instance_j1.rows("LocVisits")
-    assert u.rows("EVisits") == instance_i.rows("EVisits")
-
-
-def test_instance_union_rejects_attr_conflict(instance_i, instance_j3):
-    with pytest.raises(AttributeMismatch):
-        instance_union(instance_i, instance_j3)
-
-
-def test_instance_union_disjoint_schemas(instance_i):
-    other_schema = Schema.of({"Patients": ("facility", "patInsur", "age")})
-    patients = Instance.of(
-        other_schema,
-        {
-            "Patients": [
-                Row.of(
-                    {
-                        "facility": const(1234),
-                        "patInsur": const(33),
-                        "age": const(21),
-                    }
-                )
-            ]
-        },
-    )
-    u = instance_union(instance_i, patients)
-    assert set(u.schema.names) == {"EVisits", "LocVisits", "Patients"}
-    assert len(u.rows("Patients")) == 1
 
 
 def test_active_domain(instance_i):
@@ -225,9 +178,15 @@ def test_extends_is_reflexive(inst):
 @given(small_instances(), st.data())
 def test_union_extends_both_when_defined(inst, data):
     other = data.draw(small_instances())
-    try:
-        u = instance_union(inst, other)
-    except AttributeMismatch:
+    # the union is defined when shared relations agree on their attributes
+    rels = dict(inst.schema.rels)
+    if any(rels.get(r, attrs) != attrs for r, attrs in other.schema.rels):
         return
+    rels.update(other.schema.rels)
+    rows = {r: set() for r in rels}
+    for side in (inst, other):
+        for r, side_rows in side.data:
+            rows[r] |= side_rows
+    u = Instance.of(Schema.of(rels), rows)
     assert instance_extends(u, inst)
     assert instance_extends(u, other)

@@ -33,7 +33,7 @@ from dqworkbench.oracle import (
 from dqworkbench.procedures import (
     Procedure,
     instantiate_template,
-    is_possible_outcome,
+    possible_outcome_report,
 )
 
 from .conftest import (
@@ -119,7 +119,7 @@ class TestSingleProcedure:
         p = migrate_total_proc()
         outs = enumerate_outcomes(p, i, Budget(max_new_tuples=1))
         assert outs
-        assert all(is_possible_outcome(p, i, j) for j in outs)
+        assert all(possible_outcome_report(p, i, j).ok for j in outs)
 
     def test_consistent_input_keeps_itself_and_gains_extensions(self):
         row = visit(1, 2, "t")
@@ -596,7 +596,7 @@ def test_checker_and_enumeration_agree_inside_the_universe(rs, ts, cand_r, cand_
     if not within:
         return
     outs = enumerate_outcomes(p, i, b)
-    assert (j in outs) == is_possible_outcome(p, i, j)
+    assert (j in outs) == possible_outcome_report(p, i, j).ok
 
 
 def _pool(i: Instance):

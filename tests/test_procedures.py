@@ -16,10 +16,8 @@ from dqworkbench.constraints import (
     Tgd,
     TotalQuery,
     Var,
-    canonicalize_cq,
     cq,
     is_compatible,
-    open_cq,
     satisfies,
 )
 from dqworkbench.errors import MalformedParams
@@ -32,15 +30,14 @@ from dqworkbench.procedures import (
     classify,
     instantiate_template,
     is_applicable,
-    is_possible_outcome,
     is_safe_sequence,
     possible_outcome_report,
     residual_atoms,
-    residual_query,
     scope_map,
 )
 
-from .conftest import migrate_cq_proc, migrate_total_proc, migration_tgd, visit
+from .conftest import migrate_cq_proc, migrate_total_proc, migration_tgd, open_cq, visit
+from .reference_queries import canonicalize_cq, residual_query
 
 X, Y, Z, W = Var("x"), Var("y"), Var("z"), Var("w")
 
@@ -89,6 +86,16 @@ def test_residual_fully_pinned_relation_keeps_empty_conjunct():
     q = residual_query(s, [StructureConstraint.of("R", ["a"])])
     assert len(q.atoms) == 1
     assert q.atoms[0].bindings == ()
+
+
+def test_procedure_of_drops_repeats_in_first_appearance_order():
+    # 3,000 distinct entries, each twice: a pairwise membership scan takes seconds
+    scope = [StructureConstraint.of(f"R{k % 3000}") for k in range(6000)]
+    start = time.perf_counter()
+    p = Procedure.of(scope=scope, safe=[TotalQuery(("R1",)), TotalQuery(("R0",))] * 2)
+    assert time.perf_counter() - start < 1.0
+    assert p.scope == tuple(scope[:3000])
+    assert p.safe == (TotalQuery(("R1",)), TotalQuery(("R0",)))
 
 
 def test_scope_map_unites_entries_and_lets_a_wildcard_win():
@@ -144,9 +151,9 @@ def migrate():
 
 
 def test_fig1_outcomes_yes(migrate, instance_i, instance_j1, instance_j2, instance_j3):
-    assert is_possible_outcome(migrate, instance_i, instance_j1)
-    assert is_possible_outcome(migrate, instance_i, instance_j2)
-    assert is_possible_outcome(migrate, instance_i, instance_j3)
+    assert possible_outcome_report(migrate, instance_i, instance_j1).ok
+    assert possible_outcome_report(migrate, instance_i, instance_j2).ok
+    assert possible_outcome_report(migrate, instance_i, instance_j3).ok
 
 
 def test_fig1_identity_fails_postcondition(migrate, instance_i):
@@ -188,8 +195,8 @@ def test_fig1_changed_evisits_fails_residual(migrate, instance_i, visit_schema):
 
 
 def test_total_safety_rejects_arity_growth(instance_i, instance_j3):
-    assert not is_possible_outcome(migrate_total_proc(), instance_i, instance_j3)
-    assert is_possible_outcome(migrate_cq_proc(), instance_i, instance_j3)
+    assert not possible_outcome_report(migrate_total_proc(), instance_i, instance_j3).ok
+    assert possible_outcome_report(migrate_cq_proc(), instance_i, instance_j3).ok
 
 
 def test_strict_vs_per_relation_residual():
@@ -198,7 +205,7 @@ def test_strict_vs_per_relation_residual():
     s = Schema.of({"R": ("a",), "T": ("a",)})
     before = Instance.of(s, {"R": [Row.of({"a": const(1)})]})
     after = Instance.of(s, {"R": [Row.of({"a": const(1)}), Row.of({"a": const(2)})]})
-    assert is_possible_outcome(Procedure.of(), before, after)
+    assert possible_outcome_report(Procedure.of(), before, after).ok
 
 
 def test_residual_failures_name_their_relations():
@@ -275,7 +282,7 @@ def test_data_exchange_template_shape():
 def test_data_exchange_admits_j1(instance_i, instance_j1):
     p = instantiate_template("data_exchange", {"dependencies": [migration_tgd()]})
     assert is_applicable(p, instance_i)
-    assert is_possible_outcome(p, instance_i, instance_j1)
+    assert possible_outcome_report(p, instance_i, instance_j1).ok
 
 
 def test_data_exchange_matches_dependency_satisfaction():
@@ -296,11 +303,11 @@ def test_data_exchange_matches_dependency_satisfaction():
     for values in ([1, 2], [1, 2, 3]):
         candidate = with_target(values)
         assert satisfies(dep, candidate)
-        assert is_possible_outcome(p, before, candidate)
+        assert possible_outcome_report(p, before, candidate).ok
     for values in ([], [1], [3]):
         candidate = with_target(values)
         assert not satisfies(dep, candidate)
-        assert not is_possible_outcome(p, before, candidate)
+        assert not possible_outcome_report(p, before, candidate).ok
 
 
 def test_alter_table_template():
@@ -324,9 +331,9 @@ def test_alter_table_outcome_behavior(instance_i, instance_j1, aged_schema):
             ],
         },
     )
-    assert is_possible_outcome(p, instance_i, aged)
-    assert not is_possible_outcome(p, instance_i, instance_i)
-    assert not is_possible_outcome(p, instance_i, instance_j1)
+    assert possible_outcome_report(p, instance_i, aged).ok
+    assert not possible_outcome_report(p, instance_i, instance_i).ok
+    assert not possible_outcome_report(p, instance_i, instance_j1).ok
 
 
 def test_attribute_copy_template():
@@ -372,8 +379,8 @@ def test_attribute_copy_template():
     good = inst(const(21), patients)
     bad = inst(const(99), patients)
     assert is_applicable(p, before)
-    assert is_possible_outcome(p, before, good)
-    assert not is_possible_outcome(p, before, bad)
+    assert possible_outcome_report(p, before, good).ok
+    assert not possible_outcome_report(p, before, bad).ok
 
     conflicted = inst(
         null_marker("n"),
@@ -408,9 +415,9 @@ def test_null_scrub_template():
     )
     dropped = Instance.of(s, {"R": [Row.of({"a": const(0), "b": const(20)})]})
     assert is_applicable(p, before)
-    assert is_possible_outcome(p, before, scrubbed)
-    assert not is_possible_outcome(p, before, before)
-    assert not is_possible_outcome(p, before, dropped)
+    assert possible_outcome_report(p, before, scrubbed).ok
+    assert not possible_outcome_report(p, before, before).ok
+    assert not possible_outcome_report(p, before, dropped).ok
 
 
 def test_sql_insert_query_form(instance_i, instance_j1, instance_j2):
@@ -427,9 +434,9 @@ def test_sql_insert_query_form(instance_i, instance_j1, instance_j2):
         },
     )
     assert p.safe == (TotalQuery(("LocVisits",)),)
-    assert is_possible_outcome(p, instance_i, instance_j1)
-    assert is_possible_outcome(p, instance_i, instance_j2)
-    assert not is_possible_outcome(p, instance_i, instance_i)
+    assert possible_outcome_report(p, instance_i, instance_j1).ok
+    assert possible_outcome_report(p, instance_i, instance_j2).ok
+    assert not possible_outcome_report(p, instance_i, instance_i).ok
 
 
 def test_sql_insert_values_form(instance_i, visit_schema):
@@ -448,8 +455,8 @@ def test_sql_insert_values_form(instance_i, visit_schema):
             "LocVisits": instance_i.rows("LocVisits") | {visit(4561, 54, "080916 23:45")},
         },
     )
-    assert is_possible_outcome(p, instance_i, target)
-    assert not is_possible_outcome(p, instance_i, instance_i)
+    assert possible_outcome_report(p, instance_i, target).ok
+    assert not possible_outcome_report(p, instance_i, instance_i).ok
 
 
 def test_sql_delete_template(instance_i, visit_schema):
@@ -470,9 +477,9 @@ def test_sql_delete_template(instance_i, visit_schema):
         visit_schema,
         {"EVisits": instance_i.rows("EVisits"), "LocVisits": []},
     )
-    assert is_possible_outcome(p, instance_i, kept)
-    assert is_possible_outcome(p, instance_i, instance_i)
-    assert not is_possible_outcome(p, instance_i, overdeleted)
+    assert possible_outcome_report(p, instance_i, kept).ok
+    assert possible_outcome_report(p, instance_i, instance_i).ok
+    assert not possible_outcome_report(p, instance_i, overdeleted).ok
 
 
 def test_template_parameter_validation():

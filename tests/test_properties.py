@@ -51,13 +51,11 @@ from dqworkbench.constraints import (
     Tgd,
     TotalQuery,
     Var,
-    boolean_cq,
     cq,
     cq_constants,
     evaluate_query,
     homomorphisms,
     is_compatible,
-    open_cq,
 )
 from dqworkbench.ctables import (
     TRUE,
@@ -105,15 +103,15 @@ from dqworkbench.procedures import (
     TEMPLATE_KINDS,
     Procedure,
     instantiate_template,
-    is_possible_outcome,
     outcome_clauses,
     outcome_inputs,
     possible_outcome_report,
     residual_atoms,
-    residual_query,
 )
 
 from . import reference_oracle, reference_tokenizer
+from .conftest import boolean_cq, open_cq
+from .reference_queries import residual_query
 from .test_dsl import FIG1, workspace_st
 from .test_oracle import inclusion_tgd, rt_instance
 from .test_procedures import schema_and_scope
@@ -261,7 +259,7 @@ def test_enumerated_outcomes_match_the_checker_across_the_universe(rs, ts, flip,
             )
             if not within:
                 continue
-            assert (j in outs) == is_possible_outcome(p, i, j)
+            assert (j in outs) == possible_outcome_report(p, i, j).ok
 
 
 _STEPS = {
@@ -925,7 +923,7 @@ JSON_MUTATION_COMMANDS = (
     ["outcomes", "--instance", "I", "--seq", "s"],
     ["ready", "--instance", "I", "--seq", "s", "--query", "q"],
 )
-JSON_REPLACEMENTS = (1, None, [], {}, "x", "@x")
+JSON_REPLACEMENTS = (1, None, [], {}, "x", "@x", "a b", "", "a\nb")
 JSON_KINDS = (
     "cmp", "not", "and", "or", "xor", "tgd", "egd", "struct", "cq", "total", "total_conj", "filtered"
 )

@@ -34,6 +34,7 @@ from .model import (
     Schema,
     Value,
     active_domain,
+    check_relations,
     instance_extends,
     map_cells,
     rename_values,
@@ -165,16 +166,7 @@ class ConditionalInstance:
     data: tuple[tuple[str, tuple[ConditionalRow, ...]], ...]
 
     def __post_init__(self):
-        names = [r for r, _ in self.data]
-        if names != list(self.schema.names):
-            raise DomainMismatch("table must list exactly the schema relations, in order")
-        for r, pairs in self.data:
-            expected = self.schema.attrs(r)
-            for row, _ in pairs:
-                if row.attrs != expected:
-                    raise DomainMismatch(
-                        f"tuple over {sorted(row.attrs)} does not fit {r}({sorted(expected)})"
-                    )
+        check_relations("table", self.schema, [(r, [row for row, _ in p]) for r, p in self.data])
 
     @staticmethod
     def of(
@@ -185,16 +177,10 @@ class ConditionalInstance:
         for r in given:
             if not schema.defines(r):
                 raise DomainMismatch(f"relation {r} is not in the schema")
-        table = {}
-        for r in schema.names:
-            pairs = []
-            seen = set()
-            for pair in given.get(r, ()):
-                if pair not in seen:
-                    seen.add(pair)
-                    pairs.append(pair)
-            table[r] = tuple(sorted(pairs, key=_pair_key))
-        return ConditionalInstance(schema, tuple((r, table[r]) for r in schema.names))
+        return ConditionalInstance(
+            schema,
+            tuple((r, tuple(sorted(dict.fromkeys(given.get(r, ())), key=_pair_key))) for r in schema.names),
+        )
 
     @staticmethod
     def from_instance(i: Instance) -> "ConditionalInstance":

@@ -77,7 +77,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 from .constraints import (
@@ -150,11 +151,16 @@ class Workspace:
 
 _STRING_BODY = r'[^"\\\n]*(?:\\["\\][^"\\\n]*)*'  # up to the closing quote
 
+# A raw token is one `findall` tuple of the master pattern, one group per kind:
+# at most one is non-empty, and at the end of the text none is.
+_KINDS = ("punct", "number", "ident", "null", "string")  # then the error group
+_PUNCT, _IDENT, _ERROR = 0, 2, 5
+
 
 class _Token(NamedTuple):
-    kind: str  # string, null, number, ident, punct, or end
+    kind: str  # punct, number, ident, null, string, or end
     text: str
-    pos: int  # character offset into the source text
+    index: int  # into the raw token list
 
 
 def _lexer(digits: str = "", numerals: str = "") -> re.Pattern:
@@ -164,20 +170,20 @@ def _lexer(digits: str = "", numerals: str = "") -> re.Pattern:
     `str.isdecimal`, and a word character may be a numeral such as `²` or
     `½`. `digits` adds the text's non-decimal digits to the number rule, and
     `numerals` (those digits plus the other non-letter numerals) leaves the
-    identifier-start class. A character no token can start matches `error`
-    and the end of the text matches the unnamed `\\Z`, so the first attempt
-    at every position succeeds: `finditer` never skips text, and the engine
-    never backtracks into a comment to read its tail as tokens.
+    identifier-start class. A character no token can start matches the last
+    (error) group and the end of the text matches the bare `\\Z`, so the
+    first attempt at every position succeeds: `findall` never skips text,
+    and the engine never backtracks into a comment to read its tail as tokens.
     """
     number = number_rule(rf"[\d{digits}]")
     return re.compile(
         r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:"
-        r"(?P<punct>->|!=|[{}()\[\],;:.*=])"
-        rf"|(?P<number>{number})"
-        rf"|(?P<ident>{name_rule(numerals)}(?:\.\w+)*)(?![\w@]|\.[\w@])"
-        r"|(?P<null>\?\w+)"
-        rf'|(?P<string>"{_STRING_BODY}")'
-        r"|(?P<error>.)|\Z)"
+        r"(->|!=|[{}()\[\],;:.*=])"
+        rf"|({number})"
+        rf"|({name_rule(numerals)}(?:\.\w+)*)(?![\w@]|\.[\w@])"
+        r"|(\?\w+)"
+        rf'|("{_STRING_BODY}")'
+        r"|(.)|\Z)"
     )
 
 
@@ -222,19 +228,42 @@ def _lex_error(text: str, pos: int) -> WorkspaceSyntaxError:
     return _syntax_error(text, pos, f"unexpected character {ch!r}")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for m in _lexer_for(text).finditer(text):
-        kind = m.lastgroup
-        if kind == "number" or kind == "punct" or kind == "ident":
-            tokens.append(_Token(kind, m[kind], m.start(kind)))
-        elif kind == "string":
-            tokens.append(_Token(kind, _ESCAPE.sub(r"\1", m[kind][1:-1]), m.start(kind)))
-        elif kind == "null":
-            tokens.append(_Token(kind, m[kind][1:], m.start(kind)))
-        elif kind == "error":
-            raise _lex_error(text, m.start(kind))
-    return tokens
+def _lex(text: str) -> list[tuple[str, ...]]:
+    """The raw tokens of `text`, the end included; raises at the first character no token starts."""
+    raw = _lexer_for(text).findall(text)
+    if len(raw) > 1 and not any(raw[-2]):
+        # trailing blanks or a comment match `\Z` with them, then `\Z` matches again, empty
+        raw.pop()
+    if any(map(itemgetter(_ERROR), raw)):
+        first = next(i for i, t in enumerate(raw) if t[_ERROR])
+        raise _lex_error(text, _offset(text, raw, first))
+    return raw
+
+
+def _offset(text: str, raw: list[tuple[str, ...]], i: int) -> int:
+    """The character offset of raw token `i` of `text`, found by lexing up to it again."""
+    return next(islice(_lexer_for(text).finditer(text), i, None)).end() - len("".join(raw[i]))
+
+
+def _token(t: tuple[str, ...], i: int) -> _Token:
+    """Raw token `t`, at index `i`; a string loses its quotes and escapes, a null its `?`."""
+    for kind, text in zip(_KINDS, t):
+        if text:
+            if kind == "null" or kind == "string":
+                text = text[1:] if kind == "null" else _ESCAPE.sub(r"\1", text[1:-1])
+            return _Token(kind, text, i)
+    return _Token("end", "", i)
+
+
+def _raw_value(t: tuple[str, ...]) -> Value | None:
+    """The value raw token `t` denotes, or None (no value, or a string with
+    `@`); in a value position even a reserved word reads as a constant."""
+    _, number, ident, null, string, _ = t
+    if number or ident:
+        return const(number or ident)
+    if null:
+        return null_marker(null[1:])
+    return const(_ESCAPE.sub(r"\1", string[1:-1])) if string and "@" not in string else None
 
 
 # --- parser ------------------------------------------------------------------
@@ -245,25 +274,26 @@ _T = TypeVar("_T")
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        tokens = _tokenize(text)
-        # "found end of file" points at the last token, or at the text's start
-        self.tokens = tokens + [_Token("end", "", tokens[-1].pos if tokens else 0)]
+        self.raw = _lex(text)
+        self.puncts = list(map(itemgetter(_PUNCT), self.raw))
         self.pos = 0
         self.ws = Workspace()
-        self.values: dict[tuple[str, str], Value] = {}
+        self.values: dict[tuple[str, ...], Value] = {}
 
     # token plumbing
 
     def _error(self, tok: _Token, message: str) -> WorkspaceSyntaxError:
-        return _syntax_error(self.text, tok.pos, message)
+        # "found end of file" points at the last token, or at the text's start
+        i = tok.index - (tok.kind == "end")
+        return _syntax_error(self.text, _offset(self.text, self.raw, i) if i >= 0 else 0, message)
 
     def _peek(self) -> _Token:
-        return self.tokens[self.pos]
+        return _token(self.raw[self.pos], self.pos)
 
     def _next(self) -> _Token:
         """The current token, consumed; at the end every caller fails on it."""
         self.pos += 1
-        return self.tokens[self.pos - 1]
+        return _token(self.raw[self.pos - 1], self.pos - 1)
 
     def _fail(self, tok: _Token, expected: str):
         if tok.kind == "end":
@@ -271,17 +301,29 @@ class _Parser:
         shown = tok.text if tok.kind != "string" else f'"{tok.text}"'
         raise self._error(tok, f"expected {expected}, found {shown!r}")
 
-    def _punct(self, p: str) -> _Token:
-        tok = self._next()
-        if tok.kind != "punct" or tok.text != p:
-            self._fail(tok, f"{p!r}")
-        return tok
+    def _at(self, text: str) -> bool:
+        """Whether the current token is the punctuation or the word `text`."""
+        t = self.raw[self.pos]
+        return t[_PUNCT] == text or t[_IDENT] == text
+
+    def _skip(self, text: str) -> bool:
+        """Consume the current token if it is the punctuation or the word `text`."""
+        if self._at(text):
+            self.pos += 1
+            return True
+        return False
+
+    def _expect(self, text: str):
+        """Consume the punctuation or the word `text`, or fail."""
+        if not self._skip(text):
+            self._fail(self._peek(), f"{text!r}")
 
     def _ident(self, what: str) -> _Token:
-        tok = self._next()
-        if tok.kind != "ident":
-            self._fail(tok, what)
-        return tok
+        text = self.raw[self.pos][_IDENT]
+        if not text:
+            self._fail(self._peek(), what)
+        self.pos += 1
+        return _Token("ident", text, self.pos - 1)
 
     def _name(self, what: str) -> _Token:
         tok = self._ident(what)
@@ -289,39 +331,23 @@ class _Parser:
             raise self._error(tok, f"{tok.text!r} is a reserved word")
         return tok
 
-    def _at_punct(self, p: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == "punct" and tok.text == p
-
-    def _at_word(self, w: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == "ident" and tok.text == w
-
-    def _word(self, w: str) -> _Token:
-        tok = self._next()
-        if tok.kind != "ident" or tok.text != w:
-            self._fail(tok, f"{w!r}")
-        return tok
-
     def _declare(self, table: dict, tok: _Token, kind: str):
         if tok.text in table:
             raise self._error(tok, f"duplicate {kind} {tok.text!r}")
 
-    def _comma_list(self, read: Callable[..., _T], *args) -> list[_T]:
-        """`read(*args)`, then again after each ','."""
+    def _list(self, sep: str, read: Callable[..., _T], *args) -> list[_T]:
+        """`read(*args)`, then again after each `sep`."""
         items = [read(*args)]
-        while self._at_punct(","):
-            self._next()
+        while self._skip(sep):
             items.append(read(*args))
         return items
 
     def _free_list(self) -> list[_Token] | None:
         """The `(x, y)` free-variable list, when one follows."""
-        if not self._at_punct("("):
+        if not self._skip("("):
             return None
-        self._next()
-        names = self._comma_list(self._name, "a variable")
-        self._punct(")")
+        names = self._list(",", self._name, "a variable")
+        self._expect(")")
         return names
 
     # entry point
@@ -342,34 +368,34 @@ class _Parser:
     def _parse_schema(self):
         name = self._name("schema name")
         self._declare(self.ws.schemas, name, "schema")
-        self._punct("{")
+        self._expect("{")
         rels: dict[str, list[str]] = {}
-        while not self._at_punct("}"):
-            self._word("rel")
+        while not self._at("}"):
+            self._expect("rel")
             rel = self._name("relation name")
             if rel.text in rels:
                 raise self._error(rel, f"duplicate relation {rel.text!r}")
-            self._punct("(")
-            attrs = [t.text for t in self._comma_list(self._name, "attribute name")]
-            self._punct(")")
-            self._punct(";")
+            self._expect("(")
+            attrs = [t.text for t in self._list(",", self._name, "attribute name")]
+            self._expect(")")
+            self._expect(";")
             if len(set(attrs)) != len(attrs):
                 raise self._error(rel, f"duplicate attribute in {rel.text!r}")
             rels[rel.text] = attrs
-        self._punct("}")
+        self._expect("}")
         self.ws.schemas[name.text] = Schema.of(rels)
 
     def _parse_instance(self):
         name = self._name("instance name")
         self._declare(self.ws.instances, name, "instance")
-        self._punct(":")
+        self._expect(":")
         schema_name = self._name("schema name")
         if schema_name.text not in self.ws.schemas:
             raise ResolutionError(f"instance {name.text!r} references unknown schema {schema_name.text!r}")
         schema = self.ws.schemas[schema_name.text]
-        self._punct("{")
+        self._expect("{")
         data: dict[str, set[Row]] = {}
-        while not self._at_punct("}"):
+        while not self._at("}"):
             rel = self._name("relation name")
             if not schema.defines(rel.text):
                 raise ResolutionError(
@@ -377,61 +403,62 @@ class _Parser:
                 )
             if rel.text in data:
                 raise self._error(rel, f"duplicate relation section {rel.text!r}")
-            self._punct(":")
-            data[rel.text] = _rows(rel.text, sorted(schema.attrs(rel.text)), self._tuples())
-            self._punct(";")
-        self._punct("}")
+            self._expect(":")
+            attrs = sorted(schema.attrs(rel.text))
+            data[rel.text] = self._section(attrs) or _rows(rel.text, attrs, self._tuples())
+            self._expect(";")
+        self._expect("}")
         self.ws.instances[name.text] = Instance.of(schema, data)
         self.ws.instance_schema[name.text] = schema_name.text
 
+    def _section(self, attrs: list[str]) -> set[Row] | None:
+        """The rows of a section `(v, ...), (v, ...);` read as `n` equal blocks of
+        raw tokens (the last `,` a `;`), or None for `_tuples` to read and diagnose."""
+        raw, values, start, arity = self.raw, self.values, self.pos, len(attrs)
+        block = ["("] + ["", ","] * (arity - 1) + ["", ")", ","]  # the puncts of one tuple
+        try:
+            end = self.puncts.index(";", start)
+        except ValueError:
+            return None
+        n, rest = divmod(end + 1 - start, len(block))
+        if not n or rest or self.puncts[start:end] != (block * n)[:-1]:
+            return None
+        columns = [raw[start + 1 + 2 * j : end : len(block)] for j in range(arity)]
+        for t in set().union(*columns) - values.keys():
+            value = _raw_value(t)
+            if value is None:
+                return None
+            values[t] = value
+        self.pos = end
+        return {Row(tuple(zip(attrs, row))) for row in zip(*(map(values.__getitem__, c) for c in columns))}
+
     def _tuples(self) -> Iterable[list[Value]]:
-        """The value lists of `(v, ...), (v, ...)`, read straight from the
-        token list; an unexpected token raises the usual diagnostic."""
-        tokens, values, i = self.tokens, self.values, self.pos
-        while tokens[i].kind == "punct" and tokens[i].text == "(":
-            i += 1
-            if tokens[i].kind == "punct" and tokens[i].text == ")":
-                raise self._error(tokens[i], "tuples need at least one value")
-            row: list[Value] = []
-            while True:
-                tok = tokens[i]
-                row.append(values.get((tok.kind, tok.text)) or self._value(tok))
-                sep = tokens[i + 1]
-                i += 2
-                if sep.kind != "punct" or sep.text != ",":
-                    break
-            if sep.kind != "punct" or sep.text != ")":
-                self._fail(sep, "')'")
+        """The value lists of `(v, ...), (v, ...)`, token by token, each checked for its `)`."""
+        while self._skip("("):
+            if self._at(")"):
+                raise self._error(self._peek(), "tuples need at least one value")
+            row = self._list(",", self._parse_value)
+            self._expect(")")
             yield row
-            if tokens[i].kind == "punct" and tokens[i].text == ",":
-                i += 1
-        self.pos = i
+            self._skip(",")
 
     def _parse_value(self) -> Value:
-        return self._value(self._next())
-
-    def _value(self, tok: _Token) -> Value:
-        """The value `tok` denotes; equal tokens share one `Value` per parse."""
-        key = (tok.kind, tok.text)
-        if key in self.values:
-            return self.values[key]
-        if tok.kind == "null":
-            value = null_marker(tok.text)
-        elif tok.kind == "string" and "@" in tok.text:
-            raise self._error(tok, "values containing @ are reserved")
-        elif tok.kind in ("number", "string", "ident"):
-            # Value positions never hold variables or keywords, so even
-            # reserved words read as constants here.
-            value = const(tok.text)
-        else:
+        """The value the current token denotes, consumed; equal raw tokens share one `Value`."""
+        t = self.raw[self.pos]
+        value = self.values.get(t) or _raw_value(t)
+        if value is None:
+            tok = self._peek()
+            if tok.kind == "string":
+                raise self._error(tok, "values containing @ are reserved")
             self._fail(tok, "a value")
-        self.values[key] = value
+        self.values[t] = value
+        self.pos += 1
         return value
 
     def _parse_named_constraint(self, kind: str):
         name = self._name("constraint name" if kind == "struct" else "dependency name")
         self._declare(self.ws.constraints, name, "constraint")
-        self._punct(":")
+        self._expect(":")
         self.ws.constraints[name.text] = self._parse_constraint_body(kind, name)
 
     def _parse_constraint_body(self, kind: str, at: _Token) -> Constraint:
@@ -440,12 +467,12 @@ class _Parser:
         if kind == "struct":
             return self._parse_struct_body()
         body_atoms = self._parse_atom_list()
-        self._punct("->")
+        self._expect("->")
         body_vars = frozenset(v for a in body_atoms for v in a.vars)
         body = ConjunctiveQuery(tuple(body_atoms), tuple(sorted(body_vars)), frozenset())
         if kind == "egd":
             x = self._name("a variable")
-            self._punct("=")
+            self._expect("=")
             equated = (Var(x.text), Var(self._name("a variable").text))
         else:
             head_atoms = self._parse_atom_list()
@@ -460,18 +487,16 @@ class _Parser:
 
     def _parse_struct_body(self) -> StructureConstraint:
         rel = self._name("relation name")
-        if not self._at_punct("["):
+        if not self._skip("["):
             return StructureConstraint.of(rel.text)
-        self._punct("[")
-        if self._at_punct("*"):
-            self._punct("*")
-            self._punct("]")
+        if self._skip("*"):
+            self._expect("]")
             return StructureConstraint.of(rel.text)
-        if self._at_punct("]"):
-            self._punct("]")
+        if self._skip("]"):
             return StructureConstraint(rel.text, ())
-        attrs = [t.text for t in self._comma_list(self._name, "attribute name")]
-        closing = self._punct("]")
+        attrs = [t.text for t in self._list(",", self._name, "attribute name")]
+        closing = self._peek()
+        self._expect("]")
         if len(set(attrs)) != len(attrs):
             raise self._error(closing, "duplicate attribute in structure constraint")
         return StructureConstraint.of(rel.text, attrs)
@@ -479,35 +504,27 @@ class _Parser:
     # queries and atoms
 
     def _parse_atom_list(self) -> list[Atom]:
-        if self._at_word("true"):
-            self._word("true")
-            return []
-        atoms = [self._parse_atom()]
-        while self._at_word("and"):
-            self._word("and")
-            atoms.append(self._parse_atom())
-        return atoms
+        return [] if self._skip("true") else self._list("and", self._parse_atom)
 
     def _parse_atom(self) -> Atom:
-        if self._at_word("nonnull"):
-            self._word("nonnull")
-            self._punct("(")
+        if self._skip("nonnull"):
+            self._expect("(")
             v = self._name("a variable")
-            self._punct(")")
+            self._expect(")")
             return ConstantAtom(Var(v.text))
         rel = self._name("relation name")
-        self._punct("(")
+        self._expect("(")
         bindings: dict[str, object] = {}
 
         def binding():
             attr = self._name("attribute name")
             if attr.text in bindings:
                 raise self._error(attr, f"duplicate attribute {attr.text!r}")
-            self._punct(":")
+            self._expect(":")
             bindings[attr.text] = self._parse_term()
 
-        self._comma_list(binding)
-        self._punct(")")
+        self._list(",", binding)
+        self._expect(")")
         return NamedAtom.of(rel.text, bindings)
 
     def _parse_term(self):
@@ -519,10 +536,9 @@ class _Parser:
 
     def _parse_cq(self, free_names: list[_Token] | None, at: _Token) -> ConjunctiveQuery:
         existential: list[Var] = []
-        if self._at_word("exists"):
-            self._word("exists")
-            existential = [Var(t.text) for t in self._comma_list(self._name, "a variable")]
-            self._punct(".")
+        if self._skip("exists"):
+            existential = [Var(t.text) for t in self._list(",", self._name, "a variable")]
+            self._expect(".")
         atoms = self._parse_atom_list()
         occurring = frozenset(v for a in atoms for v in a.vars)
         if free_names is None:
@@ -538,8 +554,9 @@ class _Parser:
         name = self._name("query name")
         self._declare(self.ws.queries, name, "query")
         free_names = self._free_list()
-        colon = self._punct(":")
-        if self._at_word("total") or self._at_word("filtered"):
+        colon = self._peek()
+        self._expect(":")
+        if self._at("total") or self._at("filtered"):
             if free_names is not None:
                 raise self._error(colon, "total and filtered queries take no variable list")
             self.ws.queries[name.text] = self._parse_total_or_filtered()
@@ -552,36 +569,27 @@ class _Parser:
         try:
             if word.text == "filtered":
                 rel = self._name("relation name")
-                self._word("where")
+                self._expect("where")
                 return TotalQuery((rel.text,), self._parse_condition())
-            return TotalQuery(tuple(t.text for t in self._comma_list(self._name, "relation name")))
+            return TotalQuery(tuple(t.text for t in self._list(",", self._name, "relation name")))
         except DomainMismatch as e:
             raise self._error(word, str(e))
 
     # boolean conditions over attribute names
 
     def _parse_condition(self) -> BooleanCondition:
-        terms = [self._parse_condition_and()]
-        while self._at_word("or"):
-            self._word("or")
-            terms.append(self._parse_condition_and())
-        return terms[0] if len(terms) == 1 else Or(tuple(terms))
-
-    def _parse_condition_and(self) -> BooleanCondition:
-        terms = [self._parse_condition_unary()]
-        while self._at_word("and"):
-            self._word("and")
-            terms.append(self._parse_condition_unary())
-        return terms[0] if len(terms) == 1 else And(tuple(terms))
+        """`or` over `and` over unary conditions; a single term stands alone."""
+        def joined(cls, terms):
+            return terms[0] if len(terms) == 1 else cls(tuple(terms))
+        ors = self._list("or", self._list, "and", self._parse_condition_unary)
+        return joined(Or, [joined(And, terms) for terms in ors])
 
     def _parse_condition_unary(self) -> BooleanCondition:
-        if self._at_word("not"):
-            self._word("not")
+        if self._skip("not"):
             return Not(self._parse_condition_unary())
-        if self._at_punct("("):
-            self._punct("(")
+        if self._skip("("):
             inner = self._parse_condition()
-            self._punct(")")
+            self._expect(")")
             return inner
         lhs = self._name("attribute name")
         op_tok = self._next()
@@ -600,21 +608,20 @@ class _Parser:
     def _parse_proc(self):
         name = self._name("procedure name")
         self._declare(self.ws.procedures, name, "procedure")
-        if self._at_punct("="):
-            self._punct("=")
-            self._word("template")
+        if self._skip("="):
+            self._expect("template")
             self.ws.procedures[name.text] = self._parse_template(name)
             return
-        self._punct("{")
+        self._expect("{")
         sections: dict[str, list] = {}
-        while not self._at_punct("}"):
+        while not self._at("}"):
             section = self._next()
             if section.kind != "ident" or section.text not in ("scope", "pre", "post", "safe"):
                 self._fail(section, "scope, pre, post, or safe")
             if section.text in sections:
                 raise self._error(section, f"duplicate {section.text} section")
             sections[section.text] = self._parse_proc_section(section.text)
-        self._punct("}")
+        self._expect("}")
         self.ws.procedures[name.text] = Procedure.of(
             scope=sections.get("scope", ()),
             pre=sections.get("pre", ()),
@@ -624,17 +631,17 @@ class _Parser:
         )
 
     def _parse_proc_section(self, kind: str) -> list:
-        self._punct("{")
+        self._expect("{")
         entries: list = []
-        while not self._at_punct("}"):
+        while not self._at("}"):
             if kind == "scope":
                 entries.append(self._parse_struct_body())
             elif kind == "safe":
                 entries.append(self._parse_safe_entry())
             else:
                 entries.append(self._parse_constraint_entry())
-            self._punct(";")
-        self._punct("}")
+            self._expect(";")
+        self._expect("}")
         return entries
 
     def _parse_constraint_entry(self) -> Constraint:
@@ -644,9 +651,10 @@ class _Parser:
         return self._parse_constraint_body(tok.text, tok)
 
     def _parse_safe_entry(self) -> Query:
-        if self._at_word("total") or self._at_word("filtered"):
+        if self._at("total") or self._at("filtered"):
             return self._parse_total_or_filtered()
-        tok = self._word("cq")
+        tok = self._peek()
+        self._expect("cq")
         return self._parse_cq(self._free_list(), tok)
 
     # templates
@@ -656,16 +664,16 @@ class _Parser:
         if kind.text not in TEMPLATE_KINDS:
             raise self._error(kind, f"unknown template kind {kind.text!r}")
         template = TEMPLATE_KINDS[kind.text]
-        self._punct("(")
+        self._expect("(")
         read: list[tuple[str, str, object]] = []
         for i, group in enumerate(template.groups):
-            if i >= len(template.groups) - template.optional and self._at_punct(")"):
+            if i >= len(template.groups) - template.optional and self._at(")"):
                 break
             for j, (key, shape) in enumerate(group.items()):
                 if i or j:
-                    self._punct("," if j else ";")
+                    self._expect("," if j else ";")
                 read.append((key, shape, self._template_argument(shape)))
-        self._punct(")")
+        self._expect(")")
         params: dict = {"name": name.text}
         # names resolve only after the ')', so a malformed call fails on its syntax first
         for key, shape, value in read:
@@ -685,15 +693,14 @@ class _Parser:
         if shape in ("relation", "attribute"):
             return self._name(f"{shape} name").text
         if shape == "attributes":
-            return [t.text for t in self._comma_list(self._name, "attribute name")]
+            return [t.text for t in self._list(",", self._name, "attribute name")]
         if shape == "dependencies":
-            return self._comma_list(self._name, "dependency name")
+            return self._list(",", self._name, "dependency name")
         if shape == "condition":
             return self._parse_condition()
-        if self._at_word("query"):
-            self._next()
+        if self._skip("query"):
             return self._ident("query name")
-        return self._comma_list(self._parse_value)
+        return self._list(",", self._parse_value)
 
     def _referenced(self, table: dict, tok: _Token, what: str):
         """The declaration in `table` that a template call names with `tok`."""
@@ -706,8 +713,8 @@ class _Parser:
     def _parse_seq(self):
         name = self._name("sequence name")
         self._declare(self.ws.sequences, name, "sequence")
-        self._punct("=")
-        names = self._comma_list(self._name, "a procedure name")
+        self._expect("=")
+        names = self._list(",", self._name, "a procedure name")
         for tok in names:
             if tok.text not in self.ws.procedures:
                 raise ResolutionError(f"sequence {name.text!r} references unknown procedure {tok.text!r}")
@@ -1103,14 +1110,17 @@ def workspace_from_json(obj: Mapping) -> Workspace:
             (n for rel, attrs in named.items() for n in (rel, *attrs)),
             (v.name for q in cqs for v in q.vars),
         )
-        bad = [n for n in names if not _reads_as_name(n)]
+        bad = [
+            n for n in names
+            if not (isinstance(n, str) and n not in RESERVED_WORDS and n and _sole_token(n)[_IDENT] == n)
+        ]
         conditions = [q.condition for q in items if isinstance(q, TotalQuery) and q.condition is not None]
         values = chain(
             *map(active_domain, ws.instances.values()),
             *map(cq_constants, cqs),
             (leaf.rhs for c in conditions for leaf in comparisons(c) if isinstance(leaf.rhs, Value)),
         )
-        bad_values = [v for v in dict.fromkeys(values) if not _reads_as_value(v)]
+        bad_values = [v for v in dict.fromkeys(values) if _raw_value(_sole_token(v.render())) != v]
     except KeyError as e:
         raise WorkspaceSyntaxError(1, 1, f"json: missing field {e.args[0]!r}") from None
     except (AttributeError, TypeError, ValueError) as e:
@@ -1124,21 +1134,13 @@ def workspace_from_json(obj: Mapping) -> Workspace:
     return ws
 
 
-def _reads_as_name(name) -> bool:
-    if not isinstance(name, str) or name in RESERVED_WORDS:
-        return False
+def _sole_token(text: str) -> tuple[str, ...]:
+    """The raw token `text` lexes as, if it is exactly one; else an empty one."""
     try:
-        return _tokenize(name) == [_Token("ident", name, 0)]
+        raw = _lex(text)
     except WorkspaceSyntaxError:
-        return False
-
-
-def _reads_as_value(v: Value) -> bool:
-    try:
-        tokens = _tokenize(v.render())
-    except WorkspaceSyntaxError:
-        return False
-    return [(t.kind == "null", t.text) for t in tokens] == [(not v.is_constant, v.token)]
+        raw = []
+    return raw[0] if len(raw) == 2 else ("",) * (_ERROR + 1)
 
 
 def _names_from_json(names, what: str, *, distinct: bool = True) -> list[str]:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Mapping, TypeVar, Union
+from functools import cache, cached_property
+from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar, Union
 
 from .errors import DomainMismatch
 
@@ -21,8 +21,9 @@ CONST = "const"
 NULL = "null"
 
 
-@dataclass(frozen=True, order=True)
-class Value:
+class Value(NamedTuple):
+    """A tagged token; a tuple, so it hashes, compares and orders in C, by (kind, token)."""
+
     kind: str
     token: str
 
@@ -30,6 +31,7 @@ class Value:
     def is_constant(self) -> bool:
         return self.kind == CONST
 
+    @cache  # once per distinct value: reports render every cell of every outcome
     def render(self) -> str:
         if self.kind == NULL:
             return f"?{self.token}"
@@ -83,6 +85,12 @@ class LabeledNull:
 Cell = Union[Value, LabeledNull]
 
 
+@cache
+def _distinct_and_ordered(attrs: tuple[str, ...]) -> bool:
+    """True iff `attrs` strictly ascend; cached, as every row asks for its own."""
+    return list(attrs) == sorted(attrs) and len(set(attrs)) == len(attrs)
+
+
 @dataclass(frozen=True, order=True)
 class Row:
     """Named tuple: cells keyed by attribute, stored in attribute order.
@@ -95,9 +103,9 @@ class Row:
     cells: tuple[tuple[str, Cell], ...]
 
     def __post_init__(self):
-        attrs = [a for a, _ in self.cells]
-        if attrs != sorted(attrs) or len(set(attrs)) != len(attrs):
-            raise DomainMismatch(f"row attributes must be distinct and ordered: {attrs}")
+        attrs = next(zip(*self.cells), ())  # the first column of the cells
+        if not _distinct_and_ordered(attrs):
+            raise DomainMismatch(f"row attributes must be distinct and ordered: {list(attrs)}")
 
     @staticmethod
     def of(mapping: Mapping[str, Cell]) -> "Row":
@@ -108,10 +116,6 @@ class Row:
             if a == attr:
                 return v
         raise KeyError(attr)
-
-    @property
-    def attrs(self) -> frozenset[str]:
-        return frozenset(a for a, _ in self.cells)
 
     def project(self, attrs: Iterable[str]) -> "Row":
         keep = set(attrs)
@@ -162,16 +166,7 @@ class Instance:
     data: tuple[tuple[str, frozenset[Row]], ...]
 
     def __post_init__(self):
-        names = [r for r, _ in self.data]
-        if names != list(self.schema.names):
-            raise DomainMismatch("instance must list exactly the schema relations, in order")
-        for r, rows in self.data:
-            expected = self.schema.attrs(r)
-            for row in rows:
-                if row.attrs != expected:
-                    raise DomainMismatch(
-                        f"tuple over {sorted(row.attrs)} does not fit {r}({sorted(expected)})"
-                    )
+        check_relations("instance", self.schema, self.data)
 
     @staticmethod
     def of(schema: Schema, data: Mapping[str, Iterable[Row]] | None = None) -> "Instance":
@@ -192,6 +187,19 @@ class Instance:
 
     def __hash__(self):
         return hash((self.schema, self.data))
+
+
+def check_relations(what: str, schema: Schema, data: Iterable[tuple[str, Iterable[Row]]]) -> None:
+    """Raise unless `data` lists the schema's relations in order, with rows
+    that each span exactly their relation's attributes."""
+    if [r for r, _ in data] != list(schema.names):
+        raise DomainMismatch(f"{what} must list exactly the schema relations, in order")
+    for r, rows in data:
+        expected = schema.attrs(r)
+        # each distinct tuple of row attributes (the first column of the cells) once
+        for attrs in {next(zip(*row.cells), ()) for row in rows}:
+            if frozenset(attrs) != expected:
+                raise DomainMismatch(f"tuple over {list(attrs)} does not fit {r}({sorted(expected)})")
 
 
 def schema_extends(candidate: Schema, base: Schema) -> bool:

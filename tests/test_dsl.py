@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -422,6 +423,18 @@ class TestDiagnostics:
             assert "(?>" not in pattern
             for quantifier in ("*+", "++", "?+"):
                 assert quantifier not in pattern
+
+    def test_parsing_compiles_no_pattern(self, monkeypatch):
+        # the lexer pattern is compiled once, at import; a compile per parse
+        # costs every fresh `dqw` process its time
+        compiled = []
+        compile_ = re.compile
+        monkeypatch.setattr(re, "compile", lambda *args: compiled.append(args) or compile_(*args))
+        text = FIG1.read_text()
+        assert text.isascii()
+        ws = parse_workspace(text)
+        workspace_from_json(workspace_to_json(ws))
+        assert compiled == []
 
     def test_diagnostics_are_deterministic(self):
         text = "schema S { rel R(a) }"

@@ -7,8 +7,10 @@ size-ordered minimality and the oracle's up-front meter against the
 all-pairs test and the candidate totals they replace, the oracle's staged
 clause checks against the literal enumerator, the minimal schema as a
 lower bound on the oracle's outcome schemas, c-table conditions against
-brute-force valuations, template calls against their instantiation, and
-mutated JSON workspaces against the CLI's exit codes.
+brute-force valuations, template calls against their instantiation,
+mutated JSON workspaces against the CLI's exit codes, mutated text
+workspaces against the parser, and the sliced reading of instance sections
+against the token-by-token one.
 
 The module-level *_EXAMPLES constants are the configured case counts; the
 acceptance suite checks the sum of the first four.
@@ -24,6 +26,7 @@ import json
 import operator
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,6 +133,7 @@ STAGED_ORACLE_EXAMPLES = 200
 CONDITION_EXAMPLES = 300
 TEMPLATE_EXAMPLES = 200
 JSON_MUTATION_EXAMPLES = 150
+SECTION_EXAMPLES = 400
 
 # The candidates the oracle charges for Figure 1's `migrate, migrate` with
 # budget extra=1,tuples=1: the total the per-candidate meter reached.
@@ -574,7 +578,12 @@ def _reference_tokens(text: str) -> list:
 
 
 def _tokens(text: str) -> list:
-    return [(t.kind, t.text, *_line_col(text, t.pos)) for t in dsl._tokenize(text)]
+    raw = dsl._lex(text)
+    return [
+        (t.kind, t.text, *_line_col(text, dsl._offset(text, raw, i)))
+        for i in range(len(raw) - 1)
+        for t in [dsl._token(raw[i], i)]
+    ]
 
 
 @settings(max_examples=LEXER_EXAMPLES, deadline=None)
@@ -1000,3 +1009,73 @@ def test_mutated_json_workspaces_exit_cleanly(data, tmp_path_factory):
     for argv in JSON_MUTATION_COMMANDS:
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert run_command([*argv, "--workspace", str(path)]) in (0, 1, 2)
+
+
+# --- mutated text workspaces ---------------------------------------------------
+
+TEXT_REPLACEMENTS = (
+    "@", "?", '"', "#", "->", "(", ")", ",", ";", "total",
+    "\u00b2", "x", "y", "1.", "-", "?n", '"a@b"', "rel", "\u00e9", "nonnull",
+)
+
+
+def _text_mutations(text: str):
+    """Each token of `text` dropped, doubled (a blank between the copies), or
+    replaced by each of TEXT_REPLACEMENTS."""
+    raw = dsl._lex(text)
+    for i in range(len(raw) - 1):
+        start = dsl._offset(text, raw, i)
+        end = start + len("".join(raw[i]))
+        yield text[:start] + text[end:]
+        yield text[:end] + " " + text[start:end] + text[end:]
+        for replacement in TEXT_REPLACEMENTS:
+            yield text[:start] + replacement + text[end:]
+
+
+def test_every_text_mutation_fails_cleanly_or_round_trips():
+    """Each one-step token mutation of the mutation workspace either fails
+    to parse with a WorkbenchError or parses to a workspace whose text form
+    reads back as it."""
+    walked = loaded = 0
+    for text in _text_mutations(JSON_MUTATION_WORKSPACE):
+        walked += 1
+        try:
+            ws = parse_workspace(text)
+        except WorkbenchError:
+            continue
+        loaded += 1
+        assert parse_workspace(serialize_workspace(ws)) == ws, text
+    assert walked == 219 * (2 + len(TEXT_REPLACEMENTS)) and loaded > 300
+
+
+# --- instance sections: sliced against token by token ---------------------------
+
+SECTION_PIECES = ("(", ")", ",", ";", "1", "x", "total", '"s"', '"a@b"', '"a;b"', "?n", "}", "->")
+
+
+def _parsed(text: str):
+    try:
+        return parse_workspace(text)
+    except WorkbenchError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=SECTION_EXAMPLES, deadline=None)
+@given(
+    arity=st.integers(1, 3),
+    rows=st.lists(st.lists(st.sampled_from(SECTION_PIECES[4:11]), min_size=1, max_size=4), max_size=4),
+    tail=st.lists(st.sampled_from(SECTION_PIECES), max_size=3),
+    cut=st.integers(0, 40),
+)
+def test_sliced_instance_sections_match_the_token_reader(arity, rows, tail, cut):
+    """`_Parser._section` reads an instance section as `_tuples` does, and
+    declines every section it would read differently: tuples of the wrong
+    arity, a value that is no constant, a string with `@`, a missing `;`."""
+    attrs = ", ".join("abc"[:arity])
+    section = ", ".join("(" + ", ".join(row) + ")" for row in rows) + " ".join(tail)
+    text = f"schema S {{ rel R({attrs}); rel T(a); }}\ninstance I : S {{ R: {section}; T: (1); }}"
+    for text in (text, text[: len(text) - cut]):
+        sliced = _parsed(text)
+        with mock.patch.object(dsl._Parser, "_section", lambda self, arity: None):
+            assert sliced == _parsed(text)
+

@@ -18,6 +18,7 @@ from .analyzer import Failure, min_schema
 from .constraints import (
     ConjunctiveQuery,
     ConstantAtom,
+    EQUALITIES,
     NamedAtom,
     RowIndex,
     StructureConstraint,
@@ -88,50 +89,15 @@ def _body_triggers(
     rows: RowIndex, body: ConjunctiveQuery
 ) -> Iterator[tuple[Condition, dict[Var, Cell]]]:
     """All ways to match the rule body against the table, with the condition
-    (used tuples' conditions plus induced cell equalities) each match needs.
-
-    Matching a variable or an in-rule constant against a labeled null does
-    not fail: it records the equality the valuation would have to satisfy.
-    A match state maps each variable to its cell and each matched atom's
-    position to its tuple's condition and recorded equalities. Only
-    null-free columns are pinned, and only to constants.
+    each match needs: the used tuples' conditions, then the cell equalities
+    `join` records where a variable or an in-rule constant meets a labeled
+    null, since such a match holds only under a valuation that equates them.
     """
     atoms = [a for a in body.atoms if isinstance(a, NamedAtom)]
-    null_columns = {
-        (rel, attr)
-        for rel, pairs in rows.entries.items()
-        for row, _ in pairs
-        for attr, cell in row.cells
-        if isinstance(cell, LabeledNull)
-    }
-
-    def pinnable(relation: str, attr: str, value: Cell) -> bool:
-        return isinstance(value, Value) and (relation, attr) not in null_columns
-
-    def extend(state: dict, k: int, pair: ConditionalRow) -> dict | None:
-        row, cond = pair
-        new = dict(state)
-        literals = []
-        for attr, term in atoms[k].bindings:
-            cell = row[attr]
-            bound = term if isinstance(term, Value) else new.get(term)
-            if bound is None:
-                new[term] = cell
-            elif bound == cell:
-                continue
-            elif isinstance(bound, LabeledNull):
-                literals.append(CondEq(bound, cell))
-            elif isinstance(cell, LabeledNull):
-                literals.append(CondEq(cell, bound))
-            else:
-                return None
-        new[k] = (cond, tuple(literals))
-        return new
-
     patterns = [(a.relation, a.bindings) for a in atoms]
-    for state in join(patterns, rows, {}, extend=extend, pinnable=pinnable):
-        matched = [state[k] for k in range(len(atoms))]
-        condition = cond_and([cond for cond, _ in matched] + [lits for _, lits in matched])
+    for state in join(patterns, rows, {}):
+        equalities = tuple(CondEq(null, other) for null, other in state.get(EQUALITIES, ()))
+        condition = cond_and([state[k] for k in range(len(atoms))] + [equalities])
         yield condition, {v: c for v, c in state.items() if isinstance(v, Var)}
 
 
@@ -143,14 +109,18 @@ def _head_matched(
 ) -> bool:
     """Whether the table already carries tuples witnessing the rule head.
 
-    Only syntactically identical cells count, and a used tuple's condition
-    must be entailed by the trigger's; a False here merely adds a redundant
-    tuple, which never changes the represented set's minimal members.
+    Only syntactically identical cells count, so a match that needs an
+    equality is refused, and a used tuple's condition must be entailed by
+    the trigger's; a False here merely adds a redundant tuple, which never
+    changes the represented set's minimal members.
     """
     patterns = [(a.relation, a.bindings) for a in head.atoms]
     init = {v: frontier[v] for v in head.free}
-    entailed = lambda state, k, pair: condition_entails(trigger_cond, pair[1])
-    return any(True for _ in join(patterns, store, init, accept=entailed))
+
+    def witnessed(state: dict, k: int, pair: ConditionalRow) -> bool:
+        return EQUALITIES not in state and condition_entails(trigger_cond, pair[1])
+
+    return any(True for _ in join(patterns, store, init, accept=witnessed))
 
 
 def chase_safe_scope(
@@ -159,7 +129,8 @@ def chase_safe_scope(
     """One restricted-chase pass of the procedure's rules over the table.
 
     Head relations never occur in rule bodies for this class, so a single
-    pass over the body matches of the original table saturates the rules.
+    pass over the body matches of the original table saturates the rules,
+    and one index serves the bodies while the heads grow.
     Every added head tuple carries its trigger's condition; existential
     head positions are filled with deterministically named fresh nulls.
     """
@@ -171,11 +142,10 @@ def chase_safe_scope(
             raise Incompatible(
                 "postcondition mentions relations or attributes the schema lacks"
             )
-    body_rows = RowIndex(t.data, paired=True)
     store = RowIndex({rel: list(t.rows(rel)) for rel in t.schema.names}, paired=True)
     for tgd_idx, dep in enumerate(p.post):
         ordinal = 0
-        for trigger_cond, frontier in _body_triggers(body_rows, dep.body):
+        for trigger_cond, frontier in _body_triggers(store, dep.body):
             if not condition_satisfiable(trigger_cond):
                 continue
             if _head_matched(store, dep.head, frontier, trigger_cond):

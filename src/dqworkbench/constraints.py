@@ -10,8 +10,7 @@ agrees with it on the named attributes, whatever else the tuple carries.
 `join` is the workbench's single matcher: an iterative depth-first search
 for a homomorphism from patterns into indexed rows (`RowIndex`). Query
 evaluation and dependency checks here, the chase's body triggers and head
-checks, and conditional-table membership all run on it, differing only in
-how a row extends a partial match.
+checks, and conditional-table membership all run on it.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DomainMismatch, Incompatible
-from .model import Instance, Row, Schema, Value
+from .model import Instance, LabeledNull, Row, Schema, Value
 
 
 @dataclass(frozen=True, order=True)
@@ -303,14 +302,26 @@ class RowIndex:
     With `paired`, an entry is a (row, payload) pair, as in a conditional
     table; otherwise it is the row itself. The index on (relation, attrs)
     maps the cells a row carries on attrs to its entries, in entry order.
+    `nullable` holds the (relation, attr) columns where some row carries a
+    labeled null: a table's rows may, an instance's never do.
     """
 
-    __slots__ = ("entries", "paired", "_indexes")
+    __slots__ = ("entries", "paired", "nullable", "_indexes")
 
     def __init__(self, entries: Mapping[str, Iterable], paired: bool = False):
         self.entries = dict(entries)
         self.paired = paired
+        self.nullable: set[tuple[str, str]] = set()
+        if paired:
+            for relation, pairs in self.entries.items():
+                for row, _ in pairs:
+                    self._note_nulls(relation, row)
         self._indexes: dict[tuple[str, tuple[str, ...]], dict] = {}
+
+    def _note_nulls(self, relation: str, row: Row) -> None:
+        for attr, cell in row.cells:
+            if isinstance(cell, LabeledNull):
+                self.nullable.add((relation, attr))
 
     def _key(self, entry, attrs: tuple[str, ...]) -> tuple:
         row = entry[0] if self.paired else entry
@@ -328,8 +339,11 @@ class RowIndex:
         return index.get(key, ())
 
     def add(self, relation: str, entry) -> None:
-        """Append an entry to a relation held as a list, keeping built indexes in step."""
+        """Append an entry to a relation held as a list, keeping built indexes
+        and `nullable` in step."""
         self.entries[relation].append(entry)
+        if self.paired:
+            self._note_nulls(relation, entry[0])
         for (rel, attrs), index in self._indexes.items():
             if rel == relation:
                 index.setdefault(self._key(entry, attrs), []).append(entry)
@@ -337,6 +351,8 @@ class RowIndex:
 
 # relations this small are scanned: hashing a probe key costs more than the scan
 SCAN_BELOW = 8
+# the state key under which `join` records the equalities a match needs
+EQUALITIES = "="
 _SKIP = object()
 
 
@@ -345,28 +361,32 @@ def join(
     rows: RowIndex,
     init: dict,
     *,
-    extend: Callable | None = None,
     accept: Callable | None = None,
     skip: Callable | None = None,
-    pinnable: Callable | None = None,
 ) -> Iterator[dict]:
     """Every state reached from init by matching each pattern to one entry.
 
     Depth first, on an explicit stack. A pattern is (relation, bindings);
-    a bound term is a constant if it is a Value, else a variable. States
-    map variables to cells and are never mutated once built. A probe pins
-    the attributes bound to a constant or a bound variable, unless
-    `pinnable(relation, attr, value)` says no. An entry extends a state by
-    strict unification, or by `extend(state, k, entry)`, which returns the
-    new state or None; `accept(state, k, entry)` may veto the result. When
-    pattern k's candidates run out, `skip(state, k)` lets the search pass
-    pattern k unmatched.
+    a bound term is a constant if it is a Value, else a variable. A state
+    maps each variable to its cell, holds under EQUALITIES the tuple of
+    (null, other) equalities the match needs, if any, and, for a paired
+    index, holds under each matched position k its entry's payload. States
+    are never mutated once built.
+
+    A term matches a cell equal to its constant or to its variable's cell.
+    Where the two differ but one is a labeled null, the match holds under
+    their equality, which the state records. A probe pins an attribute
+    only to a Value, and only on a column without labeled nulls.
+    `accept(state, k, entry)` may veto a match of pattern k. When pattern
+    k's candidates run out, `skip(state, k)` lets the search pass pattern k
+    unmatched.
     """
     if not patterns:
         yield init
         return
     last = len(patterns) - 1
     paired = rows.paired
+    nullable = rows.nullable
 
     def candidates(k: int, state: dict) -> Iterator:
         relation, bindings = patterns[k]
@@ -375,7 +395,7 @@ def join(
             attrs, key = [], []
             for attr, term in bindings:
                 value = term if isinstance(term, Value) else state.get(term)
-                if value is not None and (pinnable is None or pinnable(relation, attr, value)):
+                if isinstance(value, Value) and (relation, attr) not in nullable:
                     attrs.append(attr)
                     key.append(value)
             found = rows.candidates(relation, tuple(attrs), tuple(key))
@@ -392,27 +412,38 @@ def join(
                     continue
                 new = state
             else:
-                if extend is not None:
-                    new = extend(state, k, entry)
-                else:
-                    new = state
-                    row = entry[0] if paired else entry
-                    for attr, term in bindings:
-                        cell = row[attr]
-                        if isinstance(term, Value):
-                            if cell != term:
-                                new = None
-                                break
-                        else:
-                            bound = new.get(term)
-                            if bound is None:
-                                if new is state:
-                                    new = dict(state)
-                                new[term] = cell
-                            elif bound != cell:
-                                new = None
-                                break
-                if new is None or (accept is not None and not accept(new, k, entry)):
+                new = state
+                row = entry[0] if paired else entry
+                for attr, term in bindings:
+                    cell = row[attr]
+                    if isinstance(term, Value):
+                        bound = term
+                    else:
+                        bound = new.get(term)
+                        if bound is None:
+                            if new is state:
+                                new = dict(state)
+                            new[term] = cell
+                            continue
+                    if bound == cell:
+                        continue
+                    if isinstance(bound, LabeledNull):
+                        eq = (bound, cell)
+                    elif isinstance(cell, LabeledNull):
+                        eq = (cell, bound)
+                    else:
+                        new = None
+                        break
+                    if new is state:
+                        new = dict(state)
+                    new[EQUALITIES] = new.get(EQUALITIES, ()) + (eq,)
+                if new is None:
+                    continue
+                if paired:
+                    if new is state:
+                        new = dict(state)
+                    new[k] = entry[1]
+                if accept is not None and not accept(new, k, entry):
                     continue
             if k == last:
                 yield dict(new) if new is state else new

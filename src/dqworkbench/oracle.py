@@ -404,28 +404,17 @@ def compare_with_chase(i: Instance, ps: Sequence[Procedure], b: Budget) -> Chase
     rigid = frozenset(active_domain(i)) | frozenset().union(
         frozenset(), *(constraint_constants(p) for p in ps)
     )
-    if isinstance(table, EmptyResult):
-        oracle_min = minimal_outcomes(outcomes)
-        return ChaseComparison(
-            outcomes=outcomes,
-            missing=tuple(sorted(outcomes, key=_instance_sort_key)),
-            minimal_only_oracle=tuple(
-                sorted(
-                    (_rename_reserved(j, rigid) for j in oracle_min),
-                    key=_instance_sort_key,
-                )
-            ),
-            minimal_only_chase=(),
-        )
+    # an empty result represents no instance, so it has no minimal members
+    empty = isinstance(table, EmptyResult)
     missing = tuple(
         j
         for j in sorted(outcomes, key=_instance_sort_key)
-        if not rep_contains(table, j)
+        if empty or not rep_contains(table, j)
     )
     oracle_min = {
         _rename_reserved(j, rigid) for j in minimal_outcomes(outcomes)
     }
-    chase_min = {
+    chase_min = set() if empty else {
         _rename_reserved(j, rigid)
         for j in enumerate_minimal(table, constants=rigid)
     }

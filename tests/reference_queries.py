@@ -11,10 +11,16 @@ without building the product; tests check that rule against this query.
 
 `canonicalize_cq` puts a conjunctive query in a structural normal form,
 so that tests can compare queries up to atom order and variable names.
+
+`body_triggers` matches a chase rule body against a conditional table by
+brute force, one table pair per atom, where a labeled null matches any
+cell under the equality of the two.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from typing import Iterable
 
 from dqworkbench.constraints import (
@@ -26,7 +32,8 @@ from dqworkbench.constraints import (
     Term,
     Var,
 )
-from dqworkbench.model import Schema, first_appearance
+from dqworkbench.ctables import CondEq, ConditionalInstance, cond_and
+from dqworkbench.model import LabeledNull, Schema, Value, first_appearance
 from dqworkbench.procedures import residual_atoms
 
 
@@ -69,3 +76,36 @@ def canonicalize_cq(q: ConjunctiveQuery) -> ConjunctiveQuery:
     free = tuple(sorted((rename[v] for v in q.free), key=lambda v: v.name))
     existential = frozenset(rename[v] for v in q.existential)
     return ConjunctiveQuery(tuple(new_atoms), free, existential)
+
+
+def _extend(h: dict, literals: list, atom: NamedAtom, row) -> bool:
+    """Extend assignment h by one atom matched to one row, adding to literals
+    the equalities the match needs; False when two constants differ."""
+    for attr, term in atom.bindings:
+        cell = row[attr]
+        bound = term if isinstance(term, Value) else h.setdefault(term, cell)
+        if bound == cell:
+            continue
+        if isinstance(bound, LabeledNull):
+            literals.append(CondEq(bound, cell))
+        elif isinstance(cell, LabeledNull):
+            literals.append(CondEq(cell, bound))
+        else:
+            return False
+    return True
+
+
+def body_triggers(t: ConditionalInstance, body: ConjunctiveQuery) -> Counter:
+    """The chase's body triggers, counted as (condition, frontier) pairs: every
+    product of one table pair per relation atom whose rows extend the
+    assignment atom by atom. The condition lists the used pairs' conditions,
+    then the equalities the matches need, each once."""
+    atoms = [a for a in body.atoms if isinstance(a, NamedAtom)]
+    found: Counter = Counter()
+    for pairs in itertools.product(*(t.rows(a.relation) for a in atoms)):
+        h: dict = {}
+        literals: list = []
+        if all(_extend(h, literals, atom, row) for atom, (row, _) in zip(atoms, pairs)):
+            condition = cond_and([cond for _, cond in pairs] + [tuple(literals)])
+            found[(condition, frozenset(h.items()))] += 1
+    return found

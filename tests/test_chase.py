@@ -245,6 +245,43 @@ class TestChaseSafeScope:
         assert (CondEq(n, const(3)),) in conds
         assert all(not (CondEq(n, const(2)) in c and CondEq(n, const(3)) in c) for c in conds)
 
+    def test_a_null_head_cell_is_no_witness_for_a_constant(self):
+        # the stored V tuple would witness the head only under n1 = 5, and
+        # head witnesses are syntactic, so the trigger adds its own tuple
+        s = Schema.of({"R": ["a"], "V": ["a"]})
+        n = LabeledNull("n1")
+        t = ConditionalInstance.of(
+            s,
+            {
+                "R": [(Row.of({"a": const(5)}), TRUE)],
+                "V": [(Row.of({"a": n}), TRUE)],
+            },
+        )
+        chased = chase_safe_scope(t, simple_copy_proc("R", "V"))
+        assert set(chased.rows("V")) == {
+            (Row.of({"a": n}), TRUE),
+            (Row.of({"a": const(5)}), TRUE),
+        }
+
+    def test_an_equality_the_trigger_holds_does_not_make_a_witness(self):
+        # the trigger's condition already equates n1 and 5, but the head
+        # check still asks for the cell 5 itself
+        s = Schema.of({"R": ["a"], "V": ["a"]})
+        n = LabeledNull("n1")
+        needed = (CondEq(n, const(5)),)
+        t = ConditionalInstance.of(
+            s,
+            {
+                "R": [(Row.of({"a": const(5)}), needed)],
+                "V": [(Row.of({"a": n}), TRUE)],
+            },
+        )
+        chased = chase_safe_scope(t, simple_copy_proc("R", "V"))
+        assert set(chased.rows("V")) == {
+            (Row.of({"a": n}), TRUE),
+            (Row.of({"a": const(5)}), needed),
+        }
+
 
 def simple_copy_proc(src: str, dst: str, extra_attr: str | None = None) -> Procedure:
     x = Var("x")

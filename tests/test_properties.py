@@ -1,7 +1,7 @@
 """Bulk generated-case suites: representation closure, enumerator/checker
 agreement, fold reproducibility, certainty against the minimal-member
-enumeration, workspace format round-trips, the matcher against
-brute-force references, the residual clause against the joint
+enumeration, workspace format round-trips, the matcher and the chase's
+body triggers against brute-force references, the residual clause against the joint
 residual query, the workspace lexer against the reference tokenizer,
 size-ordered minimality and the oracle's up-front meter against the
 all-pairs test and the candidate totals they replace, the oracle's staged
@@ -33,6 +33,7 @@ from hypothesis import given, settings, strategies as st
 
 from dqworkbench.chase import (
     EmptyResult,
+    _body_triggers,
     approximate_outcomes,
     canonical_table,
     certain_boolean_cq,
@@ -50,6 +51,7 @@ from dqworkbench.constraints import (
     NamedAtom,
     Not,
     Or,
+    RowIndex,
     StructureConstraint,
     Tgd,
     TotalQuery,
@@ -114,7 +116,7 @@ from dqworkbench.procedures import (
 
 from . import reference_oracle, reference_tokenizer
 from .conftest import boolean_cq, open_cq
-from .reference_queries import residual_query
+from .reference_queries import body_triggers, residual_query
 from .test_dsl import FIG1, workspace_st
 from .test_oracle import inclusion_tgd, rt_instance
 from .test_procedures import schema_and_scope
@@ -476,6 +478,31 @@ def test_rep_contains_matches_brute_force(t, j, data, scan_below):
         j = Instance.of(REP_SCHEMA, {rel: j.rows(rel) | image.rows(rel) for rel in REP_SCHEMA.names})
     found = _with_scan_below(scan_below, lambda: rep_contains(t, j))
     assert found == _brute_rep_contains(t, j)
+
+
+@st.composite
+def trigger_table_st(draw) -> ConditionalInstance:
+    """Up to 10 pairs per relation, each condition at most one equality; a
+    column may hold no labeled null, so that probes pin it."""
+    data = {}
+    for rel in REP_SCHEMA.names:
+        attrs = sorted(REP_SCHEMA.attrs(rel))
+        cells = {a: cell_st if draw(st.booleans()) else st.sampled_from(CONSTS) for a in attrs}
+        pair = st.tuples(st.fixed_dictionaries(cells).map(Row.of), _leaf_cond_st)
+        data[rel] = draw(st.lists(pair, max_size=10))
+    return ConditionalInstance.of(REP_SCHEMA, data)
+
+
+@settings(max_examples=MATCHER_EXAMPLES, deadline=None)
+@given(t=trigger_table_st(), atoms=atoms_st(), scan_below=scan_below_st)
+def test_body_triggers_match_brute_force(t, atoms, scan_below):
+    body = cq(atoms, free=sorted({v for a in atoms for v in a.vars}))
+    rows = RowIndex({rel: list(t.rows(rel)) for rel in t.schema.names}, paired=True)
+    found = _with_scan_below(
+        scan_below,
+        lambda: Counter((c, frozenset(f.items())) for c, f in _body_triggers(rows, body)),
+    )
+    assert found == body_triggers(t, body)
 
 
 # --- the residual clause against the joint residual query --------------------

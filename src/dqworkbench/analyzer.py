@@ -53,7 +53,8 @@ def min_schema(
     Arity pin: a total safety query, filtered or not, keeps whole tuples
     of each relation it reads, so those relations keep exactly their
     input attributes, and demands beyond them are a Failure. The pin holds
-    only while the query has an answer on the input to keep.
+    on empty relations too: the outcome checker types a total query's
+    answers by the attributes of its relations.
 
     Data-level preconditions (dependencies) cannot be decided at the schema
     level. By default they are rejected; with allow_data_preconditions they

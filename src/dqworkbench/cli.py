@@ -289,8 +289,10 @@ def _cmd_oracle(ws: Workspace, args) -> Report:
     label = "minimal outcomes" if args.minimal else "outcomes"
     lines = [f"{label} within budget: {len(ordered)}"]
     for idx, (text, _) in enumerate(ordered):
+        # one entry per outcome, not per line: a report may hold thousands
         lines.append(f"--- outcome {idx} ---")
-        lines.extend(text.splitlines())
+        if text:  # an instance over no relation renders as no line
+            lines.append(text)
     return code, lines, {}
 
 

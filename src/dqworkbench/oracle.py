@@ -9,7 +9,10 @@ each clause of `procedures.outcome_clauses` as soon as the relations it
 reads are fixed, dropping a prefix at its first failing clause; the result
 equals checking every candidate of the full product literally. Those
 clauses split the residual query per relation whenever the input allows
-it, so a residual relation is checked as soon as its rows are chosen.
+it, so a residual relation is checked as soon as its rows are chosen, and
+leave out the residual clauses the generation guarantees. The generation
+also prunes, before it builds, the row choices two rules rule out (see
+`_relation_choices`), so the cap counts the candidates left after pruning.
 """
 
 from __future__ import annotations
@@ -23,10 +26,14 @@ from .chase import EmptyResult, approximate_outcomes
 from .constraints import (
     ConjunctiveQuery,
     Egd,
+    NamedAtom,
     Tgd,
+    TotalQuery,
     comparisons,
     cq_constants,
     demanded_attrs,
+    evaluate_query,
+    is_compatible,
 )
 from .ctables import enumerate_minimal, rep_contains
 from .errors import MalformedParams, Meter
@@ -44,7 +51,8 @@ from .procedures import Clause, Procedure, outcome_clauses, outcome_inputs, scop
 
 # Candidates one oracle run may charge, each batch before it is built and before
 # any clause is checked: per relation its sets of additions and its row-set
-# candidates, per schema the cross-relation ones, so it counts the literal space.
+# candidates, per schema the cross-relation ones, all counted after the keep
+# and forced-row rules of `_relation_choices` have pruned them.
 BUDGET_CAP = 500_000
 
 EXTRA_CONSTANT_PREFIX = "@c"
@@ -179,6 +187,8 @@ def _relation_choices(
     pool: Sequence[Value],
     b: Budget,
     meter: Meter,
+    forced: set[Row],
+    keep: bool,
 ) -> list[frozenset[Row]]:
     """Candidate row sets for one relation of one candidate schema.
 
@@ -186,6 +196,11 @@ def _relation_choices(
     with splits counted as additions); relations scoped on named attributes
     may drop rows and rewrite the scoped cells; whole-relation scopes keep
     any subset of the old rows and add up to max_new_tuples fresh tuples.
+    Two rules prune the choices no outcome can take: with `keep` no old row
+    is dropped, and each `forced` row (over target_attrs) is in every
+    choice, so the old row it extends is never dropped and any other forced
+    row is in every set of additions. The meter charges the pruned counts
+    before anything is built.
     """
     old_attrs = i.schema.attrs(rel) if i.schema.defines(rel) else frozenset()
     kept_old = sorted(old_attrs & target_attrs)
@@ -195,6 +210,12 @@ def _relation_choices(
         if i.schema.defines(rel)
         else set()
     )
+    # an old row a forced row extends (found by projection) is kept; any
+    # other forced row is in every set of additions
+    held = {f.project(kept_old) for f in forced} & set(old_rows)
+    must_add = frozenset(f for f in forced if f.project(kept_old) not in held)
+    if len(must_add) > b.max_new_tuples:
+        return []  # no set of additions holds every forced row
 
     # every batch is counted and charged before it is built
     if pinned is None:
@@ -206,18 +227,22 @@ def _relation_choices(
             return [frozenset(old_rows)]
         unfilled = frozenset(kept_old) - frozenset(fill)
         n_pool = len({r.project(unfilled) for r in old_rows}) * len(pool) ** len(fill)
-    drop = 0 if pinned == frozenset() else 1  # an in-scope old row may be dropped
-    sizes = range(b.max_new_tuples + 1)
-    n_add = sum(math.comb(n_pool, k) for k in sizes)
-    meter.tick(n_add + n_add * (len(pool) ** len(fill) + drop) ** len(old_rows))
+    # an in-scope old row may be dropped, unless a rule keeps it
+    drops = [pinned != frozenset() and not keep and r not in held for r in old_rows]
+    sizes = range(b.max_new_tuples - len(must_add) + 1)
+    n_add = sum(math.comb(n_pool - len(must_add), k) for k in sizes)
+    meter.tick(n_add + n_add * math.prod(len(pool) ** len(fill) + d for d in drops))
 
     extended = [_extensions(r, fill, pool) for r in old_rows]
-    per_row = [[None] * drop + rows for rows in extended]
+    per_row = [[None] * d + rows for d, rows in zip(drops, extended)]
     if pinned is None:
         addition_pool = _extensions(Row.of({}), sorted(target_attrs), pool)
     else:
         addition_pool = sorted({ext for rows in extended for ext in rows})
-    additions = [frozenset(c) for k in sizes for c in itertools.combinations(addition_pool, k)]
+    # forced rows draw their values from the input and the constraints, so
+    # they are in the pool: the rest of it is n_pool - len(must_add) rows
+    rest = [r for r in addition_pool if r not in must_add]
+    additions = [must_add.union(c) for k in sizes for c in itertools.combinations(rest, k)]
 
     out: list[frozenset[Row]] = []
     seen: set[frozenset[Row]] = set()
@@ -231,6 +256,37 @@ def _relation_choices(
     return out
 
 
+def _forced_rows(
+    p: Procedure, i: Instance, scope: dict[str, frozenset[str] | None]
+) -> dict[tuple[str, frozenset[str]], set[Row]]:
+    """Rows every outcome of `p` on `i` holds, keyed by relation and attributes.
+
+    A tgd whose head has no existential variable, and whose body atoms read
+    only out-of-scope relations on attributes `i` has, matches every
+    candidate as it matches `i`: candidates keep those rows verbatim there.
+    Each match then forces the row of each head atom on a whole-scope
+    relation, in every candidate whose relation has exactly its attributes.
+    """
+    out: dict[tuple[str, frozenset[str]], set[Row]] = {}
+    for d in p.post:
+        if not isinstance(d, Tgd) or d.head.existential:
+            continue
+        if not all(
+            isinstance(a, NamedAtom)
+            and scope.get(a.relation, frozenset()) == frozenset()
+            and is_compatible(a, i.schema)
+            for a in d.body.atoms
+        ):
+            continue
+        for answer in evaluate_query(d.body, i):
+            match = dict(zip(d.body.free, answer))
+            for a in d.head.atoms:
+                if isinstance(a, NamedAtom) and scope.get(a.relation, frozenset()) is None:
+                    row = Row.of({attr: match.get(t, t) for attr, t in a.bindings})
+                    out.setdefault((a.relation, a.attrs), set()).add(row)
+    return out
+
+
 def _single_step_outcomes(
     p: Procedure,
     i: Instance,
@@ -241,19 +297,36 @@ def _single_step_outcomes(
     inputs = outcome_inputs(p, i)
     if not inputs.applicable:
         return set()
-    clauses = outcome_clauses(p, inputs)
-    pool = _value_pool(i, shared, b)
     scope = scope_map(p.scope)
+    # every candidate holds the out-of-scope relations' rows verbatim on the
+    # input's attributes, and keeps every attribute the scope does not name
+    verbatim = frozenset(r for r in i.schema.names if scope.get(r, frozenset()) == frozenset())
+    clauses = outcome_clauses(p, inputs, verbatim)
+    pool = _value_pool(i, shared, b)
+    forced = _forced_rows(p, i, scope)
+    # an unfiltered `total R` on a whole-scope R loses an answer with any old
+    # row the result drops
+    keep = {
+        q.relations[0]
+        for q in p.safe
+        if isinstance(q, TotalQuery) and q.condition is None and len(q.relations) == 1
+        and scope.get(q.relations[0], frozenset()) is None
+    }
     found: set[Instance] = set()
     for schema in _candidate_schemas(i, p, b):
         per_relation = []
         for rel in schema.names:
+            attrs = schema.attrs(rel)
             choices = _relation_choices(
-                rel, schema.attrs(rel), i, scope.get(rel, frozenset()), pool, b, meter
+                rel, attrs, i, scope.get(rel, frozenset()), pool, b, meter,
+                forced.get((rel, attrs), set()), rel in keep,
             )
+            if not choices:
+                break  # no candidate over this schema
             per_relation.append((rel, choices))
-        meter.tick(math.prod(len(c) for _, c in per_relation))
-        found.update(_accepted(schema, per_relation, clauses))
+        else:
+            meter.tick(math.prod(len(c) for _, c in per_relation))
+            found.update(_accepted(schema, per_relation, clauses))
     return found
 
 

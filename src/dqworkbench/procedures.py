@@ -132,13 +132,15 @@ class OutcomeReport:
 class OutcomeInputs:
     """What the outcome check reads of the input instance alone.
 
-    Applicability, each one-atom residual query with its answers, and each
-    safety query's answers or the `Incompatible` it raised.
+    Applicability, each one-atom residual query with its answers, each
+    safety query's answers or the `Incompatible` it raised, and the schema,
+    which types the answers of total safety queries.
     """
 
     applicable: bool
     residual: tuple[tuple[ConjunctiveQuery, frozenset], ...]
     safety: tuple[Union[frozenset, Incompatible], ...]
+    schema: Schema
 
 
 def outcome_inputs(p: Procedure, before: Instance) -> OutcomeInputs:
@@ -157,7 +159,7 @@ def outcome_inputs(p: Procedure, before: Instance) -> OutcomeInputs:
             safety.append(evaluate_query(q, before))
         except Incompatible as e:
             safety.append(e)
-    return OutcomeInputs(is_applicable(p, before), tuple(residual), tuple(safety))
+    return OutcomeInputs(is_applicable(p, before), tuple(residual), tuple(safety), before.schema)
 
 
 def _post_failures(idx: int, c: Constraint, after: Instance) -> list[str]:
@@ -193,13 +195,18 @@ def _residual_failures(
 
 
 def _safety_failures(
-    idx: int, q: Query, old: Union[frozenset, Incompatible], after: Instance
+    idx: int, q: Query, old: Union[frozenset, Incompatible], before: Schema, after: Instance
 ) -> list[str]:
     if not is_compatible(q, after.schema):
         old = Incompatible("safety query incompatible with the result schema")
     if isinstance(old, Incompatible):
         return [f"safety query {idx}: {old}"]
-    return [] if old <= evaluate_query(q, after) else [f"safety query {idx} lost answers"]
+    # a total query's answers are typed by the attributes of its relations: a
+    # result that changes them keeps none of them, even when both are empty
+    typed = not isinstance(q, TotalQuery) or all(
+        after.schema.attrs(r) == before.attrs(r) for r in q.relations
+    )
+    return [] if typed and old <= evaluate_query(q, after) else [f"safety query {idx} lost answers"]
 
 
 def _reads(c: Union[Constraint, Query]) -> frozenset[str]:
@@ -211,7 +218,9 @@ def _reads(c: Union[Constraint, Query]) -> frozenset[str]:
 Clause = tuple[frozenset[str], Callable[[Instance], list[str]]]
 
 
-def outcome_clauses(p: Procedure, inputs: OutcomeInputs) -> list[Clause]:
+def outcome_clauses(
+    p: Procedure, inputs: OutcomeInputs, kept: frozenset[str] = frozenset()
+) -> list[Clause]:
     """The postcondition, residual and safety clauses of `p`, in that order.
 
     `inputs` must be `outcome_inputs(p, before)`. A clause is a pair
@@ -223,9 +232,20 @@ def outcome_clauses(p: Procedure, inputs: OutcomeInputs) -> list[Clause]:
     factor of `before` is empty: a product of nonempty factors is unchanged
     exactly when every factor is, and a one-relation clause can be checked
     as soon as its relation is fixed.
+
+    `kept` names relations whose rows every result the caller checks holds
+    verbatim on `before`'s attributes, over a schema that keeps every
+    attribute the scope does not name. Residual clauses that then always
+    hold are left out: the per-atom clause of a kept relation, and the
+    joint clause when a kept relation is empty on `before`, since its
+    factor is then empty on both sides. The oracle passes its out-of-scope
+    relations; its cap counts the candidates left after pruning, not the
+    clauses checked.
     """
     if all(old for _, old in inputs.residual):
-        factor_groups = [(f,) for f in inputs.residual]
+        factor_groups = [(f,) for f in inputs.residual if f[0].atoms[0].relation not in kept]
+    elif any(not old and q.atoms[0].relation in kept for q, old in inputs.residual):
+        factor_groups = []
     else:
         factor_groups = [inputs.residual]
     return [
@@ -235,7 +255,7 @@ def outcome_clauses(p: Procedure, inputs: OutcomeInputs) -> list[Clause]:
             for fs in factor_groups
         ),
         *(
-            (_reads(q), partial(_safety_failures, idx, q, old))
+            (_reads(q), partial(_safety_failures, idx, q, old, inputs.schema))
             for idx, (q, old) in enumerate(zip(p.safe, inputs.safety))
         ),
     ]
@@ -260,7 +280,7 @@ def possible_outcome_report(
     safety = [
         f
         for idx, (q, old) in enumerate(zip(p.safe, inputs.safety))
-        for f in _safety_failures(idx, q, old, after)
+        for f in _safety_failures(idx, q, old, inputs.schema, after)
     ]
     failures = post + residual + safety
     if not inputs.applicable:

@@ -4,10 +4,12 @@
 before it took outcomes in size order. `enumerate_outcomes` is the literal
 enumerator it used before it checked clauses as soon as their relations
 are fixed: it builds every candidate of the cross-relation product and
-runs `possible_outcome_report` on each. Both are kept verbatim so that
+runs `possible_outcome_report` on each. `_relation_choices` is the row
+choice generator the oracle used before it pruned: it charges and builds
+every row set the scope allows. All three are kept verbatim so that
 properties in `test_properties.py` can check the oracle against them. The
-candidate schemas, row choices and value pool are the oracle's own; the
-cap is this module's `BUDGET_CAP`.
+candidate schemas and value pool are the oracle's own; the cap is this
+module's `BUDGET_CAP`.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ import math
 from typing import Iterable, Sequence, Union
 
 from dqworkbench.errors import Meter
-from dqworkbench.model import Instance, Value, instance_extends
+from dqworkbench.model import Instance, Row, Value, instance_extends
 from dqworkbench.oracle import (
     Budget,
     _candidate_schemas,
+    _extensions,
     _instance_sort_key,
-    _relation_choices,
     _value_pool,
     constraint_constants,
 )
@@ -42,6 +44,66 @@ def minimal_outcomes(outcomes: Iterable[Instance]) -> frozenset[Instance]:
         if not dominated:
             out.append(j)
     return frozenset(out)
+
+
+def _relation_choices(
+    rel: str,
+    target_attrs: frozenset[str],
+    i: Instance,
+    pinned: frozenset[str] | None,
+    pool: Sequence[Value],
+    b: Budget,
+    meter: Meter,
+) -> list[frozenset[Row]]:
+    """Candidate row sets for one relation of one candidate schema.
+
+    Out-of-scope relations keep every old row (extended over new attributes,
+    with splits counted as additions); relations scoped on named attributes
+    may drop rows and rewrite the scoped cells; whole-relation scopes keep
+    any subset of the old rows and add up to max_new_tuples fresh tuples.
+    """
+    old_attrs = i.schema.attrs(rel) if i.schema.defines(rel) else frozenset()
+    kept_old = sorted(old_attrs & target_attrs)
+    new_attrs = sorted(target_attrs - old_attrs)
+    old_rows = sorted(
+        {r.project(frozenset(kept_old)) for r in i.rows(rel)}
+        if i.schema.defines(rel)
+        else set()
+    )
+
+    # every batch is counted and charged before it is built
+    if pinned is None:
+        fill = new_attrs
+        n_pool = len(pool) ** len(target_attrs)
+    else:
+        fill = sorted((pinned & target_attrs) | frozenset(new_attrs)) if pinned else new_attrs
+        if not pinned and not fill:
+            return [frozenset(old_rows)]
+        unfilled = frozenset(kept_old) - frozenset(fill)
+        n_pool = len({r.project(unfilled) for r in old_rows}) * len(pool) ** len(fill)
+    drop = 0 if pinned == frozenset() else 1  # an in-scope old row may be dropped
+    sizes = range(b.max_new_tuples + 1)
+    n_add = sum(math.comb(n_pool, k) for k in sizes)
+    meter.tick(n_add + n_add * (len(pool) ** len(fill) + drop) ** len(old_rows))
+
+    extended = [_extensions(r, fill, pool) for r in old_rows]
+    per_row = [[None] * drop + rows for rows in extended]
+    if pinned is None:
+        addition_pool = _extensions(Row.of({}), sorted(target_attrs), pool)
+    else:
+        addition_pool = sorted({ext for rows in extended for ext in rows})
+    additions = [frozenset(c) for k in sizes for c in itertools.combinations(addition_pool, k)]
+
+    out: list[frozenset[Row]] = []
+    seen: set[frozenset[Row]] = set()
+    for chosen in itertools.product(*per_row) if per_row else [()]:
+        kept = frozenset(r for r in chosen if r is not None)
+        for extra in additions:
+            candidate = kept | extra
+            if candidate not in seen:
+                seen.add(candidate)
+                out.append(candidate)
+    return out
 
 
 def _single_step_outcomes(

@@ -625,6 +625,38 @@ class TestOracleCommands:
         assert code == 0
         assert "agrees with the oracle" in out
 
+    def test_oracle_lists_an_outcome_over_no_relation_without_lines(self, capsys, tmp_path):
+        path = tmp_path / "drop.dq"
+        path.write_text(
+            'schema S { rel R(a); }\ninstance I : S { R: ("x\fy"); }\n'
+            "proc p { scope { R[*]; } }\n"
+        )
+        argv = ("oracle", "--workspace", str(path), "--instance", "I", "--seq", "p")
+        code, out, _ = run(capsys, *argv, "--budget", "tuples=0")
+        assert code == 0
+        # a value holding a form feed stays on its line
+        assert out.split("\n") == [
+            "outcomes within budget: 3",
+            "--- outcome 0 ---",
+            "--- outcome 1 ---",
+            "R(a):",
+            '  ("x\fy")',
+            "--- outcome 2 ---",
+            "R(a):",
+            "  (empty)",
+            "",
+        ]
+
+    def test_compare_answers_with_two_new_tuples(self, capsys):
+        # the unpruned candidate space (2,388,946) is beyond the cap; the pruned
+        # one is 2,185 candidates
+        code, out, _ = run(
+            capsys, "compare", "--workspace", FIG1, "--instance", "I", "--seq", "migrate",
+            "--budget", "extra=1,tuples=2",
+        )
+        assert code == 0
+        assert out.strip() == "approximation agrees with the oracle: 727 outcomes checked"
+
     def test_compare_json(self, capsys, small_ws):
         code, payload = run_json(
             capsys,

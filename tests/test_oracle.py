@@ -36,6 +36,7 @@ from dqworkbench.procedures import (
     possible_outcome_report,
 )
 
+from . import reference_oracle
 from .conftest import (
     EVISITS_ROWS,
     LOCVISITS_I_ROWS,
@@ -462,9 +463,9 @@ class TestBudgets:
                 Budget(**{field: -1})
 
     def test_hard_cap_limits_the_search(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "BUDGET_CAP", 10)
+        monkeypatch.setattr(reference_oracle, "BUDGET_CAP", 10)
         with pytest.raises(BudgetExceeded) as caught:
-            enumerate_outcomes(
+            reference_oracle.enumerate_outcomes(
                 migrate_total_proc(), fig_instance(), Budget(max_new_tuples=1)
             )
         # LocVisits: 513 sets of additions (none, or one of the 8^3 rows),
@@ -474,17 +475,49 @@ class TestBudgets:
             "0 candidates charged so far, and the next charge of 2565 does not fit"
         )
 
+    def test_hard_cap_limits_the_pruned_search(self, monkeypatch):
+        # `total LocVisits` keeps both old rows, and the tgd forces the migrated
+        # row into every set of additions, which it fills: LocVisits charges 1
+        # set of additions plus 1 row set, and the cross product 1 candidate
+        proc, i, b = migrate_total_proc(), fig_instance(), Budget(max_new_tuples=1)
+        monkeypatch.setattr(oracle_mod, "BUDGET_CAP", 3)
+        assert len(enumerate_outcomes(proc, i, b)) == 1
+        monkeypatch.setattr(oracle_mod, "BUDGET_CAP", 2)
+        with pytest.raises(BudgetExceeded) as caught:
+            enumerate_outcomes(proc, i, b)
+        assert str(caught.value) == (
+            "oracle candidate space exceeds the hard cap of 2 at step 0 (migrate): "
+            "2 candidates charged so far, and the next charge of 1 does not fit"
+        )
+
     def test_cap_message_names_the_step_that_overflows(self, monkeypatch):
         # step 0 charges 2565 + 2044 and fits; step 1 starts from J1's 3 rows
-        monkeypatch.setattr(oracle_mod, "BUDGET_CAP", 5000)
+        monkeypatch.setattr(reference_oracle, "BUDGET_CAP", 5000)
         with pytest.raises(
             BudgetExceeded,
             match=r"at step 1 \(migrate\): 4609 candidates charged so far, "
             r"and the next charge of 4617 does not fit$",
         ):
-            enumerate_outcomes(
+            reference_oracle.enumerate_outcomes(
                 [migrate_total_proc()] * 2, fig_instance(), Budget(max_new_tuples=1)
             )
+
+    def test_pruned_cap_message_names_the_step_that_overflows(self, monkeypatch):
+        # step 0 charges 2 + 1 (see above). Step 1 starts from J1, which holds
+        # the forced row: LocVisits keeps its 3 old rows and charges 513 sets of
+        # additions (none, or one of the 8^3 rows) plus 513 row sets, 1026; 510
+        # of them are distinct, since 3 additions repeat a kept row. 3 + 1026 +
+        # 510 = 1539.
+        proc, i, b = migrate_total_proc(), fig_instance(), Budget(max_new_tuples=1)
+        monkeypatch.setattr(oracle_mod, "BUDGET_CAP", 1539)
+        assert len(enumerate_outcomes([proc] * 2, i, b)) == 510
+        monkeypatch.setattr(oracle_mod, "BUDGET_CAP", 1538)
+        with pytest.raises(
+            BudgetExceeded,
+            match=r"at step 1 \(migrate\): 1029 candidates charged so far, "
+            r"and the next charge of 510 does not fit$",
+        ):
+            enumerate_outcomes([proc] * 2, i, b)
 
     def test_a_relation_is_charged_before_its_rows_are_built(self, monkeypatch):
         # 7^7 fresh tuples over R's 7 attributes and 7 values: 2,470,632 candidates

@@ -31,6 +31,8 @@ from dqworkbench.procedures import (
     instantiate_template,
     is_applicable,
     is_safe_sequence,
+    outcome_clauses,
+    outcome_inputs,
     possible_outcome_report,
     residual_atoms,
     scope_map,
@@ -197,6 +199,35 @@ def test_fig1_changed_evisits_fails_residual(migrate, instance_i, visit_schema):
 def test_total_safety_rejects_arity_growth(instance_i, instance_j3):
     assert not possible_outcome_report(migrate_total_proc(), instance_i, instance_j3).ok
     assert possible_outcome_report(migrate_cq_proc(), instance_i, instance_j3).ok
+
+
+def test_total_safety_types_the_answers_of_an_empty_relation():
+    # an empty R(a, b) keeps no answers over R(a) or R(a, b, c): the checker
+    # agrees with min_schema's arity pin
+    p = Procedure.of(scope=[StructureConstraint.of("R", ["b"])], safe=[TotalQuery(("R",))])
+    before = Instance.of(Schema.of({"R": ("a", "b")}))
+    for attrs in [("a",), ("a", "b", "c")]:
+        report = possible_outcome_report(p, before, Instance.of(Schema.of({"R": attrs})))
+        assert report.failures == ("safety query 0 lost answers",)
+    assert possible_outcome_report(p, before, before).ok
+
+
+def test_clauses_of_relations_kept_verbatim_are_left_out():
+    s = Schema.of({"R": ("a",), "T": ("a",), "U": ("a",)})
+    one = Row.of({"a": const(1)})
+    p = Procedure.of(scope=[StructureConstraint.of("U")])
+
+    def residual_reads(before, kept):
+        return [reads for reads, _ in outcome_clauses(p, outcome_inputs(p, before), kept)]
+
+    full = Instance.of(s, {"R": [one], "T": [one]})
+    assert residual_reads(full, frozenset()) == [{"R"}, {"T"}]
+    assert residual_reads(full, frozenset({"R"})) == [{"T"}]
+    # one joint clause while a factor is empty; a kept empty factor keeps it empty
+    no_t = Instance.of(s, {"R": [one]})
+    assert residual_reads(no_t, frozenset()) == [{"R", "T"}]
+    assert residual_reads(no_t, frozenset({"R"})) == [{"R", "T"}]
+    assert residual_reads(no_t, frozenset({"T"})) == []
 
 
 def test_strict_vs_per_relation_residual():

@@ -91,6 +91,7 @@ from dqworkbench.errors import (
     BudgetExceeded,
     Incompatible,
     MalformedParams,
+    Meter,
     WorkbenchError,
     WorkspaceSyntaxError,
 )
@@ -137,9 +138,18 @@ TEMPLATE_EXAMPLES = 200
 JSON_MUTATION_EXAMPLES = 150
 SECTION_EXAMPLES = 400
 
-# The candidates the oracle charges for Figure 1's `migrate, migrate` with
-# budget extra=1,tuples=1: the total the per-candidate meter reached.
+# The candidates the literal enumerator charges for Figure 1's `migrate,
+# migrate` with budget extra=1,tuples=1: the total the per-candidate meter
+# reached.
 FIG1_MIGRATE_TWICE_CHARGE = 18_948
+
+# The same for the pruned oracle. Step 0: `total LocVisits` keeps both old
+# rows and the tgd forces the migrated row into the one set of additions, so
+# LocVisits charges 1 set plus 1 row set, and the cross product 1 candidate.
+# Step 1, from J1, which holds every forced row: 730 sets of additions (none,
+# or one of the 9^3 rows) plus 730 row sets, and 727 distinct candidates, since
+# 3 additions repeat a kept row. 3 + 1460 + 727 = 2190.
+FIG1_MIGRATE_TWICE_PRUNED_CHARGE = 2_190
 
 X = Var("x")
 
@@ -664,29 +674,54 @@ def _fig1_migrate_twice():
 
 def test_meter_charges_exactly_the_per_candidate_total(monkeypatch):
     seq, i, b = _fig1_migrate_twice()
-    monkeypatch.setattr(oracle_mod, "BUDGET_CAP", FIG1_MIGRATE_TWICE_CHARGE)
+    monkeypatch.setattr(reference_oracle, "BUDGET_CAP", FIG1_MIGRATE_TWICE_CHARGE)
+    assert len(reference_oracle.enumerate_outcomes(seq, i, b)) == 727
+    monkeypatch.setattr(reference_oracle, "BUDGET_CAP", FIG1_MIGRATE_TWICE_CHARGE - 1)
+    with pytest.raises(BudgetExceeded):
+        reference_oracle.enumerate_outcomes(seq, i, b)
+
+
+def test_meter_charges_exactly_the_pruned_total(monkeypatch):
+    seq, i, b = _fig1_migrate_twice()
+    monkeypatch.setattr(oracle_mod, "BUDGET_CAP", FIG1_MIGRATE_TWICE_PRUNED_CHARGE)
     assert len(enumerate_outcomes(seq, i, b)) == 727
-    monkeypatch.setattr(oracle_mod, "BUDGET_CAP", FIG1_MIGRATE_TWICE_CHARGE - 1)
+    monkeypatch.setattr(oracle_mod, "BUDGET_CAP", FIG1_MIGRATE_TWICE_PRUNED_CHARGE - 1)
     with pytest.raises(BudgetExceeded):
         enumerate_outcomes(seq, i, b)
 
 
-def test_meter_stops_before_any_candidate_is_checked(monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a candidate was checked")
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a candidate was checked")
 
+
+def test_meter_stops_before_any_candidate_is_checked(monkeypatch):
+    seq, i, _ = _fig1_migrate_twice()
+    monkeypatch.setattr(reference_oracle, "possible_outcome_report", _unreachable)
+    # One more than the first schema's per-relation charge (2565): a
+    # per-candidate meter would check one cross-relation candidate first.
+    monkeypatch.setattr(reference_oracle, "BUDGET_CAP", 2566)
+    with pytest.raises(BudgetExceeded, match="2565 candidates charged so far"):
+        reference_oracle.enumerate_outcomes(seq[0], i, Budget(max_new_tuples=1))
+
+
+def test_pruned_meter_stops_before_any_candidate_is_checked(monkeypatch):
     clauses = oracle_mod.outcome_clauses
     seq, i, _ = _fig1_migrate_twice()
     monkeypatch.setattr(
         oracle_mod,
         "outcome_clauses",
-        lambda *args: [(reads, unreachable) for reads, _ in clauses(*args)],
+        lambda *args: [(reads, _unreachable) for reads, _ in clauses(*args)],
     )
-    # One more than the first schema's per-relation charge (2565): a
-    # per-candidate meter would check one cross-relation candidate first.
-    monkeypatch.setattr(oracle_mod, "BUDGET_CAP", 2566)
-    with pytest.raises(BudgetExceeded, match="2565 candidates charged so far"):
-        enumerate_outcomes(seq[0], i, Budget(max_new_tuples=1))
+    # At extra=1,tuples=2 LocVisits keeps both old rows and charges 729 sets of
+    # additions (the forced row, alone or with one of the other 9^3 - 1 rows)
+    # plus 729 row sets, 1458; then the cross product charges its 727 distinct
+    # candidates. One more than 1458: a per-candidate meter would check one
+    # candidate first.
+    monkeypatch.setattr(oracle_mod, "BUDGET_CAP", 1459)
+    with pytest.raises(
+        BudgetExceeded, match="1458 candidates charged so far, and the next charge of 727"
+    ):
+        enumerate_outcomes(seq[0], i, Budget(extra_constants=1, max_new_tuples=2))
 
 
 # --- the staged oracle against the literal enumerator -------------------------
@@ -696,24 +731,43 @@ def test_meter_stops_before_any_candidate_is_checked(monkeypatch):
 def staged_case_st(draw) -> tuple[Procedure, Instance, Budget]:
     """R and T over a and b with up to two rows of bits each, so either may
     be empty; one or two scope entries, whole or on attributes; a tgd or an
-    egd across R and T, whose head may name an attribute only growth adds;
-    a CQ, total, filtered or total-conjunction safety query; and a budget
-    with or without schema growth."""
+    egd across R and T, whose head may name an attribute only growth adds,
+    or a full tgd from an out-of-scope relation into a whole-scope one,
+    whose head binds every attribute of its relation, maybe with `total`
+    on the latter; a CQ, total (on either relation), filtered or
+    total-conjunction safety query; up to two new tuples; and a budget with
+    or without schema growth. The full tgd forces rows, and `total` on a
+    whole-scope relation keeps its rows: the oracle's two pruning rules."""
     attrs = {rel: sorted(draw(st.sets(st.sampled_from("ab"), min_size=1))) for rel in "RT"}
+    src, dst = draw(st.permutations("RT"))
+    dependency = draw(st.sampled_from(["none", "tgd", "full", "egd"]))
     data = {}
     for rel in attrs:
         cells = st.tuples(*(st.sampled_from(BITS) for _ in attrs[rel]))
-        data[rel] = {Row.of(dict(zip(attrs[rel], c))) for c in draw(st.lists(cells, max_size=2))}
+        least = int(dependency == "full" and rel == src)  # a full tgd's body matches
+        rows = draw(st.lists(cells, min_size=least, max_size=2))
+        data[rel] = {Row.of(dict(zip(attrs[rel], c))) for c in rows}
     scope = []
     for rel in draw(st.lists(st.sampled_from("RT"), min_size=1, max_size=2, unique=True)):
         if draw(st.booleans()):
             scope.append(StructureConstraint.of(rel))
         else:
             scope.append(StructureConstraint.of(rel, draw(st.sets(st.sampled_from(attrs[rel]), min_size=1))))
-    src, dst = draw(st.permutations("RT"))
-    post = []
-    dependency = draw(st.sampled_from(["none", "tgd", "egd"]))
-    if dependency == "tgd":
+    post, safe = [], []
+    if dependency == "full":
+        scope = [StructureConstraint.of(dst)]
+        if draw(st.booleans()):
+            safe.append(TotalQuery((dst,)))
+        body = {a: Var(a) for a in attrs[src]}
+        head = {a: draw(st.sampled_from([*body.values(), *BITS])) for a in attrs[dst]}
+        free = sorted({t for t in head.values() if isinstance(t, Var)})
+        post.append(
+            Tgd(
+                cq([NamedAtom.of(src, body)], free=sorted(body.values())),
+                cq([NamedAtom.of(dst, head)], free=free),
+            )
+        )
+    elif dependency == "tgd":
         post.append(
             Tgd(
                 cq([NamedAtom.of(src, {draw(st.sampled_from(attrs[src])): X})], free=[X]),
@@ -727,13 +781,12 @@ def staged_case_st(draw) -> tuple[Procedure, Instance, Budget]:
             NamedAtom.of(dst, {draw(st.sampled_from(attrs[dst])): y}),
         ]
         post.append(Egd(cq(body, free=[X, y]), (X, y)))
-    safe = []
     safe_kind = draw(st.sampled_from(["none", "cq", "total", "filtered", "conjunction"]))
     if safe_kind == "cq":
         bound = draw(st.sets(st.sampled_from(attrs[src]), min_size=1))
         safe.append(open_cq([NamedAtom.of(src, {a: Var(a) for a in bound})]))
     elif safe_kind == "total":
-        safe.append(TotalQuery((src,)))
+        safe.append(TotalQuery((draw(st.sampled_from([src, dst])),)))
     elif safe_kind == "filtered":
         cond = Comparison(draw(st.sampled_from(attrs[src])), "=", draw(st.sampled_from(BITS)))
         safe.append(TotalQuery((src,), cond))
@@ -742,18 +795,31 @@ def staged_case_st(draw) -> tuple[Procedure, Instance, Budget]:
     growth = draw(st.booleans())
     b = Budget(
         extra_constants=draw(st.integers(0, 1)),
-        max_new_tuples=1,
+        max_new_tuples=draw(st.integers(1, 2)),
         max_new_attributes=draw(st.integers(0, 1)) if growth else 0,
         allow_schema_growth=growth,
     )
     return Procedure.of(scope=scope, post=post, safe=safe), Instance.of(Schema.of(attrs), data), b
 
 
-def _outcomes_or_cap_message(enumerate_, p, i, b):
-    try:
-        return enumerate_(p, i, b)
-    except BudgetExceeded as e:
-        return str(e)
+def _outcomes_and_charge(module, p, i, b, cap):
+    """`module.enumerate_outcomes(p, i, b)` under `cap`, or None where it
+    raises `BudgetExceeded`, and the candidates its meter charged."""
+    meters = []
+
+    class Recording(Meter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            meters.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "BUDGET_CAP", cap)
+        patch.setattr(module, "Meter", Recording)
+        try:
+            outcomes = module.enumerate_outcomes(p, i, b)
+        except BudgetExceeded:
+            outcomes = None
+    return outcomes, meters[0].used
 
 
 @settings(max_examples=STAGED_ORACLE_EXAMPLES, deadline=None)
@@ -762,15 +828,15 @@ def _outcomes_or_cap_message(enumerate_, p, i, b):
     cap=st.one_of(st.just(3000), st.integers(1, 3000)),
 )
 def test_staged_oracle_matches_the_literal_enumerator(case, cap):
-    # Most cases fit a cap of 3,000 and compare outcome sets; under a smaller
-    # cap both sides must stop at the same charge, with the same message.
+    # Most cases fit a cap of 3,000 and compare outcome sets. The oracle
+    # prunes candidates the literal enumerator charges, so under any cap it
+    # raises only where the literal one does, and charges at most as much.
     p, i, b = case
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle_mod, "BUDGET_CAP", cap)
-        patch.setattr(reference_oracle, "BUDGET_CAP", cap)
-        assert _outcomes_or_cap_message(
-            enumerate_outcomes, p, i, b
-        ) == _outcomes_or_cap_message(reference_oracle.enumerate_outcomes, p, i, b)
+    expected, literal_charge = _outcomes_and_charge(reference_oracle, p, i, b, cap)
+    outcomes, charge = _outcomes_and_charge(oracle_mod, p, i, b, cap)
+    if expected is not None:
+        assert outcomes == expected
+        assert charge <= literal_charge
 
 
 # --- the minimal schema against the oracle's outcomes -------------------------
@@ -821,11 +887,6 @@ def scoped_case_st(draw) -> tuple[Procedure, Instance]:
 @given(case=scoped_case_st())
 def test_min_schema_bounds_every_oracle_outcome(case):
     p, i = case
-    # An arity pin bounds outcomes only while its query has an answer to keep.
-    if any(
-        not isinstance(q, ConjunctiveQuery) and not evaluate_query(q, i) for q in p.safe
-    ):
-        return
     outs = enumerate_outcomes(p, i, Budget(max_new_tuples=1))
     req = min_schema(p, i.schema)
     if isinstance(req, Failure):

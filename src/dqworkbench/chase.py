@@ -23,7 +23,6 @@ from .constraints import (
     RowIndex,
     StructureConstraint,
     Tgd,
-    Value,
     Var,
     cq_constants,
     evaluate_query,
@@ -55,7 +54,7 @@ from .errors import (
     UnsupportedClass,
     UnsupportedPrecondition,
 )
-from .model import Instance, Row, first_appearance, map_cells
+from .model import Instance, Row, first_appearance, map_cells, with_cells
 from .procedures import (
     ALTER_SCHEMA,
     NEITHER,
@@ -154,22 +153,18 @@ def chase_safe_scope(
                 v: LabeledNull(f"p{step}_t{tgd_idx}_{ordinal}_{v.name}")
                 for v in sorted(dep.head.existential)
             }
+            image = frontier | fresh
             for atom_idx, atom in enumerate(dep.head.atoms):
-                cells = {}
-                for attr, term in atom.bindings:
-                    if isinstance(term, Value):
-                        cells[attr] = term
-                    elif term in fresh:
-                        cells[attr] = fresh[term]
-                    else:
-                        cells[attr] = frontier[term]
-                # attributes the atom leaves unbound are free to take any
-                # value, so they get fresh nulls of their own
-                for attr in t.schema.attrs(atom.relation) - cells.keys():
-                    cells[attr] = LabeledNull(
-                        f"p{step}_t{tgd_idx}_{ordinal}_a{atom_idx}.{attr}"
-                    )
-                store.add(atom.relation, (Row.of(cells), trigger_cond))
+                attrs = t.schema.layout(atom.relation)
+                terms = dict(atom.bindings)
+                # an attribute the atom leaves unbound is free to take any
+                # value, so it gets a fresh null of its own
+                cells = tuple(
+                    image.get(terms[a], terms[a]) if a in terms
+                    else LabeledNull(f"p{step}_t{tgd_idx}_{ordinal}_a{atom_idx}.{a}")
+                    for a in attrs
+                )
+                store.add(atom.relation, (Row(attrs, cells), trigger_cond))
             ordinal += 1
     return ConditionalInstance.of(t.schema, store.entries)
 
@@ -200,13 +195,10 @@ def apply_alter_schema(
         if not new_attrs:
             data[rel] = list(t.rows(rel))
             continue
-        widened = []
-        for k, (row, cond) in enumerate(t.rows(rel)):
-            cells = dict(row.cells)
-            for attr in new_attrs:
-                cells[attr] = LabeledNull(f"p{step}_a_{rel}_{attr}_{k}")
-            widened.append((Row.of(cells), cond))
-        data[rel] = widened
+        data[rel] = [
+            (with_cells(row, {a: LabeledNull(f"p{step}_a_{rel}_{a}_{k}") for a in new_attrs}), cond)
+            for k, (row, cond) in enumerate(t.rows(rel))
+        ]
     return ConditionalInstance.of(target, data)
 
 
@@ -335,7 +327,7 @@ def canonical_table(t: ConditionalInstance) -> ConditionalInstance:
             c
             for rel in t.schema.names
             for row, cond in sorted(t.rows(rel), key=shape_key)
-            for c in chain(row.values_in_order(), condition_nulls(cond))
+            for c in chain(row.values, condition_nulls(cond))
         ),
         lambda c: isinstance(c, LabeledNull),
         lambda k: LabeledNull(f"c{k:03d}"),

@@ -104,7 +104,7 @@ def _table_json(t: ConditionalInstance) -> dict:
         for row, cond in t.rows(rel):
             entries.append(
                 {
-                    "cells": [cell_to_json(c) for c in row.values_in_order()],
+                    "cells": [cell_to_json(c) for c in row.values],
                     "condition": render_condition(cond) if cond else None,
                 }
             )

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import DomainMismatch, Incompatible
-from .model import Instance, LabeledNull, Row, Schema, Value
+from .model import Instance, LabeledNull, Row, Schema, Value, positions
 
 
-@dataclass(frozen=True, order=True)
-class Var:
+class Var(NamedTuple):
+    """A query variable; a one-item tuple, so it hashes, compares and orders in C."""
+
     name: str
 
 
@@ -164,8 +165,8 @@ def condition_attrs(c: BooleanCondition) -> frozenset[str]:
 
 def eval_condition(c: BooleanCondition, row: Row) -> bool:
     if isinstance(c, Comparison):
-        lhs = row[c.lhs]
-        rhs = row[c.rhs] if isinstance(c.rhs, str) else c.rhs
+        lhs = row.cell(c.lhs)
+        rhs = row.cell(c.rhs) if isinstance(c.rhs, str) else c.rhs
         return lhs == rhs if c.op == "=" else lhs != rhs
     if isinstance(c, And):
         return all(eval_condition(item, row) for item in c.items)
@@ -297,13 +298,13 @@ def demanded_attrs(
 
 
 class RowIndex:
-    """Rows per relation, with hash indexes on pinned attributes built lazily.
+    """Rows per relation, with hash indexes on pinned positions built lazily.
 
     With `paired`, an entry is a (row, payload) pair, as in a conditional
-    table; otherwise it is the row itself. The index on (relation, attrs)
-    maps the cells a row carries on attrs to its entries, in entry order.
-    `nullable` holds the (relation, attr) columns where some row carries a
-    labeled null: a table's rows may, an instance's never do.
+    table; otherwise it is the row itself. The index on (relation, at) maps
+    the cells a row carries at the positions `at` to its entries, in entry
+    order. `nullable` holds the (relation, position) columns where some row
+    carries a labeled null: a table's rows may, an instance's never do.
     """
 
     __slots__ = ("entries", "paired", "nullable", "_indexes")
@@ -311,31 +312,31 @@ class RowIndex:
     def __init__(self, entries: Mapping[str, Iterable], paired: bool = False):
         self.entries = dict(entries)
         self.paired = paired
-        self.nullable: set[tuple[str, str]] = set()
+        self.nullable: set[tuple[str, int]] = set()
         if paired:
             for relation, pairs in self.entries.items():
                 for row, _ in pairs:
                     self._note_nulls(relation, row)
-        self._indexes: dict[tuple[str, tuple[str, ...]], dict] = {}
+        self._indexes: dict[tuple[str, tuple[int, ...]], dict] = {}
 
     def _note_nulls(self, relation: str, row: Row) -> None:
-        for attr, cell in row.cells:
+        for k, cell in enumerate(row.values):
             if isinstance(cell, LabeledNull):
-                self.nullable.add((relation, attr))
+                self.nullable.add((relation, k))
 
-    def _key(self, entry, attrs: tuple[str, ...]) -> tuple:
-        row = entry[0] if self.paired else entry
-        return tuple(row[a] for a in attrs)
+    def _key(self, entry, at: tuple[int, ...]) -> tuple:
+        values = (entry[0] if self.paired else entry).values
+        return tuple([values[k] for k in at])
 
-    def candidates(self, relation: str, attrs: tuple[str, ...], key: tuple):
-        """The entries whose row carries key on attrs; every entry when attrs is empty."""
-        if not attrs:
+    def candidates(self, relation: str, at: tuple[int, ...], key: tuple):
+        """The entries whose row carries key at positions `at`; every entry when `at` is empty."""
+        if not at:
             return self.entries[relation]
-        index = self._indexes.get((relation, attrs))
+        index = self._indexes.get((relation, at))
         if index is None:
-            index = self._indexes[(relation, attrs)] = {}
+            index = self._indexes[(relation, at)] = {}
             for entry in self.entries[relation]:
-                index.setdefault(self._key(entry, attrs), []).append(entry)
+                index.setdefault(self._key(entry, at), []).append(entry)
         return index.get(key, ())
 
     def add(self, relation: str, entry) -> None:
@@ -344,9 +345,9 @@ class RowIndex:
         self.entries[relation].append(entry)
         if self.paired:
             self._note_nulls(relation, entry[0])
-        for (rel, attrs), index in self._indexes.items():
+        for (rel, at), index in self._indexes.items():
             if rel == relation:
-                index.setdefault(self._key(entry, attrs), []).append(entry)
+                index.setdefault(self._key(entry, at), []).append(entry)
 
 
 # relations this small are scanned: hashing a probe key costs more than the scan
@@ -367,7 +368,8 @@ def join(
     """Every state reached from init by matching each pattern to one entry.
 
     Depth first, on an explicit stack. A pattern is (relation, bindings);
-    a bound term is a constant if it is a Value, else a variable. A state
+    a bound term is a constant if it is a Value, else a variable, and its
+    attribute is read by its position in the rows' `attrs`. A state
     maps each variable to its cell, holds under EQUALITIES the tuple of
     (null, other) equalities the match needs, if any, and, for a paired
     index, holds under each matched position k its entry's payload. States
@@ -387,25 +389,31 @@ def join(
     last = len(patterns) - 1
     paired = rows.paired
     nullable = rows.nullable
+    # pattern k's bindings as (position, term) pairs, once its relation has rows
+    slots: list = [None] * len(patterns)
 
     def candidates(k: int, state: dict) -> Iterator:
         relation, bindings = patterns[k]
         found = rows.entries[relation]
-        if len(found) >= SCAN_BELOW:
-            attrs, key = [], []
-            for attr, term in bindings:
+        if found and slots[k] is None:
+            first = next(iter(found))
+            at = positions((first[0] if paired else first).attrs)
+            slots[k] = tuple([(at[attr], term) for attr, term in bindings])
+        if found and len(found) >= SCAN_BELOW:
+            at, key = [], []
+            for pos, term in slots[k]:
                 value = term if isinstance(term, Value) else state.get(term)
-                if isinstance(value, Value) and (relation, attr) not in nullable:
-                    attrs.append(attr)
+                if isinstance(value, Value) and (relation, pos) not in nullable:
+                    at.append(pos)
                     key.append(value)
-            found = rows.candidates(relation, tuple(attrs), tuple(key))
+            found = rows.candidates(relation, tuple(at), tuple(key))
         return iter(found) if skip is None else chain(found, (_SKIP,))
 
     stack = [(candidates(0, init), init)]
     while stack:
         entries, state = stack[-1]
         k = len(stack) - 1
-        bindings = patterns[k][1]
+        bindings = slots[k]
         for entry in entries:
             if entry is _SKIP:
                 if not skip(state, k):
@@ -413,9 +421,9 @@ def join(
                 new = state
             else:
                 new = state
-                row = entry[0] if paired else entry
-                for attr, term in bindings:
-                    cell = row[attr]
+                values = (entry[0] if paired else entry).values
+                for pos, term in bindings:
+                    cell = values[pos]
                     if isinstance(term, Value):
                         bound = term
                     else:
@@ -485,7 +493,7 @@ def evaluate_query(q: Query, i: Instance) -> frozenset[tuple[Value, ...]]:
         answers: set[tuple[Value, ...]] = {()}
         for r in q.relations:
             tuples = [
-                row.values_in_order()
+                row.values
                 for row in i.rows(r)
                 if q.condition is None or eval_condition(q.condition, row)
             ]

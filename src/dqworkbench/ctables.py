@@ -144,7 +144,7 @@ ConditionalRow = tuple[Row, Condition]
 
 def _pair_key(pair: ConditionalRow, cell: Callable[[Cell], tuple] = cell_key) -> tuple:
     row, cond = pair
-    return (tuple(cell(c) for c in row.values_in_order()), _cond_key(cond, cell))
+    return (tuple([cell(c) for c in row.values]), _cond_key(cond, cell))
 
 
 def _cell_shape(c: Cell) -> tuple:
@@ -202,7 +202,7 @@ class ConditionalInstance:
         out: set[LabeledNull] = set()
         for _, pairs in self.data:
             for row, cond in pairs:
-                out.update(c for _, c in row.cells if isinstance(c, LabeledNull))
+                out.update(c for c in row.values if isinstance(c, LabeledNull))
                 for eq in cond:
                     out.update(n for n in (eq.left, eq.right) if isinstance(n, LabeledNull))
         return frozenset(out)
@@ -211,7 +211,7 @@ class ConditionalInstance:
         out: set[Value] = set()
         for _, pairs in self.data:
             for row, cond in pairs:
-                out |= {c for c in row.values_in_order() if isinstance(c, Value)}
+                out |= {c for c in row.values if isinstance(c, Value)}
                 out |= {eq.right for eq in cond if isinstance(eq.right, Value)}
         return frozenset(out)
 
@@ -339,7 +339,7 @@ def _rep_witness(
         cond = pairs[k][2]
         return bool(cond) and cond_eval(cond, v) is not True
 
-    patterns = [(rel, row.cells) for rel, row, _ in pairs]
+    patterns = [(rel, tuple(zip(row.attrs, row.values))) for rel, row, _ in pairs]
     for v in join(patterns, RowIndex(i.data), {}, accept=consistent, skip=may_drop):
         found = complete_and_check(v)
         if found is not None:
@@ -431,16 +431,11 @@ def enumerate_minimal(
 def render_ctable(t: ConditionalInstance) -> str:
     """Canonical text: nulls as ?name, a trailing | condition when not trivially true."""
     lines: list[str] = []
-    for rel, attrs in t.schema.rels:
-        header = ", ".join(sorted(attrs))
-        lines.append(f"{rel}({header}):")
-        pairs = t.rows(rel)
+    for rel, pairs in t.data:
+        lines.append(f"{rel}({', '.join(t.schema.layout(rel))}):")
         if not pairs:
             lines.append("  (empty)")
         for row, cond in pairs:
-            body = ", ".join(c.render() for c in row.values_in_order())
-            if cond:
-                lines.append(f"  ({body}) | {render_condition(cond)}")
-            else:
-                lines.append(f"  ({body})")
+            body = ", ".join([c.render() for c in row.values])
+            lines.append(f"  ({body}) | {render_condition(cond)}" if cond else f"  ({body})")
     return "\n".join(lines)

@@ -404,14 +404,14 @@ class _Parser:
             if rel.text in data:
                 raise self._error(rel, f"duplicate relation section {rel.text!r}")
             self._expect(":")
-            attrs = sorted(schema.attrs(rel.text))
+            attrs = schema.layout(rel.text)
             data[rel.text] = self._section(attrs) or _rows(rel.text, attrs, self._tuples())
             self._expect(";")
         self._expect("}")
         self.ws.instances[name.text] = Instance.of(schema, data)
         self.ws.instance_schema[name.text] = schema_name.text
 
-    def _section(self, attrs: list[str]) -> set[Row] | None:
+    def _section(self, attrs: tuple[str, ...]) -> set[Row] | None:
         """The rows of a section `(v, ...), (v, ...);` read as `n` equal blocks of
         raw tokens (the last `,` a `;`), or None for `_tuples` to read and diagnose."""
         raw, values, start, arity = self.raw, self.values, self.pos, len(attrs)
@@ -430,7 +430,7 @@ class _Parser:
                 return None
             values[t] = value
         self.pos = end
-        return {Row(tuple(zip(attrs, row))) for row in zip(*(map(values.__getitem__, c) for c in columns))}
+        return {Row(attrs, row) for row in zip(*(map(values.__getitem__, c) for c in columns))}
 
     def _tuples(self) -> Iterable[list[Value]]:
         """The value lists of `(v, ...), (v, ...)`, token by token, each checked for its `)`."""
@@ -721,7 +721,7 @@ class _Parser:
         self.ws.sequences[name.text] = tuple(t.text for t in names)
 
 
-def _rows(relation: str, attrs: list[str], tuples: Iterable[Sequence[Value]]) -> set[Row]:
+def _rows(relation: str, attrs: tuple[str, ...], tuples: Iterable[Sequence[Value]]) -> set[Row]:
     """Rows of `relation` from value tuples listed in sorted attribute order,
     each checked for arity as it arrives."""
     rows: set[Row] = set()
@@ -730,7 +730,7 @@ def _rows(relation: str, attrs: list[str], tuples: Iterable[Sequence[Value]]) ->
             raise SchemaConformance(
                 f"relation {relation}, tuple {idx}: expected {len(attrs)} values, got {len(values)}"
             )
-        rows.add(Row(tuple(zip(attrs, values))))
+        rows.add(Row(attrs, tuple(values)))
     return rows
 
 
@@ -840,7 +840,7 @@ def serialize_workspace(ws: Workspace) -> str:
         for rel in instance.schema.names:
             rows = sorted(instance.rows(rel))
             rendered = ", ".join(
-                "(" + ", ".join(v.render() for v in row.values_in_order()) + ")"
+                "(" + ", ".join([v.render() for v in row.values]) + ")"
                 for row in rows
             )
             lines.append(f"  {rel}: {rendered};")
@@ -898,7 +898,7 @@ def instance_to_json(i: Instance, schema=None) -> dict:
     return {
         "schema": schema_to_json(i.schema) if schema is None else schema,
         "rows": {
-            rel: [[cell_to_json(v) for v in row.values_in_order()] for row in sorted(i.rows(rel))]
+            rel: [[cell_to_json(v) for v in row.values] for row in sorted(i.rows(rel))]
             for rel in i.schema.names
         },
     }
@@ -1172,7 +1172,7 @@ def _workspace_from_json(obj: Mapping) -> Workspace:
                     f"instance {name!r} lists relation {rel!r} missing from schema {schema_name!r}"
                 )
             values = ([_value_from_json(v) for v in row] for row in rows)
-            data[rel] = _rows(rel, sorted(schema.attrs(rel)), values)
+            data[rel] = _rows(rel, schema.layout(rel), values)
         ws.instances[name] = Instance.of(schema, data)
         ws.instance_schema[name] = schema_name
     for name, c in obj.get("constraints", {}).items():

@@ -3,7 +3,8 @@
 Values are uninterpreted text tokens tagged as ordinary constants or as
 null markers (SQL-style unknown data values). Attribute names carry a
 global total order, realized as the lexicographic order over tokens, and
-a tuple can always be viewed unnamed by listing its values in that order.
+a row is stored as the unnamed view: its values listed in that order,
+beside the one tuple of attribute names its relation's rows share.
 Labeled nulls, the variables of conditional tables (`ctables`), live here
 too, so that one row type serves instances and tables.
 """
@@ -86,43 +87,46 @@ Cell = Union[Value, LabeledNull]
 
 
 @cache
-def _distinct_and_ordered(attrs: tuple[str, ...]) -> bool:
-    """True iff `attrs` strictly ascend; cached, as every row asks for its own."""
-    return list(attrs) == sorted(attrs) and len(set(attrs)) == len(attrs)
+def positions(attrs: tuple[str, ...]) -> dict[str, int]:
+    """Each attribute's position in `attrs`; cached per attribute tuple."""
+    return {a: k for k, a in enumerate(attrs)}
 
 
-@dataclass(frozen=True, order=True)
-class Row:
-    """Named tuple: cells keyed by attribute, stored in attribute order.
+@cache
+def _projection(attrs: tuple[str, ...], keep: frozenset[str]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    picks = tuple(k for k, a in enumerate(attrs) if a in keep)
+    return tuple(attrs[k] for k in picks), picks
 
-    A cell is a `Value`. A conditional table's row (`ctables`) may also hold
-    labeled nulls; an `Instance` never does, because `ctables.apply_valuation`
-    raises `PartialValuation` before it would build one.
+
+class Row(NamedTuple):
+    """A tuple's cells by position: `values[k]` is the cell of `attrs[k]`.
+
+    `attrs` is its relation's attributes in ascending order (the rows of
+    a parsed section share one such tuple), and `check_relations` checks
+    it where the row enters an `Instance` or a table. A row hashes, compares and orders in C;
+    rows over one `attrs` order by their values. A cell is a `Value`. A
+    conditional table's row (`ctables`) may also hold labeled nulls; an
+    `Instance` never does, because `ctables.apply_valuation` raises
+    `PartialValuation` before it would build one.
     """
 
-    cells: tuple[tuple[str, Cell], ...]
-
-    def __post_init__(self):
-        attrs = next(zip(*self.cells), ())  # the first column of the cells
-        if not _distinct_and_ordered(attrs):
-            raise DomainMismatch(f"row attributes must be distinct and ordered: {list(attrs)}")
+    attrs: tuple[str, ...]
+    values: tuple[Cell, ...]
 
     @staticmethod
     def of(mapping: Mapping[str, Cell]) -> "Row":
-        return Row(tuple(sorted(mapping.items())))
+        attrs = tuple(sorted(mapping))
+        return Row(attrs, tuple([mapping[a] for a in attrs]))
 
-    def __getitem__(self, attr: str) -> Cell:
-        for a, v in self.cells:
-            if a == attr:
-                return v
-        raise KeyError(attr)
+    def cell(self, attr: str) -> Cell:
+        """The cell of `attr`, by the cached position map of `attrs`."""
+        return self.values[positions(self.attrs)[attr]]
 
     def project(self, attrs: Iterable[str]) -> "Row":
-        keep = set(attrs)
-        return Row(tuple((a, v) for a, v in self.cells if a in keep))
-
-    def values_in_order(self) -> tuple[Cell, ...]:
-        return tuple(v for _, v in self.cells)
+        """The row over those of `attrs` it has."""
+        kept, picks = _projection(self.attrs, frozenset(attrs))
+        values = self.values
+        return Row(kept, tuple([values[k] for k in picks]))
 
 
 @dataclass(frozen=True, order=True)
@@ -150,7 +154,15 @@ class Schema:
     def attrs(self, relation: str) -> frozenset[str]:
         return self._by_name[relation]
 
-    @property
+    @cached_property
+    def _layouts(self) -> dict[str, tuple[str, ...]]:
+        return {r: tuple(sorted(a)) for r, a in self.rels}
+
+    def layout(self, relation: str) -> tuple[str, ...]:
+        """The relation's attributes in ascending order: the `attrs` of its rows."""
+        return self._layouts[relation]
+
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(r for r, _ in self.rels)
 
@@ -191,15 +203,16 @@ class Instance:
 
 def check_relations(what: str, schema: Schema, data: Iterable[tuple[str, Iterable[Row]]]) -> None:
     """Raise unless `data` lists the schema's relations in order, with rows
-    that each span exactly their relation's attributes."""
+    whose `attrs` are their relation's layout. The one check of a row's
+    attributes: each distinct tuple of them is checked once."""
     if [r for r, _ in data] != list(schema.names):
         raise DomainMismatch(f"{what} must list exactly the schema relations, in order")
     for r, rows in data:
-        expected = schema.attrs(r)
-        # each distinct tuple of row attributes (the first column of the cells) once
-        for attrs in {next(zip(*row.cells), ()) for row in rows}:
-            if frozenset(attrs) != expected:
-                raise DomainMismatch(f"tuple over {list(attrs)} does not fit {r}({sorted(expected)})")
+        expected = schema.layout(r)
+        for attrs in {row.attrs for row in rows} - {expected}:
+            if list(attrs) != sorted(set(attrs)):
+                raise DomainMismatch(f"row attributes must be distinct and ordered: {list(attrs)}")
+            raise DomainMismatch(f"tuple over {list(attrs)} does not fit {r}({list(expected)})")
 
 
 def schema_extends(candidate: Schema, base: Schema) -> bool:
@@ -219,8 +232,9 @@ def instance_extends(candidate: Instance, base: Instance) -> bool:
             if not rows <= candidate.rows(r):
                 return False
             continue
-        images = {row.project(attrs) for row in candidate.rows(r)}
-        if any(row not in images for row in rows):
+        picks = _projection(candidate.schema.layout(r), attrs)[1]
+        images = {tuple([row.values[k] for k in picks]) for row in candidate.rows(r)}
+        if any(row.values not in images for row in rows):
             return False
     return True
 
@@ -242,13 +256,18 @@ def first_appearance(
 
 def map_cells(row: Row, image: Mapping) -> Row:
     """The row with each cell that `image` holds replaced by its image."""
-    return Row(tuple((a, image.get(c, c)) for a, c in row.cells))
+    return Row(row.attrs, tuple([image.get(c, c) for c in row.values]))
+
+
+def with_cells(row: Row, cells: Mapping[str, Cell]) -> Row:
+    """The row with `cells` in place of its own cells of those attributes, or beside them."""
+    return Row.of(dict(zip(row.attrs, row.values)) | cells)
 
 
 def rename_values(i: Instance, renamed: Callable[[Value], bool], prefix: str) -> Instance:
     """Rename the values `renamed` picks to constants prefix0, prefix1, ... by
     first appearance over sorted rows, for comparison up to that renaming."""
-    cells = (v for rel in i.schema.names for row in sorted(i.rows(rel)) for _, v in row.cells)
+    cells = (v for rel in i.schema.names for row in sorted(i.rows(rel)) for v in row.values)
     mapping = first_appearance(cells, renamed, lambda k: const(f"{prefix}{k}"))
     if not mapping:
         return i
@@ -259,19 +278,19 @@ def rename_values(i: Instance, renamed: Callable[[Value], bool], prefix: str) ->
 
 
 def active_domain(i: Instance) -> frozenset[Value]:
-    return frozenset(v for _, rows in i.data for row in rows for v in row.values_in_order())
+    return frozenset(v for _, rows in i.data for row in rows for v in row.values)
 
 
 def render_instance(i: Instance) -> str:
     """Canonical text: relations sorted by name, headers and rows in attribute order."""
     lines: list[str] = []
-    for r, attrs in i.schema.rels:
-        header = ", ".join(sorted(attrs))
-        lines.append(f"{r}({header}):")
-        rows = sorted(i.rows(r), key=lambda row: row.values_in_order())
-        if not rows:
-            lines.append("  (empty)")
-        for row in rows:
-            body = ", ".join(v.render() for v in row.values_in_order())
-            lines.append(f"  ({body})")
+    for r, rows in i.data:
+        lines.append(f"{r}({', '.join(i.schema.layout(r))}):")
+        # rows share one `attrs`, so they sort by their values
+        lines.extend(map(_row_line, sorted(row.values for row in rows)) if rows else ["  (empty)"])
     return "\n".join(lines)
+
+
+@cache  # once per distinct row: reports list the same rows in many outcomes
+def _row_line(values: tuple[Value, ...]) -> str:
+    return f"  ({', '.join([v.render() for v in values])})"

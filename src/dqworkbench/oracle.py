@@ -46,6 +46,7 @@ from .model import (
     const,
     instance_extends,
     rename_values,
+    with_cells,
 )
 from .procedures import Clause, Procedure, outcome_clauses, outcome_inputs, scope_map
 
@@ -169,14 +170,8 @@ def _subsets(items: Sequence) -> Iterator[tuple]:
 
 
 def _extensions(row: Row, fill: Sequence[str], pool: Sequence[Value]) -> list[Row]:
-    if not fill:
-        return [row]
-    out = []
-    for combo in itertools.product(pool, repeat=len(fill)):
-        cells = dict(row.cells)
-        cells.update(zip(fill, combo))
-        out.append(Row.of(cells))
-    return out
+    combos = itertools.product(pool, repeat=len(fill))
+    return [with_cells(row, dict(zip(fill, combo))) for combo in combos]
 
 
 def _relation_choices(
@@ -205,11 +200,7 @@ def _relation_choices(
     old_attrs = i.schema.attrs(rel) if i.schema.defines(rel) else frozenset()
     kept_old = sorted(old_attrs & target_attrs)
     new_attrs = sorted(target_attrs - old_attrs)
-    old_rows = sorted(
-        {r.project(frozenset(kept_old)) for r in i.rows(rel)}
-        if i.schema.defines(rel)
-        else set()
-    )
+    old_rows = sorted({r.project(kept_old) for r in i.rows(rel)} if i.schema.defines(rel) else ())
     # an old row a forced row extends (found by projection) is kept; any
     # other forced row is in every set of additions
     held = {f.project(kept_old) for f in forced} & set(old_rows)
@@ -412,14 +403,8 @@ def enumerate_outcomes(
 
 
 def _instance_sort_key(j: Instance):
-    return (
-        tuple(sorted(j.schema.names)),
-        j.total_size(),
-        tuple(
-            tuple(sorted(tuple(v for _, v in r.cells) for r in j.rows(rel)))
-            for rel in j.schema.names
-        ),
-    )
+    rows = tuple(tuple(sorted(r.values for r in rel_rows)) for _, rel_rows in j.data)
+    return j.schema.names, j.total_size(), rows
 
 
 def minimal_outcomes(outcomes: Iterable[Instance]) -> frozenset[Instance]:

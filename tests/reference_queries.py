@@ -82,7 +82,7 @@ def _extend(h: dict, literals: list, atom: NamedAtom, row) -> bool:
     """Extend assignment h by one atom matched to one row, adding to literals
     the equalities the match needs; False when two constants differ."""
     for attr, term in atom.bindings:
-        cell = row[attr]
+        cell = row.cell(attr)
         bound = term if isinstance(term, Value) else h.setdefault(term, cell)
         if bound == cell:
             continue

@@ -322,7 +322,7 @@ def _c5_null_count(table) -> int:
     seen = set()
     for rel in table.schema.names:
         for row, _cond in table.rows(rel):
-            for cell in row.values_in_order():
+            for cell in row.values:
                 if isinstance(cell, LabeledNull):
                     seen.add(cell)
     return len(seen)

@@ -98,8 +98,8 @@ class TestChaseSafeScope:
         (pair,) = chased.rows("S")
         row, cond = pair
         assert cond == TRUE
-        assert row["a"] == const("a0")
-        assert row["b"] == LabeledNull("p3_t0_0_y")
+        assert row.cell("a") == const("a0")
+        assert row.cell("b") == LabeledNull("p3_t0_0_y")
 
     def test_attributes_the_head_leaves_unbound_get_fill_nulls(self):
         # the head atom names a subset of S's attributes; the rest are
@@ -122,8 +122,8 @@ class TestChaseSafeScope:
         (pair,) = chased.rows("S")
         row, cond = pair
         assert cond == TRUE
-        assert row["a"] == const("a0")
-        assert row["b"] == LabeledNull("p1_t0_0_a0.b")
+        assert row.cell("a") == const("a0")
+        assert row.cell("b") == LabeledNull("p1_t0_0_a0.b")
 
     def test_partial_heads_match_existing_rows_on_their_own_attributes(self):
         s = Schema.of({"R": ["a"], "S": ["a", "b"]})
@@ -193,7 +193,7 @@ class TestChaseSafeScope:
         chased = chase_safe_scope(t, p)
         (pair,) = chased.rows("V")
         row, cond = pair
-        assert row["a"] == n
+        assert row.cell("a") == n
         assert cond == (CondEq(n, const(5)),)
         merged = Instance.of(
             s,
@@ -312,7 +312,7 @@ class TestAlterSchema:
         assert widened.schema.attrs("EVisits") == frozenset(
             {"facility", "patInsur", "timestp"}
         )
-        ages = [row["age"] for row, _ in widened.rows("LocVisits")]
+        ages = [row.cell("age") for row, _ in widened.rows("LocVisits")]
         assert all(isinstance(a, LabeledNull) for a in ages)
         assert len(set(ages)) == 3
         assert {cond for _, cond in widened.rows("LocVisits")} == {TRUE}
@@ -360,7 +360,7 @@ class TestApproximateOutcomes:
         assert isinstance(res, ConditionalInstance)
         assert len(res.rows("LocVisits")) == 3
         assert all(
-            isinstance(row["age"], LabeledNull)
+            isinstance(row.cell("age"), LabeledNull)
             for row, _ in res.rows("LocVisits")
         )
 

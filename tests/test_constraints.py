@@ -289,7 +289,7 @@ def _atom_holds(atom, tau, inst):
         return tau[atom.variable].is_constant
     for row in inst.rows(atom.relation):
         if all(
-            row[a] == (tau[t] if isinstance(t, Var) else t) for a, t in atom.bindings
+            row.cell(a) == (tau[t] if isinstance(t, Var) else t) for a, t in atom.bindings
         ):
             return True
     return False

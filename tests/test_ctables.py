@@ -127,7 +127,7 @@ class TestRepContains:
         assert rep_contains(t, instance_j3)
 
     def test_null_row_matches_any_witness(self, visit_schema, instance_i, instance_j1, instance_j2):
-        rows = [(Row(row.cells), TRUE) for row in instance_i.rows("LocVisits")]
+        rows = [(row, TRUE) for row in instance_i.rows("LocVisits")]
         rows.append(
             (
                 Row.of({"facility": N1, "patInsur": N2, "timestp": LabeledNull("n3")}),
@@ -137,7 +137,7 @@ class TestRepContains:
         t = ConditionalInstance.of(
             visit_schema,
             {
-                "EVisits": [(Row(r.cells), TRUE) for r in instance_i.rows("EVisits")],
+                "EVisits": [(r, TRUE) for r in instance_i.rows("EVisits")],
                 "LocVisits": rows,
             },
         )

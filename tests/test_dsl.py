@@ -107,7 +107,7 @@ class TestParsingBasics:
             "schema S { rel R(a, b); }\n"
             'instance I : S { R: (1, x), (2, "x"); }\ninstance J : S { R: (1, x); }'
         )
-        values = [v for name in "IJ" for row in ws.instances[name].rows("R") for v in row.values_in_order()]
+        values = [v for name in "IJ" for row in ws.instances[name].rows("R") for v in row.values]
         ones = [v for v in values if v == const(1)]
         plain_x = [v for v in values if v == const("x")]
         assert len(ones) == 2 and ones[0] is ones[1]
@@ -144,7 +144,7 @@ class TestParsingBasics:
             'schema S { rel R(a); }\n'
             'instance I : S { R: (1), (-3), (2.5), ("two words"), (plain), (?n1); }'
         )
-        tokens = {row["a"] for row in ws.instances["I"].rows("R")}
+        tokens = {row.cell("a") for row in ws.instances["I"].rows("R")}
         assert tokens == {
             const(1),
             const(-3),
@@ -159,14 +159,14 @@ class TestParsingBasics:
             'schema S { rel R(a); }\n'
             'instance I : S { R: ("say \\"hi\\""), ("back\\\\slash"); }'
         )
-        tokens = {row["a"].token for row in ws.instances["I"].rows("R")}
+        tokens = {row.cell("a").token for row in ws.instances["I"].rows("R")}
         assert tokens == {'say "hi"', "back\\slash"}
 
     def test_reserved_words_usable_as_constants(self):
         ws = parse_workspace(
             "schema S { rel R(a); }\ninstance I : S { R: (true), (total); }"
         )
-        tokens = {row["a"] for row in ws.instances["I"].rows("R")}
+        tokens = {row.cell("a") for row in ws.instances["I"].rows("R")}
         assert tokens == {const("true"), const("total")}
 
     def test_empty_relation_section(self):
@@ -404,7 +404,7 @@ class TestDiagnostics:
     def test_numerals_that_are_not_letters(self):
         # `²` is a digit, `½` a numeral that may continue a name but not start one
         ws = parse_workspace("schema S { rel R(a); }\ninstance I : S { R: (\u00b2), (-\u00b2), (x\u00bd); }")
-        assert {row["a"] for row in ws.instances["I"].rows("R")} == {
+        assert {row.cell("a") for row in ws.instances["I"].rows("R")} == {
             const("\u00b2"), const("-\u00b2"), const("x\u00bd")
         }
         self.assert_position("schema S { rel R(a); }\ninstance I : S { R: (\u00bd); }", 2, 22, "unexpected character")

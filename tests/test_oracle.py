@@ -273,7 +273,7 @@ class TestDataExchange:
             i = Instance.of(schema, {"S": source, "T": set()})
             b = Budget(max_new_tuples=3)
             outs = enumerate_outcomes(p, i, b)
-            pool = sorted({r["A"] for r in source})
+            pool = sorted({r.cell("A") for r in source})
             expected = set()
             for k in range(b.max_new_tuples + 1):
                 for combo in itertools.combinations(pool, k):
@@ -623,7 +623,7 @@ def test_checker_and_enumeration_agree_inside_the_universe(rs, ts, cand_r, cand_
     b = Budget(extra_constants=0, max_new_tuples=2)
     within = all(
         len(j.rows(rel) - i.rows(rel)) <= b.max_new_tuples
-        and {r["A"] for r in j.rows(rel)} <= ({const(0), const(1)} & set(_pool(i)))
+        and {r.cell("A") for r in j.rows(rel)} <= ({const(0), const(1)} & set(_pool(i)))
         for rel in ("R", "T")
     )
     if not within:
@@ -633,4 +633,4 @@ def test_checker_and_enumeration_agree_inside_the_universe(rs, ts, cand_r, cand_
 
 
 def _pool(i: Instance):
-    return {v for rel in i.schema.names for r in i.rows(rel) for v in r.values_in_order()}
+    return {v for rel in i.schema.names for r in i.rows(rel) for v in r.values}

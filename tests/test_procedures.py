@@ -21,7 +21,7 @@ from dqworkbench.constraints import (
     satisfies,
 )
 from dqworkbench.errors import MalformedParams
-from dqworkbench.model import Instance, Row, Schema, const, null_marker
+from dqworkbench.model import Instance, Row, Schema, const, null_marker, with_cells
 from dqworkbench.procedures import (
     ALTER_SCHEMA,
     NEITHER,
@@ -356,10 +356,7 @@ def test_alter_table_outcome_behavior(instance_i, instance_j1, aged_schema):
         aged_schema,
         {
             "EVisits": instance_i.rows("EVisits"),
-            "LocVisits": [
-                Row.of(dict(r.cells) | {"age": const(5)})
-                for r in instance_i.rows("LocVisits")
-            ],
+            "LocVisits": [with_cells(r, {"age": const(5)}) for r in instance_i.rows("LocVisits")],
         },
     )
     assert possible_outcome_report(p, instance_i, aged).ok

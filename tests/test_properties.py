@@ -270,7 +270,7 @@ def test_enumerated_outcomes_match_the_checker_across_the_universe(rs, ts, flip,
             j = rt_instance(sorted(cand_r), sorted(cand_t))
             within = all(
                 len(j.rows(rel) - i.rows(rel)) <= b.max_new_tuples
-                and {row["A"] for row in j.rows(rel)} <= pool
+                and {row.cell("A") for row in j.rows(rel)} <= pool
                 for rel in ("R", "T")
             )
             if not within:
@@ -343,7 +343,7 @@ def goal_st(draw, t: ConditionalInstance):
     for _ in range(draw(st.integers(1, 3))):
         if rows and draw(st.booleans()):
             rel, row = draw(st.sampled_from(rows))
-            cells = dict(row.cells)
+            cells = dict(zip(row.attrs, row.values))
         else:
             rel = draw(st.sampled_from(t.schema.names))
             cells = dict.fromkeys(t.schema.attrs(rel))
@@ -443,8 +443,8 @@ def _brute_homomorphisms(atoms, i, init) -> Counter:
         ok = True
         for atom, row in zip(atoms, rows):
             for attr, term in atom.bindings:
-                expected = h.setdefault(term, row[attr]) if isinstance(term, Var) else term
-                ok = ok and row[attr] == expected
+                expected = h.setdefault(term, row.cell(attr)) if isinstance(term, Var) else term
+                ok = ok and row.cell(attr) == expected
         if ok:
             found[frozenset(h.items())] += 1
     return found

@@ -350,7 +350,13 @@ def _rep_witness(
 def rep_contains(
     t: Union[ConditionalInstance, ScopedConditionalInstance], i: Instance
 ) -> bool:
-    """Membership of i in the set of instances the table represents."""
+    """Membership of i in the set of instances the table represents.
+
+    For an unscoped table the set is upward closed: i is in when some
+    valuation image sits inside i, and then so is every instance i sits
+    inside. A scoped table is not: its relations outside the scope must
+    match exactly.
+    """
     if isinstance(t, ScopedConditionalInstance):
         return _rep_witness(t.table, i, t.rel) is not None
     return _rep_witness(t, i, None) is not None

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -418,14 +419,46 @@ def minimal_outcomes(outcomes: Iterable[Instance]) -> frozenset[Instance]:
     so k sorts first. Sitting inside is transitive and antisymmetric, so a
     non-minimal j has a minimal outcome inside it, and that one is kept
     before j is reached.
+
+    A kept outcome is indexed under one key, its row that the fewest
+    distinct outcomes hold (Bayardo and Panda, SDM 2011), and kept outcomes
+    with no rows go on a list every candidate is tested against. A
+    candidate is tested only against the kept outcomes that its rows,
+    projected onto each indexed relation and attribute set its schema
+    extends, look up. That misses none: if k sits inside j, every row of k,
+    its key included, lies in j's projection onto k's schema.
     """
     def by_size(j: Instance) -> tuple[int, int]:
         return j.total_size(), sum(1 + len(attrs) for _, attrs in j.schema.rels)
 
+    distinct = set(outcomes)
+    # outcomes per row, in any relation: any key is exact, a rare one cheap
+    held = Counter(itertools.chain.from_iterable(rows for j in distinct for _, rows in j.data))
+    # (relation, attributes) -> key row's values -> kept outcomes keyed there
+    index: dict[tuple[str, frozenset[str]], dict[tuple, list[Instance]]] = {}
+    rowless: list[Instance] = []
+
+    def looked_up(j: Instance) -> Iterator[Instance]:
+        yield from rowless
+        for (rel, attrs), keyed in index.items():
+            if j.schema.defines(rel) and attrs <= j.schema.attrs(rel):
+                rows = j.rows(rel)
+                if attrs != j.schema.attrs(rel):  # distinct rows may project alike
+                    rows = {row.project(attrs) for row in rows}
+                for row in rows:
+                    yield from keyed.get(row.values, ())
+
     kept: list[Instance] = []
-    for j in sorted(set(outcomes), key=by_size):
-        if not any(instance_extends(j, k) for k in kept):
-            kept.append(j)
+    for j in sorted(distinct, key=by_size):
+        if any(instance_extends(j, k) for k in looked_up(j)):
+            continue
+        kept.append(j)
+        key = min(((held[row], rel, row) for rel, rows in j.data for row in rows), default=None)
+        if key is None:
+            rowless.append(j)
+        else:
+            _, rel, row = key
+            index.setdefault((rel, j.schema.attrs(rel)), {}).setdefault(row.values, []).append(j)
     return frozenset(kept)
 
 
@@ -456,6 +489,12 @@ def compare_with_chase(i: Instance, ps: Sequence[Procedure], b: Budget) -> Chase
     missing lists budgeted outcomes the chase table fails to represent;
     the minimal sections list minimal instances present on one side only,
     compared after renaming reserved constants by first appearance.
+
+    Every outcome has a minimal outcome inside it, and the set an unscoped
+    table represents is upward closed (`rep_contains`), so missing is empty
+    when every minimal outcome is represented; only otherwise is every
+    outcome checked. A scoped table, which `approximate_outcomes` never
+    returns, is not upward closed.
     """
     outcomes = enumerate_outcomes(ps, i, b)
     table = approximate_outcomes(i, ps)
@@ -464,14 +503,14 @@ def compare_with_chase(i: Instance, ps: Sequence[Procedure], b: Budget) -> Chase
     )
     # an empty result represents no instance, so it has no minimal members
     empty = isinstance(table, EmptyResult)
-    missing = tuple(
+    minimal = minimal_outcomes(outcomes)
+    represented = not empty and all(rep_contains(table, j) for j in minimal)
+    missing = () if represented else tuple(
         j
         for j in sorted(outcomes, key=_instance_sort_key)
         if empty or not rep_contains(table, j)
     )
-    oracle_min = {
-        _rename_reserved(j, rigid) for j in minimal_outcomes(outcomes)
-    }
+    oracle_min = {_rename_reserved(j, rigid) for j in minimal}
     chase_min = set() if empty else {
         _rename_reserved(j, rigid)
         for j in enumerate_minimal(table, constants=rigid)

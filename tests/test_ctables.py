@@ -191,6 +191,19 @@ class TestRepContains:
         assert rep_contains(t, grown_evisits)
         assert not rep_contains(scoped, grown_evisits)
 
+    def test_scoped_membership_is_not_upward_closed(self):
+        # k sits inside j, and both belong to the unscoped table; the scoped
+        # one asks R, outside its scope, to match exactly, so j is out. So
+        # `oracle.compare_with_chase` checks only minimal outcomes of
+        # unscoped tables.
+        t = r_table((Row.of({"a": N1}), TRUE))
+        scoped = ScopedConditionalInstance(t, frozenset())
+        k, j = r_instance(1), r_instance(1, 2)
+        assert instance_extends(j, k)
+        assert rep_contains(t, k) and rep_contains(t, j)
+        assert rep_contains(scoped, k)
+        assert not rep_contains(scoped, j)
+
     def test_scoped_projection_check_survives_new_attributes(
         self, instance_i, instance_j3
     ):

@@ -445,6 +445,26 @@ class TestCompareWithChase:
         assert rep.minimal_only_oracle
         assert rep.minimal_only_chase
 
+    def test_unrepresented_minimal_outcome_is_listed_alone(self, monkeypatch):
+        # Two minimal outcomes, R(1, 1) and R(1, @c0); a table holding the
+        # first represents it and not the second, so membership falls back
+        # to checking every outcome and lists exactly the second.
+        s = Schema.of({"R": ["a"]})
+        i = Instance.of(s, {"R": {Row.of({"a": const(1)})}})
+        alter = instantiate_template("alter_table", {"relation": "R", "attributes": ["a", "b"]})
+        grown = Schema.of({"R": ["a", "b"]})
+        kept, lost = (
+            Instance.of(grown, {"R": {Row.of({"a": const(1), "b": const(v)})}})
+            for v in (1, "@c0")
+        )
+        table = ConditionalInstance.from_instance(kept)
+        monkeypatch.setattr(oracle_mod, "approximate_outcomes", lambda i, ps: table)
+        rep = compare_with_chase(
+            i, [alter], Budget(extra_constants=1, max_new_tuples=0, allow_schema_growth=True)
+        )
+        assert minimal_outcomes(rep.outcomes) == rep.outcomes == frozenset({kept, lost})
+        assert rep.missing == (lost,)
+
     def test_empty_approximation_with_real_outcomes_is_caught(self, monkeypatch):
         monkeypatch.setattr(oracle_mod, "approximate_outcomes", lambda i, ps: EMPTY)
         rep = compare_with_chase(

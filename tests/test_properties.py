@@ -1,16 +1,18 @@
-"""Bulk generated-case suites: representation closure, enumerator/checker
-agreement, fold reproducibility, certainty against the minimal-member
-enumeration, workspace format round-trips, the matcher and the chase's
-body triggers against brute-force references, the residual clause against the joint
-residual query, the workspace lexer against the reference tokenizer,
-size-ordered minimality and the oracle's up-front meter against the
-all-pairs test and the candidate totals they replace, the oracle's staged
-clause checks against the literal enumerator, the minimal schema as a
-lower bound on the oracle's outcome schemas, c-table conditions against
-brute-force valuations, template calls against their instantiation,
-mutated JSON workspaces against the CLI's exit codes, mutated text
-workspaces against the parser, and the sliced reading of instance sections
-against the token-by-token one.
+"""Bulk generated-case suites: representation closure, upward closure under
+schema growth, compare's derived missing section against the literal
+membership check, enumerator/checker agreement, fold reproducibility,
+certainty against the minimal-member enumeration, workspace format
+round-trips, the matcher and the chase's body triggers against brute-force
+references, the residual clause against the joint residual query, the
+workspace lexer against the reference tokenizer, size-ordered minimality
+and the oracle's up-front meter against the all-pairs test and the
+candidate totals they replace, the oracle's staged clause checks against
+the literal enumerator, the minimal schema as a lower bound on the
+oracle's outcome schemas, c-table conditions against brute-force
+valuations, template calls against their instantiation, mutated JSON
+workspaces against the CLI's exit codes, mutated text workspaces against
+the parser, and the sliced reading of instance sections against the
+token-by-token one.
 
 The module-level *_EXAMPLES constants are the configured case counts; the
 acceptance suite checks the sum of the first four.
@@ -32,6 +34,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqworkbench.chase import (
+    EMPTY,
     EmptyResult,
     _body_triggers,
     approximate_outcomes,
@@ -92,6 +95,7 @@ from dqworkbench.errors import (
     Incompatible,
     MalformedParams,
     Meter,
+    UnsupportedClass,
     WorkbenchError,
     WorkspaceSyntaxError,
 )
@@ -101,6 +105,7 @@ from dqworkbench.model import (
     Schema,
     active_domain,
     const,
+    instance_extends,
     null_marker,
     schema_extends,
 )
@@ -137,6 +142,8 @@ CONDITION_EXAMPLES = 300
 TEMPLATE_EXAMPLES = 200
 JSON_MUTATION_EXAMPLES = 150
 SECTION_EXAMPLES = 400
+UPWARD_CLOSURE_EXAMPLES = 150
+DERIVED_MISSING_EXAMPLES = 150
 
 # The candidates the literal enumerator charges for Figure 1's `migrate,
 # migrate` with budget extra=1,tuples=1: the total the per-candidate meter
@@ -198,6 +205,44 @@ def test_valuation_images_plus_extra_rows_stay_represented(t, data):
                 Row.of({a: data.draw(st.sampled_from(CONSTS), label=f"{rel}+{k}.{a}") for a in attrs})
             )
     j = Instance.of(REP_SCHEMA, grown)
+    assert rep_contains(t, j)
+
+
+# attributes and relations growth may add to an instance over REP_SCHEMA
+GROWN_ATTRS = ("c", "d")
+GROWN_RELS = {"U": ("a",), "V": ("b", "c")}
+
+
+@settings(max_examples=UPWARD_CLOSURE_EXAMPLES, deadline=None)
+@given(t=ctable_st(), data=st.data())
+def test_instances_above_a_member_stay_represented(t, data):
+    # The represented set is upward closed under `instance_extends`, which
+    # lets `compare_with_chase` check membership on minimal outcomes only:
+    # a member k grown into j by new attributes (each row extended once or
+    # split), new relations and extra rows leaves j a member.
+    nulls = sorted(t.nulls(), key=lambda n: n.id)
+    v = {n: data.draw(st.sampled_from(CONSTS), label=f"v[{n.id}]") for n in nulls}
+    k = apply_valuation(t, v)
+    assert rep_contains(t, k)
+    value = st.sampled_from(CONSTS)
+    attrs = {
+        rel: sorted(REP_SCHEMA.attrs(rel) | data.draw(st.sets(st.sampled_from(GROWN_ATTRS)), label=f"+{rel}"))
+        for rel in REP_SCHEMA.names
+    }
+    for rel in data.draw(st.sets(st.sampled_from(sorted(GROWN_RELS))), label="new relations"):
+        attrs[rel] = sorted(GROWN_RELS[rel])
+    grown: dict[str, set[Row]] = {rel: set() for rel in attrs}
+    for rel in REP_SCHEMA.names:
+        new = [a for a in attrs[rel] if a not in REP_SCHEMA.attrs(rel)]
+        for row in k.rows(rel):
+            cells = dict(zip(row.attrs, row.values))
+            for ext in data.draw(st.lists(st.tuples(*[value] * len(new)), min_size=1, max_size=2)):
+                grown[rel].add(Row.of(cells | dict(zip(new, ext))))
+    for rel in attrs:
+        extra = data.draw(st.lists(st.tuples(*[value] * len(attrs[rel])), max_size=2), label=f"extras[{rel}]")
+        grown[rel].update(Row.of(dict(zip(attrs[rel], cells))) for cells in extra)
+    j = Instance.of(Schema.of(attrs), grown)
+    assert instance_extends(j, k)
     assert rep_contains(t, j)
 
 
@@ -837,6 +882,57 @@ def test_staged_oracle_matches_the_literal_enumerator(case, cap):
     if expected is not None:
         assert outcomes == expected
         assert charge <= literal_charge
+
+
+@st.composite
+def perturbed_table_st(draw, i: Instance, outcomes: frozenset[Instance]):
+    """A ground table of the input or of an outcome, with a row dropped or a
+    cell made a labeled null maybe, or the empty result: tables that
+    represent some, all or none of the outcomes."""
+    base = draw(st.sampled_from([i, *sorted(outcomes, key=oracle_mod._instance_sort_key)]))
+    kind = draw(st.sampled_from(["ground", "drop", "null", "empty"]))
+    if kind == "empty":
+        return EMPTY
+    pairs = [(rel, row) for rel, rows in base.data for row in sorted(rows)]
+    if kind != "ground" and pairs:
+        rel, row = draw(st.sampled_from(pairs))
+        pairs.remove((rel, row))
+        if kind == "null":
+            k = draw(st.integers(0, len(row.values) - 1))
+            pairs.append((rel, Row(row.attrs, row.values[:k] + (NULLS[0],) + row.values[k + 1 :])))
+    data = {rel: [(row, TRUE) for r, row in pairs if r == rel] for rel in base.schema.names}
+    return ConditionalInstance.of(base.schema, data)
+
+
+@settings(max_examples=DERIVED_MISSING_EXAMPLES, deadline=None)
+@given(case=staged_case_st(), data=st.data())
+def test_derived_missing_equals_the_literal_membership_check(case, data):
+    # compare_with_chase checks membership on the minimal outcomes and every
+    # outcome only when one of those is unrepresented. Its `missing` must be
+    # the literal check of every outcome, in report order, for the chase's
+    # table and for wrong tables put in its place.
+    p, i, b = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle_mod, "BUDGET_CAP", 3000)
+        try:
+            outcomes = enumerate_outcomes(p, i, b)
+        except BudgetExceeded:
+            return
+        if data.draw(st.booleans(), label="chase table"):
+            try:
+                table = approximate_outcomes(i, [p])
+            except UnsupportedClass:
+                return
+        else:
+            table = data.draw(perturbed_table_st(i, outcomes), label="table")
+        patch.setattr(oracle_mod, "approximate_outcomes", lambda i, ps: table)
+        report = oracle_mod.compare_with_chase(i, [p], b)
+    empty = isinstance(table, EmptyResult)
+    assert report.missing == tuple(
+        j
+        for j in sorted(outcomes, key=oracle_mod._instance_sort_key)
+        if empty or not rep_contains(table, j)
+    )
 
 
 # --- the minimal schema against the oracle's outcomes -------------------------

@@ -10,8 +10,7 @@ that forces extra attributes onto a pinned relation is unsatisfiable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import UnsupportedPrecondition
 from .model import Schema
@@ -25,16 +24,14 @@ from .constraints import (
 from .procedures import Procedure, scope_map
 
 
-@dataclass(frozen=True)
-class SchemaRequirement:
+class SchemaRequirement(NamedTuple):
     """Minimal outcome schema plus arity labels from total safety queries."""
 
     schema: Schema
     labels: tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     reason: str
 
 
@@ -98,8 +95,7 @@ def min_schema(
     )
 
 
-@dataclass(frozen=True)
-class SequenceReport:
+class SequenceReport(NamedTuple):
     applicable: bool
     chain: tuple[SchemaRequirement, ...]
     failure_index: int | None

@@ -10,7 +10,6 @@ scoped reading of the table captures the outcome set precisely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -66,9 +65,10 @@ from .procedures import (
 )
 
 
-@dataclass(frozen=True)
 class EmptyResult:
-    """The approximation of an empty outcome set."""
+    """The approximation of an empty outcome set; `EMPTY` is its one instance."""
+
+    __slots__ = ()
 
 
 EMPTY = EmptyResult()

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .analyzer import Failure, SchemaRequirement, min_schema, sequence_applicability
 from .chase import (
@@ -36,8 +36,10 @@ from .ctables import ConditionalInstance, render_condition, render_ctable
 from .dsl import Workspace, cell_to_json, instance_to_json, load_workspace, schema_to_json
 from .errors import Incompatible, MalformedParams, ResolutionError, WorkbenchError
 from .model import render_instance
-from .oracle import Budget, compare_with_chase, enumerate_outcomes, minimal_outcomes
 from .procedures import NEITHER, Procedure, classify, possible_outcome_report
+
+if TYPE_CHECKING:  # `oracle` loads in the handlers that run it
+    from .oracle import Budget
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -73,6 +75,8 @@ def _goal(ws: Workspace, name: str) -> ConjunctiveQuery:
 
 def parse_budget(spec: str) -> Budget:
     """Comma-separated budget settings; see the module docstring."""
+    from .oracle import Budget
+
     numbers = {"extra": 0, "tuples": 1, "attrs": 0}
     growth = False
     for part in spec.split(","):
@@ -273,6 +277,8 @@ def _cmd_plan(ws: Workspace, args) -> Report:
 
 
 def _cmd_oracle(ws: Workspace, args) -> Report:
+    from .oracle import enumerate_outcomes, minimal_outcomes
+
     instance = _pick(ws.instances, args.instance, "instance")
     outcomes = enumerate_outcomes(_sequence(ws, args.seq), instance, parse_budget(args.budget))
     if args.minimal:
@@ -297,6 +303,8 @@ def _cmd_oracle(ws: Workspace, args) -> Report:
 
 
 def _cmd_compare(ws: Workspace, args) -> Report:
+    from .oracle import compare_with_chase
+
     instance = _pick(ws.instances, args.instance, "instance")
     report = compare_with_chase(instance, _sequence(ws, args.seq), parse_budget(args.budget))
     code = EXIT_YES if report.ok else EXIT_NO
@@ -325,20 +333,6 @@ def _cmd_compare(ws: Workspace, args) -> Report:
     return code, lines, {}
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "schema-min": _cmd_schema_min,
-    "applicable": _cmd_applicable,
-    "check-outcome": _cmd_check_outcome,
-    "outcomes": _cmd_outcomes,
-    "nonempty": _cmd_nonempty,
-    "ready": _cmd_ready,
-    "plan": _cmd_plan,
-    "oracle": _cmd_oracle,
-    "compare": _cmd_compare,
-}
-
-
 # --- argument parsing ------------------------------------------------------
 
 
@@ -349,97 +343,73 @@ def _nonnegative(text: str) -> int:
     return n
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Every flag's `add_argument` keywords, written once.
+_FLAGS = {
+    "workspace": dict(required=True, metavar="FILE", help="workspace file (.dq text or .dq.json)"),
+    "format": dict(choices=("text", "json"), default="text", help="report format (default: text)"),
+    "proc": dict(required=True, help="procedure name"),
+    "schema": dict(required=True, help="input schema name"),
+    "instance": dict(required=True, help="input instance name"),
+    "seq": dict(required=True, help="sequence name or comma-separated procedures"),
+    "query": dict(required=True, help="boolean goal query name"),
+    "budget": dict(required=True, help='e.g. "extra=1,tuples=2,growth"'),
+    "allow-data-preconditions": dict(
+        action="store_true", help="skip dependency preconditions instead of rejecting them"
+    ),
+    "before": dict(required=True, help="input instance name"),
+    "after": dict(required=True, help="candidate outcome instance name"),
+    "max-len": dict(required=True, type=_nonnegative, metavar="K"),
+    "pool": dict(help="candidate procedures (comma-separated; default: all in the workspace)"),
+    "minimal": dict(action="store_true", help="report only minimal outcomes (an exact set)"),
+}
+
+# name -> (handler, its flags after --workspace and --format, summary), in help order
+_COMMANDS = {
+    "validate": (_cmd_validate, "", "parse the workspace and list its declarations"),
+    "schema-min": (_cmd_schema_min, "proc schema allow-data-preconditions",
+                   "minimal outcome schema of one procedure"),
+    "applicable": (_cmd_applicable, "seq schema allow-data-preconditions",
+                   "thread the minimal schema through a sequence"),
+    "check-outcome": (_cmd_check_outcome, "proc before after",
+                      "decide whether one instance is a possible outcome"),
+    "outcomes": (_cmd_outcomes, "instance seq",
+                 "conditional table over-approximating the outcome set"),
+    "nonempty": (_cmd_nonempty, "instance seq", "decide whether the sequence reaches any outcome"),
+    "ready": (_cmd_ready, "instance seq query",
+              "decide whether the sequence guarantees a boolean goal"),
+    "plan": (_cmd_plan, "instance query max-len pool",
+             "shortest procedure sequence that guarantees a goal"),
+    "oracle": (_cmd_oracle, "instance seq budget minimal",
+               "enumerate outcomes exhaustively within a budget"),
+    "compare": (_cmd_compare, "instance seq budget",
+                "check the approximation against the budgeted oracle"),
+}
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The `dqw` parser. With `only` it holds that one subcommand's parser,
+    which parses, helps and fails as it does in the whole tree."""
     top = argparse.ArgumentParser(
         prog="dqw",
         description="Reasoning workbench for data-transforming procedures.",
     )
     sub = top.add_subparsers(dest="command", required=True, metavar="command")
-
-    def command(name: str, summary: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary, description=summary)
-        p.add_argument(
-            "--workspace",
-            required=True,
-            metavar="FILE",
-            help="workspace file (.dq text or .dq.json)",
-        )
-        p.add_argument(
-            "--format",
-            choices=("text", "json"),
-            default="text",
-            help="report format (default: text)",
-        )
-        return p
-
-    command("validate", "parse the workspace and list its declarations")
-
-    p = command("schema-min", "minimal outcome schema of one procedure")
-    p.add_argument("--proc", required=True, help="procedure name")
-    p.add_argument("--schema", required=True, help="input schema name")
-    p.add_argument(
-        "--allow-data-preconditions",
-        action="store_true",
-        help="skip dependency preconditions instead of rejecting them",
-    )
-
-    p = command("applicable", "thread the minimal schema through a sequence")
-    p.add_argument("--seq", required=True, help="sequence name or comma-separated procedures")
-    p.add_argument("--schema", required=True, help="input schema name")
-    p.add_argument(
-        "--allow-data-preconditions",
-        action="store_true",
-        help="skip dependency preconditions instead of rejecting them",
-    )
-
-    p = command("check-outcome", "decide whether one instance is a possible outcome")
-    p.add_argument("--proc", required=True, help="procedure name")
-    p.add_argument("--before", required=True, help="input instance name")
-    p.add_argument("--after", required=True, help="candidate outcome instance name")
-
-    p = command("outcomes", "conditional table over-approximating the outcome set")
-    p.add_argument("--instance", required=True, help="input instance name")
-    p.add_argument("--seq", required=True, help="sequence name or comma-separated procedures")
-
-    p = command("nonempty", "decide whether the sequence reaches any outcome")
-    p.add_argument("--instance", required=True, help="input instance name")
-    p.add_argument("--seq", required=True, help="sequence name or comma-separated procedures")
-
-    p = command("ready", "decide whether the sequence guarantees a boolean goal")
-    p.add_argument("--instance", required=True, help="input instance name")
-    p.add_argument("--seq", required=True, help="sequence name or comma-separated procedures")
-    p.add_argument("--query", required=True, help="boolean goal query name")
-
-    p = command("plan", "shortest procedure sequence that guarantees a goal")
-    p.add_argument("--instance", required=True, help="input instance name")
-    p.add_argument("--query", required=True, help="boolean goal query name")
-    p.add_argument("--max-len", required=True, type=_nonnegative, metavar="K")
-    p.add_argument(
-        "--pool",
-        help="candidate procedures (comma-separated; default: all in the workspace)",
-    )
-
-    p = command("oracle", "enumerate outcomes exhaustively within a budget")
-    p.add_argument("--instance", required=True, help="input instance name")
-    p.add_argument("--seq", required=True, help="sequence name or comma-separated procedures")
-    p.add_argument("--budget", required=True, help='e.g. "extra=1,tuples=2,growth"')
-    p.add_argument(
-        "--minimal", action="store_true", help="report only minimal outcomes (an exact set)"
-    )
-
-    p = command("compare", "check the approximation against the budgeted oracle")
-    p.add_argument("--instance", required=True, help="input instance name")
-    p.add_argument("--seq", required=True, help="sequence name or comma-separated procedures")
-    p.add_argument("--budget", required=True, help='e.g. "extra=1,tuples=2,growth"')
-
+    for name, (_, flags, summary) in _COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=summary, description=summary)
+            for flag in ["workspace", "format", *flags.split()]:
+                p.add_argument(f"--{flag}", **_FLAGS[flag])
     return top
 
 
 def run_command(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a leading subcommand name needs only its own parser, anything else the whole tree
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(only).parse_args(argv)
     try:
         ws = load_workspace(args.workspace)
-        code, lines, payload = _HANDLERS[args.command](ws, args)
+        code, lines, payload = _COMMANDS[args.command][0](ws, args)
     except (WorkbenchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
@@ -454,7 +424,7 @@ def run_command(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command())
+    sys.exit(run_command(sys.argv[1:]))
 
 
 if __name__ == "__main__":

@@ -15,12 +15,12 @@ checks, and conditional-table membership all run on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import DomainMismatch, Incompatible
-from .model import Instance, LabeledNull, Row, Schema, Value, positions
+from .model import Distinct, Instance, LabeledNull, Row, Schema, Value, positions
 
 
 class Var(NamedTuple):
@@ -32,17 +32,16 @@ class Var(NamedTuple):
 Term = Union[Var, Value]
 
 
-@dataclass(frozen=True)
-class NamedAtom:
+class NamedAtom(Distinct, namedtuple("NamedAtom", "relation bindings")):
     """Relation atom binding attribute names to variables or constants."""
 
-    relation: str
-    bindings: tuple[tuple[str, Term], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        attrs = [a for a, _ in self.bindings]
+    def __new__(cls, relation: str, bindings: tuple[tuple[str, Term], ...]):
+        attrs = [a for a, _ in bindings]
         if attrs != sorted(attrs) or len(set(attrs)) != len(attrs):
             raise DomainMismatch(f"atom attributes must be distinct and ordered: {attrs}")
+        return tuple.__new__(cls, (relation, bindings))
 
     @staticmethod
     def of(relation: str, bindings: Mapping[str, Term]) -> "NamedAtom":
@@ -57,8 +56,7 @@ class NamedAtom:
         return frozenset(t for _, t in self.bindings if isinstance(t, Var))
 
 
-@dataclass(frozen=True)
-class ConstantAtom:
+class ConstantAtom(NamedTuple):
     """Builtin test that a value is an ordinary constant, not a null marker."""
 
     variable: Var
@@ -71,27 +69,25 @@ class ConstantAtom:
 Atom = Union[NamedAtom, ConstantAtom]
 
 
-@dataclass(frozen=True)
-class ConjunctiveQuery:
+class ConjunctiveQuery(Distinct, namedtuple("ConjunctiveQuery", "atoms free existential")):
     """Existentially quantified conjunction of atoms with ordered free variables."""
 
-    atoms: tuple[Atom, ...]
-    free: tuple[Var, ...]
-    existential: frozenset[Var]
+    __slots__ = ()
 
-    def __post_init__(self):
-        free_set = set(self.free)
-        if len(free_set) != len(self.free):
+    def __new__(cls, atoms: tuple[Atom, ...], free: tuple[Var, ...], existential: frozenset[Var]):
+        free_set = set(free)
+        if len(free_set) != len(free):
             raise DomainMismatch("free variables must be distinct")
-        if free_set & self.existential:
+        if free_set & existential:
             raise DomainMismatch("free and existential variables must be disjoint")
-        occurring = frozenset(v for a in self.atoms for v in a.vars)
-        listed = free_set | self.existential
+        occurring = frozenset(v for a in atoms for v in a.vars)
+        listed = free_set | existential
         if occurring != listed:
             raise DomainMismatch(
                 f"query variables {sorted(v.name for v in listed)} must be exactly "
                 f"those occurring in atoms {sorted(v.name for v in occurring)}"
             )
+        return tuple.__new__(cls, (atoms, free, existential))
 
     @property
     def vars(self) -> frozenset[Var]:
@@ -117,32 +113,28 @@ def cq_constants(q: ConjunctiveQuery) -> frozenset[Value]:
     )
 
 
-@dataclass(frozen=True)
-class Comparison:
-    lhs: str
-    op: str
-    rhs: Union[str, Value]
+class Comparison(Distinct, namedtuple("Comparison", "lhs op rhs")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.op not in ("=", "!="):
-            raise DomainMismatch(f"unknown comparison operator {self.op!r}")
+    def __new__(cls, lhs: str, op: str, rhs: Union[str, Value]):
+        if op not in ("=", "!="):
+            raise DomainMismatch(f"unknown comparison operator {op!r}")
+        return tuple.__new__(cls, (lhs, op, rhs))
 
 
-@dataclass(frozen=True)
-class And:
-    items: tuple["BooleanCondition", ...]
+class And(Distinct, namedtuple("And", "items")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Or:
-    items: tuple["BooleanCondition", ...]
+class Or(Distinct, namedtuple("Or", "items")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Not:
-    item: "BooleanCondition"
+class Not(Distinct, namedtuple("Not", "item")):
+    __slots__ = ()
 
 
+# `And` and `Or` hold a tuple of conditions as `items`, `Not` one as `item`
 BooleanCondition = Union[Comparison, And, Or, Not]
 
 
@@ -175,69 +167,65 @@ def eval_condition(c: BooleanCondition, row: Row) -> bool:
     return not eval_condition(c.item, row)
 
 
-@dataclass(frozen=True)
-class TotalQuery:
+class TotalQuery(Distinct, namedtuple("TotalQuery", "relations condition")):
     """Cross product of the whole tuples of the listed relations, in listed
     order. A condition keeps only the tuples that satisfy it, and needs
     exactly one relation."""
 
-    relations: tuple[str, ...]
-    condition: BooleanCondition | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if isinstance(self.relations, str):
-            raise DomainMismatch(f"total query relations must be a tuple, got {self.relations!r}")
-        if not self.relations:
+    def __new__(cls, relations: tuple[str, ...], condition: BooleanCondition | None = None):
+        if isinstance(relations, str):
+            raise DomainMismatch(f"total query relations must be a tuple, got {relations!r}")
+        if not relations:
             raise DomainMismatch("total query needs at least one relation")
-        if len(set(self.relations)) != len(self.relations):
+        if len(set(relations)) != len(relations):
             raise DomainMismatch("total query relations must be distinct")
-        if self.condition is not None and len(self.relations) != 1:
+        if condition is not None and len(relations) != 1:
             raise DomainMismatch("a filtered total query reads exactly one relation")
+        return tuple.__new__(cls, (relations, condition))
 
 
 Query = Union[ConjunctiveQuery, TotalQuery]
 
 
-@dataclass(frozen=True)
-class Tgd:
+class Tgd(Distinct, namedtuple("Tgd", "body head")):
     """Tuple-generating dependency: body holds implies head holds (fresh witnesses allowed)."""
 
-    body: ConjunctiveQuery
-    head: ConjunctiveQuery
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.body.existential:
+    def __new__(cls, body: ConjunctiveQuery, head: ConjunctiveQuery):
+        if body.existential:
             raise DomainMismatch("dependency bodies quantify all variables universally")
-        if not set(self.head.free) <= set(self.body.free):
+        if not set(head.free) <= set(body.free):
             raise DomainMismatch("head free variables must occur in the body")
+        return tuple.__new__(cls, (body, head))
 
 
-@dataclass(frozen=True)
-class Egd:
+class Egd(Distinct, namedtuple("Egd", "body equated")):
     """Equality-generating dependency: body holds implies two variables coincide."""
 
-    body: ConjunctiveQuery
-    equated: tuple[Var, Var]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.body.existential:
+    def __new__(cls, body: ConjunctiveQuery, equated: tuple[Var, Var]):
+        if body.existential:
             raise DomainMismatch("dependency bodies quantify all variables universally")
-        if not set(self.equated) <= self.body.vars:
+        if not set(equated) <= body.vars:
             raise DomainMismatch("equated variables must occur in the body")
+        return tuple.__new__(cls, (body, equated))
 
 
-@dataclass(frozen=True)
-class StructureConstraint:
+class StructureConstraint(Distinct, namedtuple("StructureConstraint", "relation attributes")):
     """Schema requirement: relation present, optionally with given attributes."""
 
-    relation: str
-    attributes: tuple[str, ...] | None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.attributes is not None:
-            attrs = list(self.attributes)
+    def __new__(cls, relation: str, attributes: tuple[str, ...] | None):
+        if attributes is not None:
+            attrs = list(attributes)
             if attrs != sorted(attrs) or len(set(attrs)) != len(attrs):
                 raise DomainMismatch(f"attributes must be distinct and ordered: {attrs}")
+        return tuple.__new__(cls, (relation, attributes))
 
     @staticmethod
     def of(relation: str, attributes: Iterable[str] | None = None) -> "StructureConstraint":

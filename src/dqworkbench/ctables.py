@@ -19,8 +19,8 @@ The scoped variant restricts where extra tuples may appear.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from collections import namedtuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .constraints import RowIndex, join
 from .errors import DomainMismatch, Meter, PartialValuation
@@ -28,6 +28,7 @@ from .model import (
     CONST,
     NULL,
     Cell,
+    Distinct,
     Instance,
     LabeledNull,
     Row,
@@ -54,8 +55,7 @@ def cell_key(c: Cell) -> tuple:
     return ("value", c.kind, c.token)
 
 
-@dataclass(frozen=True)
-class CondEq:
+class CondEq(NamedTuple):
     left: LabeledNull
     right: Cell
 
@@ -157,16 +157,15 @@ def shape_key(pair: ConditionalRow) -> tuple:
     return _pair_key(pair, _cell_shape)
 
 
-@dataclass(frozen=True)
-class ConditionalInstance:
+class ConditionalInstance(Distinct, namedtuple("ConditionalInstance", "schema data")):
     """Per relation, distinct (row, condition) pairs; `of` stores them in
     `_pair_key` order, the order the text and JSON renderings list."""
 
-    schema: Schema
-    data: tuple[tuple[str, tuple[ConditionalRow, ...]], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_relations("table", self.schema, [(r, [row for row, _ in p]) for r, p in self.data])
+    def __new__(cls, schema: Schema, data: tuple[tuple[str, tuple[ConditionalRow, ...]], ...]):
+        check_relations("table", schema, [(r, [row for row, _ in p]) for r, p in data])
+        return tuple.__new__(cls, (schema, data))
 
     @staticmethod
     def of(
@@ -219,8 +218,7 @@ class ConditionalInstance:
         return sum(len(pairs) for _, pairs in self.data)
 
 
-@dataclass(frozen=True)
-class ScopedConditionalInstance:
+class ScopedConditionalInstance(NamedTuple):
     """Table plus the relation names where members may carry extra tuples."""
 
     table: ConditionalInstance
@@ -244,7 +242,7 @@ def apply_valuation(t: ConditionalInstance, v: Valuation) -> Instance:
             if cond_eval(cond, v) is True:
                 rows.add(map_cells(row, v))
         data[rel] = rows
-    return Instance.of(t.schema, data)
+    return Instance.built(t.schema, data)
 
 
 def _fresh_values(count: int, taken: frozenset[Value], kind: str = CONST) -> list[Value]:
@@ -404,7 +402,7 @@ def _strictly_dominated(t: ConditionalInstance, j: Instance) -> bool:
     """
     for rel in j.schema.names:
         for row in j.rows(rel):
-            smaller = Instance.of(
+            smaller = Instance.built(
                 j.schema,
                 {r: (j.rows(r) - {row} if r == rel else j.rows(r)) for r in j.schema.names},
             )

@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
@@ -134,17 +134,18 @@ RESERVED_WORDS = frozenset(
 _CONSTRAINT_WORDS = ("tgd", "egd", "struct")
 
 
-@dataclass(frozen=True)
-class Workspace:
-    """Named declarations with all cross-references resolved."""
+_TABLES = "schemas instances instance_schema constraints procedures queries sequences"
 
-    schemas: dict[str, Schema] = field(default_factory=dict)
-    instances: dict[str, Instance] = field(default_factory=dict)
-    instance_schema: dict[str, str] = field(default_factory=dict)
-    constraints: dict[str, Constraint] = field(default_factory=dict)
-    procedures: dict[str, Procedure] = field(default_factory=dict)
-    queries: dict[str, Query] = field(default_factory=dict)
-    sequences: dict[str, tuple[str, ...]] = field(default_factory=dict)
+
+class Workspace(namedtuple("Workspace", _TABLES)):
+    """Named declarations with all cross-references resolved: per kind a dict
+    from name to object, but `instance_schema` holds schema names and
+    `sequences` procedure names. `Workspace()` starts empty; the readers fill it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *tables: dict):  # copies and pickles pass the tables
+        return tuple.__new__(cls, tables or [{} for _ in cls._fields])
 
 
 # --- tokenizer ---------------------------------------------------------------

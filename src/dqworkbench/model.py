@@ -12,7 +12,7 @@ too, so that one row type serves instances and tables.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar, Union
 
@@ -73,14 +73,57 @@ def null_marker(token: object) -> Value:
     return Value(NULL, str(token))
 
 
-@dataclass(frozen=True, order=True)
 class LabeledNull:
-    """A conditional table's variable cell (`ctables`): it ranges over every value."""
+    """A conditional table's variable cell (`ctables`): it ranges over every value.
+    Not a tuple, which a `Var` would equal: it equals and orders among labeled
+    nulls only, by id, and hashes as `(id,)`."""
 
-    id: str
+    __slots__ = ("id",)
+
+    def __init__(self, id: str):
+        object.__setattr__(self, "id", id)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.id == other.id if other.__class__ is LabeledNull else NotImplemented
+
+    def __lt__(self, other):
+        return self.id < other.id if other.__class__ is LabeledNull else NotImplemented
+
+    def __le__(self, other):
+        return self.id <= other.id if other.__class__ is LabeledNull else NotImplemented
+
+    def __hash__(self):
+        return hash((self.id,))
+
+    def __repr__(self):
+        return f"LabeledNull(id={self.id!r})"
+
+    def __reduce__(self):  # copy and pickle build it anew: its slot is read-only
+        return LabeledNull, (self.id,)
 
     def render(self) -> str:
         return f"?{self.id}"
+
+
+class Distinct:
+    """Mixin before a `namedtuple` base, for a record that may meet records of
+    another class with equal fields: it equals only its own class's records
+    with equal fields and hashes as its fields' tuple. `_make` skips `__new__`."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
 
 
 Cell = Union[Value, LabeledNull]
@@ -129,16 +172,15 @@ class Row(NamedTuple):
         return Row(kept, tuple([values[k] for k in picks]))
 
 
-@dataclass(frozen=True, order=True)
-class Schema:
-    """Finite map from relation names to attribute sets, canonically ordered."""
+class Schema(Distinct, namedtuple("Schema", "rels")):
+    """Finite map from relation names to attribute sets, canonically ordered.
+    Schemas order by `rels` and hash as it; the `__dict__` holds the lookups."""
 
-    rels: tuple[tuple[str, frozenset[str]], ...]
-
-    def __post_init__(self):
-        names = [r for r, _ in self.rels]
+    def __new__(cls, rels: tuple[tuple[str, frozenset[str]], ...]):
+        names = [r for r, _ in rels]
         if names != sorted(names) or len(set(names)) != len(names):
             raise DomainMismatch(f"schema relations must be distinct and ordered: {names}")
+        return tuple.__new__(cls, (rels,))
 
     @staticmethod
     def of(mapping: Mapping[str, Iterable[str]]) -> "Schema":
@@ -170,23 +212,28 @@ class Schema:
         return hash(self.rels)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Distinct, namedtuple("Instance", "schema data")):
     """Finite relations over a schema; every tuple spans exactly its relation's attributes."""
 
-    schema: Schema
-    data: tuple[tuple[str, frozenset[Row]], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_relations("instance", self.schema, self.data)
+    def __new__(cls, schema: Schema, data: tuple[tuple[str, frozenset[Row]], ...]):
+        check_relations("instance", schema, data)
+        return tuple.__new__(cls, (schema, data))
 
     @staticmethod
     def of(schema: Schema, data: Mapping[str, Iterable[Row]] | None = None) -> "Instance":
-        given = {r: frozenset(rows) for r, rows in (data or {}).items()}
+        given = data or {}
         for r in given:
             if not schema.defines(r):
                 raise DomainMismatch(f"relation {r} is not in the schema")
-        return Instance(schema, tuple((r, given.get(r, frozenset())) for r in schema.names))
+        return Instance(*Instance.built(schema, given))  # and check its rows
+
+    @staticmethod
+    def built(schema: Schema, data: Mapping[str, Iterable[Row]]) -> "Instance":
+        """`of` without its checks, for rows drawn from checked instances and tables."""
+        relations = tuple((r, frozenset(data.get(r, ()))) for r in schema.names)
+        return Instance._make((schema, relations))
 
     def rows(self, relation: str) -> frozenset[Row]:
         for r, rows in self.data:
@@ -196,9 +243,6 @@ class Instance:
 
     def total_size(self) -> int:
         return sum(len(rows) for _, rows in self.data)
-
-    def __hash__(self):
-        return hash((self.schema, self.data))
 
 
 def check_relations(what: str, schema: Schema, data: Iterable[tuple[str, Iterable[Row]]]) -> None:
@@ -271,7 +315,7 @@ def rename_values(i: Instance, renamed: Callable[[Value], bool], prefix: str) ->
     mapping = first_appearance(cells, renamed, lambda k: const(f"{prefix}{k}"))
     if not mapping:
         return i
-    return Instance.of(
+    return Instance.built(
         i.schema,
         {rel: {map_cells(row, mapping) for row in i.rows(rel)} for rel in i.schema.names},
     )

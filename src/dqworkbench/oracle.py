@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from collections import Counter, namedtuple
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .chase import EmptyResult, approximate_outcomes
 from .constraints import (
@@ -61,8 +60,10 @@ EXTRA_CONSTANT_PREFIX = "@c"
 EXTRA_ATTRIBUTE_PREFIX = "@attr"
 
 
-@dataclass(frozen=True)
-class Budget:
+_BUDGET_FIELDS = "extra_constants max_new_tuples max_new_attributes allow_schema_growth"
+
+
+class Budget(namedtuple("Budget", _BUDGET_FIELDS, defaults=(0, 1, 0, False))):
     """Bounds on the candidate universe the oracle enumerates.
 
     extra_constants fresh values join the active domain as candidate cell
@@ -71,15 +72,14 @@ class Budget:
     max_new_attributes unconstrained reserved ones.
     """
 
-    extra_constants: int = 0
-    max_new_tuples: int = 1
-    max_new_attributes: int = 0
-    allow_schema_growth: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for field in ("extra_constants", "max_new_tuples", "max_new_attributes"):
             if getattr(self, field) < 0:
                 raise MalformedParams(f"budget field {field} must be nonnegative")
+        return self
 
 
 def constraint_constants(p: Procedure) -> frozenset[Value]:
@@ -364,7 +364,7 @@ def _accepted(
         chosen.append(rows)
         k = len(chosen)
         if checks[k] or k == n:
-            fixed = Instance.of(schema, dict(zip(rels, chosen)))
+            fixed = Instance.built(schema, dict(zip(rels, chosen)))
         if any(check(fixed) for check in checks[k]):
             chosen.pop()
         elif k == n:
@@ -467,8 +467,7 @@ def _rename_reserved(j: Instance, rigid: frozenset[Value]) -> Instance:
     return rename_values(j, lambda v: v not in rigid, "@x")
 
 
-@dataclass(frozen=True)
-class ChaseComparison:
+class ChaseComparison(NamedTuple):
     """Oracle-versus-approximation report; both sections must stay empty."""
 
     outcomes: frozenset[Instance]

@@ -8,12 +8,12 @@ running the procedure on another; nothing here executes anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import Incompatible, MalformedParams
-from .model import Instance, Schema, Value
+from .model import Distinct, Instance, Schema, Value
 from .constraints import (
     BooleanCondition,
     ConjunctiveQuery,
@@ -36,18 +36,24 @@ from .constraints import (
 )
 
 
-@dataclass(frozen=True)
-class Procedure:
-    scope: tuple[StructureConstraint, ...]
-    pre: tuple[Constraint, ...]
-    post: tuple[Constraint, ...]
-    safe: tuple[Query, ...]
-    name: str = field(default="", compare=False)
+class Procedure(Distinct, namedtuple("Procedure", "scope pre post safe name")):
+    """A procedure's contract; its `name` labels reports and takes no part in
+    equality or the hash."""
 
-    def __post_init__(self):
-        for c in self.scope:
+    __slots__ = ()
+
+    def __new__(cls, scope: tuple[StructureConstraint, ...], pre: tuple[Constraint, ...],
+                post: tuple[Constraint, ...], safe: tuple[Query, ...], name: str = ""):
+        for c in scope:
             if not isinstance(c, StructureConstraint):
                 raise MalformedParams("scope may contain only structure constraints")
+        return tuple.__new__(cls, (scope, pre, post, safe, name))
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and self[:4] == other[:4]
+
+    def __hash__(self):
+        return hash(self[:4])
 
     @staticmethod
     def of(
@@ -113,8 +119,7 @@ _UNADDRESSABLE = (
 _CHANGED = "content outside the scope changed in {}"
 
 
-@dataclass(frozen=True)
-class OutcomeReport:
+class OutcomeReport(NamedTuple):
     """Which of the four outcome clauses held, with human-readable failures."""
 
     applicable: bool
@@ -128,8 +133,7 @@ class OutcomeReport:
         return self.applicable and self.post_ok and self.residual_ok and self.safety_ok
 
 
-@dataclass(frozen=True)
-class OutcomeInputs:
+class OutcomeInputs(NamedTuple):
     """What the outcome check reads of the input instance alone.
 
     Applicability, each one-atom residual query with its answers, each

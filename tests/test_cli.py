@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dqworkbench import cli
+from dqworkbench import cli, oracle
 from dqworkbench.cli import parse_budget, run_command
 from dqworkbench.ctables import TRUE, CondEq, ConditionalInstance, LabeledNull, render_ctable
 from dqworkbench.dsl import parse_workspace, workspace_to_json
@@ -681,7 +681,8 @@ class TestOracleCommands:
 
         found = {"missing": one(1), "minimal_only_oracle": one(2), "minimal_only_chase": one(3)}
         report = ChaseComparison(frozenset({one(1), one(2)}), *((j,) for j in found.values()))
-        monkeypatch.setattr(cli, "compare_with_chase", lambda *args, **kwargs: report)
+        # `compare` imports the oracle when it runs, so the patch goes on the oracle
+        monkeypatch.setattr(oracle, "compare_with_chase", lambda *args, **kwargs: report)
         argv = ("compare", "--workspace", FIG1, "--instance", "I", "--seq", "migrate",
                 "--budget", "tuples=1")
         code, out, _ = run(capsys, *argv)
@@ -945,3 +946,67 @@ class TestArgumentErrors:
             run_command(["frobnicate", "--workspace", FIG1])
         assert e.value.code == 2
         capsys.readouterr()
+
+
+def exit_text(capsys, parse, argv: list[str]) -> tuple:
+    """(exit code, stdout, stderr) of an argument parse that exits."""
+    with pytest.raises(SystemExit) as e:
+        parse(argv)
+    captured = capsys.readouterr()
+    return e.value.code, captured.out, captured.err
+
+
+class TestArgumentParsing:
+    """`run_command` builds only the named subcommand's parser; it must help
+    and fail exactly as the whole tree does."""
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_one_subcommand_parser_matches_the_full_tree(self, capsys, command):
+        full = cli._build_parser().parse_args
+        alone = cli._build_parser(command).parse_args
+        # help, a missing --workspace, the other required flags missing
+        cases = [[command, "--help"], [command]]
+        if command != "validate":
+            cases.append([command, "--workspace", FIG1])
+        if command == "plan":
+            head = ["plan", "--workspace", FIG1, "--instance", "I", "--query", "q_visit"]
+            cases += [head + ["--max-len", "x"], head + ["--max-len", "-1"]]
+        for argv in cases:
+            expected = exit_text(capsys, full, argv)
+            assert exit_text(capsys, alone, argv) == expected, argv
+            assert exit_text(capsys, run_command, argv) == expected, argv
+        code, help_text, _ = exit_text(capsys, run_command, [command, "--help"])
+        assert code == 0
+        assert help_text.startswith(f"usage: dqw {command} [-h] --workspace FILE")
+        summary, flags = cli._COMMANDS[command][2], cli._COMMANDS[command][1].split()
+        assert summary in help_text
+        assert all(f"--{flag}" in help_text for flag in flags)
+
+    def test_bad_max_len_names_the_flag(self, capsys):
+        head = ["plan", "--workspace", FIG1, "--instance", "I", "--query", "q_visit"]
+        code, _, err = exit_text(capsys, run_command, head + ["--max-len", "x"])
+        assert code == 2
+        assert err.endswith("error: argument --max-len: invalid _nonnegative value: 'x'\n")
+        _, _, err = exit_text(capsys, run_command, head + ["--max-len", "-1"])
+        assert err.endswith("error: argument --max-len: must be nonnegative, got -1\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["--help"], ["-h"], ["frobnicate", "--workspace", FIG1], ["--format", "json", "ready"]],
+    )
+    def test_no_leading_subcommand_gets_the_full_tree(self, capsys, argv):
+        full = cli._build_parser().parse_args
+        assert exit_text(capsys, run_command, argv) == exit_text(capsys, full, argv)
+
+    def test_top_help_lists_every_subcommand(self, capsys):
+        code, out, _ = exit_text(capsys, run_command, ["--help"])
+        assert code == 0
+        assert out.startswith("usage: dqw [-h] command ...")
+        for name, (_, _, summary) in cli._COMMANDS.items():
+            assert f"    {name}" in out and summary in out
+
+    def test_unknown_subcommand_lists_the_choices(self, capsys):
+        code, _, err = exit_text(capsys, run_command, ["frobnicate", "--workspace", FIG1])
+        assert code == 2
+        choices = ", ".join(f"'{name}'" for name in cli._COMMANDS)
+        assert err.endswith(f"argument command: invalid choice: 'frobnicate' (choose from {choices})\n")

@@ -19,14 +19,13 @@ from .constraints import (
     ConstantAtom,
     EQUALITIES,
     NamedAtom,
+    Plan,
     RowIndex,
     StructureConstraint,
-    Tgd,
     Var,
     cq_constants,
     evaluate_query,
     is_compatible,
-    join,
     structure_holds,
 )
 from .ctables import (
@@ -75,13 +74,8 @@ EMPTY = EmptyResult()
 
 
 def _reject_constancy_tests(p: Procedure) -> None:
-    for dep in p.post:
-        if isinstance(dep, Tgd):
-            for atom in dep.body.atoms + dep.head.atoms:
-                if isinstance(atom, ConstantAtom):
-                    raise UnsupportedClass(
-                        "postcondition rules with constancy tests cannot be chased"
-                    )
+    if any(isinstance(a, ConstantAtom) for dep in p.post for a in dep.body.atoms + dep.head.atoms):
+        raise UnsupportedClass("postcondition rules with constancy tests cannot be chased")
 
 
 def _body_triggers(
@@ -89,12 +83,14 @@ def _body_triggers(
 ) -> Iterator[tuple[Condition, dict[Var, Cell]]]:
     """All ways to match the rule body against the table, with the condition
     each match needs: the used tuples' conditions, then the cell equalities
-    `join` records where a variable or an in-rule constant meets a labeled
+    the plan records where a variable or an in-rule constant meets a labeled
     null, since such a match holds only under a valuation that equates them.
     """
     atoms = [a for a in body.atoms if isinstance(a, NamedAtom)]
-    patterns = [(a.relation, a.bindings) for a in atoms]
-    for state in join(patterns, rows, {}):
+    layouts = [rows.layout(a.relation) for a in atoms]
+    if None in layouts:
+        return  # an empty relation matches no atom
+    for state in Plan([(a.relation, a.bindings) for a in atoms], layouts).run(rows, {}):
         equalities = tuple(CondEq(null, other) for null, other in state.get(EQUALITIES, ()))
         condition = cond_and([state[k] for k in range(len(atoms))] + [equalities])
         yield condition, {v: c for v, c in state.items() if isinstance(v, Var)}
@@ -102,24 +98,23 @@ def _body_triggers(
 
 def _head_matched(
     store: RowIndex,
-    head: ConjunctiveQuery,
-    frontier: dict[Var, Cell],
+    head: Plan,
+    init: dict[Var, Cell],
     trigger_cond: Condition,
 ) -> bool:
-    """Whether the table already carries tuples witnessing the rule head.
+    """Whether the table already carries tuples witnessing the rule head,
+    matched by its plan from init.
 
     Only syntactically identical cells count, so a match that needs an
     equality is refused, and a used tuple's condition must be entailed by
     the trigger's; a False here merely adds a redundant tuple, which never
     changes the represented set's minimal members.
     """
-    patterns = [(a.relation, a.bindings) for a in head.atoms]
-    init = {v: frontier[v] for v in head.free}
 
     def witnessed(state: dict, k: int, pair: ConditionalRow) -> bool:
         return EQUALITIES not in state and condition_entails(trigger_cond, pair[1])
 
-    return any(True for _ in join(patterns, store, init, accept=witnessed))
+    return next(head.run(store, init, accept=witnessed), None) is not None
 
 
 def chase_safe_scope(
@@ -143,11 +138,13 @@ def chase_safe_scope(
             )
     store = RowIndex({rel: list(t.rows(rel)) for rel in t.schema.names}, paired=True)
     for tgd_idx, dep in enumerate(p.post):
+        atoms = dep.head.atoms
+        head = Plan([(a.relation, a.bindings) for a in atoms], [t.schema.layout(a.relation) for a in atoms])
         ordinal = 0
         for trigger_cond, frontier in _body_triggers(store, dep.body):
             if not condition_satisfiable(trigger_cond):
                 continue
-            if _head_matched(store, dep.head, frontier, trigger_cond):
+            if _head_matched(store, head, {v: frontier[v] for v in dep.head.free}, trigger_cond):
                 continue
             fresh = {
                 v: LabeledNull(f"p{step}_t{tgd_idx}_{ordinal}_{v.name}")
@@ -202,15 +199,6 @@ def apply_alter_schema(
     return ConditionalInstance.of(target, data)
 
 
-def _structural_preconditions(p: Procedure) -> list[StructureConstraint]:
-    data = [c for c in p.pre if not isinstance(c, StructureConstraint)]
-    if data:
-        raise UnsupportedPrecondition(
-            "outcome approximation handles structural preconditions only"
-        )
-    return [c for c in p.pre if isinstance(c, StructureConstraint)]
-
-
 def _require_classified(ps: Iterable[Procedure]) -> None:
     for p in ps:
         if classify(p) == NEITHER:
@@ -225,13 +213,11 @@ def _fold_step(
     """One step of a sequence whose procedures `_require_classified` passed."""
     if classify(p) == ALTER_SCHEMA:
         return apply_alter_schema(t, p, step=step)
-    structural = _structural_preconditions(p)
-    applicable = all(structure_holds(c, t.schema) for c in structural) and all(
-        is_compatible(q, t.schema) for q in p.safe
-    )
-    if not applicable:
-        return EMPTY
-    return chase_safe_scope(t, p, step=step)
+    if not all(isinstance(c, StructureConstraint) for c in p.pre):
+        raise UnsupportedPrecondition("outcome approximation handles structural preconditions only")
+    if all(structure_holds(c, t.schema) for c in p.pre) and all(is_compatible(q, t.schema) for q in p.safe):
+        return chase_safe_scope(t, p, step=step)
+    return EMPTY
 
 
 def approximate_outcomes(
@@ -394,18 +380,3 @@ def plan_search(
         if not frontier:
             break
     return None
-
-
-__all__ = [
-    "EMPTY",
-    "EmptyResult",
-    "approximate_outcomes",
-    "apply_alter_schema",
-    "canonical_table",
-    "certain_boolean_cq",
-    "chase_safe_scope",
-    "exact_scoped_representation",
-    "outcomes_nonempty",
-    "plan_search",
-    "ready_for",
-]

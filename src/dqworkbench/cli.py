@@ -143,14 +143,8 @@ Report = tuple[int, list[str], dict]
 
 
 def _cmd_validate(ws: Workspace, args) -> Report:
-    counts = {
-        "schemas": sorted(ws.schemas),
-        "instances": sorted(ws.instances),
-        "constraints": sorted(ws.constraints),
-        "procedures": sorted(ws.procedures),
-        "queries": sorted(ws.queries),
-        "sequences": sorted(ws.sequences),
-    }
+    kinds = ("schemas", "instances", "constraints", "procedures", "queries", "sequences")
+    counts = {kind: sorted(getattr(ws, kind)) for kind in kinds}
     summary = ", ".join(f"{len(names)} {kind}" for kind, names in counts.items())
     lines = [f"workspace OK: {summary}"]
     for kind, names in counts.items():
@@ -225,26 +219,19 @@ def _cmd_outcomes(ws: Workspace, args) -> Report:
     return EXIT_YES, lines, {"outcomes": True, "table": _table_json(result)}
 
 
+def _verdict(holds: bool, label: str, key: str) -> Report:
+    """A yes/no decision: its exit code, the line `label: yes` or `: no`, and `{key: holds}`."""
+    return EXIT_YES if holds else EXIT_NO, [f"{label}: {'yes' if holds else 'no'}"], {key: holds}
+
+
 def _cmd_nonempty(ws: Workspace, args) -> Report:
     instance = _pick(ws.instances, args.instance, "instance")
-    verdict = outcomes_nonempty(instance, _sequence(ws, args.seq))
-    word = "yes" if verdict else "no"
-    return (
-        EXIT_YES if verdict else EXIT_NO,
-        [f"outcomes exist: {word}"],
-        {"nonempty": verdict},
-    )
+    return _verdict(outcomes_nonempty(instance, _sequence(ws, args.seq)), "outcomes exist", "nonempty")
 
 
 def _cmd_ready(ws: Workspace, args) -> Report:
     instance = _pick(ws.instances, args.instance, "instance")
-    verdict = ready_for(instance, _sequence(ws, args.seq), _goal(ws, args.query))
-    word = "yes" if verdict else "no"
-    return (
-        EXIT_YES if verdict else EXIT_NO,
-        [f"ready: {word}"],
-        {"ready": verdict},
-    )
+    return _verdict(ready_for(instance, _sequence(ws, args.seq), _goal(ws, args.query)), "ready", "ready")
 
 
 def _cmd_plan(ws: Workspace, args) -> Report:

@@ -7,8 +7,9 @@ requirements, together with compatibility, evaluation, and satisfaction.
 Named atoms match by projection: an atom holds on a tuple when the tuple
 agrees with it on the named attributes, whatever else the tuple carries.
 
-`join` is the workbench's single matcher: an iterative depth-first search
-for a homomorphism from patterns into indexed rows (`RowIndex`). Query
+`Plan` is the workbench's single matcher: patterns compiled against
+row layouts, run as an iterative depth-first search for a homomorphism into
+indexed rows (`RowIndex`) on one state with a binding trail. Query
 evaluation and dependency checks here, the chase's body triggers and head
 checks, and conditional-table membership all run on it.
 """
@@ -16,8 +17,9 @@ checks, and conditional-table membership all run on it.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import DomainMismatch, Incompatible
 from .model import Distinct, Instance, LabeledNull, Row, Schema, Value, positions
@@ -327,6 +329,12 @@ class RowIndex:
                 index.setdefault(self._key(entry, at), []).append(entry)
         return index.get(key, ())
 
+    def layout(self, relation: str) -> tuple[str, ...] | None:
+        """The `attrs` of the relation's rows, off its first entry; None when it has none."""
+        for entry in self.entries[relation]:
+            return (entry[0] if self.paired else entry).attrs
+        return None
+
     def add(self, relation: str, entry) -> None:
         """Append an entry to a relation held as a list, keeping built indexes
         and `nullable` in step."""
@@ -340,114 +348,146 @@ class RowIndex:
 
 # relations this small are scanned: hashing a probe key costs more than the scan
 SCAN_BELOW = 8
-# the state key under which `join` records the equalities a match needs
+# the state key under which a plan records the equalities a match needs
 EQUALITIES = "="
 _SKIP = object()
 
 
-def join(
-    patterns: Sequence[tuple[str, tuple[tuple[str, object], ...]]],
-    rows: RowIndex,
-    init: dict,
-    *,
-    accept: Callable | None = None,
-    skip: Callable | None = None,
-) -> Iterator[dict]:
-    """Every state reached from init by matching each pattern to one entry.
+class Plan:
+    """Patterns compiled against row layouts: per pattern (relation,
+    bindings), its relation and each bound term paired with its position in
+    the rows' `attrs`, in attribute order."""
 
-    Depth first, on an explicit stack. A pattern is (relation, bindings);
-    a bound term is a constant if it is a Value, else a variable, and its
-    attribute is read by its position in the rows' `attrs`. A state
-    maps each variable to its cell, holds under EQUALITIES the tuple of
-    (null, other) equalities the match needs, if any, and, for a paired
-    index, holds under each matched position k its entry's payload. States
-    are never mutated once built.
+    __slots__ = ("levels",)
 
-    A term matches a cell equal to its constant or to its variable's cell.
-    Where the two differ but one is a labeled null, the match holds under
-    their equality, which the state records. A probe pins an attribute
-    only to a Value, and only on a column without labeled nulls.
-    `accept(state, k, entry)` may veto a match of pattern k. When pattern
-    k's candidates run out, `skip(state, k)` lets the search pass pattern k
-    unmatched.
-    """
-    if not patterns:
-        yield init
-        return
-    last = len(patterns) - 1
-    paired = rows.paired
-    nullable = rows.nullable
-    # pattern k's bindings as (position, term) pairs, once its relation has rows
-    slots: list = [None] * len(patterns)
+    def __init__(self, patterns: Iterable, layouts: Iterable[tuple[str, ...]]):
+        self.levels = [
+            (relation, tuple([(positions(layout)[attr], term) for attr, term in bindings]))
+            for (relation, bindings), layout in zip(patterns, layouts)
+        ]
 
-    def candidates(k: int, state: dict) -> Iterator:
-        relation, bindings = patterns[k]
-        found = rows.entries[relation]
-        if found and slots[k] is None:
-            first = next(iter(found))
-            at = positions((first[0] if paired else first).attrs)
-            slots[k] = tuple([(at[attr], term) for attr, term in bindings])
-        if found and len(found) >= SCAN_BELOW:
-            at, key = [], []
-            for pos, term in slots[k]:
-                value = term if isinstance(term, Value) else state.get(term)
-                if isinstance(value, Value) and (relation, pos) not in nullable:
-                    at.append(pos)
-                    key.append(value)
-            found = rows.candidates(relation, tuple(at), tuple(key))
-        return iter(found) if skip is None else chain(found, (_SKIP,))
+    def run(
+        self, rows: RowIndex, init: dict, accept: Callable | None = None, skip: Callable | None = None
+    ) -> Iterator[dict]:
+        """Every state reached from init by matching each pattern to one entry.
 
-    stack = [(candidates(0, init), init)]
-    while stack:
-        entries, state = stack[-1]
-        k = len(stack) - 1
-        bindings = slots[k]
-        for entry in entries:
-            if entry is _SKIP:
-                if not skip(state, k):
-                    continue
-                new = state
-            else:
-                new = state
-                values = (entry[0] if paired else entry).values
-                for pos, term in bindings:
-                    cell = values[pos]
-                    if isinstance(term, Value):
-                        bound = term
-                    else:
-                        bound = new.get(term)
-                        if bound is None:
-                            if new is state:
-                                new = dict(state)
-                            new[term] = cell
-                            continue
-                    if bound == cell:
+        Depth first, on an explicit stack, with one state dict. A bound term
+        is a constant if it is a Value, else a variable. A state maps each
+        variable to its cell, holds under EQUALITIES the tuple of (null,
+        other) equalities the match needs, if any, and, for a paired index,
+        holds under each matched position k its entry's payload.
+
+        A term matches a cell equal to its constant or to its variable's
+        cell. Where the two differ but one is a labeled null, the match
+        holds under their equality, which the state records. A probe pins
+        an attribute only to a Value, and only on a column without labeled
+        nulls (`RowIndex.nullable`, empty for an instance).
+
+        The state is live: each level writes its variables, its payload and
+        the grown EQUALITIES, and a trail undoes them when the search leaves
+        the level. `accept(state, k, entry)`, which may veto a match of
+        pattern k, `skip(state, k)`, which lets the search pass pattern k
+        unmatched once its candidates run out, and the caller of each
+        yielded state see that live state and must only read it; a caller
+        keeps a state past its next step of the search by copying it.
+        """
+        levels, paired, nullable = self.levels, rows.paired, rows.nullable
+        state = dict(init)
+        if not levels:
+            yield state
+            return
+        last = len(levels) - 1
+        # per level, None or what it wrote (see `_unify`)
+        trail: list = [None] * len(levels)
+
+        def candidates(k: int) -> Iterator:
+            relation, slots = levels[k]
+            found = rows.entries[relation]
+            if len(found) >= SCAN_BELOW:
+                pinned, key = [], []
+                for pos, term in slots:
+                    value = term if term.__class__ is Value else state.get(term)
+                    if value.__class__ is Value and (relation, pos) not in nullable:
+                        pinned.append(pos)
+                        key.append(value)
+                found = rows.candidates(relation, tuple(pinned), tuple(key))
+            return iter(found) if skip is None else chain(found, (_SKIP,))
+
+        def undo(k: int) -> None:
+            bound, old = trail[k]
+            trail[k] = None
+            for var in bound:
+                del state[var]
+            if paired:
+                del state[k]
+            if old is None:
+                del state[EQUALITIES]
+            elif old:
+                state[EQUALITIES] = old
+
+        stack = [candidates(0)]
+        while stack:
+            k = len(stack) - 1
+            if trail[k] is not None:
+                undo(k)
+            slots = levels[k][1]
+            for entry in stack[k]:
+                if entry is _SKIP:
+                    if not skip(state, k):
                         continue
-                    if isinstance(bound, LabeledNull):
-                        eq = (bound, cell)
-                    elif isinstance(cell, LabeledNull):
-                        eq = (cell, bound)
-                    else:
-                        new = None
-                        break
-                    if new is state:
-                        new = dict(state)
-                    new[EQUALITIES] = new.get(EQUALITIES, ()) + (eq,)
-                if new is None:
+                else:
+                    trail[k] = _unify(slots, (entry[0] if paired else entry).values, state)
+                    if trail[k] is None:
+                        continue
+                    if paired:
+                        state[k] = entry[1]
+                    if accept is not None and not accept(state, k, entry):
+                        undo(k)
+                        continue
+                if k == last:
+                    yield state
+                    if trail[k] is not None:
+                        undo(k)
                     continue
-                if paired:
-                    if new is state:
-                        new = dict(state)
-                    new[k] = entry[1]
-                if accept is not None and not accept(new, k, entry):
-                    continue
-            if k == last:
-                yield dict(new) if new is state else new
-            else:
-                stack.append((candidates(k + 1, new), new))
+                stack.append(candidates(k + 1))
                 break
+            else:
+                stack.pop()
+
+
+def _unify(slots: tuple, values: tuple, state: dict) -> tuple | None:
+    """Match one row's cells to a level's (position, term) slots, binding
+    each unbound variable and growing EQUALITIES where a labeled null meets
+    a different cell. Returns what it wrote: the variables it bound and the
+    EQUALITIES it replaced (None if absent, False if untouched); None, with
+    nothing written, when two values differ."""
+    bound_here = []
+    eqs = ()
+    for pos, term in slots:
+        cell = values[pos]
+        if term.__class__ is Value:
+            bound = term
         else:
-            stack.pop()
+            bound = state.get(term)
+            if bound is None:
+                state[term] = cell
+                bound_here.append(term)
+                continue
+        if bound == cell:
+            continue
+        if bound.__class__ is LabeledNull:
+            eqs += ((bound, cell),)
+        elif cell.__class__ is LabeledNull:
+            eqs += ((cell, bound),)
+        else:
+            for var in bound_here:
+                del state[var]
+            return None
+    if not eqs:
+        return bound_here, False
+    old = state.get(EQUALITIES)
+    state[EQUALITIES] = (old or ()) + eqs
+    return bound_here, old
 
 
 def homomorphisms(
@@ -461,22 +501,74 @@ def homomorphisms(
 
     rows, when given, indexes i and is shared across calls on i.
     """
-    order = sorted(atoms, key=lambda a: len(i.rows(a.relation)))
-    yield from join(
-        [(a.relation, a.bindings) for a in order],
-        rows if rows is not None else RowIndex(i.data),
-        dict(init or {}),
-    )
+    atoms = tuple(atoms)
+    compiled = _Compiled(cq(atoms, existential={v for a in atoms for v in a.vars}), i.schema, frozenset())
+    for state in compiled.assignments(rows if rows is not None else RowIndex(i.data), dict(init or {})):
+        yield dict(state)
+
+
+class _Compiled:
+    """A conjunctive query compiled against one schema, with `bound` bound on
+    entry: its compatibility, the error a variable outside every relation
+    atom raises, the variables of its constant atoms, and one plan per order
+    of its relation atoms, fewest rows first, compiled on first use."""
+
+    __slots__ = ("compatible", "loose", "constant", "atoms", "layouts", "bound", "plans")
+
+    def __init__(self, q: ConjunctiveQuery, s: Schema, bound: frozenset):
+        self.compatible = is_compatible(q, s)
+        self.atoms = [a for a in q.atoms if isinstance(a, NamedAtom)]
+        loose = q.vars - bound - frozenset(v for a in self.atoms for v in a.vars)
+        self.loose = f"variables {sorted(v.name for v in loose)} occur in no relation atom" if loose else None
+        self.constant = tuple(a.variable for a in q.atoms if isinstance(a, ConstantAtom))
+        self.layouts = [s.layout(a.relation) for a in self.atoms] if self.compatible else None
+        self.bound = bound
+        self.plans: dict[tuple[int, ...], Plan] = {}
+
+    def assignments(self, rows: RowIndex, init: dict) -> Iterator[dict]:
+        """Live states (see `Plan.run`) extending init, which binds `bound`,
+        that match the relation atoms against rows and send each variable of
+        a constant atom to a constant. Raises Incompatible when a variable
+        is neither bound nor in a relation atom."""
+        if self.loose:
+            raise Incompatible(self.loose)
+        atoms, entries = self.atoms, rows.entries
+        if len(atoms) > 1:
+            order = tuple(sorted(range(len(atoms)), key=lambda k: len(entries[atoms[k].relation])))
+        else:
+            order = (0,)[: len(atoms)]
+        plan = self.plans.get(order)
+        if plan is None:
+            plan = self.plans[order] = Plan(
+                [(atoms[k].relation, atoms[k].bindings) for k in order], [self.layouts[k] for k in order]
+            )
+        if not self.constant:
+            return plan.run(rows, init)
+        return (h for h in plan.run(rows, init) if all(h[v].is_constant for v in self.constant))
+
+
+@cache
+def _compiled(c: Union[ConjunctiveQuery, Tgd, Egd], s: Schema):
+    """c compiled against s, on first use: a query's `_Compiled`, or a
+    dependency's body and tgd head (None for an egd), the body carrying the
+    dependency's compatibility and the head binding on entry the variables
+    it shares with the body. Kept for the run: one entry per query or
+    dependency and schema that the run checks."""
+    if isinstance(c, ConjunctiveQuery):
+        return _Compiled(c, s, frozenset())
+    body = _Compiled(c.body, s, frozenset())
+    body.compatible = is_compatible(c, s)
+    return body, (_Compiled(c.head, s, c.head.vars & c.body.vars) if isinstance(c, Tgd) else None)
 
 
 def evaluate_query(q: Query, i: Instance) -> frozenset[tuple[Value, ...]]:
     """Answer set as unnamed value tuples; raises Incompatible on schema mismatch."""
-    if not is_compatible(q, i.schema):
+    compiled = _compiled(q, i.schema) if isinstance(q, ConjunctiveQuery) else None
+    if not (compiled.compatible if compiled else is_compatible(q, i.schema)):
         raise Incompatible(f"query is not compatible with schema {i.schema.names}")
-    if isinstance(q, ConjunctiveQuery):
-        return frozenset(
-            tuple(h[v] for v in q.free) for h in _assignments(q, i, RowIndex(i.data))
-        )
+    if compiled:
+        free = q.free
+        return frozenset(tuple([h[v] for v in free]) for h in compiled.assignments(RowIndex(i.data), {}))
     if isinstance(q, TotalQuery):
         answers: set[tuple[Value, ...]] = {()}
         for r in q.relations:
@@ -490,24 +582,6 @@ def evaluate_query(q: Query, i: Instance) -> frozenset[tuple[Value, ...]]:
     raise TypeError(f"cannot evaluate {type(q).__name__}")
 
 
-def _assignments(
-    q: ConjunctiveQuery, i: Instance, rows: RowIndex, init: Mapping[Var, Value] | None = None
-) -> Iterator[dict[Var, Value]]:
-    """The assignments extending init that match q's relation atoms against
-    rows of i and send each variable of a constant atom to a constant.
-
-    Raises Incompatible when a variable is neither in init nor in a
-    relation atom."""
-    named = [a for a in q.atoms if isinstance(a, NamedAtom)]
-    loose = q.vars - frozenset(init or ()) - frozenset(v for a in named for v in a.vars)
-    if loose:
-        raise Incompatible(f"variables {sorted(v.name for v in loose)} occur in no relation atom")
-    constant = [a.variable for a in q.atoms if isinstance(a, ConstantAtom)]
-    for h in homomorphisms(named, i, init, rows=rows):
-        if all(h[v].is_constant for v in constant):
-            yield h
-
-
 def structure_holds(c: StructureConstraint, s: Schema) -> bool:
     if not s.defines(c.relation):
         return False
@@ -515,23 +589,21 @@ def structure_holds(c: StructureConstraint, s: Schema) -> bool:
 
 
 def satisfies(c: Constraint, i: Instance, s: Schema | None = None) -> bool:
-    """Constraint satisfaction; structure constraints read the schema only."""
-    s = s if s is not None else i.schema
+    """Constraint satisfaction. A structure constraint reads only the schema,
+    s or else i's; a dependency reads i."""
     if isinstance(c, StructureConstraint):
-        return structure_holds(c, s)
-    if not is_compatible(c, s):
-        raise Incompatible(
-            f"dependency references relations or attributes outside {s.names}"
-        )
+        return structure_holds(c, s if s is not None else i.schema)
+    if not isinstance(c, (Tgd, Egd)):
+        raise TypeError(f"cannot check satisfaction of {type(c).__name__}")
+    body, head = _compiled(c, i.schema)
+    if not body.compatible:
+        raise Incompatible(f"dependency references relations or attributes outside {i.schema.names}")
     rows = RowIndex(i.data)
-    if isinstance(c, Tgd):
-        head_vars = c.head.vars
-        return all(
-            any(True for _ in _assignments(c.head, i, rows, {v: tau[v] for v in head_vars if v in tau}))
-            for tau in _assignments(c.body, i, rows)
-        )
-    if isinstance(c, Egd):
+    if head is None:
         x, y = c.equated
-        return all(tau[x] == tau[y] for tau in _assignments(c.body, i, rows))
-    raise TypeError(f"cannot check satisfaction of {type(c).__name__}")
-
+        return all(tau[x] == tau[y] for tau in body.assignments(rows, {}))
+    shared = head.bound
+    for tau in body.assignments(rows, {}):
+        if next(head.assignments(rows, {v: tau[v] for v in shared}), None) is None:
+            return False
+    return True

@@ -22,7 +22,7 @@ import itertools
 from collections import namedtuple
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
-from .constraints import RowIndex, join
+from .constraints import Plan, RowIndex
 from .errors import DomainMismatch, Meter, PartialValuation
 from .model import (
     CONST,
@@ -198,21 +198,16 @@ class ConditionalInstance(Distinct, namedtuple("ConditionalInstance", "schema da
         raise KeyError(relation)
 
     def nulls(self) -> frozenset[LabeledNull]:
-        out: set[LabeledNull] = set()
-        for _, pairs in self.data:
-            for row, cond in pairs:
-                out.update(c for c in row.values if isinstance(c, LabeledNull))
-                for eq in cond:
-                    out.update(n for n in (eq.left, eq.right) if isinstance(n, LabeledNull))
-        return frozenset(out)
+        return frozenset(
+            c for _, pairs in self.data for row, cond in pairs
+            for c in itertools.chain(row.values, *cond) if isinstance(c, LabeledNull)
+        )
 
     def constants(self) -> frozenset[Value]:
-        out: set[Value] = set()
-        for _, pairs in self.data:
-            for row, cond in pairs:
-                out |= {c for c in row.values if isinstance(c, Value)}
-                out |= {eq.right for eq in cond if isinstance(eq.right, Value)}
-        return frozenset(out)
+        return frozenset(
+            c for _, pairs in self.data for row, cond in pairs
+            for c in itertools.chain(row.values, *cond) if isinstance(c, Value)
+        )
 
     def total_size(self) -> int:
         return sum(len(pairs) for _, pairs in self.data)
@@ -235,13 +230,7 @@ def apply_valuation(t: ConditionalInstance, v: Valuation) -> Instance:
         raise PartialValuation(
             f"valuation misses nulls {sorted(n.id for n in missing)}"
         )
-    data: dict[str, set[Row]] = {}
-    for rel, pairs in t.data:
-        rows: set[Row] = set()
-        for row, cond in pairs:
-            if cond_eval(cond, v) is True:
-                rows.add(map_cells(row, v))
-        data[rel] = rows
+    data = {rel: {map_cells(r, v) for r, c in pairs if cond_eval(c, v) is True} for rel, pairs in t.data}
     return Instance.built(t.schema, data)
 
 
@@ -263,20 +252,6 @@ def fresh_null_valuation(
     values and avoid."""
     nulls = sorted(t.nulls())
     return dict(zip(nulls, _fresh_values(len(nulls), t.constants() | avoid, NULL)))
-
-
-def _completions(
-    nulls: list[LabeledNull],
-    pool: list[Value],
-    base: dict[LabeledNull, Value],
-) -> Iterator[dict[LabeledNull, Value]]:
-    if not nulls:
-        yield dict(base)
-        return
-    for combo in itertools.product(pool, repeat=len(nulls)):
-        v = dict(base)
-        v.update(zip(nulls, combo))
-        yield v
 
 
 def _rep_witness(
@@ -322,7 +297,8 @@ def _rep_witness(
     def complete_and_check(v: dict[LabeledNull, Value]) -> dict[LabeledNull, Value] | None:
         remaining = sorted(nulls - frozenset(v))
         pool = pool_base + _fresh_values(len(remaining), taken)
-        for full in _completions(remaining, pool, v):
+        for combo in itertools.product(pool, repeat=len(remaining)):
+            full = v | dict(zip(remaining, combo))
             meter.tick()
             if verify(full):
                 return full
@@ -337,8 +313,11 @@ def _rep_witness(
         cond = pairs[k][2]
         return bool(cond) and cond_eval(cond, v) is not True
 
-    patterns = [(rel, tuple(zip(row.attrs, row.values))) for rel, row, _ in pairs]
-    for v in join(patterns, RowIndex(i.data), {}, accept=consistent, skip=may_drop):
+    plan = Plan(
+        [(rel, tuple(zip(row.attrs, row.values))) for rel, row, _ in pairs],
+        [i.schema.layout(rel) for rel, _, _ in pairs],
+    )
+    for v in plan.run(RowIndex(i.data), {}, accept=consistent, skip=may_drop):
         found = complete_and_check(v)
         if found is not None:
             return found
@@ -387,11 +366,7 @@ def _canonical_valuations(
             if len(set(chosen_constants)) != len(chosen_constants):
                 continue
             meter.tick()
-            v: dict[LabeledNull, Value] = {}
-            for block, value in zip(blocks, combo):
-                for n in block:
-                    v[n] = value
-            yield v
+            yield {n: value for block, value in zip(blocks, combo) for n in block}
 
 
 def _strictly_dominated(t: ConditionalInstance, j: Instance) -> bool:

@@ -848,9 +848,7 @@ def serialize_workspace(ws: Workspace) -> str:
         lines.append("}")
         lines.append("")
     for name, c in ws.constraints.items():
-        kind = {Tgd: "tgd", Egd: "egd", StructureConstraint: "struct"}[type(c)]
-        body = _render_constraint(c)
-        body = body[len(kind) + 1 :]
+        kind, _, body = _render_constraint(c).partition(" ")
         lines.append(f"{kind} {name} : {body}")
     if ws.constraints:
         lines.append("")
@@ -1217,13 +1215,3 @@ def load_workspace(path: str) -> Workspace:
             raise WorkspaceSyntaxError(e.lineno, e.colno, f"json: {e.msg}")
         return workspace_from_json(obj)
     return parse_workspace(text)
-
-
-__all__ = [
-    "Workspace",
-    "load_workspace",
-    "parse_workspace",
-    "serialize_workspace",
-    "workspace_from_json",
-    "workspace_to_json",
-]

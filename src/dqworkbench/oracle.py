@@ -45,6 +45,7 @@ from .model import (
     active_domain,
     const,
     instance_extends,
+    map_cells,
     rename_values,
     with_cells,
 )
@@ -463,8 +464,34 @@ def minimal_outcomes(outcomes: Iterable[Instance]) -> frozenset[Instance]:
 
 
 def _rename_reserved(j: Instance, rigid: frozenset[Value]) -> Instance:
-    """Rename non-rigid reserved constants by first appearance, for comparison."""
-    return rename_values(j, lambda v: v not in rigid, "@x")
+    """Rename the non-rigid values to @x0, @x1, ..., alike for instances
+    equal up to renaming them, for comparison.
+
+    One such value or none is renamed by first appearance. More are ordered
+    by a name-blind invariant, each value's occurrences as (relation, row
+    with every non-rigid cell blanked, position), and values whose
+    invariants tie by the least image over their orders.
+    """
+    reserved = {v for _, rows in j.data for row in rows for v in row.values if v not in rigid}
+    if len(reserved) < 2:
+        return rename_values(j, lambda v: v not in rigid, "@x")
+    blank = Value("", "")
+    occurs: dict[Value, list] = {v: [] for v in reserved}
+    for rel, rows in j.data:
+        for row in rows:
+            shape = (rel, tuple([blank if v in reserved else v for v in row.values]))
+            for k, v in enumerate(row.values):
+                if v in reserved:
+                    occurs[v].append((shape, k))
+    invariant = {v: sorted(found) for v, found in occurs.items()}
+    ties = [list(g) for _, g in itertools.groupby(sorted(reserved, key=invariant.get), invariant.get)]
+
+    def image(order) -> Instance:
+        names = {v: const(f"@x{k}") for k, v in enumerate(itertools.chain.from_iterable(order))}
+        data = {rel: {map_cells(row, names) for row in rows} for rel, rows in j.data}
+        return Instance.built(j.schema, data)
+
+    return min(map(image, itertools.product(*map(itertools.permutations, ties))), key=_instance_sort_key)
 
 
 class ChaseComparison(NamedTuple):
@@ -487,7 +514,8 @@ def compare_with_chase(i: Instance, ps: Sequence[Procedure], b: Budget) -> Chase
 
     missing lists budgeted outcomes the chase table fails to represent;
     the minimal sections list minimal instances present on one side only,
-    compared after renaming reserved constants by first appearance.
+    compared after the canonical renaming of reserved constants
+    (`_rename_reserved`).
 
     Every outcome has a minimal outcome inside it, and the set an unscoped
     table represents is upward closed (`rep_contains`), so missing is empty
@@ -524,13 +552,3 @@ def compare_with_chase(i: Instance, ps: Sequence[Procedure], b: Budget) -> Chase
             sorted(chase_min - oracle_min, key=_instance_sort_key)
         ),
     )
-
-
-__all__ = [
-    "Budget",
-    "ChaseComparison",
-    "compare_with_chase",
-    "constraint_constants",
-    "enumerate_outcomes",
-    "minimal_outcomes",
-]

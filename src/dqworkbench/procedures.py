@@ -292,10 +292,6 @@ def possible_outcome_report(
     return OutcomeReport(inputs.applicable, not post, not residual, not safety, tuple(failures))
 
 
-def _tgds_of(p: Procedure) -> list[Tgd]:
-    return [c for c in p.post if isinstance(c, Tgd)]
-
-
 def head_relations(d: Tgd) -> frozenset[str]:
     return frozenset(a.relation for a in d.head.atoms if isinstance(a, NamedAtom))
 
@@ -346,7 +342,7 @@ def is_safe_sequence(ps: Sequence[Procedure]) -> bool:
         if kind == NEITHER:
             return False
         if kind == SAFE_SCOPE:
-            reads = frozenset(r for d in _tgds_of(p) for r in body_relations(d))
+            reads = frozenset(r for d in p.post for r in body_relations(d))
             if reads & earlier:
                 return False
             earlier |= scope_relations(p)
@@ -419,18 +415,9 @@ def _template_attribute_copy(params: Mapping) -> Procedure:
     src_z = NamedAtom.of(source, {**key_vars, attr: z})
     src_w = NamedAtom.of(source, {**key_vars, attr: w})
     tgt_w = NamedAtom.of(target, {**key_vars, attr: w})
-    functional = Egd(
-        ConjunctiveQuery(
-            (src_z, src_w), tuple(sorted(key_vars.values())) + (w, z), frozenset()
-        ),
-        (z, w),
-    )
-    copied = Egd(
-        ConjunctiveQuery(
-            (src_z, tgt_w), tuple(sorted(key_vars.values())) + (w, z), frozenset()
-        ),
-        (z, w),
-    )
+    free = tuple(sorted(key_vars.values())) + (w, z)
+    functional = Egd(ConjunctiveQuery((src_z, src_w), free, frozenset()), (z, w))
+    copied = Egd(ConjunctiveQuery((src_z, tgt_w), free, frozenset()), (z, w))
     return Procedure.of(
         scope=[StructureConstraint.of(target, [attr])],
         pre=[

@@ -15,6 +15,10 @@ so that tests can compare queries up to atom order and variable names.
 `body_triggers` matches a chase rule body against a conditional table by
 brute force, one table pair per atom, where a labeled null matches any
 cell under the equality of the two.
+
+`satisfies_by_product` decides a tgd or an egd on an instance by the
+literal product of one row per relation atom, with its own compatibility
+test, for comparison with `constraints.satisfies`.
 """
 
 from __future__ import annotations
@@ -27,13 +31,16 @@ from dqworkbench.constraints import (
     Atom,
     ConjunctiveQuery,
     ConstantAtom,
+    Egd,
     NamedAtom,
     StructureConstraint,
     Term,
+    Tgd,
     Var,
 )
 from dqworkbench.ctables import CondEq, ConditionalInstance, cond_and
-from dqworkbench.model import LabeledNull, Schema, Value, first_appearance
+from dqworkbench.errors import Incompatible
+from dqworkbench.model import Instance, LabeledNull, Schema, Value, first_appearance
 from dqworkbench.procedures import residual_atoms
 
 
@@ -109,3 +116,40 @@ def body_triggers(t: ConditionalInstance, body: ConjunctiveQuery) -> Counter:
             condition = cond_and([cond for _, cond in pairs] + [tuple(literals)])
             found[(condition, frozenset(h.items()))] += 1
     return found
+
+
+def product_assignments(q: ConjunctiveQuery, i: Instance, init: dict) -> Iterable[dict]:
+    """Every extension of init that sends each relation atom of q onto one row
+    of i, by projection, and each variable of a constant atom to a constant:
+    one per row combination of the literal product."""
+    named = [a for a in q.atoms if isinstance(a, NamedAtom)]
+    for rows in itertools.product(*(sorted(i.rows(a.relation)) for a in named)):
+        h = dict(init)
+        ok = True
+        for atom, row in zip(named, rows):
+            for attr, term in atom.bindings:
+                expected = h.setdefault(term, row.cell(attr)) if isinstance(term, Var) else term
+                ok = ok and row.cell(attr) == expected
+        if ok and all(h[a.variable].is_constant for a in q.atoms if isinstance(a, ConstantAtom)):
+            yield h
+
+
+def satisfies_by_product(c: Tgd | Egd, i: Instance) -> bool:
+    """Whether i satisfies the dependency, every body match found by the
+    product; raises Incompatible when an atom names a relation or an
+    attribute outside i's schema."""
+    queries = (c.body, c.head) if isinstance(c, Tgd) else (c.body,)
+    for q in queries:
+        for a in q.atoms:
+            if isinstance(a, NamedAtom) and not (
+                i.schema.defines(a.relation) and a.attrs <= i.schema.attrs(a.relation)
+            ):
+                raise Incompatible(f"{a.relation} does not fit the schema")
+    for tau in product_assignments(c.body, i, {}):
+        if isinstance(c, Egd):
+            x, y = c.equated
+            if tau[x] != tau[y]:
+                return False
+        elif not any(True for _ in product_assignments(c.head, i, {v: tau[v] for v in c.head.vars if v in tau})):
+            return False
+    return True

@@ -2,8 +2,8 @@
 schema growth, compare's derived missing section against the literal
 membership check, enumerator/checker agreement, fold reproducibility,
 certainty against the minimal-member enumeration, workspace format
-round-trips, the matcher and the chase's body triggers against brute-force
-references, the residual clause against the joint residual query, the
+round-trips, the matcher, dependency satisfaction and the chase's body
+triggers against brute-force references, the residual clause against the joint residual query, the
 workspace lexer against the reference tokenizer, size-ordered minimality
 and the oracle's up-front meter against the all-pairs test and the
 candidate totals they replace, the oracle's staged clause checks against
@@ -64,6 +64,7 @@ from dqworkbench.constraints import (
     evaluate_query,
     homomorphisms,
     is_compatible,
+    satisfies,
 )
 from dqworkbench.ctables import (
     TRUE,
@@ -122,7 +123,7 @@ from dqworkbench.procedures import (
 
 from . import reference_oracle, reference_tokenizer
 from .conftest import boolean_cq, open_cq
-from .reference_queries import body_triggers, residual_query
+from .reference_queries import body_triggers, residual_query, satisfies_by_product
 from .test_dsl import FIG1, workspace_st
 from .test_oracle import inclusion_tgd, rt_instance
 from .test_procedures import schema_and_scope
@@ -144,6 +145,8 @@ JSON_MUTATION_EXAMPLES = 150
 SECTION_EXAMPLES = 400
 UPWARD_CLOSURE_EXAMPLES = 150
 DERIVED_MISSING_EXAMPLES = 150
+SATISFIES_EXAMPLES = 200
+RESERVED_RENAMING_EXAMPLES = 200
 
 # The candidates the literal enumerator charges for Figure 1's `migrate,
 # migrate` with budget extra=1,tuples=1: the total the per-candidate meter
@@ -558,6 +561,99 @@ def test_body_triggers_match_brute_force(t, atoms, scan_below):
         lambda: Counter((c, frozenset(f.items())) for c, f in _body_triggers(rows, body)),
     )
     assert found == body_triggers(t, body)
+
+
+# --- dependency satisfaction against the product of rows ---------------------
+
+# a head may add this existential variable to the body's
+HEAD_VARS = VARS + (Var("w"),)
+# atoms over these relations and attributes leave REP_SCHEMA: incompatible
+STRAY_ATOMS = (("R", "b"), ("U", "a"))
+
+
+@st.composite
+def small_instance_st(draw) -> Instance:
+    data = {}
+    for rel in REP_SCHEMA.names:
+        attrs = sorted(REP_SCHEMA.attrs(rel))
+        cells = st.tuples(*(st.sampled_from(VALUES) for _ in attrs))
+        data[rel] = {Row.of(dict(zip(attrs, c))) for c in draw(st.lists(cells, min_size=1, max_size=6))}
+    return Instance.of(REP_SCHEMA, data)
+
+
+@st.composite
+def conjunction_st(draw, terms, size: tuple[int, int], stray: bool) -> list:
+    """Relation atoms over REP_SCHEMA with terms drawn from `terms` and VALUES,
+    plus, with `stray`, one atom that leaves it; then constancy tests on
+    some of their variables."""
+    atoms = []
+    for _ in range(draw(st.integers(*size))):
+        rel = draw(st.sampled_from(REP_SCHEMA.names))
+        named = draw(st.lists(st.sampled_from(sorted(REP_SCHEMA.attrs(rel))), min_size=1, unique=True))
+        # variables twice as often as values, so that bodies match now and then
+        term = st.sampled_from(terms + terms + VALUES)
+        atoms.append(NamedAtom.of(rel, {a: draw(term) for a in named}))
+    if stray:
+        rel, attr = draw(st.sampled_from(STRAY_ATOMS))
+        atoms.append(NamedAtom.of(rel, {attr: draw(st.sampled_from(terms))}))
+    bound = sorted({v for a in atoms for v in a.vars})
+    tested = draw(st.lists(st.sampled_from(bound), unique=True, max_size=2)) if bound else []
+    return atoms + [ConstantAtom(v) for v in tested]
+
+
+@st.composite
+def dependency_st(draw):
+    """A tgd or an egd over REP_SCHEMA: bodies of one to three atoms with
+    constants, repeated variables and constancy tests, tgd heads with an
+    existential variable now and then, and one in five out of the schema."""
+    stray = draw(st.integers(0, 4)) == 0
+    in_head = stray and draw(st.booleans())
+    atoms = draw(conjunction_st(VARS, (1, 3), stray and not in_head))
+    body_vars = sorted({v for a in atoms for v in a.vars})
+    body = cq(atoms, free=body_vars)
+    if len(body_vars) > 1 and draw(st.booleans()):
+        return Egd(body, tuple(draw(st.permutations(body_vars))[:2]))
+    head_atoms = draw(conjunction_st(HEAD_VARS, (1, 2), in_head))
+    head_vars = {v for a in head_atoms for v in a.vars}
+    free = sorted(head_vars & set(body_vars))
+    return Tgd(body, cq(head_atoms, free=free, existential=head_vars - set(free)))
+
+
+@settings(max_examples=SATISFIES_EXAMPLES, deadline=None)
+@given(c=dependency_st(), i=small_instance_st(), scan_below=scan_below_st)
+def test_satisfies_matches_brute_force(c, i, scan_below):
+    try:
+        expected = satisfies_by_product(c, i)
+    except Incompatible:
+        with pytest.raises(Incompatible):
+            _with_scan_below(scan_below, lambda: satisfies(c, i))
+        return
+    assert _with_scan_below(scan_below, lambda: satisfies(c, i)) == expected
+
+
+# --- reserved values renamed alike up to renaming ----------------------------
+
+RIGID = CONSTS[:2]
+RESERVED = tuple(const(f"@c{k}") for k in range(3))
+
+
+@settings(max_examples=RESERVED_RENAMING_EXAMPLES, deadline=None)
+@given(data=st.data(), swap=st.permutations(RESERVED))
+def test_reserved_renaming_is_invariant_under_permuting_the_reserved_values(data, swap):
+    cells = st.sampled_from(RIGID + RESERVED)
+    rows = {}
+    for rel in REP_SCHEMA.names:
+        attrs = sorted(REP_SCHEMA.attrs(rel))
+        drawn = data.draw(st.lists(st.tuples(*(cells for _ in attrs)), max_size=5), label=rel)
+        rows[rel] = {Row(tuple(attrs), values) for values in drawn}
+    j = Instance.of(REP_SCHEMA, rows)
+    renaming = dict(zip(RESERVED, swap))
+    swapped = Instance.of(
+        REP_SCHEMA,
+        {rel: {Row(r.attrs, tuple(renaming.get(v, v) for v in r.values)) for r in rs} for rel, rs in rows.items()},
+    )
+    rigid = frozenset(RIGID)
+    assert oracle_mod._rename_reserved(j, rigid) == oracle_mod._rename_reserved(swapped, rigid)
 
 
 # --- the residual clause against the joint residual query --------------------

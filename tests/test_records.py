@@ -223,8 +223,31 @@ def _new_modules(code: str) -> set[str]:
     return set(out.split())
 
 
+# what `import dqworkbench.cli` adds to a bare interpreter: matching is
+# compiled on first use, so importing loads nothing more
+CLI_IMPORTS = {
+    "__future__", "_json", "argparse", "gettext", "json", "json.decoder", "json.encoder",
+    "json.scanner", "dqworkbench", "dqworkbench.analyzer", "dqworkbench.chase",
+    "dqworkbench.cli", "dqworkbench.constraints", "dqworkbench.ctables", "dqworkbench.dsl",
+    "dqworkbench.errors", "dqworkbench.model", "dqworkbench.procedures",
+}
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_oracle():
     # against a bare interpreter, so what site's .pth files import does not count
     added = _new_modules("import dqworkbench.cli") - _new_modules("")
     assert "dqworkbench.cli" in added
     assert not {"dataclasses", "inspect", "dqworkbench.oracle"} & added
+    assert added <= CLI_IMPORTS
+
+
+def test_cli_import_compiles_no_plan():
+    code = "import dqworkbench.cli\nfrom dqworkbench import constraints\nprint(constraints._compiled.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    ).stdout
+    assert out.split() == ["0"]

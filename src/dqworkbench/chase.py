@@ -10,7 +10,6 @@ scoped reading of the table captures the outcome set precisely.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .analyzer import Failure, min_schema
@@ -39,10 +38,8 @@ from .ctables import (
     apply_valuation,
     cond_and,
     condition_entails,
-    condition_nulls,
     condition_satisfiable,
     fresh_null_valuation,
-    shape_key,
 )
 from .errors import (
     Incompatible,
@@ -52,7 +49,7 @@ from .errors import (
     UnsupportedClass,
     UnsupportedPrecondition,
 )
-from .model import Instance, Row, first_appearance, map_cells, with_cells
+from .model import Instance, Row, canonical_names, map_cells, with_cells
 from .procedures import (
     ALTER_SCHEMA,
     NEITHER,
@@ -304,31 +301,20 @@ def ready_for(i: Instance, ps: Sequence[Procedure], q: ConjunctiveQuery) -> bool
 
 
 def canonical_table(t: ConditionalInstance) -> ConditionalInstance:
-    """Rename labeled nulls by first appearance, for state comparison.
-
-    The pairs are read in `shape_key` order, so the numbering does not
-    depend on the names the nulls had."""
-    rename = first_appearance(
-        (
-            c
-            for rel in t.schema.names
-            for row, cond in sorted(t.rows(rel), key=shape_key)
-            for c in chain(row.values, condition_nulls(cond))
-        ),
-        lambda c: isinstance(c, LabeledNull),
+    """Rename the labeled nulls of rows and conditions to ?c000, ?c001, ...,
+    alike for tables equal up to renaming them (`model.canonical_names`),
+    for state comparison."""
+    rename = canonical_names(
+        ((rel, row.values, cond) for rel, pairs in t.data for row, cond in pairs),
+        lambda c: c.__class__ is LabeledNull,
         lambda k: LabeledNull(f"c{k:03d}"),
     )
-    if not rename:
-        return t
     data = {
         rel: [
-            (
-                map_cells(row, rename),
-                tuple(CondEq(rename[eq.left], rename.get(eq.right, eq.right)) for eq in cond),
-            )
-            for row, cond in t.rows(rel)
+            (map_cells(row, rename), tuple(CondEq(rename[eq.left], rename.get(eq.right, eq.right)) for eq in cond))
+            for row, cond in pairs
         ]
-        for rel in t.schema.names
+        for rel, pairs in t.data
     }
     return ConditionalInstance.of(t.schema, data)
 

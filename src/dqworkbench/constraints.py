@@ -490,6 +490,7 @@ def _unify(slots: tuple, values: tuple, state: dict) -> tuple | None:
     return bound_here, old
 
 
+# no command calls it, but `bench/tracing.py` counts it by name, so it stays here and not in the tests
 def homomorphisms(
     atoms: Iterable[NamedAtom],
     i: Instance,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .constraints import Plan, RowIndex
 from .errors import DomainMismatch, Meter, PartialValuation
@@ -35,10 +35,10 @@ from .model import (
     Schema,
     Value,
     active_domain,
+    canonical_names,
     check_relations,
     instance_extends,
     map_cells,
-    rename_values,
     schema_extends,
 )
 
@@ -68,13 +68,6 @@ TRUE: Condition = ()
 
 def cond_and(items: Iterable[Condition]) -> Condition:
     return tuple(dict.fromkeys(eq for c in items for eq in c))
-
-
-def condition_nulls(c: Condition) -> tuple[LabeledNull, ...]:
-    """The nulls a condition mentions, once each, in order of first appearance."""
-    return tuple(
-        dict.fromkeys(n for eq in c for n in (eq.left, eq.right) if isinstance(n, LabeledNull))
-    )
 
 
 def cond_eval(c: Condition, v: Mapping[LabeledNull, Value]) -> bool | None:
@@ -130,10 +123,10 @@ def render_condition(c: Condition) -> str:
     return " and ".join(f"{eq.left.render()} = {eq.right.render()}" for eq in c)
 
 
-def _cond_key(c: Condition, cell: Callable[[Cell], tuple]) -> tuple:
+def _cond_key(c: Condition) -> tuple:
     # true sorts before a single equality, and that before a conjunction:
     # the order text and JSON output list a row's conditions in
-    keys = tuple(("1eq", cell(eq.left), cell(eq.right)) for eq in c)
+    keys = tuple(("1eq", cell_key(eq.left), cell_key(eq.right)) for eq in c)
     if len(keys) == 1:
         return keys[0]
     return ("3and", keys) if keys else ("0true",)
@@ -142,19 +135,9 @@ def _cond_key(c: Condition, cell: Callable[[Cell], tuple]) -> tuple:
 ConditionalRow = tuple[Row, Condition]
 
 
-def _pair_key(pair: ConditionalRow, cell: Callable[[Cell], tuple] = cell_key) -> tuple:
+def _pair_key(pair: ConditionalRow) -> tuple:
     row, cond = pair
-    return (tuple([cell(c) for c in row.values]), _cond_key(cond, cell))
-
-
-def _cell_shape(c: Cell) -> tuple:
-    return ("null", "", "") if isinstance(c, LabeledNull) else cell_key(c)
-
-
-def shape_key(pair: ConditionalRow) -> tuple:
-    """`_pair_key` with the null ids left out: an order that renaming the
-    nulls cannot change."""
-    return _pair_key(pair, _cell_shape)
+    return (tuple([cell_key(c) for c in row.values]), _cond_key(cond))
 
 
 class ConditionalInstance(Distinct, namedtuple("ConditionalInstance", "schema data")):
@@ -395,15 +378,20 @@ def enumerate_minimal(
     Valuations are enumerated canonically: each way of grouping the nulls
     into equality classes, with each class either identified with one of the
     table's own values or of the given constants, or sent to a reserved
-    fresh constant. The images that no other valuation image strictly
-    undercuts are the minimal ones; every represented instance extends one
-    of them up to renaming of the constants outside that pool. More than
-    MINIMAL_VALUATION_CAP valuations end the search with BudgetExceeded.
+    fresh constant, named by `model.canonical_names`. The images that no
+    other image strictly undercuts are the minimal ones; every represented
+    instance extends one of them up to renaming of the constants outside
+    that pool. More than MINIMAL_VALUATION_CAP valuations end in BudgetExceeded.
     """
     images: set[Instance] = set()
     for v in _canonical_valuations(t, constants):
         image = apply_valuation(t, v)
-        images.add(rename_values(image, lambda c: c.token.startswith(FRESH_PREFIX), FRESH_PREFIX))
+        names = canonical_names(
+            ((rel, row.values, ()) for rel, rows in image.data for row in rows),
+            lambda c: c.token.startswith(FRESH_PREFIX),
+            lambda k: Value(CONST, f"{FRESH_PREFIX}{k}"),
+        )
+        images.add(Instance.built(t.schema, {rel: {map_cells(row, names) for row in rows} for rel, rows in image.data}))
     return frozenset(j for j in images if not _strictly_dominated(t, j))
 
 

@@ -6,17 +6,21 @@ global total order, realized as the lexicographic order over tokens, and
 a row is stored as the unnamed view: its values listed in that order,
 beside the one tuple of attribute names its relation's rows share.
 Labeled nulls, the variables of conditional tables (`ctables`), live here
-too, so that one row type serves instances and tables.
+too, so that one row type serves instances and tables, and one renamer,
+`canonical_names`, names their nulls or values alike up to renaming.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections import namedtuple
 from functools import cache, cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar, Union
+from itertools import chain, groupby, permutations, product
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .errors import DomainMismatch
+from .errors import DomainMismatch, Meter
 
 CONST = "const"
 NULL = "null"
@@ -283,19 +287,70 @@ def instance_extends(candidate: Instance, base: Instance) -> bool:
     return True
 
 
-C = TypeVar("C")
+# orders of still-tied cells one canonical naming may try
+NAMING_ORDER_CAP = 50_000
 
 
-def first_appearance(
-    cells: Iterable[C], picked: Callable[[C], bool], name: Callable[[int], C]
-) -> dict[C, C]:
-    """Map each distinct cell `picked` accepts to `name(k)`, where k counts the
-    cells picked before its first appearance."""
-    mapping: dict[C, C] = {}
-    for c in cells:
-        if c not in mapping and picked(c):
-            mapping[c] = name(len(mapping))
-    return mapping
+def canonical_names(
+    facts: Iterable[tuple[str, tuple[Cell, ...], Iterable[tuple[Cell, Cell]]]],
+    picked: Callable[[Cell], bool],
+    name: Callable[[int], Cell],
+) -> dict[Cell, Cell]:
+    """Map each distinct cell `picked` accepts to `name(k)`, alike for fact
+    lists equal up to renaming those cells.
+
+    A fact is `(relation, cells, pairs)`, pairs being a table row's condition;
+    a relation's facts have equally many cells, and every cell not picked is
+    a `Value`. Colour refinement ranks the picked cells by their occurrences,
+    as (fact with the picked cells coloured, position). Tied classes whose
+    adjacent swaps change the renamed facts take the orders whose renamed
+    facts sort least (McKay and Piperno, JSC 2014), at most NAMING_ORDER_CAP.
+    """
+    facts = list(facts)
+    found = {c for _, cells, pairs in facts for c in chain(cells, *pairs) if picked(c)}
+    if len(found) < 2:
+        return {c: name(0) for c in found}
+    number: dict = {}
+    # (relation, cells then pair cells, each picked one as its number and each other as a
+    # plain tuple, which the collector can untrack; the picked ones' positions)
+    shaped = []
+    for rel, cells, pairs in facts:
+        flat = tuple([number.setdefault(c, len(number)) if picked(c) else tuple(c) for c in chain(cells, *pairs)])
+        slots = tuple([k for k, c in enumerate(flat) if c.__class__ is int])
+        if slots:
+            shaped.append((rel, flat, slots))
+    n = len(number)
+    stand = [("", k) for k in range(n)]  # each sorts before every value
+
+    def coloured(colour: Mapping[int, int] | list[int]) -> list[tuple]:
+        return [(rel, *[stand[colour[c]] if c.__class__ is int else c for c in flat]) for rel, flat, _ in shaped]
+
+    members = [tuple(range(n))]
+    while len(members) < n:
+        colour = {c: r for r, m in enumerate(members) for c in m}
+        # each picked cell's occurrences, as (cell, fact, position), grouped by cell
+        seen = sorted((flat[k], fact, k) for fact, (_, flat, slots) in zip(coloured(colour), shaped) for k in slots)
+        signature = [(colour[c], *(o[1:] for o in group)) for c, group in groupby(seen, itemgetter(0))]
+        split = [tuple(m) for _, m in groupby(sorted(range(n), key=signature.__getitem__), signature.__getitem__)]
+        if len(split) == len(members):
+            break
+        members = split
+
+    def arranged(picks: Mapping[int, Sequence[int]]) -> list[int]:
+        return [c for r, m in enumerate(members) for c in picks.get(r, m)]
+
+    def image(order: list[int]) -> list[tuple]:
+        return sorted(coloured([k for _, k in sorted(zip(order, range(n)))]))
+
+    first = image(arranged({})) if len(members) < n else None
+    tied = [
+        r for r, m in enumerate(members)
+        if any(image(arranged({r: m[:k] + (m[k + 1], m[k]) + m[k + 2 :]})) != first for k in range(len(m) - 1))
+    ]
+    Meter(NAMING_ORDER_CAP, "canonical naming", "orders").tick(math.prod(math.factorial(len(members[r])) for r in tied))
+    orders = (arranged(dict(zip(tied, c))) for c in product(*(permutations(members[r]) for r in tied)))
+    cells = list(number)
+    return {cells[c]: name(k) for k, c in enumerate(min(orders, key=image) if tied else arranged({}))}
 
 
 def map_cells(row: Row, image: Mapping) -> Row:
@@ -306,19 +361,6 @@ def map_cells(row: Row, image: Mapping) -> Row:
 def with_cells(row: Row, cells: Mapping[str, Cell]) -> Row:
     """The row with `cells` in place of its own cells of those attributes, or beside them."""
     return Row.of(dict(zip(row.attrs, row.values)) | cells)
-
-
-def rename_values(i: Instance, renamed: Callable[[Value], bool], prefix: str) -> Instance:
-    """Rename the values `renamed` picks to constants prefix0, prefix1, ... by
-    first appearance over sorted rows, for comparison up to that renaming."""
-    cells = (v for rel in i.schema.names for row in sorted(i.rows(rel)) for v in row.values)
-    mapping = first_appearance(cells, renamed, lambda k: const(f"{prefix}{k}"))
-    if not mapping:
-        return i
-    return Instance.built(
-        i.schema,
-        {rel: {map_cells(row, mapping) for row in i.rows(rel)} for rel in i.schema.names},
-    )
 
 
 def active_domain(i: Instance) -> frozenset[Value]:

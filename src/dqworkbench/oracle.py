@@ -43,10 +43,10 @@ from .model import (
     Schema,
     Value,
     active_domain,
+    canonical_names,
     const,
     instance_extends,
     map_cells,
-    rename_values,
     with_cells,
 )
 from .procedures import Clause, Procedure, outcome_clauses, outcome_inputs, scope_map
@@ -465,33 +465,15 @@ def minimal_outcomes(outcomes: Iterable[Instance]) -> frozenset[Instance]:
 
 def _rename_reserved(j: Instance, rigid: frozenset[Value]) -> Instance:
     """Rename the non-rigid values to @x0, @x1, ..., alike for instances
-    equal up to renaming them, for comparison.
-
-    One such value or none is renamed by first appearance. More are ordered
-    by a name-blind invariant, each value's occurrences as (relation, row
-    with every non-rigid cell blanked, position), and values whose
-    invariants tie by the least image over their orders.
-    """
-    reserved = {v for _, rows in j.data for row in rows for v in row.values if v not in rigid}
-    if len(reserved) < 2:
-        return rename_values(j, lambda v: v not in rigid, "@x")
-    blank = Value("", "")
-    occurs: dict[Value, list] = {v: [] for v in reserved}
-    for rel, rows in j.data:
-        for row in rows:
-            shape = (rel, tuple([blank if v in reserved else v for v in row.values]))
-            for k, v in enumerate(row.values):
-                if v in reserved:
-                    occurs[v].append((shape, k))
-    invariant = {v: sorted(found) for v, found in occurs.items()}
-    ties = [list(g) for _, g in itertools.groupby(sorted(reserved, key=invariant.get), invariant.get)]
-
-    def image(order) -> Instance:
-        names = {v: const(f"@x{k}") for k, v in enumerate(itertools.chain.from_iterable(order))}
-        data = {rel: {map_cells(row, names) for row in rows} for rel, rows in j.data}
-        return Instance.built(j.schema, data)
-
-    return min(map(image, itertools.product(*map(itertools.permutations, ties))), key=_instance_sort_key)
+    equal up to renaming them (`model.canonical_names`), for comparison."""
+    names = canonical_names(
+        ((rel, row.values, ()) for rel, rows in j.data for row in rows),
+        lambda v: v not in rigid,
+        lambda k: const(f"@x{k}"),
+    )
+    if not names:
+        return j
+    return Instance.built(j.schema, {rel: {map_cells(row, names) for row in rows} for rel, rows in j.data})
 
 
 class ChaseComparison(NamedTuple):
@@ -514,8 +496,8 @@ def compare_with_chase(i: Instance, ps: Sequence[Procedure], b: Budget) -> Chase
 
     missing lists budgeted outcomes the chase table fails to represent;
     the minimal sections list minimal instances present on one side only,
-    compared after the canonical renaming of reserved constants
-    (`_rename_reserved`).
+    compared after the canonical renaming of reserved and fresh constants
+    (`_rename_reserved`, through `model.canonical_names`).
 
     Every outcome has a minimal outcome inside it, and the set an unscoped
     table represents is upward closed (`rep_contains`), so missing is empty

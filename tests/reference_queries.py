@@ -40,7 +40,7 @@ from dqworkbench.constraints import (
 )
 from dqworkbench.ctables import CondEq, ConditionalInstance, cond_and
 from dqworkbench.errors import Incompatible
-from dqworkbench.model import Instance, LabeledNull, Schema, Value, first_appearance
+from dqworkbench.model import Instance, LabeledNull, Schema, Value
 from dqworkbench.procedures import residual_atoms
 
 
@@ -73,7 +73,10 @@ def canonicalize_cq(q: ConjunctiveQuery) -> ConjunctiveQuery:
         for a in atoms
         for term in ((a.variable,) if isinstance(a, ConstantAtom) else (t for _, t in a.bindings))
     )
-    rename = first_appearance(terms, lambda t: isinstance(t, Var), lambda k: Var(f"v{k:03d}"))
+    rename: dict[Var, Var] = {}
+    for t in terms:
+        if isinstance(t, Var) and t not in rename:
+            rename[t] = Var(f"v{len(rename):03d}")
     new_atoms = [
         ConstantAtom(rename[a.variable])
         if isinstance(a, ConstantAtom)

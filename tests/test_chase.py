@@ -1,7 +1,10 @@
 """Outcome approximation: chase and alter folding, certainty, planning."""
 
+import itertools
+
 import pytest
 
+from dqworkbench import model
 from dqworkbench.chase import (
     EMPTY,
     EmptyResult,
@@ -33,7 +36,9 @@ from dqworkbench.ctables import (
     enumerate_minimal,
     rep_contains,
 )
+from dqworkbench.dsl import parse_workspace
 from dqworkbench.errors import (
+    BudgetExceeded,
     Incompatible,
     NotAlterSchema,
     NotSafeScope,
@@ -618,6 +623,62 @@ class TestCanonicalTable:
 
         nulls = [LabeledNull(name) for name in ("n1", "n2", "n3", "m9", "m8", "m7")]
         assert canonical_table(table(*nulls[:3])) == canonical_table(table(*nulls[3:]))
+
+    # ties cost orders, not time: under a cap of 10^3 orders, none of these may raise
+
+    @pytest.fixture
+    def low_cap(self, monkeypatch):
+        monkeypatch.setattr(model, "NAMING_ORDER_CAP", 1_000)
+
+    def test_refinement_splits_nulls_the_first_colour_ties(self, low_cap):
+        k = 40
+        rows = ", ".join(f"(1, {100 + j})" for j in range(k))
+        ws = parse_workspace(f"""
+            schema S {{ rel R(a, b); rel S(a, d); }}
+            instance I : S {{ R: {rows}; S: ; }}
+            proc widen = template alter_table(R; c)
+            proc copy {{ scope {{ S[*]; }} pre {{ struct R[a, c]; struct S[a, d]; }}
+                        post {{ tgd R(a: u, c: 5) -> S(a: u, d: e); }} safe {{ total S; }} }}
+            seq both = widen, copy
+        """)
+        t = approximate_outcomes(ws.instances["I"], [ws.procedures[p] for p in ws.sequences["both"]])
+        # S(1, ?e_i) | ?c_i = 5: every ?e_i has the same occurrences until the ?c_i tell them apart
+        assert canonical_table(t).nulls() == {LabeledNull(f"c{j:03d}") for j in range(2 * k)}
+
+    def test_interchangeable_nulls_keep_one_order(self, low_cap):
+        def table(names) -> ConditionalInstance:
+            return ConditionalInstance.of(Schema.of({"S": ["a"]}), {"S": [(Row(("a",), (n,)), ()) for n in names]})
+
+        names = [LabeledNull(f"e{j}") for j in range(40)]
+        assert canonical_table(table(names)) == table([LabeledNull(f"c{j:03d}") for j in range(40)])
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            # two rows of four nulls: the a-nulls tie, and so do the b-nulls
+            ([(0, 1), (2, 3)], [(0, 2), (1, 3)]),
+            # a loop beside a 2-cycle: refinement cannot tell the three nulls apart
+            ([(0, 0), (1, 2), (2, 1)], [(0, 0), (1, 2), (2, 1)]),
+        ],
+    )
+    def test_tied_nulls_take_the_least_image_under_every_renaming(self, low_cap, rows, expected):
+        def table(rows, names) -> ConditionalInstance:
+            cells = [(Row(("a", "b"), (names[x], names[y])), ()) for x, y in rows]
+            return ConditionalInstance.of(Schema.of({"R": ["a", "b"]}), {"R": cells})
+
+        n = len({x for row in rows for x in row})
+        want = table(expected, [LabeledNull(f"c{j:03d}") for j in range(n)])
+        for order in itertools.permutations(range(n)):
+            assert canonical_table(table(rows, [LabeledNull(f"n{j}") for j in order])) == want
+
+    def test_orders_past_the_cap_raise(self, monkeypatch):
+        monkeypatch.setattr(model, "NAMING_ORDER_CAP", 3)
+        a1, b1, a2, b2 = (LabeledNull(n) for n in ("a1", "b1", "a2", "b2"))
+        t = ConditionalInstance.of(
+            Schema.of({"R": ["a", "b"]}), {"R": [(Row(("a", "b"), (a1, b1)), ()), (Row(("a", "b"), (a2, b2)), ())]}
+        )
+        with pytest.raises(BudgetExceeded):
+            canonical_table(t)
 
     def test_distinct_content_stays_distinct(self, instance_i, instance_j1):
         a = canonical_table(ConditionalInstance.from_instance(instance_i))

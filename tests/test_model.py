@@ -18,11 +18,11 @@ from dqworkbench.model import (
     Schema,
     Value,
     active_domain,
+    canonical_names,
     const,
     instance_extends,
     map_cells,
     null_marker,
-    rename_values,
     render_instance,
     schema_extends,
 )
@@ -196,7 +196,7 @@ def test_active_domain(instance_i):
     assert const(4561) not in dom
 
 
-def test_rename_values_numbers_by_first_appearance_over_sorted_rows():
+def test_canonical_names_ranks_values_by_their_occurrences():
     s = Schema.of({"R": ["a", "b"], "S": ["c"]})
     i = Instance.of(
         s,
@@ -208,19 +208,25 @@ def test_rename_values_numbers_by_first_appearance_over_sorted_rows():
             "S": [Row.of({"c": const("x")})],
         },
     )
-    renamed = rename_values(i, lambda v: v != const(1), "@r")
+
+    def facts():
+        return ((rel, row.values, ()) for rel, rows in i.data for row in rows)
+
+    names = canonical_names(facts(), lambda v: v != const(1), lambda k: const(f"@r{k}"))
+    renamed = Instance.of(s, {rel: [map_cells(row, names) for row in rows] for rel, rows in i.data})
+    # x and ?m sit in a row with no rigid value, x before ?m; y sits beside 1
     expected = Instance.of(
         s,
         {
             "R": [
-                Row.of({"a": const("@r1"), "b": const("@r2")}),
-                Row.of({"a": const(1), "b": const("@r0")}),
+                Row.of({"a": const("@r0"), "b": const("@r1")}),
+                Row.of({"a": const(1), "b": const("@r2")}),
             ],
-            "S": [Row.of({"c": const("@r1")})],
+            "S": [Row.of({"c": const("@r0")})],
         },
     )
     assert renamed == expected
-    assert rename_values(i, lambda v: False, "@r") is i
+    assert canonical_names(facts(), lambda v: False, lambda k: const(f"@r{k}")) == {}
 
 
 def test_render_is_deterministic(instance_j2):

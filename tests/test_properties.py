@@ -9,10 +9,11 @@ and the oracle's up-front meter against the all-pairs test and the
 candidate totals they replace, the oracle's staged clause checks against
 the literal enumerator, the minimal schema as a lower bound on the
 oracle's outcome schemas, c-table conditions against brute-force
-valuations, template calls against their instantiation, mutated JSON
-workspaces against the CLI's exit codes, mutated text workspaces against
-the parser, and the sliced reading of instance sections against the
-token-by-token one.
+valuations, canonical naming against brute-force minima over renamings,
+template calls against their instantiation, mutated JSON workspaces
+against the CLI's exit codes, mutated text workspaces against the parser,
+and the sliced reading of instance sections against the token-by-token
+one.
 
 The module-level *_EXAMPLES constants are the configured case counts; the
 acceptance suite checks the sum of the first four.
@@ -75,7 +76,6 @@ from dqworkbench.ctables import (
     cond_and,
     cond_eval,
     condition_entails,
-    condition_nulls,
     condition_satisfiable,
     enumerate_minimal,
     fresh_null_valuation,
@@ -108,6 +108,7 @@ from dqworkbench.model import (
     const,
     instance_extends,
     null_marker,
+    render_instance,
     schema_extends,
 )
 from dqworkbench.oracle import Budget, enumerate_outcomes, minimal_outcomes
@@ -147,6 +148,7 @@ UPWARD_CLOSURE_EXAMPLES = 150
 DERIVED_MISSING_EXAMPLES = 150
 SATISFIES_EXAMPLES = 200
 RESERVED_RENAMING_EXAMPLES = 200
+CANONICITY_EXAMPLES = 150
 
 # The candidates the literal enumerator charges for Figure 1's `migrate,
 # migrate` with budget extra=1,tuples=1: the total the per-candidate meter
@@ -271,7 +273,7 @@ def test_conditions_agree_with_brute_force_valuations(a, b, partial):
         assert all(cond_eval(b, v) is True for v in satisfying)
     verdict = cond_eval(a, partial)
     if verdict is None:
-        assert set(condition_nulls(a)) - partial.keys()
+        assert {n for eq in a for n in eq if isinstance(n, LabeledNull)} - partial.keys()
     else:
         completions = [v for v in _FULL_VALUATIONS if partial.items() <= v.items()]
         assert all(cond_eval(a, v) is verdict for v in completions)
@@ -654,6 +656,94 @@ def test_reserved_renaming_is_invariant_under_permuting_the_reserved_values(data
     )
     rigid = frozenset(RIGID)
     assert oracle_mod._rename_reserved(j, rigid) == oracle_mod._rename_reserved(swapped, rigid)
+
+
+# --- canonical naming against a brute-force minimum over renamings ----------
+
+CANON_SCHEMA = Schema.of({"R": ("a", "b"), "S": ("a",)})
+CANON_NULLS = tuple(LabeledNull(f"n{k}") for k in range(5))
+RENAMED_NULLS = tuple(LabeledNull(f"m{k}") for k in range(5))
+RESERVED4 = tuple(const(f"@c{k}") for k in range(4))
+
+
+@st.composite
+def shared_null_table_st(draw) -> ConditionalInstance:
+    """A table over up to 5 nulls, which rows and conditions share."""
+    nulls = CANON_NULLS[: draw(st.integers(1, 5))]
+    cell = st.sampled_from(nulls + CONSTS[:1])
+    conds = st.lists(st.builds(CondEq, st.sampled_from(nulls), cell), max_size=2)
+    data = {}
+    for rel in CANON_SCHEMA.names:
+        attrs = CANON_SCHEMA.layout(rel)
+        drawn = draw(st.lists(st.tuples(st.tuples(*(cell for _ in attrs)), conds), max_size=4), label=rel)
+        data[rel] = [(Row(attrs, values), cond_and([tuple(eqs)])) for values, eqs in drawn]
+    return ConditionalInstance.of(CANON_SCHEMA, data)
+
+
+@st.composite
+def reserved_instance_st(draw) -> Instance:
+    """An instance over the rigid values and up to 4 reserved ones."""
+    cells = st.sampled_from(RIGID + RESERVED4[: draw(st.integers(0, 4))])
+    rows = {}
+    for rel in REP_SCHEMA.names:
+        attrs = REP_SCHEMA.layout(rel)
+        drawn = draw(st.lists(st.tuples(*(cells for _ in attrs)), max_size=4), label=rel)
+        rows[rel] = {Row(attrs, values) for values in drawn}
+    return Instance.of(REP_SCHEMA, rows)
+
+
+def _renamed_table(t: ConditionalInstance, names: dict) -> ConditionalInstance:
+    return ConditionalInstance.of(t.schema, {
+        rel: [
+            (
+                Row(row.attrs, tuple(names.get(c, c) for c in row.values)),
+                tuple(CondEq(names[eq.left], names.get(eq.right, eq.right)) for eq in cond),
+            )
+            for row, cond in pairs
+        ]
+        for rel, pairs in t.data
+    })
+
+
+def _renamed_instance(j: Instance, names: dict) -> Instance:
+    return Instance.of(j.schema, {
+        rel: {Row(row.attrs, tuple(names.get(v, v) for v in row.values)) for row in rows} for rel, rows in j.data
+    })
+
+
+def _brute_table_form(t: ConditionalInstance) -> str:
+    """The least rendering over every renaming of the nulls to c0, c1, ..."""
+    nulls = sorted(t.nulls())
+    return min(
+        render_ctable(_renamed_table(t, {n: LabeledNull(f"c{k}") for n, k in zip(nulls, order)}))
+        for order in itertools.permutations(range(len(nulls)))
+    )
+
+
+def _brute_instance_form(j: Instance) -> str:
+    """The least rendering over every renaming of the reserved values to @y0, @y1, ..."""
+    reserved = sorted(active_domain(j) - frozenset(RIGID))
+    return min(
+        render_instance(_renamed_instance(j, {v: const(f"@y{k}") for v, k in zip(reserved, order)}))
+        for order in itertools.permutations(range(len(reserved)))
+    )
+
+
+@settings(max_examples=CANONICITY_EXAMPLES, deadline=None)
+@given(a=shared_null_table_st(), b=shared_null_table_st(), names=st.permutations(RENAMED_NULLS))
+def test_canonical_table_is_a_canonical_form(a, b, names):
+    assert canonical_table(_renamed_table(a, dict(zip(CANON_NULLS, names)))) == canonical_table(a)
+    assert (canonical_table(a) == canonical_table(b)) == (_brute_table_form(a) == _brute_table_form(b))
+
+
+@settings(max_examples=CANONICITY_EXAMPLES, deadline=None)
+@given(a=reserved_instance_st(), b=reserved_instance_st(), swap=st.permutations(RESERVED4))
+def test_reserved_renaming_is_a_canonical_form(a, b, swap):
+    def form(j: Instance) -> Instance:
+        return oracle_mod._rename_reserved(j, frozenset(RIGID))
+
+    assert form(_renamed_instance(a, dict(zip(RESERVED4, swap)))) == form(a)
+    assert (form(a) == form(b)) == (_brute_instance_form(a) == _brute_instance_form(b))
 
 
 # --- the residual clause against the joint residual query --------------------

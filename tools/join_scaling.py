@@ -7,7 +7,9 @@ collector on:
   `bench/workloads._join_data`'s instance (every relation gains attribute
   `d`, one fresh labeled null per row) against its fresh-null image, at
   each size, with its time and its `tracemalloc` peak;
-- `approximate_outcomes` of the `pipeline` sequence on the same instance;
+- `approximate_outcomes` of the `pipeline` sequence on the same instance,
+  and `canonical_table` of the table it returns (as many nulls as the
+  `alter_table` one);
 - `satisfies` per call, for each tgd of Figure 1 on instance `I`;
 - `enumerate_outcomes` of the three heavy `oracle`-workload jobs.
 
@@ -69,7 +71,7 @@ def measure(sizes: list[int], repeat: int, repeat_big: int) -> dict:
     """Every figure for the `dqworkbench` on `sys.path`."""
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
-    from dqworkbench.chase import approximate_outcomes
+    from dqworkbench.chase import approximate_outcomes, canonical_table
     from dqworkbench.cli import parse_budget
     from dqworkbench.constraints import Tgd, satisfies
     from dqworkbench.ctables import (
@@ -94,6 +96,7 @@ def measure(sizes: list[int], repeat: int, repeat_big: int) -> dict:
             for r in i.schema.names
         })
         image = apply_valuation(table, fresh_null_valuation(table))
+        chased = approximate_outcomes(i, pipeline)
         k = repeat_big if n == max(sizes) else repeat
         assert rep_contains(table, image)
         rows.append({
@@ -102,13 +105,14 @@ def measure(sizes: list[int], repeat: int, repeat_big: int) -> dict:
             "rep_contains_s": best(k, lambda: rep_contains(table, image)),
             "rep_contains_peak_mb": peak_mb(lambda: rep_contains(table, image)),
             "approximate_outcomes_s": best(k, lambda: approximate_outcomes(i, pipeline)),
+            "canonical_table_s": best(k, lambda: canonical_table(chased)),
         })
     out = {"sizes": rows}
     ns = [r["n"] for r in rows]
     if len(rows) > 1:
         out["slopes"] = {
             key: slope(ns, [r[key] for r in rows])
-            for key in ("rep_contains_s", "rep_contains_peak_mb", "approximate_outcomes_s")
+            for key in ("rep_contains_s", "rep_contains_peak_mb", "approximate_outcomes_s", "canonical_table_s")
         }
     fig1 = load_workspace(str(FIG1))
     i = fig1.instances["I"]

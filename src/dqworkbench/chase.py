@@ -49,7 +49,7 @@ from .errors import (
     UnsupportedClass,
     UnsupportedPrecondition,
 )
-from .model import Instance, Row, canonical_names, map_cells, with_cells
+from .model import Instance, Row, Schema, canonical_names, map_cells, with_cells
 from .procedures import (
     ALTER_SCHEMA,
     NEITHER,
@@ -70,9 +70,12 @@ class EmptyResult:
 EMPTY = EmptyResult()
 
 
-def _reject_constancy_tests(p: Procedure) -> None:
+def _check_chaseable(p: Procedure, schema: Schema) -> None:
+    """Raise unless the chase can run the procedure's rules on `schema`."""
     if any(isinstance(a, ConstantAtom) for dep in p.post for a in dep.body.atoms + dep.head.atoms):
         raise UnsupportedClass("postcondition rules with constancy tests cannot be chased")
+    if not all(is_compatible(dep, schema) for dep in p.post):
+        raise Incompatible("postcondition mentions relations or attributes the schema lacks")
 
 
 def _body_triggers(
@@ -127,12 +130,7 @@ def chase_safe_scope(
     """
     if classify(p) != SAFE_SCOPE:
         raise NotSafeScope(f"procedure {p.name or '<anonymous>'} lacks safe-scope shape")
-    _reject_constancy_tests(p)
-    for dep in p.post:
-        if not is_compatible(dep, t.schema):
-            raise Incompatible(
-                "postcondition mentions relations or attributes the schema lacks"
-            )
+    _check_chaseable(p, t.schema)
     store = RowIndex({rel: list(t.rows(rel)) for rel in t.schema.names}, paired=True)
     for tgd_idx, dep in enumerate(p.post):
         atoms = dep.head.atoms
@@ -173,13 +171,10 @@ def apply_alter_schema(
     failure (unmet precondition, arity pin) means no outcome exists.
     """
     if classify(p) != ALTER_SCHEMA:
-        raise NotAlterSchema(
-            f"procedure {p.name or '<anonymous>'} lacks alter-schema shape"
-        )
-    req = min_schema(p, t.schema)
-    if isinstance(req, Failure):
+        raise NotAlterSchema(f"procedure {p.name or '<anonymous>'} lacks alter-schema shape")
+    target = _step_schema(t.schema, p)
+    if target is None:
         return EMPTY
-    target = req.schema
     data: dict[str, list[ConditionalRow]] = {}
     for rel in target.names:
         if not t.schema.defines(rel):
@@ -199,22 +194,29 @@ def apply_alter_schema(
 def _require_classified(ps: Iterable[Procedure]) -> None:
     for p in ps:
         if classify(p) == NEITHER:
-            raise UnsupportedClass(
-                f"procedure {p.name or '<anonymous>'} is neither safe-scope nor alter-schema"
-            )
+            raise UnsupportedClass(f"procedure {p.name or '<anonymous>'} is neither safe-scope nor alter-schema")
 
 
-def _fold_step(
-    t: ConditionalInstance, p: Procedure, *, step: int
-) -> ConditionalInstance | EmptyResult:
+def _step_schema(schema: Schema, p: Procedure) -> Schema | None:
+    """The schema after step `p` of a classified sequence, or None where the step
+    reaches no outcome. It makes every check a step makes: each reads only the
+    schema, and a chase never empties a table."""
+    if classify(p) == ALTER_SCHEMA:
+        req = min_schema(p, schema)
+        return None if isinstance(req, Failure) else req.schema
+    if not all(isinstance(c, StructureConstraint) for c in p.pre):
+        raise UnsupportedPrecondition("outcome approximation handles structural preconditions only")
+    if not (all(structure_holds(c, schema) for c in p.pre) and all(is_compatible(q, schema) for q in p.safe)):
+        return None
+    _check_chaseable(p, schema)
+    return schema
+
+
+def _fold_step(t: ConditionalInstance, p: Procedure, *, step: int) -> ConditionalInstance | EmptyResult:
     """One step of a sequence whose procedures `_require_classified` passed."""
     if classify(p) == ALTER_SCHEMA:
         return apply_alter_schema(t, p, step=step)
-    if not all(isinstance(c, StructureConstraint) for c in p.pre):
-        raise UnsupportedPrecondition("outcome approximation handles structural preconditions only")
-    if all(structure_holds(c, t.schema) for c in p.pre) and all(is_compatible(q, t.schema) for q in p.safe):
-        return chase_safe_scope(t, p, step=step)
-    return EMPTY
+    return EMPTY if _step_schema(t.schema, p) is None else chase_safe_scope(t, p, step=step)
 
 
 def approximate_outcomes(
@@ -237,8 +239,14 @@ def approximate_outcomes(
 
 
 def outcomes_nonempty(i: Instance, ps: Sequence[Procedure]) -> bool:
-    """Whether the sequence reaches at least one outcome from the instance."""
-    return not isinstance(approximate_outcomes(i, ps), EmptyResult)
+    """Whether the sequence reaches at least one outcome from the instance,
+    as `approximate_outcomes` decides it, on the schemas alone."""
+    _require_classified(ps)
+    schema = i.schema
+    for p in ps:
+        if (schema := _step_schema(schema, p)) is None:
+            return False
+    return True
 
 
 def exact_scoped_representation(

@@ -47,6 +47,9 @@ its line. Tokens:
 - punctuation: `-> != { } ( ) [ ] , ; : . * =`.
 
 Any other character, `½` included, is an error where a token would start.
+An instance section's tuple list with no comment in or before it is one more
+token, which the parser splits at once (`_lexer`); a text that fails to parse
+is read again token by token, and that reading reports the error.
 
 Instance tuples list values in the relation's canonical (sorted) attribute
 order. Inside queries and dependencies bare identifiers are variables;
@@ -77,7 +80,7 @@ from __future__ import annotations
 import json
 import re
 from collections import namedtuple
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
 
@@ -107,6 +110,7 @@ from .errors import (
     MalformedParams,
     ResolutionError,
     SchemaConformance,
+    WorkbenchError,
     WorkspaceSyntaxError,
 )
 from .model import (
@@ -154,17 +158,21 @@ _STRING_BODY = r'[^"\\\n]*(?:\\["\\][^"\\\n]*)*'  # up to the closing quote
 
 # A raw token is one `findall` tuple of the master pattern, one group per kind:
 # at most one is non-empty, and at the end of the text none is.
-_KINDS = ("punct", "number", "ident", "null", "string")  # then the error group
-_PUNCT, _IDENT, _ERROR = 0, 2, 5
+_KINDS = ("tuples", "punct", "number", "ident", "null", "string")  # then the error group
+_TUPLES, _PUNCT, _IDENT, _ERROR = 0, 1, 3, 6
 
 
 class _Token(NamedTuple):
-    kind: str  # punct, number, ident, null, string, or end
+    kind: str  # tuples, punct, number, ident, null, string, or end
     text: str
     index: int  # into the raw token list
 
 
-def _lexer(digits: str = "", numerals: str = "") -> re.Pattern:
+class _Misfit(WorkbenchError):
+    """A tuple-list token the bulk reader declines; the token path reads the text again."""
+
+
+def _lexer(digits: str = "", numerals: str = "", tuples: bool = True) -> re.Pattern:
     """The master token pattern: skip blanks and comments, then one token.
 
     `re` has no class for `str.isdigit` or `str.isalpha`: `\\d` is
@@ -175,10 +183,16 @@ def _lexer(digits: str = "", numerals: str = "") -> re.Pattern:
     (error) group and the end of the text matches the bare `\\Z`, so the
     first attempt at every position succeeds: `findall` never skips text,
     and the engine never backtracks into a comment to read its tail as tokens.
+    With `tuples`, a tuple list `(v, ...), (v, ...)` right after a `:` and before
+    its `;` is one token. Tried first, it skips blanks only, and a `#` outside a
+    string or a string holding `,` `(` `)` or `\\` fails it: it never starts in a
+    comment, and where it fails the text lexes as it does without it.
     """
     number = number_rule(rf"[\d{digits}]")
+    tuple_list = r'\([^()"#;]*(?:(?:"[^"\\\n,()]*"|\)[ \t\r\n]*,[ \t\r\n]*\()[^()"#;]*)*\)' if tuples else "(?!)"
     return re.compile(
-        r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:"
+        rf"(?<=:)[ \t\r\n]*({tuple_list})(?=[ \t\r\n]*;)"
+        r"|[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:"
         r"(->|!=|[{}()\[\],;:.*=])"
         rf"|({number})"
         rf"|({name_rule(numerals)}(?:\.\w+)*)(?![\w@]|\.[\w@])"
@@ -193,16 +207,14 @@ _ESCAPE = re.compile(r"\\(.)")
 _STRING_PREFIX = re.compile(_STRING_BODY)
 
 
-def _lexer_for(text: str) -> re.Pattern:
-    """`_LEXER`, or for a text with non-letter numerals its own variant."""
-    if text.isascii():
-        return _LEXER
-    numerals = "".join(
+def _lexer_for(text: str, tuples: bool = True) -> re.Pattern:
+    """`_LEXER`, or a variant built (and cached by `re`) for non-letter numerals or without `tuples`."""
+    numerals = "" if text.isascii() else "".join(
         sorted(c for c in set(text) if c.isalnum() and not (c.isalpha() or c.isdecimal()))
     )
-    if not numerals:
+    if not numerals and tuples:
         return _LEXER
-    return _lexer("".join(c for c in numerals if c.isdigit()), numerals)
+    return _lexer("".join(c for c in numerals if c.isdigit()), numerals, tuples)
 
 
 def _syntax_error(text: str, pos: int, message: str) -> WorkspaceSyntaxError:
@@ -229,21 +241,21 @@ def _lex_error(text: str, pos: int) -> WorkspaceSyntaxError:
     return _syntax_error(text, pos, f"unexpected character {ch!r}")
 
 
-def _lex(text: str) -> list[tuple[str, ...]]:
+def _lex(text: str, tuples: bool = True) -> list[tuple[str, ...]]:
     """The raw tokens of `text`, the end included; raises at the first character no token starts."""
-    raw = _lexer_for(text).findall(text)
+    raw = _lexer_for(text, tuples).findall(text)
     if len(raw) > 1 and not any(raw[-2]):
         # trailing blanks or a comment match `\Z` with them, then `\Z` matches again, empty
         raw.pop()
     if any(map(itemgetter(_ERROR), raw)):
         first = next(i for i, t in enumerate(raw) if t[_ERROR])
-        raise _lex_error(text, _offset(text, raw, first))
+        raise _lex_error(text, _offset(text, raw, first, tuples))
     return raw
 
 
-def _offset(text: str, raw: list[tuple[str, ...]], i: int) -> int:
+def _offset(text: str, raw: list[tuple[str, ...]], i: int, tuples: bool = True) -> int:
     """The character offset of raw token `i` of `text`, found by lexing up to it again."""
-    return next(islice(_lexer_for(text).finditer(text), i, None)).end() - len("".join(raw[i]))
+    return next(islice(_lexer_for(text, tuples).finditer(text), i, None)).end() - len("".join(raw[i]))
 
 
 def _token(t: tuple[str, ...], i: int) -> _Token:
@@ -259,7 +271,7 @@ def _token(t: tuple[str, ...], i: int) -> _Token:
 def _raw_value(t: tuple[str, ...]) -> Value | None:
     """The value raw token `t` denotes, or None (no value, or a string with
     `@`); in a value position even a reserved word reads as a constant."""
-    _, number, ident, null, string, _ = t
+    _, _, number, ident, null, string, _ = t
     if number or ident:
         return const(number or ident)
     if null:
@@ -273,20 +285,20 @@ _T = TypeVar("_T")
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, tuples: bool):
         self.text = text
-        self.raw = _lex(text)
-        self.puncts = list(map(itemgetter(_PUNCT), self.raw))
+        self.tuples = tuples
+        self.raw = _lex(text, tuples)
         self.pos = 0
         self.ws = Workspace()
-        self.values: dict[tuple[str, ...], Value] = {}
+        self.values: dict[str, Value] = {}  # by token text, or by a cell's text in a tuple list
 
     # token plumbing
 
     def _error(self, tok: _Token, message: str) -> WorkspaceSyntaxError:
         # "found end of file" points at the last token, or at the text's start
         i = tok.index - (tok.kind == "end")
-        return _syntax_error(self.text, _offset(self.text, self.raw, i) if i >= 0 else 0, message)
+        return _syntax_error(self.text, _offset(self.text, self.raw, i, self.tuples) if i >= 0 else 0, message)
 
     def _peek(self) -> _Token:
         return _token(self.raw[self.pos], self.pos)
@@ -405,33 +417,33 @@ class _Parser:
             if rel.text in data:
                 raise self._error(rel, f"duplicate relation section {rel.text!r}")
             self._expect(":")
-            attrs = schema.layout(rel.text)
-            data[rel.text] = self._section(attrs) or _rows(rel.text, attrs, self._tuples())
+            data[rel.text] = self._section(rel.text, schema.layout(rel.text))
             self._expect(";")
         self._expect("}")
         self.ws.instances[name.text] = Instance.of(schema, data)
         self.ws.instance_schema[name.text] = schema_name.text
 
-    def _section(self, attrs: tuple[str, ...]) -> set[Row] | None:
-        """The rows of a section `(v, ...), (v, ...);` read as `n` equal blocks of
-        raw tokens (the last `,` a `;`), or None for `_tuples` to read and diagnose."""
-        raw, values, start, arity = self.raw, self.values, self.pos, len(attrs)
-        block = ["("] + ["", ","] * (arity - 1) + ["", ")", ","]  # the puncts of one tuple
-        try:
-            end = self.puncts.index(";", start)
-        except ValueError:
-            return None
-        n, rest = divmod(end + 1 - start, len(block))
-        if not n or rest or self.puncts[start:end] != (block * n)[:-1]:
-            return None
-        columns = [raw[start + 1 + 2 * j : end : len(block)] for j in range(arity)]
-        for t in set().union(*columns) - values.keys():
-            value = _raw_value(t)
-            if value is None:
-                return None
-            values[t] = value
-        self.pos = end
-        return {Row(attrs, row) for row in zip(*(map(values.__getitem__, c) for c in columns))}
+    def _section(self, relation: str, attrs: tuple[str, ...]) -> set[Row]:
+        """The rows of a section, read by `_tuples` unless its tuple list is one token.
+        Split at `,` `(` `)`, the token gives a cell per value and a blank one per tuple:
+        tuples times arity + 1 cells, no blank among the values, and every tuple fits."""
+        text = self.raw[self.pos][_TUPLES]
+        if not text:
+            return _rows(relation, attrs, self._tuples())
+        cells = text.replace("(", "").replace(")", ",").split(",")
+        step = len(attrs) + 1
+        if len(cells) != step * text.count(")"):
+            raise _Misfit(relation)
+        del cells[step - 1 :: step]
+        new = list(set(cells) - self.values.keys())
+        raw = _lex(",".join(new + [""]))  # one lexing for all: a value token and a `,` per cell
+        found = list(map(_raw_value, raw[:-1:2]))  # None for a string with `@`
+        if len(raw) != 2 * len(new) + 1 or None in found:
+            raise _Misfit(relation)
+        self.values.update(zip(new, found))
+        self.pos += 1
+        tuples = zip(*[map(self.values.__getitem__, cells)] * (step - 1))
+        return set(map(tuple.__new__, repeat(Row), zip(repeat(attrs), tuples)))
 
     def _tuples(self) -> Iterable[list[Value]]:
         """The value lists of `(v, ...), (v, ...)`, token by token, each checked for its `)`."""
@@ -446,13 +458,13 @@ class _Parser:
     def _parse_value(self) -> Value:
         """The value the current token denotes, consumed; equal raw tokens share one `Value`."""
         t = self.raw[self.pos]
-        value = self.values.get(t) or _raw_value(t)
+        value = self.values.get(text := "".join(t)) or _raw_value(t)
         if value is None:
             tok = self._peek()
             if tok.kind == "string":
                 raise self._error(tok, "values containing @ are reserved")
             self._fail(tok, "a value")
-        self.values[t] = value
+        self.values[text] = value
         self.pos += 1
         return value
 
@@ -736,8 +748,13 @@ def _rows(relation: str, attrs: tuple[str, ...], tuples: Iterable[Sequence[Value
 
 
 def parse_workspace(text: str) -> Workspace:
-    """Parse workspace text, resolving every cross-reference."""
-    return _Parser(text).parse()
+    """Parse workspace text, resolving every cross-reference. Where the reading by
+    tuple lists fails, on a `_Misfit` too, a reading token by token reports the error."""
+    try:
+        return _Parser(text, True).parse()
+    except WorkbenchError:
+        pass
+    return _Parser(text, False).parse()
 
 
 # --- serialization to text ----------------------------------------------------

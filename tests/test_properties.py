@@ -12,7 +12,7 @@ oracle's outcome schemas, c-table conditions against brute-force
 valuations, canonical naming against brute-force minima over renamings,
 template calls against their instantiation, mutated JSON workspaces
 against the CLI's exit codes, mutated text workspaces against the parser,
-and the sliced reading of instance sections against the token-by-token
+and the tuple-list reading of instance sections against the token-by-token
 one.
 
 The module-level *_EXAMPLES constants are the configured case counts; the
@@ -23,12 +23,15 @@ from __future__ import annotations
 
 import copy
 import functools
+import importlib.util
 import io
 import itertools
 import json
 import operator
+import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -43,6 +46,7 @@ from dqworkbench.chase import (
     certain_boolean_cq,
     outcomes_nonempty,
 )
+from dqworkbench import chase as chase_mod
 from dqworkbench import constraints
 from dqworkbench.analyzer import Failure, min_schema
 from dqworkbench.cli import run_command
@@ -97,6 +101,7 @@ from dqworkbench.errors import (
     MalformedParams,
     Meter,
     UnsupportedClass,
+    UnsupportedPrecondition,
     WorkbenchError,
     WorkspaceSyntaxError,
 )
@@ -356,6 +361,78 @@ def test_folding_is_reproducible(rs, ts, names):
         assert canonical_table(first) == canonical_table(second)
         assert render_ctable(first) == render_ctable(second)
 
+
+
+# Figure 1 with steps that fail each check a step makes: `migrate_cq` is of
+# neither class, `copy_age` writes `age` before `alter_age` adds it,
+# `nonnull_copy` tests constancy once `age` exists, `egd_pre` has a data
+# precondition, and `needs_age` needs `age` before it exists.
+NONEMPTY_STEPS = """
+proc copy_age {
+  scope { LocVisits[*]; }
+  post { tgd EVisits(facility: x, patInsur: y, timestp: z)
+           -> LocVisits(facility: x, patInsur: y, timestp: z, age: a); }
+  safe { total LocVisits; }
+}
+proc nonnull_copy {
+  scope { LocVisits[*]; }
+  pre { struct LocVisits[age]; }
+  post { tgd EVisits(facility: x, patInsur: y, timestp: z) and nonnull(x)
+           -> LocVisits(facility: x, patInsur: y, timestp: z); }
+  safe { total LocVisits; }
+}
+proc egd_pre {
+  scope { LocVisits[*]; }
+  pre { egd EVisits(facility: x, patInsur: y) and EVisits(facility: x, patInsur: z) -> y = z; }
+  post { tgd EVisits(facility: x, patInsur: y, timestp: z)
+           -> LocVisits(facility: x, patInsur: y, timestp: z); }
+  safe { total LocVisits; }
+}
+proc needs_age {
+  scope { LocVisits[*]; }
+  pre { struct LocVisits[age]; }
+  post { tgd EVisits(facility: x, patInsur: y, timestp: z)
+           -> LocVisits(facility: x, patInsur: y, timestp: z); }
+  safe { total LocVisits; }
+}
+proc alter_ev = template alter_table(EVisits; age)
+"""
+
+
+def test_nonempty_decides_on_schemas_as_the_chase_does():
+    """On every sequence of up to three steps, from a narrow and a wide
+    instance, `outcomes_nonempty` answers or raises as `approximate_outcomes`
+    does, and never chases. A step checks its preconditions and safety
+    queries before it raises on its rules."""
+    ws = parse_workspace(FIG1.read_text() + NONEMPTY_STEPS)
+    i = ws.instances["I"]
+    single = {"migrate": True, "alter_age": True, "needs_age": False, "nonnull_copy": False}
+    single.update(migrate_cq=UnsupportedClass, copy_age=Incompatible, egd_pre=UnsupportedPrecondition)
+    for name, expected in single.items():
+        if isinstance(expected, bool):
+            assert outcomes_nonempty(i, [ws.procedures[name]]) is expected
+        else:
+            with pytest.raises(expected):
+                outcomes_nonempty(i, [ws.procedures[name]])
+    seen = Counter()
+    for start in ("I", "J3"):
+        i = ws.instances[start]
+        for k in range(4):
+            for names in itertools.product(sorted(ws.procedures), repeat=k):
+                ps = [ws.procedures[n] for n in names]
+                try:
+                    expected = not isinstance(approximate_outcomes(i, ps), EmptyResult)
+                except WorkbenchError as e:
+                    expected = (type(e), str(e))
+                chased = []
+                with mock.patch.object(chase_mod, "chase_safe_scope", lambda *a, **kw: chased.append(a)):
+                    try:
+                        got = outcomes_nonempty(i, ps)
+                    except WorkbenchError as e:
+                        got = (type(e), str(e))
+                assert got == expected and not chased, (start, names)
+                seen[expected if isinstance(expected, bool) else expected[0]] += 1
+    assert set(seen) == {True, False, UnsupportedClass, Incompatible, UnsupportedPrecondition}
 
 # --- certainty against the minimal-member enumeration ------------------------
 
@@ -846,9 +923,10 @@ def _reference_tokens(text: str) -> list:
 
 
 def _tokens(text: str) -> list:
-    raw = dsl._lex(text)
+    # with tuple lists off: the reference knows single tokens only
+    raw = dsl._lex(text, tuples=False)
     return [
-        (t.kind, t.text, *_line_col(text, dsl._offset(text, raw, i)))
+        (t.kind, t.text, *_line_col(text, dsl._offset(text, raw, i, tuples=False)))
         for i in range(len(raw) - 1)
         for t in [dsl._token(raw[i], i)]
     ]
@@ -1391,10 +1469,11 @@ TEXT_REPLACEMENTS = (
 
 def _text_mutations(text: str):
     """Each token of `text` dropped, doubled (a blank between the copies), or
-    replaced by each of TEXT_REPLACEMENTS."""
-    raw = dsl._lex(text)
+    replaced by each of TEXT_REPLACEMENTS. The walk reads tuple lists token
+    by token, so it mutates their values and punctuation one at a time."""
+    raw = dsl._lex(text, tuples=False)
     for i in range(len(raw) - 1):
-        start = dsl._offset(text, raw, i)
+        start = dsl._offset(text, raw, i, tuples=False)
         end = start + len("".join(raw[i]))
         yield text[:start] + text[end:]
         yield text[:end] + " " + text[start:end] + text[end:]
@@ -1418,16 +1497,74 @@ def test_every_text_mutation_fails_cleanly_or_round_trips():
     assert walked == 219 * (2 + len(TEXT_REPLACEMENTS)) and loaded > 300
 
 
-# --- instance sections: sliced against token by token ---------------------------
+# --- instance sections: tuple lists read at once against token by token ------
 
 SECTION_PIECES = ("(", ")", ",", ";", "1", "x", "total", '"s"', '"a@b"', '"a;b"', "?n", "}", "->")
+SECTION_VALUES = (
+    "1", "-2", "3.25", "-0.5", "007", "x", "a.b", "total", "rel", "?n", "?m1", "1.", "a.", "?",
+    '"s"', '"x y"', '"a,b"', '"a)b"', '"a(b"', '"a#b"', '"a;b"', '"a\\"b"', '"a@b"', "x@y",
+    "²", "1²", "½", "", "1\f", "\xa02", "1.2.3", "x y",
+)
+SECTION_BLANKS = ("", " ", "  ", "\t", "\n", "\r\n", " \r\n  ")
+SECTION_COMMENTS = ("# c\n", " #1, 2), (3\n", '#"\n')
+ROOT = Path(__file__).resolve().parent.parent
+TUPLE_LIST_MISFIT = "schema S { rel R(a, b); rel T(a, b); }\ninstance I : S { R: #1, 2), (3, 4); T: (1, 2); }\n"
 
 
-def _parsed(text: str):
+def _reading(parse, text: str):
+    """The workspace `parse(text)` returns, or its error's class, message, line and column."""
     try:
-        return parse_workspace(text)
+        return parse(text)
     except WorkbenchError as e:
-        return type(e), str(e)
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "col", None)
+
+
+def _assert_readers_agree(text: str) -> bool:
+    """The tuple-list reading of `text` gives the workspace the token path
+    gives, or fails where that fails, and `parse_workspace` gives the token
+    path's workspace or its very error. Returns whether a tuple list lexed
+    as one token."""
+    tokens = _reading(lambda t: dsl._Parser(t, False).parse(), text)
+    bulk = _reading(lambda t: dsl._Parser(t, True).parse(), text)
+    if isinstance(bulk, dsl.Workspace):
+        assert bulk == tokens, text
+    else:
+        assert not isinstance(tokens, dsl.Workspace), (text, bulk)
+    assert _reading(parse_workspace, text) == tokens, text
+    try:
+        return any(t[dsl._TUPLES] for t in dsl._lex(text))
+    except WorkspaceSyntaxError:
+        return False
+
+
+@st.composite
+def instance_section_st(draw):
+    """A workspace whose `R` section draws arities 1 to 4 and tuples of the
+    wrong arity (`2 * arity + 1` values among them, which fill a tuple and a
+    half), well-formed values and one of any kind, blanks with CRLF,
+    comments before and inside the tuple list in one text of four, trailing
+    commas and empty sections."""
+    arity = draw(st.integers(1, 4))
+    gaps = SECTION_BLANKS + (SECTION_COMMENTS if draw(st.integers(0, 3)) == 0 else ())
+
+    def gap():
+        return draw(st.sampled_from(gaps))
+
+    odd = draw(st.sampled_from(SECTION_VALUES))  # of any kind, among well-formed ones
+
+    def value():
+        return draw(st.sampled_from(SECTION_VALUES[:11])) if draw(st.integers(0, 5)) else odd
+
+    def one_tuple():
+        n = arity if draw(st.integers(0, 5)) else draw(st.integers(0, 2 * arity + 1))
+        return "(" + ",".join(gap() + value() + gap() for _ in range(n)) + ")"
+
+    tuples = ",".join(gap() + one_tuple() + gap() for _ in range(draw(st.integers(0, 4))))
+    tail = draw(st.sampled_from(("", "", "", ",", " ,", ")")))
+    return (
+        f"schema S {{ rel R({', '.join('abcd'[:arity])}); rel T(a); }}\n"
+        f"instance I : S {{ R:{gap()}{tuples}{tail}{gap()}; T:{gap()}(1){gap()}; }}\n"
+    )
 
 
 @settings(max_examples=SECTION_EXAMPLES, deadline=None)
@@ -1438,14 +1575,41 @@ def _parsed(text: str):
     cut=st.integers(0, 40),
 )
 def test_sliced_instance_sections_match_the_token_reader(arity, rows, tail, cut):
-    """`_Parser._section` reads an instance section as `_tuples` does, and
-    declines every section it would read differently: tuples of the wrong
-    arity, a value that is no constant, a string with `@`, a missing `;`."""
+    """The tuple-list reading of an instance section gives what the token
+    path gives, and declines every section the token path rejects: tuples of
+    the wrong arity, a value that is no constant, a string with `@`, a
+    missing `;`."""
     attrs = ", ".join("abc"[:arity])
     section = ", ".join("(" + ", ".join(row) + ")" for row in rows) + " ".join(tail)
     text = f"schema S {{ rel R({attrs}); rel T(a); }}\ninstance I : S {{ R: {section}; T: (1); }}"
     for text in (text, text[: len(text) - cut]):
-        sliced = _parsed(text)
-        with mock.patch.object(dsl._Parser, "_section", lambda self, arity: None):
-            assert sliced == _parsed(text)
+        _assert_readers_agree(text)
 
+
+@settings(max_examples=SECTION_EXAMPLES, deadline=None)
+@given(text=instance_section_st())
+def test_tuple_list_reader_agrees_with_the_token_path(text):
+    _assert_readers_agree(text)
+
+
+def test_tuple_list_reader_agrees_on_mutations_and_bench_texts(monkeypatch):
+    for v in SECTION_VALUES:
+        _assert_readers_agree(f"schema S {{ rel R(a, b); }}\ninstance I : S {{ R: (1, {v}), (2, 3); }}")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    texts = [t for make in workloads.GENERATORS.values() for t in make(1).files.values()]
+    assert all([_assert_readers_agree(text) for text in texts])
+    read = [_assert_readers_agree(text) for text in _text_mutations(JSON_MUTATION_WORKSPACE)]
+    assert len(read) == 219 * (2 + len(TEXT_REPLACEMENTS)) and sum(read) > 1000
+
+
+def test_a_comment_never_starts_a_tuple_list():
+    """Only blanks come before a tuple-list token, so the comment's tail
+    `1, 2), (3, 4)` is never read as one, and the text fails as it does
+    token by token."""
+    assert not _assert_readers_agree(TUPLE_LIST_MISFIT)
+    with pytest.raises(WorkspaceSyntaxError, match="line 2, col 19: expected ';', found end of file"):
+        parse_workspace(TUPLE_LIST_MISFIT)

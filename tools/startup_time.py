@@ -101,14 +101,17 @@ def measure(trees: dict[str, str], runs: int) -> dict:
                 mode: {name: summary(times[mode, name]) for name in trees} for mode in modes
             }
         for mode in modes:
-            per_tree = {}
-            for name in trees:
-                samples = [import_self_us(envs[mode, name]) for _ in range(max(3, runs // 4))]
-                modules = sorted(set().union(*samples))
-                per_tree[name] = {
-                    m: round(statistics.median(s.get(m, 0) for s in samples) / 1000, 2) for m in modules
+            samples: dict[str, list] = {name: [] for name in trees}
+            for _ in range(runs):  # the trees take turns here too
+                for name in trees:
+                    samples[name].append(import_self_us(envs[mode, name]))
+            result["import_self_ms"][mode] = {
+                name: {
+                    m: round(statistics.median(s.get(m, 0) for s in runs_) / 1000, 2)
+                    for m in sorted(set().union(*runs_))
                 }
-            result["import_self_ms"][mode] = per_tree
+                for name, runs_ in samples.items()
+            }
     result["interpreter_start"] = {
         label: summary([clocked([sys.executable, *flags, "-c", "pass"], base, 0) for _ in range(runs)])
         for label, flags in (("plain", []), ("no_site", ["-S"]))

@@ -158,7 +158,7 @@ def chase_safe_scope(
                 )
                 store.add(atom.relation, (Row(attrs, cells), trigger_cond))
             ordinal += 1
-    return ConditionalInstance.of(t.schema, store.entries)
+    return t.with_relations(t.schema, {r: p for r, p in store.entries.items() if len(p) > len(t.rows(r))})
 
 
 def apply_alter_schema(
@@ -175,20 +175,16 @@ def apply_alter_schema(
     target = _step_schema(t.schema, p)
     if target is None:
         return EMPTY
-    data: dict[str, list[ConditionalRow]] = {}
+    changed: dict[str, list[ConditionalRow]] = {}  # the relations that are new or widened
     for rel in target.names:
         if not t.schema.defines(rel):
-            data[rel] = []
-            continue
-        new_attrs = sorted(target.attrs(rel) - t.schema.attrs(rel))
-        if not new_attrs:
-            data[rel] = list(t.rows(rel))
-            continue
-        data[rel] = [
-            (with_cells(row, {a: LabeledNull(f"p{step}_a_{rel}_{a}_{k}") for a in new_attrs}), cond)
-            for k, (row, cond) in enumerate(t.rows(rel))
-        ]
-    return ConditionalInstance.of(target, data)
+            changed[rel] = []
+        elif new_attrs := sorted(target.attrs(rel) - t.schema.attrs(rel)):
+            changed[rel] = [
+                (with_cells(row, {a: LabeledNull(f"p{step}_a_{rel}_{a}_{k}") for a in new_attrs}), cond)
+                for k, (row, cond) in enumerate(t.rows(rel))
+            ]
+    return t.with_relations(target, changed)
 
 
 def _require_classified(ps: Iterable[Procedure]) -> None:

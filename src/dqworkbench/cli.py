@@ -136,8 +136,8 @@ def _proc_label(p: Procedure) -> str:
 
 
 # --- subcommand handlers ---------------------------------------------------
-# Each returns (exit code, text lines, json payload); the oracle handlers,
-# whose reports run to thousands of instances, fill only the format asked for.
+# Each returns (exit code, text lines, json payload); `outcomes` and the oracle
+# handlers, whose reports run large, fill only the format asked for.
 
 Report = tuple[int, list[str], dict]
 
@@ -215,8 +215,9 @@ def _cmd_outcomes(ws: Workspace, args) -> Report:
     result = approximate_outcomes(instance, _sequence(ws, args.seq))
     if isinstance(result, EmptyResult):
         return EXIT_NO, ["no outcomes"], {"outcomes": False, "table": None}
-    lines = render_ctable(result).splitlines()
-    return EXIT_YES, lines, {"outcomes": True, "table": _table_json(result)}
+    if args.format == "json":
+        return EXIT_YES, [], {"outcomes": True, "table": _table_json(result)}
+    return EXIT_YES, render_ctable(result).splitlines(), {}
 
 
 def _verdict(holds: bool, label: str, key: str) -> Report:

@@ -140,6 +140,10 @@ def _pair_key(pair: ConditionalRow) -> tuple:
     return (tuple([cell_key(c) for c in row.values]), _cond_key(cond))
 
 
+def _ordered(pairs: Iterable[ConditionalRow]) -> tuple[ConditionalRow, ...]:
+    return tuple(sorted(dict.fromkeys(pairs), key=_pair_key))
+
+
 class ConditionalInstance(Distinct, namedtuple("ConditionalInstance", "schema data")):
     """Per relation, distinct (row, condition) pairs; `of` stores them in
     `_pair_key` order, the order the text and JSON renderings list."""
@@ -159,10 +163,7 @@ class ConditionalInstance(Distinct, namedtuple("ConditionalInstance", "schema da
         for r in given:
             if not schema.defines(r):
                 raise DomainMismatch(f"relation {r} is not in the schema")
-        return ConditionalInstance(
-            schema,
-            tuple((r, tuple(sorted(dict.fromkeys(given.get(r, ())), key=_pair_key))) for r in schema.names),
-        )
+        return ConditionalInstance(schema, tuple((r, _ordered(given.get(r, ()))) for r in schema.names))
 
     @staticmethod
     def from_instance(i: Instance) -> "ConditionalInstance":
@@ -173,6 +174,14 @@ class ConditionalInstance(Distinct, namedtuple("ConditionalInstance", "schema da
                 for r in i.schema.names
             },
         )
+
+    def with_relations(
+        self, schema: Schema, changed: Mapping[str, Iterable[ConditionalRow]]
+    ) -> "ConditionalInstance":
+        """The table over `schema` whose relations in `changed` hold those pairs, stored as `of`
+        stores them; every other relation keeps its tuple, already distinct and in order."""
+        stored = dict(self.data) | {r: _ordered(pairs) for r, pairs in changed.items()}
+        return ConditionalInstance(schema, tuple((r, stored[r]) for r in schema.names))
 
     def rows(self, relation: str) -> tuple[ConditionalRow, ...]:
         for r, pairs in self.data:

@@ -292,6 +292,7 @@ class _Parser:
         self.pos = 0
         self.ws = Workspace()
         self.values: dict[str, Value] = {}  # by token text, or by a cell's text in a tuple list
+        self.sections: dict[tuple[tuple[str, ...], str], frozenset[Row]] = {}  # by (row layout, tuple list)
 
     # token plumbing
 
@@ -407,7 +408,7 @@ class _Parser:
             raise ResolutionError(f"instance {name.text!r} references unknown schema {schema_name.text!r}")
         schema = self.ws.schemas[schema_name.text]
         self._expect("{")
-        data: dict[str, set[Row]] = {}
+        data: dict[str, Iterable[Row]] = {}
         while not self._at("}"):
             rel = self._name("relation name")
             if not schema.defines(rel.text):
@@ -423,13 +424,17 @@ class _Parser:
         self.ws.instances[name.text] = Instance.of(schema, data)
         self.ws.instance_schema[name.text] = schema_name.text
 
-    def _section(self, relation: str, attrs: tuple[str, ...]) -> set[Row]:
+    def _section(self, relation: str, attrs: tuple[str, ...]) -> Iterable[Row]:
         """The rows of a section, read by `_tuples` unless its tuple list is one token.
         Split at `,` `(` `)`, the token gives a cell per value and a blank one per tuple:
-        tuples times arity + 1 cells, no blank among the values, and every tuple fits."""
+        tuples times arity + 1 cells, no blank among the values, and every tuple fits.
+        A token read before under the same layout gives back the same `frozenset`."""
         text = self.raw[self.pos][_TUPLES]
         if not text:
             return _rows(relation, attrs, self._tuples())
+        self.pos += 1
+        if (attrs, text) in self.sections:
+            return self.sections[attrs, text]
         cells = text.replace("(", "").replace(")", ",").split(",")
         step = len(attrs) + 1
         if len(cells) != step * text.count(")"):
@@ -441,9 +446,9 @@ class _Parser:
         if len(raw) != 2 * len(new) + 1 or None in found:
             raise _Misfit(relation)
         self.values.update(zip(new, found))
-        self.pos += 1
         tuples = zip(*[map(self.values.__getitem__, cells)] * (step - 1))
-        return set(map(tuple.__new__, repeat(Row), zip(repeat(attrs), tuples)))
+        rows = self.sections[attrs, text] = frozenset(map(tuple.__new__, repeat(Row), zip(repeat(attrs), tuples)))
+        return rows
 
     def _tuples(self) -> Iterable[list[Value]]:
         """The value lists of `(v, ...), (v, ...)`, token by token, each checked for its `)`."""
@@ -1218,11 +1223,12 @@ def _workspace_from_json(obj: Mapping) -> Workspace:
 
 def load_workspace(path: str) -> Workspace:
     """Read a UTF-8 workspace file; .dq.json is JSON, anything else is the DSL."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
-        text = f.read()
-    # surrogateescape decodes each byte that is not UTF-8 to U+DC80..U+DCFF
-    bad = re.search("[\udc80-\udcff]", text)
-    if bad:
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError:  # read again, each byte that is not UTF-8 decoded to U+DC80..U+DCFF
+        with open(path, encoding="utf-8", errors="surrogateescape") as f:
+            bad = re.search("[\udc80-\udcff]", text := f.read())
         prefix = "json: " if path.endswith(".json") else ""
         raise _syntax_error(text, bad.start(), f"{prefix}invalid UTF-8 byte 0x{ord(bad[0]) - 0xDC00:02x}")
     if path.endswith(".json"):

@@ -17,7 +17,7 @@ import re
 from collections import namedtuple
 from functools import cache, cached_property
 from itertools import chain, groupby, permutations, product
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import DomainMismatch, Meter
@@ -257,7 +257,10 @@ def check_relations(what: str, schema: Schema, data: Iterable[tuple[str, Iterabl
         raise DomainMismatch(f"{what} must list exactly the schema relations, in order")
     for r, rows in data:
         expected = schema.layout(r)
-        for attrs in {row.attrs for row in rows} - {expected}:
+        layouts = list(map(attrgetter("attrs"), rows))  # `count` tests identity first
+        if layouts.count(expected) == len(layouts):
+            continue
+        for attrs in set(layouts) - {expected}:
             if list(attrs) != sorted(set(attrs)):
                 raise DomainMismatch(f"row attributes must be distinct and ordered: {list(attrs)}")
             raise DomainMismatch(f"tuple over {list(attrs)} does not fit {r}({list(expected)})")

@@ -347,7 +347,40 @@ class TestAlterSchema:
             apply_alter_schema(t, migrate_total_proc())
 
 
+JOIN_PIPELINE = """
+schema S { rel R(a, b); rel T(b, c); rel U(a, c); }
+instance I : S { R: (1, 10), (2, 10), (3, 20); T: (10, 5), (20, 6), (20, 7); U: (9, 9); }
+proc join {
+  scope { U[*]; }
+  pre { struct R[a, b]; struct T[b, c]; struct U[a, c]; }
+  post { tgd R(a: x, b: y) and T(b: y, c: z) -> U(a: x, c: z); }
+  safe { total U; }
+}
+proc alter_u = template alter_table(U; d)
+seq pipeline = join, alter_u, join
+"""
+
+
 class TestApproximateOutcomes:
+    def test_pipeline_steps_keep_the_relations_they_leave_unchanged(self):
+        """Each step of `join, alter_u, join` passes on `R` and `T` as the very
+        tuples it got, and the second join, which adds nothing, passes on `U`
+        too. A relation a step grows or widens is stored as `of` stores it:
+        `U`'s old row `(9, 9)` sorts after the rows the join adds."""
+        ws = parse_workspace(JOIN_PIPELINE)
+        join, alter_u = ws.procedures["join"], ws.procedures["alter_u"]
+        start = ConditionalInstance.from_instance(ws.instances["I"])
+        joined = chase_safe_scope(start, join, step=0)
+        widened = apply_alter_schema(joined, alter_u, step=1)
+        again = chase_safe_scope(widened, join, step=2)
+        for before, after in ((start, joined), (joined, widened), (widened, again)):
+            assert after.rows("R") is before.rows("R") and after.rows("T") is before.rows("T")
+        assert again.rows("U") is widened.rows("U")
+        assert len(joined.rows("U")) == 5 and joined.rows("U")[-1] == start.rows("U")[0]
+        for t in (joined, widened, again):
+            assert t == ConditionalInstance.of(t.schema, dict(t.data))
+        assert again == approximate_outcomes(ws.instances["I"], [join, alter_u, join])
+
     def test_empty_sequence_returns_the_instance_itself(self, instance_i):
         res = approximate_outcomes(instance_i, [])
         assert isinstance(res, ConditionalInstance)

@@ -368,6 +368,25 @@ class TestDiagnostics:
             load_workspace(str(path))
         assert str(e.value) == "line 2, col 14: invalid UTF-8 byte 0xff"
 
+    def test_invalid_utf8_late_in_a_long_file_keeps_its_position(self, tmp_path):
+        """A bad byte past the first 40 KB, inside a cut-off multibyte sequence,
+        is found by the second reading and reported at its first byte."""
+        path = tmp_path / "late.dq"
+        comment = b"# " + b"x" * 40000 + b"\n"
+        path.write_bytes(b"schema S { rel R(a); }\n" + comment + b'instance I : S { R: ("\xc3\xa9"), ("a\xe2\x82"); }\n')
+        with pytest.raises(WorkspaceSyntaxError) as e:
+            load_workspace(str(path))
+        assert str(e.value) == "line 3, col 31: invalid UTF-8 byte 0xe2"
+
+    def test_a_lone_carriage_return_ends_a_line(self, tmp_path):
+        """The file is read in text mode, so a lone CR is a line break, and a
+        string cannot run across it."""
+        path = tmp_path / "cr.dq"
+        path.write_bytes(b'schema S { rel R(a); }\rinstance I : S { R: ("x\ry"); }\r')
+        with pytest.raises(WorkspaceSyntaxError) as e:
+            load_workspace(str(path))
+        assert str(e.value) == "line 2, col 22: unterminated string"
+
     def test_total_query_shape_errors(self):
         schema = "schema S { rel R(a); }\n"
         self.assert_position(schema + "query q : total R, R", 2, 11, "must be distinct")

@@ -35,7 +35,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dqworkbench.chase import (
     EMPTY,
@@ -1613,3 +1613,58 @@ def test_a_comment_never_starts_a_tuple_list():
     assert not _assert_readers_agree(TUPLE_LIST_MISFIT)
     with pytest.raises(WorkspaceSyntaxError, match="line 2, col 19: expected ';', found end of file"):
         parse_workspace(TUPLE_LIST_MISFIT)
+
+
+# --- repeated tuple lists: one reading per (row layout, text) ------------------
+
+SHARED_SCHEMA = "schema S { rel R(a, b); rel T(c, d); rel V(a); rel X(a, b, c); }\n"
+
+
+@st.composite
+def shared_sections_st(draw):
+    """Two or three instances whose sections draw their tuple lists from a
+    pool of one list per arity 1 to 3, so a list repeats across instances
+    and sits under both `R(a, b)` and `T(c, d)` (equal arity, other
+    attributes). One section in six takes a list of any arity, so a list
+    also sits under relations of other arities. A tuple in six has an odd
+    arity, and a value in six is one of any kind."""
+    odd = draw(st.sampled_from(SECTION_VALUES))
+
+    def tuple_list(arity):
+        def one_tuple():
+            n = arity if draw(st.integers(0, 5)) else draw(st.integers(1, 3))
+            return "(" + ", ".join(draw(st.sampled_from(SECTION_VALUES[:11] + (odd,))) for _ in range(n)) + ")"
+
+        return ", ".join(one_tuple() for _ in range(draw(st.integers(1, 3))))
+
+    pool = {arity: tuple_list(arity) for arity in (1, 2, 3)}
+    instances = []
+    for k in range(draw(st.integers(2, 3))):
+        sections = ""
+        for r in draw(st.lists(st.sampled_from("RTVX"), unique=True)):
+            arity = {"R": 2, "T": 2, "V": 1, "X": 3}[r] if draw(st.integers(0, 5)) else draw(st.integers(1, 3))
+            sections += f" {r}: {pool[arity]};"
+        instances.append(f"instance I{k} : S {{{sections} }}\n")
+    return SHARED_SCHEMA + "".join(instances)
+
+
+@settings(max_examples=SECTION_EXAMPLES, deadline=None)
+@given(text=shared_sections_st())
+@example(text=SHARED_SCHEMA + "instance I : S { R: (1, 2), (3, 4); T: (1, 2), (3, 4); }\n")
+@example(text=SHARED_SCHEMA + "instance I : S { R: (1, 2); }\ninstance J : S { V: (1, 2); T: (1, 2); }\n")
+@example(text=SHARED_SCHEMA + "instance I : S { V: (1), (2); }\ninstance J : S { X: (1), (2); V: (1), (2); }\n")
+def test_repeated_tuple_lists_read_as_the_token_path_reads_them(text):
+    """A tuple list read again, under the same layout or another one, gives
+    what the token path gives, or fails where that fails."""
+    _assert_readers_agree(text)
+
+
+def test_figure_1_instances_share_their_evisits_rows():
+    """Equal `EVisits` tuple lists under one layout are read once: every
+    candidate outcome holds `I`'s very `frozenset`, and `Instance.of` keeps it."""
+    ws = load_workspace(str(FIG1))
+    evisits = ws.instances["I"].rows("EVisits")
+    assert type(evisits) is frozenset and len(evisits) == 2
+    for name in ("J1", "J2", "J3", "J1_missing"):
+        assert ws.instances[name].rows("EVisits") is evisits
+    assert ws.instances["J1"].rows("LocVisits") is not ws.instances["I"].rows("LocVisits")

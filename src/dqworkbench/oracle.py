@@ -10,9 +10,16 @@ reads are fixed, dropping a prefix at its first failing clause; the result
 equals checking every candidate of the full product literally. Those
 clauses split the residual query per relation whenever the input allows
 it, so a residual relation is checked as soon as its rows are chosen, and
-leave out the residual clauses the generation guarantees. The generation
-also prunes, before it builds, the row choices two rules rule out (see
-`_relation_choices`), so the cap counts the candidates left after pruning.
+leave out the residual clauses the generation guarantees. Two kinds of
+clause are evaluated in part, once per step, on what every candidate holds
+of the input (Jones, Gomard & Sestoft, *Partial Evaluation and Automatic
+Program Generation*, 1993): a tgd whose body reads only out-of-scope
+relations demands fixed head rows (`_demanded_rows`), and an unfiltered
+one-relation `total` safety query keeps fixed rows, so each costs a
+candidate one set containment test on the relations it constrains. The
+generation also prunes, before it builds, the row choices two rules rule
+out (see `_relation_choices`), so the cap counts the candidates left after
+pruning.
 """
 
 from __future__ import annotations
@@ -20,11 +27,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, namedtuple
+from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .chase import EmptyResult, approximate_outcomes
 from .constraints import (
     ConjunctiveQuery,
+    Constraint,
     Egd,
     NamedAtom,
     Tgd,
@@ -49,7 +58,7 @@ from .model import (
     map_cells,
     with_cells,
 )
-from .procedures import Clause, Procedure, outcome_clauses, outcome_inputs, scope_map
+from .procedures import ANSWERS_LOST, POST_FAILED, Clause, Procedure, outcome_clauses, outcome_inputs, scope_map
 
 # Candidates one oracle run may charge, each batch before it is built and before
 # any clause is checked: per relation its sets of additions and its row-set
@@ -249,35 +258,50 @@ def _relation_choices(
     return out
 
 
-def _forced_rows(
-    p: Procedure, i: Instance, scope: dict[str, frozenset[str] | None]
-) -> dict[tuple[str, frozenset[str]], set[Row]]:
-    """Rows every outcome of `p` on `i` holds, keyed by relation and attributes.
+# rows by the relation and attributes they are over
+KeyedRows = dict[tuple[str, frozenset[str]], set[Row]]
 
-    A tgd whose head has no existential variable, and whose body atoms read
-    only out-of-scope relations on attributes `i` has, matches every
-    candidate as it matches `i`: candidates keep those rows verbatim there.
-    Each match then forces the row of each head atom on a whole-scope
-    relation, in every candidate whose relation has exactly its attributes.
-    """
-    out: dict[tuple[str, frozenset[str]], set[Row]] = {}
-    for d in p.post:
-        if not isinstance(d, Tgd) or d.head.existential:
-            continue
-        if not all(
-            isinstance(a, NamedAtom)
-            and scope.get(a.relation, frozenset()) == frozenset()
-            and is_compatible(a, i.schema)
-            for a in d.body.atoms
-        ):
-            continue
-        for answer in evaluate_query(d.body, i):
-            match = dict(zip(d.body.free, answer))
-            for a in d.head.atoms:
-                if isinstance(a, NamedAtom) and scope.get(a.relation, frozenset()) is None:
-                    row = Row.of({attr: match.get(t, t) for attr, t in a.bindings})
-                    out.setdefault((a.relation, a.attrs), set()).add(row)
+
+def _demanded_rows(d: Constraint, i: Instance, verbatim: frozenset[str]) -> KeyedRows | None:
+    """The rows the head relation atoms of `d` demand of every candidate, by
+    each atom's relation and attributes; None unless `d` is a tgd with no
+    existential head variable whose body atoms read `verbatim` relations on
+    attributes `i` has. Candidates hold those rows verbatim, so the body has
+    the answers it has on `i`, read here once per step."""
+    if not isinstance(d, Tgd) or d.head.existential or not all(
+        isinstance(a, NamedAtom) and a.relation in verbatim and is_compatible(a, i.schema)
+        for a in d.body.atoms
+    ):
+        return None
+    heads = [a for a in d.head.atoms if isinstance(a, NamedAtom)]
+    out: KeyedRows = {(a.relation, a.attrs): set() for a in heads}
+    for answer in evaluate_query(d.body, i):
+        match = dict(zip(d.body.free, answer))
+        for a in heads:
+            out[a.relation, a.attrs].add(Row.of({attr: match.get(t, t) for attr, t in a.bindings}))
     return out
+
+
+def _post_contained(idx: int, demanded: KeyedRows, after: Instance) -> list[str]:
+    """`procedures._post_failures` of postcondition `idx`, a tgd whose head
+    atoms, all relation atoms, demand `demanded`: it holds when `after` fits
+    every head atom, as `satisfies` requires, and has every demanded row, in
+    the projection onto the atom's attributes where its relation has more."""
+    schema = after.schema
+    for (rel, attrs), rows in demanded.items():
+        if not (schema.defines(rel) and attrs <= schema.attrs(rel)):
+            return [POST_FAILED.format(idx)]
+        have = after.rows(rel)
+        if rows and not rows <= (have if schema.attrs(rel) == attrs else {r.project(attrs) for r in have}):
+            return [POST_FAILED.format(idx)]
+    return []
+
+
+def _total_kept(idx: int, rel: str, attrs: frozenset[str], old: frozenset[Row], after: Instance) -> list[str]:
+    """`procedures._safety_failures` of safety query `idx`, an unfiltered
+    `total rel`, whose answers on the input are the rows `old` over `attrs`.
+    Candidate schemas keep every relation a safety query names."""
+    return [] if after.schema.attrs(rel) == attrs and old <= after.rows(rel) else [ANSWERS_LOST.format(idx)]
 
 
 def _single_step_outcomes(
@@ -296,15 +320,29 @@ def _single_step_outcomes(
     verbatim = frozenset(r for r in i.schema.names if scope.get(r, frozenset()) == frozenset())
     clauses = outcome_clauses(p, inputs, verbatim)
     pool = _value_pool(i, shared, b)
-    forced = _forced_rows(p, i, scope)
+    # `clauses` lists the postconditions first and the safety queries last;
+    # those evaluated in part here become containment tests
+    forced: KeyedRows = {}
+    for idx, rows in enumerate(_demanded_rows(d, i, verbatim) for d in p.post):
+        if rows is None:
+            continue
+        # a row demanded of a whole-scope relation is in every candidate whose
+        # relation has exactly the demanding atom's attributes
+        for (rel, attrs), need in rows.items():
+            if scope.get(rel, frozenset()) is None:
+                forced.setdefault((rel, attrs), set()).update(need)
+        if all(isinstance(a, NamedAtom) for a in p.post[idx].head.atoms):
+            clauses[idx] = frozenset(rel for rel, _ in rows), partial(_post_contained, idx, rows)
     # an unfiltered `total R` on a whole-scope R loses an answer with any old
     # row the result drops
-    keep = {
-        q.relations[0]
-        for q in p.safe
-        if isinstance(q, TotalQuery) and q.condition is None and len(q.relations) == 1
-        and scope.get(q.relations[0], frozenset()) is None
-    }
+    keep = set()
+    for idx, q in enumerate(p.safe):
+        if isinstance(q, TotalQuery) and q.condition is None and len(q.relations) == 1:
+            rel = q.relations[0]
+            check = partial(_total_kept, idx, rel, i.schema.attrs(rel), i.rows(rel))
+            clauses[idx - len(p.safe)] = frozenset({rel}), check
+            if scope.get(rel, frozenset()) is None:
+                keep.add(rel)
     found: set[Instance] = set()
     for schema in _candidate_schemas(i, p, b):
         per_relation = []
@@ -336,7 +374,8 @@ def _accepted(
     fixed, on the instance holding the fixed rows (the rest empty); a
     clause reading a relation outside the schema waits for the full
     candidate. A prefix that fails a clause is dropped with all its
-    extensions.
+    extensions. A full candidate's data lists the (relation, rows) pairs of
+    its choices in schema order: candidates making one choice share its pair.
     """
     order = sorted(per_relation, key=lambda rc: len(rc[1]))
     n = len(order)
@@ -352,27 +391,32 @@ def _accepted(
     if n == 0:
         yield empty
         return
-    rels = [rel for rel, _ in order]
-    chosen: list[frozenset[Row]] = []
-    stack = [iter(order[0][1])]
+    # each choice as the (relation, rows) pair an instance's data lists, and
+    # per relation of the schema, the depth of its pair in `chosen`
+    pairs = [[(rel, rows) for rows in choices] for rel, choices in order]
+    slots = [depth[rel] - 1 for rel in schema.names]
+    chosen: list[tuple[str, frozenset[Row]]] = []
+    stack = [iter(pairs[0])]
     while stack:
-        rows = next(stack[-1], None)
-        if rows is None:
+        pair = next(stack[-1], None)
+        if pair is None:
             stack.pop()
             if chosen:
                 chosen.pop()
             continue
-        chosen.append(rows)
+        chosen.append(pair)
         k = len(chosen)
-        if checks[k] or k == n:
-            fixed = Instance.built(schema, dict(zip(rels, chosen)))
+        if k == n:
+            fixed = tuple.__new__(Instance, (schema, tuple([chosen[s] for s in slots])))
+        elif checks[k]:
+            fixed = Instance.built(schema, dict(chosen))
         if any(check(fixed) for check in checks[k]):
             chosen.pop()
         elif k == n:
             yield fixed
             chosen.pop()
         else:
-            stack.append(iter(order[k][1]))
+            stack.append(iter(pairs[k]))
 
 
 def enumerate_outcomes(

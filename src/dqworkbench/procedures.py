@@ -117,6 +117,9 @@ _UNADDRESSABLE = (
     "result schema dropped preserved attributes of {}"
 )
 _CHANGED = "content outside the scope changed in {}"
+# failure texts of a postcondition and of a safety query, by index; the oracle words its own checks with them
+POST_FAILED = "postcondition {} does not hold on the result"
+ANSWERS_LOST = "safety query {} lost answers"
 
 
 class OutcomeReport(NamedTuple):
@@ -171,7 +174,7 @@ def _post_failures(idx: int, c: Constraint, after: Instance) -> list[str]:
         holds = satisfies(c, after)
     except Incompatible:
         holds = False
-    return [] if holds else [f"postcondition {idx} does not hold on the result"]
+    return [] if holds else [POST_FAILED.format(idx)]
 
 
 def _residual_failures(
@@ -210,7 +213,7 @@ def _safety_failures(
     typed = not isinstance(q, TotalQuery) or all(
         after.schema.attrs(r) == before.attrs(r) for r in q.relations
     )
-    return [] if typed and old <= evaluate_query(q, after) else [f"safety query {idx} lost answers"]
+    return [] if typed and old <= evaluate_query(q, after) else [ANSWERS_LOST.format(idx)]
 
 
 def _reads(c: Union[Constraint, Query]) -> frozenset[str]:
@@ -244,7 +247,9 @@ def outcome_clauses(
     joint clause when a kept relation is empty on `before`, since its
     factor is then empty on both sides. The oracle passes its out-of-scope
     relations; its cap counts the candidates left after pruning, not the
-    clauses checked.
+    clauses checked. It also replaces, by position, the clause of each
+    postcondition and safety query whose answers on the kept relations it
+    reads once per step (`oracle._demanded_rows`) with a containment test.
     """
     if all(old for _, old in inputs.residual):
         factor_groups = [(f,) for f in inputs.residual if f[0].atoms[0].relation not in kept]

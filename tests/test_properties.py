@@ -7,8 +7,9 @@ triggers against brute-force references, the residual clause against the joint r
 workspace lexer against the reference tokenizer, size-ordered minimality
 and the oracle's up-front meter against the all-pairs test and the
 candidate totals they replace, the oracle's staged clause checks against
-the literal enumerator, the minimal schema as a lower bound on the
-oracle's outcome schemas, c-table conditions against brute-force
+the literal enumerator, its clauses evaluated once per step against the
+literal clauses, the reach of the staged-case generator, the minimal
+schema as a lower bound on the oracle's outcome schemas, c-table conditions against brute-force
 valuations, canonical naming against brute-force minima over renamings,
 template calls against their instantiation, mutated JSON workspaces
 against the CLI's exit codes, mutated text workspaces against the parser,
@@ -35,7 +36,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, find, given, settings, strategies as st
 
 from dqworkbench.chase import (
     EMPTY,
@@ -109,6 +110,7 @@ from dqworkbench.model import (
     Instance,
     Row,
     Schema,
+    Value,
     active_domain,
     const,
     instance_extends,
@@ -120,11 +122,14 @@ from dqworkbench.oracle import Budget, enumerate_outcomes, minimal_outcomes
 from dqworkbench.procedures import (
     TEMPLATE_KINDS,
     Procedure,
+    _post_failures,
+    _safety_failures,
     instantiate_template,
     outcome_clauses,
     outcome_inputs,
     possible_outcome_report,
     residual_atoms,
+    scope_map,
 )
 
 from . import reference_oracle, reference_tokenizer
@@ -1036,6 +1041,9 @@ def test_pruned_meter_stops_before_any_candidate_is_checked(monkeypatch):
 # --- the staged oracle against the literal enumerator -------------------------
 
 
+WITNESS = Var("e")
+
+
 @st.composite
 def staged_case_st(draw) -> tuple[Procedure, Instance, Budget]:
     """R and T over a and b with up to two rows of bits each, so either may
@@ -1043,17 +1051,20 @@ def staged_case_st(draw) -> tuple[Procedure, Instance, Budget]:
     egd across R and T, whose head may name an attribute only growth adds,
     or a full tgd from an out-of-scope relation into a whole-scope one,
     whose head binds every attribute of its relation, maybe with `total`
-    on the latter; a CQ, total (on either relation), filtered or
-    total-conjunction safety query; up to two new tuples; and a budget with
-    or without schema growth. The full tgd forces rows, and `total` on a
-    whole-scope relation keeps its rows: the oracle's two pruning rules."""
+    on the latter, or the same tgd with one head attribute bound to an
+    existential variable; or an alter step, with no scope or safety query,
+    that adds attribute c to one relation; a CQ, total (on either
+    relation), filtered or total-conjunction safety query; up to two new
+    tuples; and a budget with or without schema growth. The full tgd forces
+    rows, and `total` on a whole-scope relation keeps its rows: the
+    oracle's two pruning rules. `STAGED_BRANCHES` lists what it reaches."""
     attrs = {rel: sorted(draw(st.sets(st.sampled_from("ab"), min_size=1))) for rel in "RT"}
     src, dst = draw(st.permutations("RT"))
-    dependency = draw(st.sampled_from(["none", "tgd", "full", "egd"]))
+    dependency = draw(st.sampled_from(["none", "tgd", "full", "existential", "egd", "alter"]))
     data = {}
     for rel in attrs:
         cells = st.tuples(*(st.sampled_from(BITS) for _ in attrs[rel]))
-        least = int(dependency == "full" and rel == src)  # a full tgd's body matches
+        least = int(dependency in ("full", "existential") and rel == src)  # the tgd's body matches
         rows = draw(st.lists(cells, min_size=least, max_size=2))
         data[rel] = {Row.of(dict(zip(attrs[rel], c))) for c in rows}
     scope = []
@@ -1063,19 +1074,25 @@ def staged_case_st(draw) -> tuple[Procedure, Instance, Budget]:
         else:
             scope.append(StructureConstraint.of(rel, draw(st.sets(st.sampled_from(attrs[rel]), min_size=1))))
     post, safe = [], []
-    if dependency == "full":
+    if dependency in ("full", "existential"):
         scope = [StructureConstraint.of(dst)]
         if draw(st.booleans()):
             safe.append(TotalQuery((dst,)))
         body = {a: Var(a) for a in attrs[src]}
         head = {a: draw(st.sampled_from([*body.values(), *BITS])) for a in attrs[dst]}
-        free = sorted({t for t in head.values() if isinstance(t, Var)})
+        witness = {WITNESS} if dependency == "existential" else set()
+        if witness:
+            head[draw(st.sampled_from(attrs[dst]))] = WITNESS
+        free = sorted({t for t in head.values() if isinstance(t, Var)} - witness)
         post.append(
             Tgd(
                 cq([NamedAtom.of(src, body)], free=sorted(body.values())),
-                cq([NamedAtom.of(dst, head)], free=free),
+                cq([NamedAtom.of(dst, head)], free=free, existential=witness),
             )
         )
+    elif dependency == "alter":
+        scope = []
+        post.append(StructureConstraint.of(dst, ["c"]))
     elif dependency == "tgd":
         post.append(
             Tgd(
@@ -1090,7 +1107,8 @@ def staged_case_st(draw) -> tuple[Procedure, Instance, Budget]:
             NamedAtom.of(dst, {draw(st.sampled_from(attrs[dst])): y}),
         ]
         post.append(Egd(cq(body, free=[X, y]), (X, y)))
-    safe_kind = draw(st.sampled_from(["none", "cq", "total", "filtered", "conjunction"]))
+    kinds = ["none", "cq", "total", "filtered", "conjunction"]
+    safe_kind = "none" if dependency == "alter" else draw(st.sampled_from(kinds))
     if safe_kind == "cq":
         bound = draw(st.sets(st.sampled_from(attrs[src]), min_size=1))
         safe.append(open_cq([NamedAtom.of(src, {a: Var(a) for a in bound})]))
@@ -1146,6 +1164,110 @@ def test_staged_oracle_matches_the_literal_enumerator(case, cap):
     if expected is not None:
         assert outcomes == expected
         assert charge <= literal_charge
+
+
+def _verbatim(p: Procedure, i: Instance) -> frozenset[str]:
+    scope = scope_map(p.scope)
+    return frozenset(r for r in i.schema.names if scope.get(r, frozenset()) == frozenset())
+
+
+def _demanding(p: Procedure, i: Instance) -> list[tuple[Tgd, dict]]:
+    """The postconditions the oracle checks by containment, with their demanded rows."""
+    pairs = [(d, oracle_mod._demanded_rows(d, i, _verbatim(p, i))) for d in p.post]
+    return [(d, rows) for d, rows in pairs if rows is not None]
+
+
+def _totals(p: Procedure) -> list[str]:
+    """The relations of the unfiltered one-relation `total` safety queries."""
+    return [
+        q.relations[0] for q in p.safe if isinstance(q, TotalQuery) and q.condition is None and len(q.relations) == 1
+    ]
+
+
+def _schemas(p: Procedure, i: Instance, b: Budget) -> list[Schema]:
+    return list(oracle_mod._candidate_schemas(i, p, b)) if outcome_inputs(p, i).applicable else []
+
+
+def _widened_head(p, i, b) -> bool:
+    """Some candidate schema gives a demanding head relation an attribute
+    that neither the input nor the head atom has."""
+    return any(
+        s.defines(rel) and s.attrs(rel) > attrs | (i.schema.attrs(rel) if i.schema.defines(rel) else attrs)
+        for _, rows in _demanding(p, i)
+        for rel, attrs in rows
+        for s in _schemas(p, i, b)
+    )
+
+
+def _total_resized(p, i, b, narrower: bool) -> bool:
+    return any(
+        s.attrs(rel) != i.schema.attrs(rel) and (s.attrs(rel) < i.schema.attrs(rel)) == narrower
+        for rel in _totals(p) for s in _schemas(p, i, b)
+    )
+
+
+# what `staged_case_st` must reach, as predicates on (procedure, input, budget)
+STAGED_BRANCHES = {
+    "kept-body tgd with a head constant": lambda p, i, b: any(
+        isinstance(t, Value) for d, _ in _demanding(p, i) for a in d.head.atoms for _, t in a.bindings
+    ),
+    "head relation widened by growth": _widened_head,
+    "existential head over kept relations": lambda p, i, b: any(
+        isinstance(d, Tgd) and d.head.existential and all(a.relation in _verbatim(p, i) for a in d.body.atoms)
+        for d in p.post
+    ),
+    "kept relation empty on the input": lambda p, i, b: any(
+        not i.rows(a.relation) for d, _ in _demanding(p, i) for a in d.body.atoms
+    ),
+    "total R under a schema that narrows R": lambda p, i, b: _total_resized(p, i, b, True),
+    "total R under a schema that widens R": lambda p, i, b: _total_resized(p, i, b, False),
+    "alter step with extra=1 and growth": lambda p, i, b: b.extra_constants == 1 and b.allow_schema_growth and any(
+        isinstance(c, StructureConstraint) and not set(c.attributes) <= i.schema.attrs(c.relation) for c in p.post
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(STAGED_BRANCHES))
+def test_staged_cases_reach_each_branch(branch):
+    holds = STAGED_BRANCHES[branch]
+    found = find(
+        staged_case_st(),
+        lambda case: bool(holds(*case)),
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
+    assert holds(*found)
+
+
+@settings(max_examples=STAGED_ORACLE_EXAMPLES, deadline=None)
+@given(case=staged_case_st())
+def test_partially_evaluated_clauses_list_the_literal_failures(case):
+    # Every candidate the oracle builds gets, from each postcondition and
+    # safety clause, the failures `_post_failures` or `_safety_failures`
+    # list, including the clauses it evaluates once per step.
+    p, i, b = case
+    batches = []
+    accepted = oracle_mod._accepted
+
+    def recording(schema, per_relation, clauses):
+        batches.append((schema, per_relation, clauses))
+        return accepted(schema, per_relation, clauses)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle_mod, "BUDGET_CAP", 1000)
+        patch.setattr(oracle_mod, "_accepted", recording)
+        try:
+            enumerate_outcomes(p, i, b)
+        except BudgetExceeded:
+            pass
+    inputs = outcome_inputs(p, i)
+    for schema, per_relation, clauses in batches:
+        posts, safeties = clauses[: len(p.post)], clauses[len(clauses) - len(p.safe) :]
+        for rows in itertools.product(*(choices for _, choices in per_relation)):
+            j = Instance.of(schema, dict(zip((rel for rel, _ in per_relation), rows)))
+            for idx, (c, (_, check)) in enumerate(zip(p.post, posts)):
+                assert check(j) == _post_failures(idx, c, j)
+            for idx, (q, old, (_, check)) in enumerate(zip(p.safe, inputs.safety, safeties)):
+                assert check(j) == _safety_failures(idx, q, old, i.schema, j)
 
 
 @st.composite

@@ -1,4 +1,5 @@
-"""Scaling record of `dqw compare` on Figure 1's `fix` with schema growth.
+"""Scaling record of the oracle on Figure 1: `dqw compare` of `fix` with
+schema growth, and the enumeration of `migrate` for one or more checkouts.
 
 For each `extra` value, runs
 
@@ -13,8 +14,21 @@ measures any checkout:
 
     PYTHONHASHSEED=0 PYTHONPATH=src python tools/scaling_compare.py --extra 0 1 2
 
+Then, for each `--migrate-extra` value E, it times `enumerate_outcomes`
+for `dqw compare --seq migrate --budget extra=E,tuples=2` (727, 998 and
+1,329 outcomes at E = 1, 2, 3), one enumeration per fresh interpreter: a
+second enumeration in one process runs while the first one's outcomes are
+alive, and the collector walks them. Each `--tree NAME=SRC` names a
+checkout's `src/` (by default, the one `dqworkbench` was imported from);
+the trees take turns run by run, the order flipping each run, so drift in
+the machine's load reaches each alike:
+
+    PYTHONPATH=src python tools/scaling_compare.py --extra --runs 10 \
+        --tree parent=<parent>/src --tree change=src --out record.json
+
 It prints one JSON object, with the log-log slope of each time against the
-outcome count over the `extra` values given.
+outcome count over the `extra` values given, and the median and quartiles
+of each tree's `migrate` enumeration times.
 """
 
 from __future__ import annotations
@@ -23,11 +37,13 @@ import argparse
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import dqworkbench
 from dqworkbench.chase import approximate_outcomes
 from dqworkbench.cli import parse_budget
 from dqworkbench.ctables import enumerate_minimal
@@ -41,6 +57,17 @@ from dqworkbench.oracle import (
 )
 
 FIG1 = Path(__file__).resolve().parent.parent / "workspaces" / "fig1.dq"
+MIGRATE = """\
+import sys, time
+from dqworkbench.cli import parse_budget
+from dqworkbench.dsl import load_workspace
+from dqworkbench.oracle import enumerate_outcomes
+ws = load_workspace(sys.argv[1])
+i, ps, b = ws.instances["I"], [ws.procedures["migrate"]], parse_budget(sys.argv[2])
+start = time.perf_counter()
+n = len(enumerate_outcomes(ps, i, b))
+print(time.perf_counter() - start, n)
+"""
 
 
 def best(repeat: int, run) -> float:
@@ -78,6 +105,35 @@ def phases(budget: str, repeat: int) -> dict:
     }
 
 
+def migrate_enumeration(trees: dict[str, str], extras: list[int], runs: int) -> dict:
+    """Per tree and budget, the outcome count and the median and quartiles of
+    `runs` fresh-interpreter times of the `migrate` enumeration."""
+    times: dict[tuple[str, int], list[float]] = {(name, e): [] for name in trees for e in extras}
+    counts: dict[int, set[int]] = {e: set() for e in extras}
+    order = list(trees.items())
+    for k in range(runs):
+        for e in extras:
+            for name, src in order[::-1] if k % 2 else order:
+                argv = [sys.executable, "-c", MIGRATE, str(FIG1), f"extra={e},tuples=2"]
+                env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+                seconds, n = subprocess.run(argv, capture_output=True, text=True, check=True, env=env).stdout.split()
+                times[name, e].append(float(seconds))
+                counts[e].add(int(n))
+    if any(len(n) != 1 for n in counts.values()):
+        raise SystemExit(f"the trees enumerate different outcome counts: {counts}")
+    outcomes = {e: n.pop() for e, n in counts.items()}
+    out: dict[str, list[dict]] = {}
+    for name in trees:
+        out[name] = []
+        for e in extras:
+            q1, median, q3 = statistics.quantiles(times[name, e], n=4)
+            out[name].append({
+                "budget": f"extra={e},tuples=2", "outcomes": outcomes[e],
+                "median_s": round(median, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4), "runs": runs,
+            })
+    return out
+
+
 def slope(xs: list[float], ys: list[float]) -> float:
     """Least-squares slope of log y against log x."""
     lx, ly = [math.log(x) for x in xs], [math.log(y) for y in ys]
@@ -87,8 +143,12 @@ def slope(xs: list[float], ys: list[float]) -> float:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--extra", type=int, nargs="+", default=[0, 1, 2])
+    ap.add_argument("--extra", type=int, nargs="*", default=[0, 1, 2], help="fix budgets; none skips them")
     ap.add_argument("--repeat", type=int, default=3)
+    ap.add_argument("--migrate-extra", type=int, nargs="*", default=[1, 2, 3])
+    ap.add_argument("--runs", type=int, default=10, help="fresh interpreters per tree and migrate budget")
+    ap.add_argument("--tree", action="append", default=[], metavar="NAME=SRC", help="a checkout's src/; repeat to compare")
+    ap.add_argument("--out", help="write the JSON here as well as to stdout")
     args = ap.parse_args()
     rows = []
     for extra in args.extra:
@@ -102,8 +162,13 @@ def main() -> None:
             key: slope(n, [r[key] for r in rows])
             for key in ("fresh_process_s", "minimal_outcomes_s", "compare_with_chase_s")
         }
-    json.dump(out, sys.stdout, indent=2)
-    print()
+    trees = dict(spec.split("=", 1) for spec in args.tree) or {"current": str(Path(dqworkbench.__file__).parent.parent)}
+    if args.migrate_extra:
+        out["migrate_enumeration"] = migrate_enumeration(trees, args.migrate_extra, args.runs)
+    text = json.dumps(out, indent=2)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    print(text)
 
 
 if __name__ == "__main__":

@@ -114,7 +114,6 @@ from .errors import (
     WorkspaceSyntaxError,
 )
 from .model import (
-    CONST,
     Cell,
     Instance,
     LabeledNull,
@@ -273,8 +272,8 @@ def _raw_value(t: tuple[str, ...]) -> Value | None:
     """The value raw token `t` denotes, or None (no value, or a string with
     `@`); in a value position even a reserved word reads as a constant."""
     _, _, number, ident, null, string, _ = t
-    if number or ident:  # most cells: `const` without its call and its `str`
-        return tuple.__new__(Value, (CONST, number or ident))
+    if number or ident:
+        return const(number or ident)
     if null:
         return null_marker(null[1:])
     return const(_ESCAPE.sub(r"\1", string[1:-1])) if string and "@" not in string else None

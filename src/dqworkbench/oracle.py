@@ -10,16 +10,13 @@ reads are fixed, dropping a prefix at its first failing clause; the result
 equals checking every candidate of the full product literally. Those
 clauses split the residual query per relation whenever the input allows
 it, so a residual relation is checked as soon as its rows are chosen, and
-leave out the residual clauses the generation guarantees. Two kinds of
-clause are evaluated in part, once per step, on what every candidate holds
-of the input (Jones, Gomard & Sestoft, *Partial Evaluation and Automatic
-Program Generation*, 1993): a tgd whose body reads only out-of-scope
-relations demands fixed head rows (`_demanded_rows`), and an unfiltered
-one-relation `total` safety query keeps fixed rows, so each costs a
-candidate one set containment test on the relations it constrains. The
-generation also prunes, before it builds, the row choices two rules rule
-out (see `_relation_choices`), so the cap counts the candidates left after
-pruning.
+leave out the residual clauses the generation guarantees. A tgd whose
+body reads only out-of-scope relations, and an unfiltered one-relation
+`total` safety query, are read once per step on the input (partial
+evaluation): each candidate then meets them as a set containment test.
+The generation also prunes, before it builds, the row choices two rules
+rule out (see `_relation_choices`), so the cap counts the candidates left
+after pruning.
 """
 
 from __future__ import annotations
@@ -258,23 +255,18 @@ def _relation_choices(
     return out
 
 
-# rows by the relation and attributes they are over
-KeyedRows = dict[tuple[str, frozenset[str]], set[Row]]
-
-
-def _demanded_rows(d: Constraint, i: Instance, verbatim: frozenset[str]) -> KeyedRows | None:
+def _demanded_rows(d: Constraint, i: Instance, verbatim: frozenset[str]) -> dict | None:
     """The rows the head relation atoms of `d` demand of every candidate, by
     each atom's relation and attributes; None unless `d` is a tgd with no
     existential head variable whose body atoms read `verbatim` relations on
-    attributes `i` has. Candidates hold those rows verbatim, so the body has
-    the answers it has on `i`, read here once per step."""
+    attributes `i` has: candidates hold those rows as `i` does."""
     if not isinstance(d, Tgd) or d.head.existential or not all(
         isinstance(a, NamedAtom) and a.relation in verbatim and is_compatible(a, i.schema)
         for a in d.body.atoms
     ):
         return None
     heads = [a for a in d.head.atoms if isinstance(a, NamedAtom)]
-    out: KeyedRows = {(a.relation, a.attrs): set() for a in heads}
+    out: dict = {(a.relation, a.attrs): set() for a in heads}
     for answer in evaluate_query(d.body, i):
         match = dict(zip(d.body.free, answer))
         for a in heads:
@@ -282,7 +274,7 @@ def _demanded_rows(d: Constraint, i: Instance, verbatim: frozenset[str]) -> Keye
     return out
 
 
-def _post_contained(idx: int, demanded: KeyedRows, after: Instance) -> list[str]:
+def _post_contained(idx: int, demanded: dict, after: Instance) -> list[str]:
     """`procedures._post_failures` of postcondition `idx`, a tgd whose head
     atoms, all relation atoms, demand `demanded`: it holds when `after` fits
     every head atom, as `satisfies` requires, and has every demanded row, in
@@ -299,8 +291,8 @@ def _post_contained(idx: int, demanded: KeyedRows, after: Instance) -> list[str]
 
 def _total_kept(idx: int, rel: str, attrs: frozenset[str], old: frozenset[Row], after: Instance) -> list[str]:
     """`procedures._safety_failures` of safety query `idx`, an unfiltered
-    `total rel`, whose answers on the input are the rows `old` over `attrs`.
-    Candidate schemas keep every relation a safety query names."""
+    `total rel` with answers `old` over `attrs` on the input; every
+    candidate schema keeps `rel`."""
     return [] if after.schema.attrs(rel) == attrs and old <= after.rows(rel) else [ANSWERS_LOST.format(idx)]
 
 
@@ -318,31 +310,29 @@ def _single_step_outcomes(
     # every candidate holds the out-of-scope relations' rows verbatim on the
     # input's attributes, and keeps every attribute the scope does not name
     verbatim = frozenset(r for r in i.schema.names if scope.get(r, frozenset()) == frozenset())
-    clauses = outcome_clauses(p, inputs, verbatim)
     pool = _value_pool(i, shared, b)
-    # `clauses` lists the postconditions first and the safety queries last;
-    # those evaluated in part here become containment tests
-    forced: KeyedRows = {}
-    for idx, rows in enumerate(_demanded_rows(d, i, verbatim) for d in p.post):
-        if rows is None:
-            continue
-        # a row demanded of a whole-scope relation is in every candidate whose
-        # relation has exactly the demanding atom's attributes
-        for (rel, attrs), need in rows.items():
+    demanded = [_demanded_rows(d, i, verbatim) for d in p.post]
+    # a row demanded of a whole-scope relation is in every candidate whose
+    # relation has exactly the demanding atom's attributes
+    forced: dict[tuple[str, frozenset[str]], set[Row]] = {}
+    for rows in demanded:
+        for (rel, attrs), need in (rows or {}).items():
             if scope.get(rel, frozenset()) is None:
                 forced.setdefault((rel, attrs), set()).update(need)
-        if all(isinstance(a, NamedAtom) for a in p.post[idx].head.atoms):
-            clauses[idx] = frozenset(rel for rel, _ in rows), partial(_post_contained, idx, rows)
-    # an unfiltered `total R` on a whole-scope R loses an answer with any old
-    # row the result drops
-    keep = set()
+    post = {
+        idx: (frozenset(rel for rel, _ in rows), partial(_post_contained, idx, rows))
+        for idx, (d, rows) in enumerate(zip(p.post, demanded))
+        if rows is not None and all(isinstance(a, NamedAtom) for a in d.head.atoms)
+    }
+    safe: dict[int, Clause] = {}
     for idx, q in enumerate(p.safe):
         if isinstance(q, TotalQuery) and q.condition is None and len(q.relations) == 1:
-            rel = q.relations[0]
-            check = partial(_total_kept, idx, rel, i.schema.attrs(rel), i.rows(rel))
-            clauses[idx - len(p.safe)] = frozenset({rel}), check
-            if scope.get(rel, frozenset()) is None:
-                keep.add(rel)
+            (rel,) = q.relations
+            safe[idx] = frozenset({rel}), partial(_total_kept, idx, rel, i.schema.attrs(rel), i.rows(rel))
+    clauses = outcome_clauses(p, inputs, verbatim, post, safe)
+    # an unfiltered `total R` on a whole-scope R loses an answer with any old
+    # row the result drops
+    keep = {rel for rels, _ in safe.values() for rel in rels if scope.get(rel, frozenset()) is None}
     found: set[Instance] = set()
     for schema in _candidate_schemas(i, p, b):
         per_relation = []
@@ -374,8 +364,7 @@ def _accepted(
     fixed, on the instance holding the fixed rows (the rest empty); a
     clause reading a relation outside the schema waits for the full
     candidate. A prefix that fails a clause is dropped with all its
-    extensions. A full candidate's data lists the (relation, rows) pairs of
-    its choices in schema order: candidates making one choice share its pair.
+    extensions.
     """
     order = sorted(per_relation, key=lambda rc: len(rc[1]))
     n = len(order)

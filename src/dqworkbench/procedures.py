@@ -117,7 +117,7 @@ _UNADDRESSABLE = (
     "result schema dropped preserved attributes of {}"
 )
 _CHANGED = "content outside the scope changed in {}"
-# failure texts of a postcondition and of a safety query, by index; the oracle words its own checks with them
+# failure texts of a postcondition and of a safety query, by index
 POST_FAILED = "postcondition {} does not hold on the result"
 ANSWERS_LOST = "safety query {} lost answers"
 
@@ -226,7 +226,8 @@ Clause = tuple[frozenset[str], Callable[[Instance], list[str]]]
 
 
 def outcome_clauses(
-    p: Procedure, inputs: OutcomeInputs, kept: frozenset[str] = frozenset()
+    p: Procedure, inputs: OutcomeInputs, kept: frozenset[str] = frozenset(),
+    post: Mapping[int, Clause] = {}, safe: Mapping[int, Clause] = {},
 ) -> list[Clause]:
     """The postcondition, residual and safety clauses of `p`, in that order.
 
@@ -247,9 +248,8 @@ def outcome_clauses(
     joint clause when a kept relation is empty on `before`, since its
     factor is then empty on both sides. The oracle passes its out-of-scope
     relations; its cap counts the candidates left after pruning, not the
-    clauses checked. It also replaces, by position, the clause of each
-    postcondition and safety query whose answers on the kept relations it
-    reads once per step (`oracle._demanded_rows`) with a containment test.
+    clauses checked. `post` and `safe` map the index of a postcondition or
+    safety query to a clause that replaces its own.
     """
     if all(old for _, old in inputs.residual):
         factor_groups = [(f,) for f in inputs.residual if f[0].atoms[0].relation not in kept]
@@ -258,13 +258,13 @@ def outcome_clauses(
     else:
         factor_groups = [inputs.residual]
     return [
-        *((_reads(c), partial(_post_failures, idx, c)) for idx, c in enumerate(p.post)),
+        *(post.get(idx) or (_reads(c), partial(_post_failures, idx, c)) for idx, c in enumerate(p.post)),
         *(
             (frozenset(q.atoms[0].relation for q, _ in fs), partial(_residual_failures, fs))
             for fs in factor_groups
         ),
         *(
-            (_reads(q), partial(_safety_failures, idx, q, old, inputs.schema))
+            safe.get(idx) or (_reads(q), partial(_safety_failures, idx, q, old, inputs.schema))
             for idx, (q, old) in enumerate(zip(p.safe, inputs.safety))
         ),
     ]

@@ -1241,33 +1241,38 @@ def test_staged_cases_reach_each_branch(branch):
 @settings(max_examples=STAGED_ORACLE_EXAMPLES, deadline=None)
 @given(case=staged_case_st())
 def test_partially_evaluated_clauses_list_the_literal_failures(case):
-    # Every candidate the oracle builds gets, from each postcondition and
-    # safety clause, the failures `_post_failures` or `_safety_failures`
-    # list, including the clauses it evaluates once per step.
+    # Each clause the oracle puts in place of a postcondition's or a safety
+    # query's own lists, on every candidate the oracle builds, what
+    # `_post_failures` or `_safety_failures` lists.
     p, i, b = case
-    batches = []
-    accepted = oracle_mod._accepted
+    replaced, batches = [], []
+    clauses, accepted = oracle_mod.outcome_clauses, oracle_mod._accepted
+
+    def recording_clauses(p, inputs, kept, post, safe):
+        replaced.append((post, safe))
+        return clauses(p, inputs, kept, post, safe)
 
     def recording(schema, per_relation, clauses):
-        batches.append((schema, per_relation, clauses))
+        batches.append((schema, per_relation))
         return accepted(schema, per_relation, clauses)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle_mod, "BUDGET_CAP", 1000)
+        patch.setattr(oracle_mod, "outcome_clauses", recording_clauses)
         patch.setattr(oracle_mod, "_accepted", recording)
         try:
             enumerate_outcomes(p, i, b)
         except BudgetExceeded:
             pass
     inputs = outcome_inputs(p, i)
-    for schema, per_relation, clauses in batches:
-        posts, safeties = clauses[: len(p.post)], clauses[len(clauses) - len(p.safe) :]
-        for rows in itertools.product(*(choices for _, choices in per_relation)):
-            j = Instance.of(schema, dict(zip((rel for rel, _ in per_relation), rows)))
-            for idx, (c, (_, check)) in enumerate(zip(p.post, posts)):
-                assert check(j) == _post_failures(idx, c, j)
-            for idx, (q, old, (_, check)) in enumerate(zip(p.safe, inputs.safety, safeties)):
-                assert check(j) == _safety_failures(idx, q, old, i.schema, j)
+    for post, safe in replaced:  # one step: at most once
+        for schema, per_relation in batches:
+            for rows in itertools.product(*(choices for _, choices in per_relation)):
+                j = Instance.of(schema, dict(zip((rel for rel, _ in per_relation), rows)))
+                for idx, (_, check) in post.items():
+                    assert check(j) == _post_failures(idx, p.post[idx], j)
+                for idx, (_, check) in safe.items():
+                    assert check(j) == _safety_failures(idx, p.safe[idx], inputs.safety[idx], i.schema, j)
 
 
 @st.composite

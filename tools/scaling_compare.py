@@ -14,17 +14,18 @@ measures any checkout:
 
     PYTHONHASHSEED=0 PYTHONPATH=src python tools/scaling_compare.py --extra 0 1 2
 
-Then, for each `--migrate-extra` value E, it times `enumerate_outcomes`
-for `dqw compare --seq migrate --budget extra=E,tuples=2` (727, 998 and
-1,329 outcomes at E = 1, 2, 3), one enumeration per fresh interpreter: a
-second enumeration in one process runs while the first one's outcomes are
-alive, and the collector walks them. Each `--tree NAME=SRC` names a
-checkout's `src/` (by default, the one `dqworkbench` was imported from);
-the trees take turns run by run, the order flipping each run, so drift in
-the machine's load reaches each alike:
+Then, for E = 1, 2, 3, it times `enumerate_outcomes` for
+`dqw compare --seq migrate --budget extra=E,tuples=2` (727, 998 and 1,329
+outcomes), 10 runs each, one enumeration per fresh interpreter: a second
+enumeration in one process runs while the first one's outcomes are alive,
+and the collector walks them. Each `--tree NAME=SRC` names a checkout's
+`src/` (by default, the one `dqworkbench` was imported from); the trees
+take turns run by run, the order flipping each run, so drift in the
+machine's load reaches each alike. `--extra` with no values skips the
+`fix` phases:
 
-    PYTHONPATH=src python tools/scaling_compare.py --extra --runs 10 \
-        --tree parent=<parent>/src --tree change=src --out record.json
+    PYTHONPATH=src python tools/scaling_compare.py --extra \
+        --tree parent=<parent>/src --tree change=src
 
 It prints one JSON object, with the log-log slope of each time against the
 outcome count over the `extra` values given, and the median and quartiles
@@ -68,6 +69,8 @@ start = time.perf_counter()
 n = len(enumerate_outcomes(ps, i, b))
 print(time.perf_counter() - start, n)
 """
+MIGRATE_EXTRA = (1, 2, 3)
+MIGRATE_RUNS = 10  # fresh interpreters per tree and budget
 
 
 def best(repeat: int, run) -> float:
@@ -105,14 +108,14 @@ def phases(budget: str, repeat: int) -> dict:
     }
 
 
-def migrate_enumeration(trees: dict[str, str], extras: list[int], runs: int) -> dict:
+def migrate_enumeration(trees: dict[str, str]) -> dict:
     """Per tree and budget, the outcome count and the median and quartiles of
-    `runs` fresh-interpreter times of the `migrate` enumeration."""
-    times: dict[tuple[str, int], list[float]] = {(name, e): [] for name in trees for e in extras}
-    counts: dict[int, set[int]] = {e: set() for e in extras}
+    the fresh-interpreter times of the `migrate` enumeration."""
+    times: dict[tuple[str, int], list[float]] = {(name, e): [] for name in trees for e in MIGRATE_EXTRA}
+    counts: dict[int, set[int]] = {e: set() for e in MIGRATE_EXTRA}
     order = list(trees.items())
-    for k in range(runs):
-        for e in extras:
+    for k in range(MIGRATE_RUNS):
+        for e in MIGRATE_EXTRA:
             for name, src in order[::-1] if k % 2 else order:
                 argv = [sys.executable, "-c", MIGRATE, str(FIG1), f"extra={e},tuples=2"]
                 env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
@@ -125,11 +128,11 @@ def migrate_enumeration(trees: dict[str, str], extras: list[int], runs: int) -> 
     out: dict[str, list[dict]] = {}
     for name in trees:
         out[name] = []
-        for e in extras:
+        for e in MIGRATE_EXTRA:
             q1, median, q3 = statistics.quantiles(times[name, e], n=4)
             out[name].append({
                 "budget": f"extra={e},tuples=2", "outcomes": outcomes[e],
-                "median_s": round(median, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4), "runs": runs,
+                "median_s": round(median, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4), "runs": MIGRATE_RUNS,
             })
     return out
 
@@ -145,10 +148,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--extra", type=int, nargs="*", default=[0, 1, 2], help="fix budgets; none skips them")
     ap.add_argument("--repeat", type=int, default=3)
-    ap.add_argument("--migrate-extra", type=int, nargs="*", default=[1, 2, 3])
-    ap.add_argument("--runs", type=int, default=10, help="fresh interpreters per tree and migrate budget")
     ap.add_argument("--tree", action="append", default=[], metavar="NAME=SRC", help="a checkout's src/; repeat to compare")
-    ap.add_argument("--out", help="write the JSON here as well as to stdout")
     args = ap.parse_args()
     rows = []
     for extra in args.extra:
@@ -163,12 +163,9 @@ def main() -> None:
             for key in ("fresh_process_s", "minimal_outcomes_s", "compare_with_chase_s")
         }
     trees = dict(spec.split("=", 1) for spec in args.tree) or {"current": str(Path(dqworkbench.__file__).parent.parent)}
-    if args.migrate_extra:
-        out["migrate_enumeration"] = migrate_enumeration(trees, args.migrate_extra, args.runs)
-    text = json.dumps(out, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+    out["migrate_enumeration"] = migrate_enumeration(trees)
+    json.dump(out, sys.stdout, indent=2)
+    print()
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .constraints import (
     is_compatible,
     structure_holds,
 )
-from .procedures import Procedure, scope_map
+from .procedures import Procedure, preserved
 
 
 class SchemaRequirement(NamedTuple):
@@ -41,7 +41,7 @@ def min_schema(
     """Smallest schema every outcome extends, or Failure when none can exist.
 
     Scope rule: an outcome keeps every attribute the scope does not let
-    change (`procedures.scope_map`). A relation the scope does not name
+    change (`procedures.preserved`). A relation the scope does not name
     keeps all its attributes, one with a wildcard entry may lose them all,
     and one whose entries list attributes keeps the others; entries on one
     relation unite, and a wildcard entry wins. The safety queries and the
@@ -77,11 +77,8 @@ def min_schema(
             for rel in q.relations:
                 required[rel] = set(s.attrs(rel))
                 labels[rel] = len(s.attrs(rel))
-    changes = scope_map(p.scope)
-    for rel, attrs in s.rels:
-        changed = changes.get(rel, frozenset())
-        if changed is not None:
-            required.setdefault(rel, set()).update(attrs - changed)
+    for rel, attrs in preserved(s, p.scope):
+        required.setdefault(rel, set()).update(attrs)
     demanded_attrs(p.safe, required)
     demanded_attrs(p.post, required)
     for rel, limit in labels.items():

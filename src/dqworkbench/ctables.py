@@ -273,12 +273,8 @@ def _rep_witness(
         if not instance_extends(i, image):
             return False
         if rel_scope is not None:
-            for rel in t.schema.names:
-                if rel in rel_scope:
-                    continue
-                attrs = t.schema.attrs(rel)
-                projected = {w.project(attrs) for w in i.rows(rel)}
-                if projected != set(image.rows(rel)):
+            for rel, attrs in t.schema.rels:
+                if rel not in rel_scope and i.projected(rel, attrs) != image.rows(rel):
                     return False
         return True
 

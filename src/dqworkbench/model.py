@@ -18,7 +18,7 @@ from collections import namedtuple
 from functools import cache, cached_property
 from itertools import chain, groupby, permutations, product
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import DomainMismatch, Meter
 
@@ -244,6 +244,13 @@ class Instance(Distinct, namedtuple("Instance", "schema data")):
             if r == relation:
                 return rows
         raise KeyError(relation)
+
+    def projected(self, relation: str, attrs: frozenset[str]) -> AbstractSet[Row] | None:
+        """The relation's rows projected onto `attrs`; None when it lacks one of them."""
+        have = self.schema._by_name.get(relation)
+        if have is None or not attrs <= have:
+            return None
+        return self.rows(relation) if have == attrs else {r.project(attrs) for r in self.rows(relation)}
 
     def total_size(self) -> int:
         return sum(len(rows) for _, rows in self.data)

@@ -7,16 +7,15 @@ slow: its only job is to be an independent ground truth for the other
 modules at desk scale. It fixes one relation's rows at a time and checks
 each clause of `procedures.outcome_clauses` as soon as the relations it
 reads are fixed, dropping a prefix at its first failing clause; the result
-equals checking every candidate of the full product literally. Those
-clauses split the residual query per relation whenever the input allows
-it, so a residual relation is checked as soon as its rows are chosen, and
-leave out the residual clauses the generation guarantees. A tgd whose
-body reads only out-of-scope relations, and an unfiltered one-relation
-`total` safety query, are read once per step on the input (partial
-evaluation): each candidate then meets them as a set containment test.
-The generation also prunes, before it builds, the row choices two rules
-rule out (see `_relation_choices`), so the cap counts the candidates left
-after pruning.
+equals checking every candidate of the full product literally. It hands
+`outcome_clauses` the out-of-scope relations, which every candidate holds
+verbatim; the clauses then split the residual query per relation whenever
+the input allows it, leave out the residual clauses the generation
+guarantees, and test a tgd whose body reads only those relations, read
+once on the input (partial evaluation), by set containment. The
+generation also prunes, before it builds, the row choices two rules rule
+out (see `_relation_choices`), so the cap counts the candidates left after
+pruning.
 """
 
 from __future__ import annotations
@@ -24,23 +23,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, namedtuple
-from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .chase import EmptyResult, approximate_outcomes
-from .constraints import (
-    ConjunctiveQuery,
-    Constraint,
-    Egd,
-    NamedAtom,
-    Tgd,
-    TotalQuery,
-    comparisons,
-    cq_constants,
-    demanded_attrs,
-    evaluate_query,
-    is_compatible,
-)
+from .constraints import ConjunctiveQuery, Egd, Tgd, TotalQuery, comparisons, cq_constants, demanded_attrs
 from .ctables import enumerate_minimal, rep_contains
 from .errors import MalformedParams, Meter
 from .model import (
@@ -55,7 +41,7 @@ from .model import (
     map_cells,
     with_cells,
 )
-from .procedures import ANSWERS_LOST, POST_FAILED, Clause, Procedure, outcome_clauses, outcome_inputs, scope_map
+from .procedures import Clause, Procedure, demanded_rows, outcome_clauses, outcome_inputs, scope_map
 
 # Candidates one oracle run may charge, each batch before it is built and before
 # any clause is checked: per relation its sets of additions and its row-set
@@ -255,47 +241,6 @@ def _relation_choices(
     return out
 
 
-def _demanded_rows(d: Constraint, i: Instance, verbatim: frozenset[str]) -> dict | None:
-    """The rows the head relation atoms of `d` demand of every candidate, by
-    each atom's relation and attributes; None unless `d` is a tgd with no
-    existential head variable whose body atoms read `verbatim` relations on
-    attributes `i` has: candidates hold those rows as `i` does."""
-    if not isinstance(d, Tgd) or d.head.existential or not all(
-        isinstance(a, NamedAtom) and a.relation in verbatim and is_compatible(a, i.schema)
-        for a in d.body.atoms
-    ):
-        return None
-    heads = [a for a in d.head.atoms if isinstance(a, NamedAtom)]
-    out: dict = {(a.relation, a.attrs): set() for a in heads}
-    for answer in evaluate_query(d.body, i):
-        match = dict(zip(d.body.free, answer))
-        for a in heads:
-            out[a.relation, a.attrs].add(Row.of({attr: match.get(t, t) for attr, t in a.bindings}))
-    return out
-
-
-def _post_contained(idx: int, demanded: dict, after: Instance) -> list[str]:
-    """`procedures._post_failures` of postcondition `idx`, a tgd whose head
-    atoms, all relation atoms, demand `demanded`: it holds when `after` fits
-    every head atom, as `satisfies` requires, and has every demanded row, in
-    the projection onto the atom's attributes where its relation has more."""
-    schema = after.schema
-    for (rel, attrs), rows in demanded.items():
-        if not (schema.defines(rel) and attrs <= schema.attrs(rel)):
-            return [POST_FAILED.format(idx)]
-        have = after.rows(rel)
-        if rows and not rows <= (have if schema.attrs(rel) == attrs else {r.project(attrs) for r in have}):
-            return [POST_FAILED.format(idx)]
-    return []
-
-
-def _total_kept(idx: int, rel: str, attrs: frozenset[str], old: frozenset[Row], after: Instance) -> list[str]:
-    """`procedures._safety_failures` of safety query `idx`, an unfiltered
-    `total rel` with answers `old` over `attrs` on the input; every
-    candidate schema keeps `rel`."""
-    return [] if after.schema.attrs(rel) == attrs and old <= after.rows(rel) else [ANSWERS_LOST.format(idx)]
-
-
 def _single_step_outcomes(
     p: Procedure,
     i: Instance,
@@ -311,28 +256,21 @@ def _single_step_outcomes(
     # input's attributes, and keeps every attribute the scope does not name
     verbatim = frozenset(r for r in i.schema.names if scope.get(r, frozenset()) == frozenset())
     pool = _value_pool(i, shared, b)
-    demanded = [_demanded_rows(d, i, verbatim) for d in p.post]
+    clauses = outcome_clauses(p, inputs, verbatim)
     # a row demanded of a whole-scope relation is in every candidate whose
     # relation has exactly the demanding atom's attributes
     forced: dict[tuple[str, frozenset[str]], set[Row]] = {}
-    for rows in demanded:
-        for (rel, attrs), need in (rows or {}).items():
+    for d in p.post:
+        for (rel, attrs), need in (demanded_rows(d, i, verbatim) or {}).items():
             if scope.get(rel, frozenset()) is None:
                 forced.setdefault((rel, attrs), set()).update(need)
-    post = {
-        idx: (frozenset(rel for rel, _ in rows), partial(_post_contained, idx, rows))
-        for idx, (d, rows) in enumerate(zip(p.post, demanded))
-        if rows is not None and all(isinstance(a, NamedAtom) for a in d.head.atoms)
-    }
-    safe: dict[int, Clause] = {}
-    for idx, q in enumerate(p.safe):
-        if isinstance(q, TotalQuery) and q.condition is None and len(q.relations) == 1:
-            (rel,) = q.relations
-            safe[idx] = frozenset({rel}), partial(_total_kept, idx, rel, i.schema.attrs(rel), i.rows(rel))
-    clauses = outcome_clauses(p, inputs, verbatim, post, safe)
     # an unfiltered `total R` on a whole-scope R loses an answer with any old
     # row the result drops
-    keep = {rel for rels, _ in safe.values() for rel in rels if scope.get(rel, frozenset()) is None}
+    keep = {
+        q.relations[0] for q in p.safe
+        if isinstance(q, TotalQuery) and q.condition is None and len(q.relations) == 1
+        and scope.get(q.relations[0], frozenset()) is None
+    }
     found: set[Instance] = set()
     for schema in _candidate_schemas(i, p, b):
         per_relation = []
@@ -475,12 +413,8 @@ def minimal_outcomes(outcomes: Iterable[Instance]) -> frozenset[Instance]:
     def looked_up(j: Instance) -> Iterator[Instance]:
         yield from rowless
         for (rel, attrs), keyed in index.items():
-            if j.schema.defines(rel) and attrs <= j.schema.attrs(rel):
-                rows = j.rows(rel)
-                if attrs != j.schema.attrs(rel):  # distinct rows may project alike
-                    rows = {row.project(attrs) for row in rows}
-                for row in rows:
-                    yield from keyed.get(row.values, ())
+            for row in j.projected(rel, attrs) or ():
+                yield from keyed.get(row.values, ())
 
     kept: list[Instance] = []
     for j in sorted(distinct, key=by_size):

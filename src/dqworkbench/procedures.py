@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import partial
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import Incompatible, MalformedParams
-from .model import Distinct, Instance, Schema, Value
+from .model import Distinct, Instance, Row, Schema, Value
 from .constraints import (
     BooleanCondition,
     ConjunctiveQuery,
@@ -80,20 +80,13 @@ def scope_map(scope: Iterable[StructureConstraint]) -> dict[str, frozenset[str] 
     return out
 
 
-def residual_atoms(s: Schema, scope: Iterable[StructureConstraint]) -> list[NamedAtom]:
-    """One atom per relation whose content must survive outside the scope.
-
-    Their conjunction is the residual query, whose answers a result must
-    keep. The atoms share no variables, so its answers are the product of
-    the per-atom answers: two products are equal exactly when every factor
-    is, or when each side has an empty factor."""
+def preserved(s: Schema, scope: Iterable[StructureConstraint]) -> list[tuple[str, frozenset[str]]]:
+    """Per relation of `s` the scope does not free wholly, the attributes it
+    leaves alone: the residual query is the product of these projections."""
     changes = scope_map(scope)
-    atoms = []
-    for rel, attrs in s.rels:
-        changed = changes.get(rel, frozenset())
-        if changed is not None:
-            atoms.append(NamedAtom.of(rel, {a: Var(f"{rel}.{a}") for a in attrs - changed}))
-    return atoms
+    return [
+        (rel, attrs - changed) for rel, attrs in s.rels if (changed := changes.get(rel, frozenset())) is not None
+    ]
 
 
 def is_applicable(p: Procedure, i: Instance) -> bool:
@@ -117,9 +110,9 @@ _UNADDRESSABLE = (
     "result schema dropped preserved attributes of {}"
 )
 _CHANGED = "content outside the scope changed in {}"
-# failure texts of a postcondition and of a safety query, by index
-POST_FAILED = "postcondition {} does not hold on the result"
-ANSWERS_LOST = "safety query {} lost answers"
+_POST_FAILED = "postcondition {} does not hold on the result"
+_ANSWERS_LOST = "safety query {} lost answers"
+_UNFIT = Incompatible("safety query incompatible with the result schema")
 
 
 class OutcomeReport(NamedTuple):
@@ -137,36 +130,26 @@ class OutcomeReport(NamedTuple):
 
 
 class OutcomeInputs(NamedTuple):
-    """What the outcome check reads of the input instance alone.
-
-    Applicability, each one-atom residual query with its answers, each
-    safety query's answers or the `Incompatible` it raised, and the schema,
-    which types the answers of total safety queries.
-    """
+    """What the outcome check reads of the input instance alone: applicability,
+    each preserved relation with its attributes and projected rows, each
+    safety query's answers or the `Incompatible` it raised, and the input."""
 
     applicable: bool
-    residual: tuple[tuple[ConjunctiveQuery, frozenset], ...]
+    residual: tuple[tuple[str, frozenset[str], AbstractSet[Row]], ...]
     safety: tuple[Union[frozenset, Incompatible], ...]
-    schema: Schema
+    before: Instance
 
 
 def outcome_inputs(p: Procedure, before: Instance) -> OutcomeInputs:
-    """Read `before` once for any number of candidate outcomes.
-
-    The residual answers are kept per atom, each linear in its relation;
-    the residual clause compares their products (see `residual_atoms`).
-    """
-    residual = []
-    for a in residual_atoms(before.schema, p.scope):
-        q = ConjunctiveQuery((a,), tuple(sorted(a.vars)), frozenset())
-        residual.append((q, evaluate_query(q, before)))
+    """Read `before` once for any number of candidate outcomes."""
+    residual = tuple((rel, attrs, before.projected(rel, attrs)) for rel, attrs in preserved(before.schema, p.scope))
     safety: list[Union[frozenset, Incompatible]] = []
     for q in p.safe:
         try:
             safety.append(evaluate_query(q, before))
         except Incompatible as e:
             safety.append(e)
-    return OutcomeInputs(is_applicable(p, before), tuple(residual), tuple(safety), before.schema)
+    return OutcomeInputs(is_applicable(p, before), residual, tuple(safety), before)
 
 
 def _post_failures(idx: int, c: Constraint, after: Instance) -> list[str]:
@@ -174,20 +157,44 @@ def _post_failures(idx: int, c: Constraint, after: Instance) -> list[str]:
         holds = satisfies(c, after)
     except Incompatible:
         holds = False
-    return [] if holds else [POST_FAILED.format(idx)]
+    return [] if holds else [_POST_FAILED.format(idx)]
 
 
-def _residual_failures(
-    factors: Sequence[tuple[ConjunctiveQuery, frozenset]], after: Instance
-) -> list[str]:
-    """Failures of the claim that the product of these factors' answers is
-    unchanged; with one factor, that the atom's answers are."""
-    # per factor: relation, answers on before, answers on after (None when
-    # the result schema no longer fits the atom)
-    checked = []
-    for q, old in factors:
-        new = evaluate_query(q, after) if is_compatible(q, after.schema) else None
-        checked.append((q.atoms[0].relation, old, new))
+def demanded_rows(d: Constraint, i: Instance, verbatim: frozenset[str]) -> dict | None:
+    """The rows the head relation atoms of `d` demand of every result, by each
+    atom's relation and attributes; None unless `d` is a tgd with no
+    existential head variable whose body atoms read `verbatim` relations on
+    attributes `i` has: results hold those rows as `i` does."""
+    if not isinstance(d, Tgd) or d.head.existential or not all(
+        isinstance(a, NamedAtom) and a.relation in verbatim and is_compatible(a, i.schema)
+        for a in d.body.atoms
+    ):
+        return None
+    heads = [a for a in d.head.atoms if isinstance(a, NamedAtom)]
+    out: dict = {(a.relation, a.attrs): set() for a in heads}
+    for answer in evaluate_query(d.body, i):
+        match = dict(zip(d.body.free, answer))
+        for a in heads:
+            out[a.relation, a.attrs].add(Row.of({attr: match.get(t, t) for attr, t in a.bindings}))
+    return out
+
+
+def _post_contained(idx: int, demanded: dict, after: Instance) -> list[str]:
+    """`_post_failures` of postcondition `idx`, a tgd whose head atoms, all
+    relation atoms, demand `demanded`."""
+    for (rel, attrs), rows in demanded.items():
+        have = after.projected(rel, attrs)
+        if have is None or not rows <= have:
+            return [_POST_FAILED.format(idx)]
+    return []
+
+
+def _residual_failures(factors: Sequence[tuple[str, frozenset[str], AbstractSet[Row]]], after: Instance) -> list[str]:
+    """Failures of the claim that the product of these projections is
+    unchanged; with one factor, that the projection is."""
+    # per factor: relation, rows on before, rows on after (None when the
+    # result lacks a preserved attribute)
+    checked = [(rel, old, after.projected(rel, attrs)) for rel, attrs, old in factors]
     lost = [rel for rel, _, new in checked if new is None]
     changed = [rel for rel, old, new in checked if new != old]
     # an empty factor on each side makes both products empty
@@ -205,7 +212,7 @@ def _safety_failures(
     idx: int, q: Query, old: Union[frozenset, Incompatible], before: Schema, after: Instance
 ) -> list[str]:
     if not is_compatible(q, after.schema):
-        old = Incompatible("safety query incompatible with the result schema")
+        old = _UNFIT
     if isinstance(old, Incompatible):
         return [f"safety query {idx}: {old}"]
     # a total query's answers are typed by the attributes of its relations: a
@@ -213,7 +220,15 @@ def _safety_failures(
     typed = not isinstance(q, TotalQuery) or all(
         after.schema.attrs(r) == before.attrs(r) for r in q.relations
     )
-    return [] if typed and old <= evaluate_query(q, after) else [ANSWERS_LOST.format(idx)]
+    return [] if typed and old <= evaluate_query(q, after) else [_ANSWERS_LOST.format(idx)]
+
+
+def _total_kept(idx: int, rel: str, attrs: frozenset[str], old: frozenset[Row], after: Instance) -> list[str]:
+    """`_safety_failures` of safety query `idx`, an unfiltered `total rel`
+    whose answers on the input are the rows `old` over `attrs`."""
+    if not after.schema.defines(rel):
+        return [f"safety query {idx}: {_UNFIT}"]
+    return [] if after.schema.attrs(rel) == attrs and old <= after.rows(rel) else [_ANSWERS_LOST.format(idx)]
 
 
 def _reads(c: Union[Constraint, Query]) -> frozenset[str]:
@@ -225,48 +240,47 @@ def _reads(c: Union[Constraint, Query]) -> frozenset[str]:
 Clause = tuple[frozenset[str], Callable[[Instance], list[str]]]
 
 
-def outcome_clauses(
-    p: Procedure, inputs: OutcomeInputs, kept: frozenset[str] = frozenset(),
-    post: Mapping[int, Clause] = {}, safe: Mapping[int, Clause] = {},
-) -> list[Clause]:
+def _post_clause(idx: int, c: Constraint, before: Instance, kept: frozenset[str]) -> Clause:
+    rows = demanded_rows(c, before, kept)
+    if rows is not None and all(isinstance(a, NamedAtom) for a in c.head.atoms):
+        return frozenset(rel for rel, _ in rows), partial(_post_contained, idx, rows)
+    return _reads(c), partial(_post_failures, idx, c)
+
+
+def _safety_clause(idx: int, q: Query, old: Union[frozenset, Incompatible], before: Instance) -> Clause:
+    if isinstance(q, TotalQuery) and q.condition is None and len(q.relations) == 1 and isinstance(old, frozenset):
+        (rel,) = q.relations
+        return frozenset(q.relations), partial(_total_kept, idx, rel, before.schema.attrs(rel), before.rows(rel))
+    return _reads(q), partial(_safety_failures, idx, q, old, before.schema)
+
+
+def outcome_clauses(p: Procedure, inputs: OutcomeInputs, kept: frozenset[str] = frozenset()) -> list[Clause]:
     """The postcondition, residual and safety clauses of `p`, in that order.
 
     `inputs` must be `outcome_inputs(p, before)`. A clause is a pair
     (relations read, check); `check(after)` lists the clause's failures,
-    and lists the same on any instance over the schema of `after` with the
-    same rows in the relations read. Each postcondition and each safety
-    query is one clause. The residual query is one clause over every
-    residual relation, or one clause per residual atom when no residual
-    factor of `before` is empty: a product of nonempty factors is unchanged
-    exactly when every factor is, and a one-relation clause can be checked
-    as soon as its relation is fixed.
+    and the same on any instance over `after`'s schema with the same rows
+    in the relations read. The residual query is one clause, or one per
+    relation when no factor of `before` is empty: two products of nonempty
+    factors are equal exactly when every factor is. An unfiltered
+    one-relation `total` query is a containment test of its rows.
 
-    `kept` names relations whose rows every result the caller checks holds
-    verbatim on `before`'s attributes, over a schema that keeps every
-    attribute the scope does not name. Residual clauses that then always
-    hold are left out: the per-atom clause of a kept relation, and the
-    joint clause when a kept relation is empty on `before`, since its
-    factor is then empty on both sides. The oracle passes its out-of-scope
-    relations; its cap counts the candidates left after pruning, not the
-    clauses checked. `post` and `safe` map the index of a postcondition or
-    safety query to a clause that replaces its own.
+    `kept` names relations every result the caller checks holds verbatim on
+    `before`'s attributes, over a schema that keeps every attribute the
+    scope does not name. The residual clauses that then always hold are left
+    out, and a tgd whose body reads only kept relations is a containment test
+    of the rows it demands (`demanded_rows`, read once: partial evaluation).
     """
-    if all(old for _, old in inputs.residual):
-        factor_groups = [(f,) for f in inputs.residual if f[0].atoms[0].relation not in kept]
-    elif any(not old and q.atoms[0].relation in kept for q, old in inputs.residual):
+    if all(old for *_, old in inputs.residual):
+        factor_groups = [(f,) for f in inputs.residual if f[0] not in kept]
+    elif any(not old and rel in kept for rel, _, old in inputs.residual):
         factor_groups = []
     else:
         factor_groups = [inputs.residual]
     return [
-        *(post.get(idx) or (_reads(c), partial(_post_failures, idx, c)) for idx, c in enumerate(p.post)),
-        *(
-            (frozenset(q.atoms[0].relation for q, _ in fs), partial(_residual_failures, fs))
-            for fs in factor_groups
-        ),
-        *(
-            safe.get(idx) or (_reads(q), partial(_safety_failures, idx, q, old, inputs.schema))
-            for idx, (q, old) in enumerate(zip(p.safe, inputs.safety))
-        ),
+        *(_post_clause(idx, c, inputs.before, kept) for idx, c in enumerate(p.post)),
+        *((frozenset(rel for rel, *_ in fs), partial(_residual_failures, fs)) for fs in factor_groups),
+        *(_safety_clause(idx, q, old, inputs.before) for idx, (q, old) in enumerate(zip(p.safe, inputs.safety))),
     ]
 
 
@@ -279,7 +293,7 @@ def possible_outcome_report(
     given. The failures are the applicability line, then those of each
     postcondition, of the residual query as one clause, and of each safety
     query. The residual clause holds when the residual query's answers are
-    unchanged (see `residual_atoms`); its one failure names every relation
+    unchanged (see `preserved`); its one failure names every relation
     that lost its preserved attributes or, failing that, changed.
     """
     if inputs is None:
@@ -289,7 +303,7 @@ def possible_outcome_report(
     safety = [
         f
         for idx, (q, old) in enumerate(zip(p.safe, inputs.safety))
-        for f in _safety_failures(idx, q, old, inputs.schema, after)
+        for f in _safety_failures(idx, q, old, inputs.before.schema, after)
     ]
     failures = post + residual + safety
     if not inputs.applicable:

@@ -6,8 +6,10 @@ must give it the answers the input gives it. Its atoms share no
 variables, so its answer set is the product of the per-atom answer sets,
 and two such products are equal exactly when every factor is equal, or
 when each side has an empty factor (both products are then empty).
-`dqworkbench.procedures` decides the residual clause by that rule,
-without building the product; tests check that rule against this query.
+`dqworkbench.procedures` decides the residual clause by that rule, on
+each relation's rows projected onto the attributes the scope leaves alone,
+without building the product or any query; tests check that rule against
+this query, which `residual_atoms` builds by its own reading of the scope.
 
 `canonicalize_cq` puts a conjunctive query in a structural normal form,
 so that tests can compare queries up to atom order and variable names.
@@ -41,7 +43,19 @@ from dqworkbench.constraints import (
 from dqworkbench.ctables import CondEq, ConditionalInstance, cond_and
 from dqworkbench.errors import Incompatible
 from dqworkbench.model import Instance, LabeledNull, Schema, Value
-from dqworkbench.procedures import residual_atoms
+from dqworkbench.procedures import scope_map
+
+
+def residual_atoms(s: Schema, scope: Iterable[StructureConstraint]) -> list[NamedAtom]:
+    """One atom per relation whose content must survive outside the scope,
+    with one variable per attribute the scope leaves alone."""
+    changes = scope_map(scope)
+    atoms = []
+    for rel, attrs in s.rels:
+        changed = changes.get(rel, frozenset())
+        if changed is not None:
+            atoms.append(NamedAtom.of(rel, {a: Var(f"{rel}.{a}") for a in attrs - changed}))
+    return atoms
 
 
 def residual_query(s: Schema, scope: Iterable[StructureConstraint]) -> ConjunctiveQuery:

@@ -102,6 +102,16 @@ def test_row_projection():
     assert r.project(["c", "a"]) == Row.of({"a": const(1), "c": const(3)})
 
 
+def test_instance_projection():
+    rows = [Row.of({"a": const(1), "b": const(b)}) for b in (2, 3)]
+    i = Instance.of(Schema.of({"R": ("a", "b")}), {"R": rows})
+    assert i.projected("R", frozenset({"a", "b"})) is i.rows("R")  # the stored set, not a copy
+    assert i.projected("R", frozenset({"a"})) == {Row.of({"a": const(1)})}  # rows that project alike, once
+    assert i.projected("R", frozenset()) == {Row.of({})}
+    assert i.projected("R", frozenset({"a", "c"})) is None
+    assert i.projected("T", frozenset()) is None
+
+
 values_st = st.one_of(
     st.integers(0, 3).map(const), st.sampled_from("xy").map(null_marker)
 )

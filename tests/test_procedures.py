@@ -34,7 +34,7 @@ from dqworkbench.procedures import (
     outcome_clauses,
     outcome_inputs,
     possible_outcome_report,
-    residual_atoms,
+    preserved,
     scope_map,
 )
 
@@ -117,8 +117,8 @@ def test_scope_map_unites_entries_and_lets_a_wildcard_win():
 def test_split_scope_residual_matches_the_joined_entry():
     s = Schema.of({"R": ("a", "b", "c")})
     split = [StructureConstraint.of("R", ["a"]), StructureConstraint.of("R", ["b"])]
-    assert residual_atoms(s, split) == residual_atoms(s, [StructureConstraint.of("R", ["a", "b"])])
-    assert residual_atoms(s, split + [StructureConstraint.of("R")]) == []
+    assert preserved(s, split) == preserved(s, [StructureConstraint.of("R", ["a", "b"])]) == [("R", {"c"})]
+    assert preserved(s, split + [StructureConstraint.of("R")]) == []
 
 
 # Applicability

@@ -29,6 +29,7 @@ import io
 import itertools
 import json
 import operator
+import re
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -117,6 +118,7 @@ from dqworkbench.model import (
     null_marker,
     render_instance,
     schema_extends,
+    with_cells,
 )
 from dqworkbench.oracle import Budget, enumerate_outcomes, minimal_outcomes
 from dqworkbench.procedures import (
@@ -124,17 +126,18 @@ from dqworkbench.procedures import (
     Procedure,
     _post_failures,
     _safety_failures,
+    demanded_rows,
     instantiate_template,
     outcome_clauses,
     outcome_inputs,
     possible_outcome_report,
-    residual_atoms,
+    preserved,
     scope_map,
 )
 
 from . import reference_oracle, reference_tokenizer
 from .conftest import boolean_cq, open_cq
-from .reference_queries import body_triggers, residual_query, satisfies_by_product
+from .reference_queries import body_triggers, residual_atoms, residual_query, satisfies_by_product
 from .test_dsl import FIG1, workspace_st
 from .test_oracle import inclusion_tgd, rt_instance
 from .test_procedures import schema_and_scope
@@ -839,7 +842,9 @@ def residual_case_st(draw) -> tuple[Procedure, Instance, Instance]:
 
     Relations are often empty on either side; the after side often repeats
     the before side's rows, and now and then drops an attribute, so that
-    the residual query may no longer fit it.
+    the residual query may no longer fit it, gains attribute d, or lacks a
+    relation. The postcondition may be a tgd copying some attributes of one
+    relation into another, which may not fit either side.
     """
     s, scope = draw(schema_and_scope())
 
@@ -853,16 +858,28 @@ def residual_case_st(draw) -> tuple[Procedure, Instance, Instance]:
         for rel in s.names
     }
     after_attrs = {rel: sorted(s.attrs(rel)) for rel in s.names}
-    if draw(st.integers(0, 4)) == 0:
-        rel = draw(st.sampled_from(s.names))
-        gone = draw(st.sampled_from(after_attrs[rel]))
-        after_attrs[rel].remove(gone)
+    rel = draw(st.sampled_from(s.names))
+    change = draw(st.sampled_from(["none"] * 5 + ["narrow", "widen", "lack"]))
+    if change == "narrow":
+        after_attrs[rel].remove(draw(st.sampled_from(after_attrs[rel])))
         after[rel] = {row.project(after_attrs[rel]) for row in after[rel]}
+    elif change == "widen":
+        after_attrs[rel].append("d")
+        after[rel] = {with_cells(row, {"d": draw(st.sampled_from(BITS))}) for row in after[rel]}
+    elif change == "lack":
+        del after_attrs[rel], after[rel]
+    post = []
+    if draw(st.booleans()):
+        src, dst = draw(st.sampled_from(s.names)), draw(st.sampled_from(s.names))
+        copied = {a: Var(a) for a in draw(st.sets(st.sampled_from(sorted(s.attrs(src))), min_size=1))}
+        body = {a: Var(a) for a in s.attrs(src)}
+        post.append(Tgd(cq([NamedAtom.of(src, body)], free=sorted(body.values())),
+                        cq([NamedAtom.of(dst, copied)], free=sorted(copied.values()))))
     # "V" is in no schema: its safety query is incompatible with both sides
     safe = draw(
         st.lists(st.sampled_from([TotalQuery((r,)) for r in s.names + ("V",)]), max_size=2)
     )
-    p = Procedure.of(scope=scope, safe=safe)
+    p = Procedure.of(scope=scope, post=post, safe=safe)
     return p, Instance.of(s, before), Instance.of(Schema.of(after_attrs), after)
 
 
@@ -900,6 +917,33 @@ def test_residual_clause_matches_the_joint_residual_query(case):
     clauses_hold = not any(check(after) for _, check in outcome_clauses(p, inputs))
     assert clauses_hold == (report.post_ok and report.residual_ok and report.safety_ok)
     assert possible_outcome_report(p, before, after, inputs=inputs) == report
+
+
+def _clause_failures(p: Procedure, clauses, after: Instance) -> tuple[list, list]:
+    """Per postcondition and per safety query, what its clause lists on `after`."""
+    post, safety = clauses[: len(p.post)], clauses[len(clauses) - len(p.safe) :]
+    return [check(after) for _, check in post], [check(after) for _, check in safety]
+
+
+@settings(max_examples=RESIDUAL_EXAMPLES, deadline=None)
+@given(case=residual_case_st())
+def test_post_and_safety_clauses_list_what_the_report_lists(case):
+    # with no relation kept, and with every relation kept that `after` holds
+    # verbatim, where it keeps every attribute the scope leaves alone
+    p, before, after = case
+    inputs = outcome_inputs(p, before)
+    listed = possible_outcome_report(p, before, after, inputs=inputs).failures
+    expected = (
+        [[f for f in listed if re.match(rf"postcondition {idx}\b", f)] for idx in range(len(p.post))],
+        [[f for f in listed if re.match(rf"safety query {idx}\b", f)] for idx in range(len(p.safe))],
+    )
+    scope = scope_map(p.scope)
+    verbatim = frozenset(
+        rel for rel, attrs in before.schema.rels if rel not in scope and after.projected(rel, attrs) == before.rows(rel)
+    )
+    fits = all(after.projected(rel, attrs) is not None for rel, attrs in preserved(before.schema, p.scope))
+    for kept in [frozenset(), verbatim] if fits else [frozenset()]:
+        assert _clause_failures(p, outcome_clauses(p, inputs, kept), after) == expected
 
 
 # --- the lexer against the reference tokenizer --------------------------------
@@ -1173,7 +1217,7 @@ def _verbatim(p: Procedure, i: Instance) -> frozenset[str]:
 
 def _demanding(p: Procedure, i: Instance) -> list[tuple[Tgd, dict]]:
     """The postconditions the oracle checks by containment, with their demanded rows."""
-    pairs = [(d, oracle_mod._demanded_rows(d, i, _verbatim(p, i))) for d in p.post]
+    pairs = [(d, demanded_rows(d, i, _verbatim(p, i))) for d in p.post]
     return [(d, rows) for d, rows in pairs if rows is not None]
 
 
@@ -1241,16 +1285,16 @@ def test_staged_cases_reach_each_branch(branch):
 @settings(max_examples=STAGED_ORACLE_EXAMPLES, deadline=None)
 @given(case=staged_case_st())
 def test_partially_evaluated_clauses_list_the_literal_failures(case):
-    # Each clause the oracle puts in place of a postcondition's or a safety
-    # query's own lists, on every candidate the oracle builds, what
+    # Each postcondition's and safety query's clause, given the relations the
+    # oracle keeps, lists on every candidate the oracle builds what
     # `_post_failures` or `_safety_failures` lists.
     p, i, b = case
-    replaced, batches = [], []
+    kept, batches = [], []
     clauses, accepted = oracle_mod.outcome_clauses, oracle_mod._accepted
 
-    def recording_clauses(p, inputs, kept, post, safe):
-        replaced.append((post, safe))
-        return clauses(p, inputs, kept, post, safe)
+    def recording_clauses(p, inputs, verbatim):
+        kept.append(verbatim)
+        return clauses(p, inputs, verbatim)
 
     def recording(schema, per_relation, clauses):
         batches.append((schema, per_relation))
@@ -1265,14 +1309,14 @@ def test_partially_evaluated_clauses_list_the_literal_failures(case):
         except BudgetExceeded:
             pass
     inputs = outcome_inputs(p, i)
-    for post, safe in replaced:  # one step: at most once
+    for verbatim in kept:  # one step: at most once
         for schema, per_relation in batches:
             for rows in itertools.product(*(choices for _, choices in per_relation)):
                 j = Instance.of(schema, dict(zip((rel for rel, _ in per_relation), rows)))
-                for idx, (_, check) in post.items():
-                    assert check(j) == _post_failures(idx, p.post[idx], j)
-                for idx, (_, check) in safe.items():
-                    assert check(j) == _safety_failures(idx, p.safe[idx], inputs.safety[idx], i.schema, j)
+                assert _clause_failures(p, outcome_clauses(p, inputs, verbatim), j) == (
+                    [_post_failures(idx, c, j) for idx, c in enumerate(p.post)],
+                    [_safety_failures(idx, q, old, i.schema, j) for idx, (q, old) in enumerate(zip(p.safe, inputs.safety))],
+                )
 
 
 @st.composite
@@ -1497,14 +1541,21 @@ proc copy {
   post { tgd R(a: x, b: y) -> T(a: x, b: y); }
   safe { total T; }
 }
+proc kept {
+  scope { T[*]; }
+  safe { cq T(a: x, b: y); }
+}
 proc grow = template alter_table(T; c)
 seq s = grow
 """
 JSON_MUTATION_COMMANDS = (
     ["validate"],
     ["check-outcome", "--proc", "del", "--before", "I", "--after", "J"],
+    ["check-outcome", "--proc", "kept", "--before", "I", "--after", "J"],
     ["schema-min", "--proc", "copy", "--schema", "S", "--allow-data-preconditions"],
     ["outcomes", "--instance", "I", "--seq", "s"],
+    # the chase refuses copy's egd precondition: UnsupportedPrecondition, exit 2
+    ["outcomes", "--instance", "I", "--seq", "copy"],
     ["ready", "--instance", "I", "--seq", "s", "--query", "q"],
 )
 JSON_REPLACEMENTS = (1, None, [], {}, "x", "@x", "a b", "", "a\nb")
@@ -1621,7 +1672,7 @@ def test_every_text_mutation_fails_cleanly_or_round_trips():
             continue
         loaded += 1
         assert parse_workspace(serialize_workspace(ws)) == ws, text
-    assert walked == 219 * (2 + len(TEXT_REPLACEMENTS)) and loaded > 300
+    assert walked == 246 * (2 + len(TEXT_REPLACEMENTS)) and loaded > 300
 
 
 # --- instance sections: tuple lists read at once against token by token ------
@@ -1730,7 +1781,7 @@ def test_tuple_list_reader_agrees_on_mutations_and_bench_texts(monkeypatch):
     texts = [t for make in workloads.GENERATORS.values() for t in make(1).files.values()]
     assert all([_assert_readers_agree(text) for text in texts])
     read = [_assert_readers_agree(text) for text in _text_mutations(JSON_MUTATION_WORKSPACE)]
-    assert len(read) == 219 * (2 + len(TEXT_REPLACEMENTS)) and sum(read) > 1000
+    assert len(read) == 246 * (2 + len(TEXT_REPLACEMENTS)) and sum(read) > 1000
 
 
 def test_a_comment_never_starts_a_tuple_list():

@@ -79,7 +79,7 @@ def records():
         (Budget(1, 2), Budget._fields),
         (ChaseComparison(frozenset(), (), (), ()), ChaseComparison._fields),
         (OutcomeReport(True, True, True, True, ()), OutcomeReport._fields),
-        (OutcomeInputs(True, (), (), SCHEMA), ("applicable", "residual", "safety", "schema")),
+        (OutcomeInputs(True, (), (), INSTANCE), ("applicable", "residual", "safety", "before")),
         (LabeledNull("n"), ("id",)),
     ]
 

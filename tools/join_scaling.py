@@ -12,6 +12,8 @@ Measures, with the garbage collector on unless said otherwise:
 - `approximate_outcomes` of the `pipeline` sequence on the same instance,
   and `canonical_table` of the table it returns (as many nulls as the
   `alter_table` one);
+- `possible_outcome_report` of `join` on `I`, as `check-outcome` runs it,
+  against each of the candidates `J_closure`, `J_dropped` and `J_changed`;
 - `satisfies` per call, for each tgd of Figure 1 on instance `I`;
 - `enumerate_outcomes` of the three heavy `oracle`-workload jobs.
 
@@ -22,7 +24,7 @@ reaches each alike. Each time is the best of `--repeat` passes
 given per kernel. Usage:
 
     PYTHONHASHSEED=0 python tools/join_scaling.py --tree parent=<parent>/src \\
-        --tree change=src --sizes 640 2560 10240 --out BENCH_27.json
+        --tree change=src --sizes 640 2560 10240 --out BENCH_30.json
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FIG1 = ROOT / "workspaces" / "fig1.dq"
+CANDIDATES = ("J_closure", "J_dropped", "J_changed")
 ORACLE_JOBS = (
     ("fix", "tuples=1,growth"),
     ("migrate,migrate", "extra=1,tuples=1"),
@@ -94,6 +97,7 @@ def measure(sizes: list[int]) -> dict:
     from dqworkbench.dsl import load_workspace, parse_workspace
     from dqworkbench.model import LabeledNull, Schema, with_cells
     from dqworkbench.oracle import enumerate_outcomes
+    from dqworkbench.procedures import possible_outcome_report
 
     rows = []
     for n in sizes:
@@ -120,6 +124,12 @@ def measure(sizes: list[int]) -> dict:
             "rep_contains_peak_mb": peak_mb(lambda: rep_contains(table, image)),
             "approximate_outcomes_s": timed(lambda: approximate_outcomes(i, pipeline)),
             "canonical_table_s": timed(lambda: canonical_table(chased)),
+            **{
+                f"possible_outcome_report_{name}_s": timed(
+                    lambda j=ws.instances[name]: possible_outcome_report(ws.procedures["join"], i, j)
+                )
+                for name in CANDIDATES
+            },
         })
     out = {"sizes": rows}
     fig1 = load_workspace(str(FIG1))

@@ -11,7 +11,10 @@ agrees with it on the named attributes, whatever else the tuple carries.
 row layouts, run as an iterative depth-first search for a homomorphism into
 indexed rows (`RowIndex`) on one state with a binding trail. Query
 evaluation and dependency checks here, the chase's body triggers and head
-checks, and conditional-table membership all run on it.
+checks, and conditional-table membership all run on it. A full tgd's head
+is not matched: `demanded_rows` lists the rows its body's matches demand
+and `holds_rows` tests their containment, for `satisfies` and for the
+outcome clauses of `procedures`.
 """
 
 from __future__ import annotations
@@ -551,15 +554,23 @@ class _Compiled:
 @cache
 def _compiled(c: Union[ConjunctiveQuery, Tgd, Egd], s: Schema):
     """c compiled against s, on first use: a query's `_Compiled`, or a
-    dependency's body and tgd head (None for an egd), the body carrying the
-    dependency's compatibility and the head binding on entry the variables
-    it shares with the body. Kept for the run: one entry per query or
-    dependency and schema that the run checks."""
+    dependency's body, carrying the dependency's compatibility, and head. An
+    egd has none. A full tgd's, with relation atoms only and no existential
+    variable, is per atom its (relation, attributes), its rows' `attrs` and
+    its terms in their order; any other is a `_Compiled` binding on entry
+    the variables it shares with the body. Kept for the run."""
     if isinstance(c, ConjunctiveQuery):
         return _Compiled(c, s, frozenset())
     body = _Compiled(c.body, s, frozenset())
     body.compatible = is_compatible(c, s)
-    return body, (_Compiled(c.head, s, c.head.vars & c.body.vars) if isinstance(c, Tgd) else None)
+    if isinstance(c, Egd):
+        return body, None
+    if c.head.existential or not all(isinstance(a, NamedAtom) for a in c.head.atoms):
+        return body, _Compiled(c.head, s, c.head.vars & c.body.vars)
+    return body, tuple(
+        ((a.relation, a.attrs), tuple([attr for attr, _ in a.bindings]), tuple([t for _, t in a.bindings]))
+        for a in c.head.atoms
+    )
 
 
 def evaluate_query(q: Query, i: Instance) -> frozenset[tuple[Value, ...]]:
@@ -589,22 +600,49 @@ def structure_holds(c: StructureConstraint, s: Schema) -> bool:
     return c.is_wildcard or set(c.attributes) <= s.attrs(c.relation)
 
 
-def satisfies(c: Constraint, i: Instance, s: Schema | None = None) -> bool:
-    """Constraint satisfaction. A structure constraint reads only the schema,
-    s or else i's; a dependency reads i."""
+def demanded_rows(d: Tgd, i: Instance) -> Iterator[tuple[tuple[str, frozenset[str]], tuple[Row, ...]]] | None:
+    """None unless d is a full tgd. Otherwise what d demands of an instance, as
+    pairs of a head atom's (relation, attributes) and rows over them: each
+    atom's pair with no row first, since the instance must have them, then
+    per match of d's body on i each atom's pair with the row the match sends
+    through it. The body must read relations and attributes i has."""
+    body, head = _compiled(d, i.schema)
+    return _demands(head, body.assignments(RowIndex(i.data), {})) if head.__class__ is tuple else None
+
+
+def _demands(head: tuple, matches: Iterator[dict]) -> Iterator:
+    rows = ((key, (Row(attrs, tuple([tau.get(t, t) for t in terms])),))
+            for tau in matches for key, attrs, terms in head)
+    return chain(((key, ()) for key, *_ in head), rows)
+
+
+def holds_rows(demands: Iterable[tuple[tuple[str, frozenset[str]], Iterable[Row]]], i: Instance) -> bool:
+    """Whether i has each demand's relation and attributes and holds its rows there (`Instance.projected`)."""
+    have: dict = {}
+    for key, rows in demands:
+        found = have[key] if key in have else have.setdefault(key, i.projected(*key))
+        if found is None or not found.issuperset(rows):
+            return False
+    return True
+
+
+def satisfies(c: Constraint, i: Instance) -> bool:
+    """Constraint satisfaction. A structure constraint reads i's schema; a
+    full tgd holds exactly when i holds the rows it demands (`demanded_rows`;
+    Fagin, Kolaitis, Miller and Popa, TCS 2005), checked up to the first
+    miss; any other tgd takes one head probe per body match."""
     if isinstance(c, StructureConstraint):
-        return structure_holds(c, s if s is not None else i.schema)
+        return structure_holds(c, i.schema)
     if not isinstance(c, (Tgd, Egd)):
         raise TypeError(f"cannot check satisfaction of {type(c).__name__}")
     body, head = _compiled(c, i.schema)
     if not body.compatible:
         raise Incompatible(f"dependency references relations or attributes outside {i.schema.names}")
     rows = RowIndex(i.data)
+    matches = body.assignments(rows, {})
+    if head.__class__ is tuple:
+        return holds_rows(_demands(head, matches), i)
     if head is None:
         x, y = c.equated
-        return all(tau[x] == tau[y] for tau in body.assignments(rows, {}))
-    shared = head.bound
-    for tau in body.assignments(rows, {}):
-        if next(head.assignments(rows, {v: tau[v] for v in shared}), None) is None:
-            return False
-    return True
+        return all(tau[x] == tau[y] for tau in matches)
+    return all(next(head.assignments(rows, {v: tau[v] for v in head.bound}), None) is not None for tau in matches)

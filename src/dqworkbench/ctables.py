@@ -250,8 +250,8 @@ def _rep_witness(
     t: ConditionalInstance,
     i: Instance,
     rel_scope: frozenset[str] | None,
-) -> dict[LabeledNull, Value] | None:
-    """Search for a valuation showing i sits above t; None when there is none.
+) -> bool:
+    """Whether some valuation shows that i sits above t.
 
     Each table tuple is a pattern over i's indexed rows, with its nulls as
     variables, so i may live over an extending schema. A match that
@@ -259,16 +259,20 @@ def _rep_witness(
     the partial valuation leaves open may go unmatched. The final
     verification is authoritative: a candidate valuation survives only if
     its image sits inside i and, for relations outside rel_scope, accounts
-    for every row of i exactly.
+    for every row of i exactly. The nulls a match leaves unbound take every
+    value of the pool in turn; with no rel_scope, only their own fresh
+    values, since any other value can only add rows to the image, and a row
+    it would add to i is one the search also tries to match.
     """
     if not schema_extends(i.schema, t.schema):
-        return None
+        return False
     pairs: list[tuple[str, Row, Condition]] = [
         (rel, row, cond) for rel, rel_pairs in t.data for row, cond in rel_pairs
     ]
     meter = Meter(REP_STEP_CAP, "membership search", "steps")
 
     def verify(v: dict[LabeledNull, Value]) -> bool:
+        meter.tick()
         image = apply_valuation(t, v)
         if not instance_extends(i, image):
             return False
@@ -280,17 +284,12 @@ def _rep_witness(
 
     nulls = t.nulls()
     taken = frozenset(active_domain(i)) | t.constants()
-    pool_base = sorted(taken)
 
-    def complete_and_check(v: dict[LabeledNull, Value]) -> dict[LabeledNull, Value] | None:
+    def completes(v: dict[LabeledNull, Value]) -> bool:
         remaining = sorted(nulls - frozenset(v))
-        pool = pool_base + _fresh_values(len(remaining), taken)
-        for combo in itertools.product(pool, repeat=len(remaining)):
-            full = v | dict(zip(remaining, combo))
-            meter.tick()
-            if verify(full):
-                return full
-        return None
+        fresh = _fresh_values(len(remaining), taken)
+        combos = [fresh] if rel_scope is None else itertools.product(sorted(taken) + fresh, repeat=len(remaining))
+        return any(verify(v | dict(zip(remaining, combo))) for combo in combos)
 
     def consistent(v: dict[LabeledNull, Value], k: int, target: Row) -> bool:
         meter.tick()
@@ -305,11 +304,7 @@ def _rep_witness(
         [(rel, tuple(zip(row.attrs, row.values))) for rel, row, _ in pairs],
         [i.schema.layout(rel) for rel, _, _ in pairs],
     )
-    for v in plan.run(RowIndex(i.data), {}, accept=consistent, skip=may_drop):
-        found = complete_and_check(v)
-        if found is not None:
-            return found
-    return None
+    return any(completes(v) for v in plan.run(RowIndex(i.data), {}, accept=consistent, skip=may_drop))
 
 
 def rep_contains(
@@ -323,8 +318,8 @@ def rep_contains(
     match exactly.
     """
     if isinstance(t, ScopedConditionalInstance):
-        return _rep_witness(t.table, i, t.rel) is not None
-    return _rep_witness(t, i, None) is not None
+        return _rep_witness(t.table, i, t.rel)
+    return _rep_witness(t, i, None)
 
 
 def _set_partitions(items: list) -> Iterator[list[list]]:
@@ -363,15 +358,11 @@ def _strictly_dominated(t: ConditionalInstance, j: Instance) -> bool:
     A strict subset misses at least one row of j, so it suffices to search
     for an image inside j-minus-one-row, for each row in turn.
     """
-    for rel in j.schema.names:
-        for row in j.rows(rel):
-            smaller = Instance.built(
-                j.schema,
-                {r: (j.rows(r) - {row} if r == rel else j.rows(r)) for r in j.schema.names},
-            )
-            if _rep_witness(t, smaller, None) is not None:
-                return True
-    return False
+    return any(
+        _rep_witness(t, Instance.built(j.schema, {r: rs - {row} if r == rel else rs for r, rs in j.data}), None)
+        for rel, rows in j.data
+        for row in rows
+    )
 
 
 def enumerate_minimal(

@@ -178,7 +178,7 @@ class Row(NamedTuple):
 
 class Schema(Distinct, namedtuple("Schema", "rels")):
     """Finite map from relation names to attribute sets, canonically ordered.
-    Schemas order by `rels` and hash as it; the `__dict__` holds the lookups."""
+    Schemas order and hash by `rels` (`Distinct`); the `__dict__` holds the lookups."""
 
     def __new__(cls, rels: tuple[tuple[str, frozenset[str]], ...]):
         names = [r for r, _ in rels]
@@ -211,9 +211,6 @@ class Schema(Distinct, namedtuple("Schema", "rels")):
     @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(r for r, _ in self.rels)
-
-    def __hash__(self):
-        return hash(self.rels)
 
 
 class Instance(Distinct, namedtuple("Instance", "schema data")):

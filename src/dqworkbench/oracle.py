@@ -7,14 +7,13 @@ slow: its only job is to be an independent ground truth for the other
 modules at desk scale. It fixes one relation's rows at a time and checks
 each clause of `procedures.outcome_clauses` as soon as the relations it
 reads are fixed, dropping a prefix at its first failing clause; the result
-equals checking every candidate of the full product literally. It hands
-`outcome_clauses` the out-of-scope relations, which every candidate holds
-verbatim; the clauses then split the residual query per relation whenever
-the input allows it, leave out the residual clauses the generation
-guarantees, and test a tgd whose body reads only those relations, read
-once on the input (partial evaluation), by set containment. The
-generation also prunes, before it builds, the row choices two rules rule
-out (see `_relation_choices`), so the cap counts the candidates left after
+equals checking every candidate of the full product literally. Handed the
+out-of-scope relations, which every candidate holds verbatim, the clauses
+leave out the residual checks the generation guarantees, and a full tgd
+whose body reads only those relations is a `procedures.Contained` test of
+the rows it demands, read once per step. Before it builds, the generation
+prunes the row choices that those rows and `total` safety queries rule out
+(see `_relation_choices`), so the cap counts the candidates left after
 pruning.
 """
 
@@ -41,7 +40,7 @@ from .model import (
     map_cells,
     with_cells,
 )
-from .procedures import Clause, Procedure, demanded_rows, outcome_clauses, outcome_inputs, scope_map
+from .procedures import Clause, Contained, Procedure, outcome_clauses, outcome_inputs, scope_map
 
 # Candidates one oracle run may charge, each batch before it is built and before
 # any clause is checked: per relation its sets of additions and its row-set
@@ -257,11 +256,11 @@ def _single_step_outcomes(
     verbatim = frozenset(r for r in i.schema.names if scope.get(r, frozenset()) == frozenset())
     pool = _value_pool(i, shared, b)
     clauses = outcome_clauses(p, inputs, verbatim)
-    # a row demanded of a whole-scope relation is in every candidate whose
-    # relation has exactly the demanding atom's attributes
+    # a row a containment clause demands of a whole-scope relation is in
+    # every candidate whose relation has exactly the demanding atom's attributes
     forced: dict[tuple[str, frozenset[str]], set[Row]] = {}
-    for d in p.post:
-        for (rel, attrs), need in (demanded_rows(d, i, verbatim) or {}).items():
+    for _, check in clauses:
+        for (rel, attrs), need in check.demands.items() if isinstance(check, Contained) else ():
             if scope.get(rel, frozenset()) is None:
                 forced.setdefault((rel, attrs), set()).update(need)
     # an unfiltered `total R` on a whole-scope R loses an answer with any old

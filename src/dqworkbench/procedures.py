@@ -30,7 +30,9 @@ from .constraints import (
     condition_attrs,
     cq,
     demanded_attrs,
+    demanded_rows,
     evaluate_query,
+    holds_rows,
     is_compatible,
     satisfies,
 )
@@ -94,15 +96,15 @@ def is_applicable(p: Procedure, i: Instance) -> bool:
 
     The residual query needs no check: it is built from the schema itself.
     """
-    if not all(is_compatible(q, i.schema) for q in p.safe):
+    return all(is_compatible(q, i.schema) for q in p.safe) and all(_holds(c, i) for c in p.pre)
+
+
+def _holds(c: Constraint, i: Instance) -> bool:
+    """`satisfies`, with a constraint that does not fit i's schema failing."""
+    try:
+        return satisfies(c, i)
+    except Incompatible:
         return False
-    for c in p.pre:
-        try:
-            if not satisfies(c, i):
-                return False
-        except Incompatible:
-            return False
-    return True
 
 
 _UNADDRESSABLE = (
@@ -153,40 +155,17 @@ def outcome_inputs(p: Procedure, before: Instance) -> OutcomeInputs:
 
 
 def _post_failures(idx: int, c: Constraint, after: Instance) -> list[str]:
-    try:
-        holds = satisfies(c, after)
-    except Incompatible:
-        holds = False
-    return [] if holds else [_POST_FAILED.format(idx)]
+    return [] if _holds(c, after) else [_POST_FAILED.format(idx)]
 
 
-def demanded_rows(d: Constraint, i: Instance, verbatim: frozenset[str]) -> dict | None:
-    """The rows the head relation atoms of `d` demand of every result, by each
-    atom's relation and attributes; None unless `d` is a tgd with no
-    existential head variable whose body atoms read `verbatim` relations on
-    attributes `i` has: results hold those rows as `i` does."""
-    if not isinstance(d, Tgd) or d.head.existential or not all(
-        isinstance(a, NamedAtom) and a.relation in verbatim and is_compatible(a, i.schema)
-        for a in d.body.atoms
-    ):
-        return None
-    heads = [a for a in d.head.atoms if isinstance(a, NamedAtom)]
-    out: dict = {(a.relation, a.attrs): set() for a in heads}
-    for answer in evaluate_query(d.body, i):
-        match = dict(zip(d.body.free, answer))
-        for a in heads:
-            out[a.relation, a.attrs].add(Row.of({attr: match.get(t, t) for attr, t in a.bindings}))
-    return out
+class Contained(NamedTuple):
+    """The check of postcondition `idx`, a full tgd: its demanded rows, read once on the input."""
 
+    idx: int
+    demands: dict[tuple[str, frozenset[str]], set[Row]]
 
-def _post_contained(idx: int, demanded: dict, after: Instance) -> list[str]:
-    """`_post_failures` of postcondition `idx`, a tgd whose head atoms, all
-    relation atoms, demand `demanded`."""
-    for (rel, attrs), rows in demanded.items():
-        have = after.projected(rel, attrs)
-        if have is None or not rows <= have:
-            return [_POST_FAILED.format(idx)]
-    return []
+    def __call__(self, after: Instance) -> list[str]:
+        return [] if holds_rows(self.demands.items(), after) else [_POST_FAILED.format(self.idx)]
 
 
 def _residual_failures(factors: Sequence[tuple[str, frozenset[str], AbstractSet[Row]]], after: Instance) -> list[str]:
@@ -231,9 +210,9 @@ def _total_kept(idx: int, rel: str, attrs: frozenset[str], old: frozenset[Row], 
     return [] if after.schema.attrs(rel) == attrs and old <= after.rows(rel) else [_ANSWERS_LOST.format(idx)]
 
 
-def _reads(c: Union[Constraint, Query]) -> frozenset[str]:
-    # a structure constraint reads the schema only
-    return frozenset(() if isinstance(c, StructureConstraint) else demanded_attrs([c], {}))
+def _reads(*items: Union[Constraint, Query]) -> frozenset[str]:
+    """The relations the items read rows of; a structure constraint reads the schema only."""
+    return frozenset(demanded_attrs([c for c in items if not isinstance(c, StructureConstraint)], {}))
 
 
 # The relations a clause reads rows of, and its failures on a result instance.
@@ -241,10 +220,15 @@ Clause = tuple[frozenset[str], Callable[[Instance], list[str]]]
 
 
 def _post_clause(idx: int, c: Constraint, before: Instance, kept: frozenset[str]) -> Clause:
-    rows = demanded_rows(c, before, kept)
-    if rows is not None and all(isinstance(a, NamedAtom) for a in c.head.atoms):
-        return frozenset(rel for rel, _ in rows), partial(_post_contained, idx, rows)
-    return _reads(c), partial(_post_failures, idx, c)
+    # partial evaluation: every result reads the body as `before` does
+    kept_body = isinstance(c, Tgd) and _reads(c.body) <= kept and is_compatible(c.body, before.schema)
+    demanded = kept_body and demanded_rows(c, before)
+    if not demanded:
+        return _reads(c), partial(_post_failures, idx, c)
+    demands: dict = {}
+    for key, rows in demanded:
+        demands.setdefault(key, set()).update(rows)
+    return frozenset(rel for rel, _ in demands), Contained(idx, demands)
 
 
 def _safety_clause(idx: int, q: Query, old: Union[frozenset, Incompatible], before: Instance) -> Clause:
@@ -268,8 +252,9 @@ def outcome_clauses(p: Procedure, inputs: OutcomeInputs, kept: frozenset[str] = 
     `kept` names relations every result the caller checks holds verbatim on
     `before`'s attributes, over a schema that keeps every attribute the
     scope does not name. The residual clauses that then always hold are left
-    out, and a tgd whose body reads only kept relations is a containment test
-    of the rows it demands (`demanded_rows`, read once: partial evaluation).
+    out, and a full tgd whose body reads only kept relations is `Contained`:
+    a containment test of the rows it demands (`constraints.demanded_rows`,
+    read once on `before`: partial evaluation).
     """
     if all(old for *_, old in inputs.residual):
         factor_groups = [(f,) for f in inputs.residual if f[0] not in kept]
@@ -311,14 +296,6 @@ def possible_outcome_report(
     return OutcomeReport(inputs.applicable, not post, not residual, not safety, tuple(failures))
 
 
-def head_relations(d: Tgd) -> frozenset[str]:
-    return frozenset(a.relation for a in d.head.atoms if isinstance(a, NamedAtom))
-
-
-def body_relations(d: Tgd) -> frozenset[str]:
-    return frozenset(a.relation for a in d.body.atoms if isinstance(a, NamedAtom))
-
-
 def scope_relations(p: Procedure) -> frozenset[str]:
     return frozenset(c.relation for c in p.scope)
 
@@ -335,8 +312,7 @@ def classify(p: Procedure) -> str:
     ):
         return ALTER_SCHEMA
     if p.post and all(isinstance(c, Tgd) for c in p.post):
-        heads = frozenset(r for d in p.post for r in head_relations(d))
-        bodies = frozenset(r for d in p.post for r in body_relations(d))
+        heads, bodies = _reads(*(d.head for d in p.post)), _reads(*(d.body for d in p.post))
         if heads & bodies:
             return NEITHER
         if not all(c.is_wildcard for c in p.scope):
@@ -361,8 +337,7 @@ def is_safe_sequence(ps: Sequence[Procedure]) -> bool:
         if kind == NEITHER:
             return False
         if kind == SAFE_SCOPE:
-            reads = frozenset(r for d in p.post for r in body_relations(d))
-            if reads & earlier:
+            if _reads(*(d.body for d in p.post)) & earlier:
                 return False
             earlier |= scope_relations(p)
     return True
@@ -389,8 +364,7 @@ def _template_data_exchange(params: Mapping) -> Procedure:
         raise MalformedParams("data_exchange needs at least one dependency")
     if not all(isinstance(d, Tgd) for d in deps):
         raise MalformedParams("data_exchange accepts tuple-generating dependencies only")
-    heads = frozenset(r for d in deps for r in head_relations(d))
-    bodies = frozenset(r for d in deps for r in body_relations(d))
+    heads, bodies = _reads(*(d.head for d in deps)), _reads(*(d.body for d in deps))
     if heads & bodies:
         raise MalformedParams(
             f"source and target relations must be disjoint, got both: {sorted(heads & bodies)}"

@@ -24,6 +24,7 @@ from dqworkbench.constraints import (
     evaluate_query,
     is_compatible,
     satisfies,
+    structure_holds,
 )
 from dqworkbench.errors import DomainMismatch, Incompatible
 from dqworkbench.model import Instance, Row, Schema, active_domain, const, null_marker
@@ -244,10 +245,13 @@ def test_egd_single_row_trivially_holds():
 
 
 def test_structure_constraints(visit_schema, aged_schema, instance_i):
-    assert not satisfies(StructureConstraint.of("LocVisits", ["age"]), instance_i, visit_schema)
-    assert satisfies(StructureConstraint.of("LocVisits", ["age"]), instance_i, aged_schema)
-    assert satisfies(StructureConstraint.of("LocVisits"), instance_i, visit_schema)
-    assert not satisfies(StructureConstraint.of("Patients"), instance_i, visit_schema)
+    assert not structure_holds(StructureConstraint.of("LocVisits", ["age"]), visit_schema)
+    assert structure_holds(StructureConstraint.of("LocVisits", ["age"]), aged_schema)
+    assert structure_holds(StructureConstraint.of("LocVisits"), visit_schema)
+    assert not structure_holds(StructureConstraint.of("Patients"), visit_schema)
+    # `satisfies` reads a structure constraint off the instance's schema
+    assert satisfies(StructureConstraint.of("LocVisits"), instance_i)
+    assert not satisfies(StructureConstraint.of("LocVisits", ["age"]), instance_i)
 
 
 def test_out_of_schema_dependency_raises(instance_i):

@@ -241,6 +241,37 @@ class TestRepContains:
             "3 steps charged so far, and the next charge of 1 does not fit"
         )
 
+    def test_unscoped_nulls_left_unbound_take_one_completion(self, monkeypatch):
+        # `(1, 5)` holds when ?y = 7, and `(2, ?y)` can only match `(2, 7)`, so
+        # no valuation fits; each `(9, 9) | ?z_j = 1` leaves ?z_j unbound. One
+        # completion per match keeps the search linear in the rows, where
+        # trying every value of every ?z_j took pool^k steps.
+        k = 40
+        y = LabeledNull("y")
+        s = Schema.of({"R": ["a", "b"]})
+        t = ConditionalInstance.of(s, {"R": [
+            (Row.of({"a": const(1), "b": const(5)}), (CondEq(y, const(7)),)),
+            (Row.of({"a": const(2), "b": y}), TRUE),
+            *((Row.of({"a": const(9), "b": const(9)}), (CondEq(LabeledNull(f"z{j}"), const(1)),)) for j in range(k)),
+        ]})
+        used = []
+
+        class Recording(ctables.Meter):
+            def __init__(self, *args):
+                super().__init__(*args)
+                used.append(self)
+
+        monkeypatch.setattr(ctables, "Meter", Recording)
+        assert not rep_contains(t, Instance.of(s, {"R": {Row.of({"a": const(2), "b": const(7)})}}))
+        assert used[0].used <= 4 * (k + 2)
+
+    def test_scoped_nulls_left_unbound_take_every_pool_value(self):
+        # matching `(5)` binds no null, and the row outside the scope is
+        # covered only when the null its condition reads takes the value 1
+        t = r_table((Row.of({"a": const(5)}), (CondEq(N1, const(1)),)))
+        assert rep_contains(ScopedConditionalInstance(t, frozenset()), r_instance(5))
+        assert not rep_contains(ScopedConditionalInstance(t, frozenset()), r_instance(5, 6))
+
 
 class TestEnumerateMinimal:
     def test_null_free_table_is_its_own_minimum(self, instance_i):

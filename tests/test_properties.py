@@ -37,7 +37,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import Phase, example, find, given, settings, strategies as st
+from hypothesis import Phase, assume, example, find, given, settings, strategies as st
 
 from dqworkbench.chase import (
     EMPTY,
@@ -46,6 +46,7 @@ from dqworkbench.chase import (
     approximate_outcomes,
     canonical_table,
     certain_boolean_cq,
+    exact_scoped_representation,
     outcomes_nonempty,
 )
 from dqworkbench import chase as chase_mod
@@ -123,11 +124,12 @@ from dqworkbench.model import (
 from dqworkbench.oracle import Budget, enumerate_outcomes, minimal_outcomes
 from dqworkbench.procedures import (
     TEMPLATE_KINDS,
+    Contained,
     Procedure,
     _post_failures,
     _safety_failures,
-    demanded_rows,
     instantiate_template,
+    is_safe_sequence,
     outcome_clauses,
     outcome_inputs,
     possible_outcome_report,
@@ -162,6 +164,7 @@ DERIVED_MISSING_EXAMPLES = 150
 SATISFIES_EXAMPLES = 200
 RESERVED_RENAMING_EXAMPLES = 200
 CANONICITY_EXAMPLES = 150
+SCOPED_REPRESENTATION_EXAMPLES = 150
 
 # The candidates the literal enumerator charges for Figure 1's `migrate,
 # migrate` with budget extra=1,tuples=1: the total the per-candidate meter
@@ -368,6 +371,45 @@ def test_folding_is_reproducible(rs, ts, names):
     if isinstance(first, ConditionalInstance):
         assert canonical_table(first) == canonical_table(second)
         assert render_ctable(first) == render_ctable(second)
+
+
+def _splits(j: Instance, i: Instance, scope: frozenset[str]) -> bool:
+    """Some relation outside `scope` holds two rows of j that agree on i's attributes."""
+    return any(len(j.projected(rel, i.schema.attrs(rel))) < len(j.rows(rel)) for rel in i.schema.names if rel not in scope)
+
+
+@settings(max_examples=SCOPED_REPRESENTATION_EXAMPLES, deadline=None)
+@given(
+    rs=st.sampled_from(_SUBSETS),
+    ts=st.sampled_from(_SUBSETS),
+    names=st.lists(st.sampled_from(sorted(_STEPS)), min_size=1, max_size=2),
+    data=st.data(),
+)
+def test_scoped_representation_holds_the_outcomes_and_no_row_added_outside_its_scope(rs, ts, names, data):
+    seq = [_STEPS[n] for n in names]
+    assume(is_safe_sequence(seq))
+    i = rt_instance(sorted(rs), sorted(ts))
+    outcomes = sorted(
+        enumerate_outcomes(seq, i, Budget(max_new_tuples=1, allow_schema_growth=True)), key=oracle_mod._instance_sort_key
+    )
+    scoped = exact_scoped_representation(i, seq)
+    if isinstance(scoped, EmptyResult):
+        assert not outcomes
+        return
+    # An alter step that widens a relation outside the scope lets an outcome
+    # split a row there, two rows agreeing on the input's attributes, which
+    # the scoped table misses (see CHANGES.md); every other outcome is in.
+    assert all(rep_contains(scoped, j) or _splits(j, i, scoped.rel) for j in outcomes)
+    outside = [rel for rel in i.schema.names if rel not in scoped.rel]
+    if not outcomes or not outside:
+        return
+    j = data.draw(st.sampled_from(outcomes), label="outcome")
+    rel = data.draw(st.sampled_from(outside), label="relation")
+    attrs = j.schema.layout(rel)
+    row = Row(attrs, tuple(data.draw(st.sampled_from(CONSTS), label=a) for a in attrs))
+    assume(row not in j.rows(rel))
+    added = Instance.of(j.schema, {r: j.rows(r) | {row} if r == rel else j.rows(r) for r in j.schema.names})
+    assert not rep_contains(scoped, added)
 
 
 
@@ -718,6 +760,34 @@ def test_satisfies_matches_brute_force(c, i, scan_below):
     assert _with_scan_below(scan_below, lambda: satisfies(c, i)) == expected
 
 
+def _full_tgd(c) -> bool:
+    """A tgd that `satisfies` checks by the rows it demands, on REP_SCHEMA."""
+    return isinstance(c, Tgd) and is_compatible(c, REP_SCHEMA) and not c.head.existential and all(
+        isinstance(a, NamedAtom) for a in c.head.atoms
+    )
+
+
+# the full-tgd shapes `dependency_st` must reach
+FULL_TGD_SHAPES = {
+    "head constant": lambda c: any(isinstance(t, Value) for a in c.head.atoms for _, t in a.bindings),
+    "two head atoms": lambda c: len(c.head.atoms) == 2,
+    "repeated head variable": lambda c: sum(isinstance(t, Var) for a in c.head.atoms for _, t in a.bindings)
+    > len(c.head.vars),
+    "head atom on part of its relation": lambda c: any(a.attrs < REP_SCHEMA.attrs(a.relation) for a in c.head.atoms),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(FULL_TGD_SHAPES))
+def test_dependencies_reach_each_full_tgd_shape(shape):
+    holds = FULL_TGD_SHAPES[shape]
+    found = find(
+        dependency_st(),
+        lambda c: _full_tgd(c) and holds(c),
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
+    assert _full_tgd(found) and holds(found)
+
+
 # --- reserved values renamed alike up to renaming ----------------------------
 
 RIGID = CONSTS[:2]
@@ -1063,13 +1133,10 @@ def test_meter_stops_before_any_candidate_is_checked(monkeypatch):
 
 
 def test_pruned_meter_stops_before_any_candidate_is_checked(monkeypatch):
-    clauses = oracle_mod.outcome_clauses
     seq, i, _ = _fig1_migrate_twice()
-    monkeypatch.setattr(
-        oracle_mod,
-        "outcome_clauses",
-        lambda *args: [(reads, _unreachable) for reads, _ in clauses(*args)],
-    )
+    # every clause is checked inside `_accepted`; the clauses themselves stay,
+    # since the forced rows are read off the postcondition's containment clause
+    monkeypatch.setattr(oracle_mod, "_accepted", _unreachable)
     # At extra=1,tuples=2 LocVisits keeps both old rows and charges 729 sets of
     # additions (the forced row, alone or with one of the other 9^3 - 1 rows)
     # plus 729 row sets, 1458; then the cross product charges its 727 distinct
@@ -1217,8 +1284,8 @@ def _verbatim(p: Procedure, i: Instance) -> frozenset[str]:
 
 def _demanding(p: Procedure, i: Instance) -> list[tuple[Tgd, dict]]:
     """The postconditions the oracle checks by containment, with their demanded rows."""
-    pairs = [(d, demanded_rows(d, i, _verbatim(p, i))) for d in p.post]
-    return [(d, rows) for d, rows in pairs if rows is not None]
+    clauses = outcome_clauses(p, outcome_inputs(p, i), _verbatim(p, i))
+    return [(p.post[check.idx], check.demands) for _, check in clauses if isinstance(check, Contained)]
 
 
 def _totals(p: Procedure) -> list[str]:

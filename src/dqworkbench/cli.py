@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from .analyzer import Failure, SchemaRequirement, min_schema, sequence_applicability
@@ -35,7 +37,7 @@ from .constraints import ConjunctiveQuery
 from .ctables import ConditionalInstance, render_condition, render_ctable
 from .dsl import Workspace, cell_to_json, instance_to_json, load_workspace, schema_to_json
 from .errors import Incompatible, MalformedParams, ResolutionError, WorkbenchError
-from .model import render_instance
+from .model import render_instance, render_instances
 from .procedures import NEITHER, Procedure, classify, possible_outcome_report
 
 if TYPE_CHECKING:  # `oracle` loads in the handlers that run it
@@ -273,7 +275,8 @@ def _cmd_oracle(ws: Workspace, args) -> Report:
         outcomes = minimal_outcomes(outcomes)
     code = EXIT_YES if outcomes else EXIT_NO
     # the rendered text orders the outcomes in both formats
-    ordered = sorted(((render_instance(o), o) for o in outcomes), key=lambda pair: pair[0])
+    outcomes = list(outcomes)
+    ordered = sorted(zip(render_instances(outcomes), outcomes), key=itemgetter(0))
     if args.format == "json":
         return code, [], {
             "count": len(ordered),
@@ -412,7 +415,14 @@ def run_command(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left, as `dqw oracle ... | head` does
+        # the interpreter flushes stdout once more at exit: let it write nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

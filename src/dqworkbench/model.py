@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cache, cached_property
 from itertools import chain, groupby, permutations, product
 from operator import attrgetter, itemgetter
@@ -279,6 +279,8 @@ def schema_extends(candidate: Schema, base: Schema) -> bool:
 
 def instance_extends(candidate: Instance, base: Instance) -> bool:
     """True iff candidate's projection over base's schema covers every base tuple."""
+    if candidate.schema == base.schema:
+        return all(rows <= have for (_, rows), (_, have) in zip(base.data, candidate.data))
     if not schema_extends(candidate.schema, base.schema):
         return False
     for r, rows in base.data:
@@ -376,12 +378,31 @@ def active_domain(i: Instance) -> frozenset[Value]:
 
 def render_instance(i: Instance) -> str:
     """Canonical text: relations sorted by name, headers and rows in attribute order."""
-    lines: list[str] = []
-    for r, rows in i.data:
-        lines.append(f"{r}({', '.join(i.schema.layout(r))}):")
-        # rows share one `attrs`, so they sort by their values
-        lines.extend(map(_row_line, sorted(row.values for row in rows)) if rows else ["  (empty)"])
-    return "\n".join(lines)
+    return render_instances([i])[0]
+
+
+def render_instances(instances: Iterable[Instance]) -> list[str]:
+    """`render_instance` of each instance. A (relation, rows) block that two
+    or more of them hold is drawn once: a first pass counts the blocks, and
+    only the repeated ones are kept."""
+    instances = list(instances)
+    # an empty relation's block is its header, whose layout the pair lacks
+    memo = {pair: None for pair, n in Counter(p for i in instances for p in i.data if p[1]).items() if n > 1}
+    out = []
+    for i in instances:
+        blocks = []
+        for pair in i.data:
+            block = memo.get(pair)
+            if block is None:
+                r, rows = pair
+                # rows share one `attrs`, so they sort by their values
+                lines = "\n".join(map(_row_line, sorted(map(attrgetter("values"), rows)))) if rows else "  (empty)"
+                block = f"{r}({', '.join(i.schema.layout(r))}):\n{lines}"
+                if pair in memo:
+                    memo[pair] = block
+            blocks.append(block)
+        out.append("\n".join(blocks))
+    return out
 
 
 @cache  # once per distinct row: reports list the same rows in many outcomes

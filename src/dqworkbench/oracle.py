@@ -38,7 +38,7 @@ from .model import (
     const,
     instance_extends,
     map_cells,
-    with_cells,
+    positions,
 )
 from .procedures import Clause, Contained, Procedure, outcome_clauses, outcome_inputs, scope_map
 
@@ -163,8 +163,19 @@ def _subsets(items: Sequence) -> Iterator[tuple]:
 
 
 def _extensions(row: Row, fill: Sequence[str], pool: Sequence[Value]) -> list[Row]:
-    combos = itertools.product(pool, repeat=len(fill))
-    return [with_cells(row, dict(zip(fill, combo))) for combo in combos]
+    """The row with each combination of pool values in its `fill` cells,
+    in place of its own cells of those attributes or beside them."""
+    attrs = tuple(sorted({*row.attrs, *fill}))
+    at = positions(attrs)
+    own = dict(zip(row.attrs, row.values))
+    cells = [own.get(a) for a in attrs]
+    slots = [at[a] for a in fill]
+    out = []
+    for combo in itertools.product(pool, repeat=len(fill)):
+        for k, v in zip(slots, combo):
+            cells[k] = v
+        out.append(Row(attrs, tuple(cells)))
+    return out
 
 
 def _relation_choices(
@@ -301,7 +312,8 @@ def _accepted(
     fixed, on the instance holding the fixed rows (the rest empty); a
     clause reading a relation outside the schema waits for the full
     candidate. A prefix that fails a clause is dropped with all its
-    extensions.
+    extensions. When every clause reads only the schema, the candidates
+    are the product of the choices, listed in schema order.
     """
     order = sorted(per_relation, key=lambda rc: len(rc[1]))
     n = len(order)
@@ -321,6 +333,10 @@ def _accepted(
     # per relation of the schema, the depth of its pair in `chosen`
     pairs = [[(rel, rows) for rows in choices] for rel, choices in order]
     slots = [depth[rel] - 1 for rel in schema.names]
+    if not any(checks[1:]):  # every clause read only the schema: all of the product passes
+        for data in itertools.product(*[pairs[s] for s in slots]):
+            yield tuple.__new__(Instance, (schema, data))
+        return
     chosen: list[tuple[str, frozenset[Row]]] = []
     stack = [iter(pairs[0])]
     while stack:

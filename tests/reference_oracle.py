@@ -6,10 +6,13 @@ enumerator it used before it checked clauses as soon as their relations
 are fixed: it builds every candidate of the cross-relation product and
 runs `possible_outcome_report` on each. `_relation_choices` is the row
 choice generator the oracle used before it pruned: it charges and builds
-every row set the scope allows. All three are kept verbatim so that
-properties in `test_properties.py` can check the oracle against them. The
-candidate schemas and value pool are the oracle's own; the cap is this
-module's `BUDGET_CAP`.
+every row set the scope allows. `_extensions` is the row builder the
+oracle used before it placed each row's cells by a position map: it goes
+through `model.with_cells`. All four are kept verbatim so that properties
+in `test_properties.py` can check the oracle against them, and
+`minimal_outcomes` tests with the general `instance_extends` of
+`reference_queries`. The candidate schemas and value pool are the
+oracle's own; the cap is this module's `BUDGET_CAP`.
 """
 
 from __future__ import annotations
@@ -19,16 +22,17 @@ import math
 from typing import Iterable, Sequence, Union
 
 from dqworkbench.errors import Meter
-from dqworkbench.model import Instance, Row, Value, instance_extends
+from dqworkbench.model import Instance, Row, Value, with_cells
 from dqworkbench.oracle import (
     Budget,
     _candidate_schemas,
-    _extensions,
     _instance_sort_key,
     _value_pool,
     constraint_constants,
 )
 from dqworkbench.procedures import Procedure, outcome_inputs, possible_outcome_report, scope_map
+
+from .reference_queries import instance_extends
 
 BUDGET_CAP = 500_000
 
@@ -44,6 +48,11 @@ def minimal_outcomes(outcomes: Iterable[Instance]) -> frozenset[Instance]:
         if not dominated:
             out.append(j)
     return frozenset(out)
+
+
+def _extensions(row: Row, fill: Sequence[str], pool: Sequence[Value]) -> list[Row]:
+    combos = itertools.product(pool, repeat=len(fill))
+    return [with_cells(row, dict(zip(fill, combo))) for combo in combos]
 
 
 def _relation_choices(

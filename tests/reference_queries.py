@@ -21,12 +21,18 @@ cell under the equality of the two.
 `satisfies_by_product` decides a tgd or an egd on an instance by the
 literal product of one row per relation atom, with its own compatibility
 test, for comparison with `constraints.satisfies`.
+
+`render_instance` draws one instance's text block by block, and
+`instance_extends` tests the extension order on any two schemas; both are
+kept verbatim from before `model.render_instances` drew each repeated block
+once and `model.instance_extends` compared equal schemas' row sets pairwise.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import cache
 from typing import Iterable
 
 from dqworkbench.constraints import (
@@ -42,7 +48,7 @@ from dqworkbench.constraints import (
 )
 from dqworkbench.ctables import CondEq, ConditionalInstance, cond_and
 from dqworkbench.errors import Incompatible
-from dqworkbench.model import Instance, LabeledNull, Schema, Value
+from dqworkbench.model import Instance, LabeledNull, Schema, Value, _projection, schema_extends
 from dqworkbench.procedures import scope_map
 
 
@@ -168,5 +174,37 @@ def satisfies_by_product(c: Tgd | Egd, i: Instance) -> bool:
             if tau[x] != tau[y]:
                 return False
         elif not any(True for _ in product_assignments(c.head, i, {v: tau[v] for v in c.head.vars if v in tau})):
+            return False
+    return True
+
+
+def render_instance(i: Instance) -> str:
+    """Canonical text: relations sorted by name, headers and rows in attribute order."""
+    lines: list[str] = []
+    for r, rows in i.data:
+        lines.append(f"{r}({', '.join(i.schema.layout(r))}):")
+        # rows share one `attrs`, so they sort by their values
+        lines.extend(map(_row_line, sorted(row.values for row in rows)) if rows else ["  (empty)"])
+    return "\n".join(lines)
+
+
+@cache  # once per distinct row: reports list the same rows in many outcomes
+def _row_line(values: tuple[Value, ...]) -> str:
+    return f"  ({', '.join([v.render() for v in values])})"
+
+
+def instance_extends(candidate: Instance, base: Instance) -> bool:
+    """True iff candidate's projection over base's schema covers every base tuple."""
+    if not schema_extends(candidate.schema, base.schema):
+        return False
+    for r, rows in base.data:
+        attrs = base.schema.attrs(r)
+        if candidate.schema.attrs(r) == attrs:
+            if not rows <= candidate.rows(r):
+                return False
+            continue
+        picks = _projection(candidate.schema.layout(r), attrs)[1]
+        images = {tuple([row.values[k] for k in picks]) for row in candidate.rows(r)}
+        if any(row.values not in images for row in rows):
             return False
     return True

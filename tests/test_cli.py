@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,10 +13,12 @@ import pytest
 from dqworkbench import cli, oracle
 from dqworkbench.cli import parse_budget, run_command
 from dqworkbench.ctables import TRUE, CondEq, ConditionalInstance, LabeledNull, render_ctable
-from dqworkbench.dsl import parse_workspace, workspace_to_json
+from dqworkbench.dsl import parse_workspace
 from dqworkbench.errors import MalformedParams
 from dqworkbench.model import Instance, Row, Schema, const, render_instance
 from dqworkbench.oracle import Budget, ChaseComparison
+
+from .workspace_writers import workspace_to_json
 
 FIG1 = str(Path(__file__).resolve().parent.parent / "workspaces" / "fig1.dq")
 
@@ -1010,3 +1015,23 @@ class TestArgumentParsing:
         assert code == 2
         choices = ", ".join(f"'{name}'" for name in cli._COMMANDS)
         assert err.endswith(f"argument command: invalid choice: 'frobnicate' (choose from {choices})\n")
+
+
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_a_reader_that_leaves_early_gets_exit_2_and_no_traceback(form):
+    # the report runs to megabytes, far past a pipe's buffer, so writing it
+    # meets the closed pipe, as `dqw oracle ... | head -1` does
+    argv = ["oracle", "--workspace", FIG1, "--instance", "I", "--seq", "fix", "--budget", "tuples=1,growth"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dqworkbench.cli", *argv, "--format", form],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert first.startswith(b"outcomes within budget: 5888" if form == "text" else b"{")
+    assert err == b""

@@ -29,9 +29,7 @@ from dqworkbench.dsl import (
     Workspace,
     load_workspace,
     parse_workspace,
-    serialize_workspace,
     workspace_from_json,
-    workspace_to_json,
 )
 from dqworkbench.errors import (
     ResolutionError,
@@ -42,6 +40,7 @@ from dqworkbench.model import Instance, Row, Schema, const, null_marker
 from dqworkbench.procedures import Procedure, instantiate_template
 
 from .conftest import boolean_cq, migrate_cq_proc, migrate_total_proc
+from .workspace_writers import serialize_workspace, workspace_to_json
 
 FIG1 = Path(__file__).resolve().parent.parent / "workspaces" / "fig1.dq"
 

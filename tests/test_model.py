@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqworkbench.constraints import Var
-from dqworkbench.dsl import load_workspace, parse_workspace, workspace_to_json
+from dqworkbench.dsl import load_workspace, parse_workspace
 from dqworkbench.errors import DomainMismatch
 from dqworkbench.model import (
     Instance,
@@ -26,6 +26,8 @@ from dqworkbench.model import (
     render_instance,
     schema_extends,
 )
+
+from .workspace_writers import workspace_to_json
 
 
 def test_value_kinds():

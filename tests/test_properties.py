@@ -22,6 +22,7 @@ acceptance suite checks the sum of the first four.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import importlib.util
@@ -92,11 +93,11 @@ from dqworkbench.ctables import (
 from dqworkbench import dsl
 from dqworkbench import oracle as oracle_mod
 from dqworkbench.dsl import (
+    Workspace,
+    instance_to_json,
     load_workspace,
     parse_workspace,
-    serialize_workspace,
     workspace_from_json,
-    workspace_to_json,
 )
 from dqworkbench.errors import (
     BudgetExceeded,
@@ -118,6 +119,7 @@ from dqworkbench.model import (
     instance_extends,
     null_marker,
     render_instance,
+    render_instances,
     schema_extends,
     with_cells,
 )
@@ -137,12 +139,13 @@ from dqworkbench.procedures import (
     scope_map,
 )
 
-from . import reference_oracle, reference_tokenizer
+from . import reference_oracle, reference_queries, reference_tokenizer
 from .conftest import boolean_cq, open_cq
 from .reference_queries import body_triggers, residual_atoms, residual_query, satisfies_by_product
 from .test_dsl import FIG1, workspace_st
 from .test_oracle import inclusion_tgd, rt_instance
 from .test_procedures import schema_and_scope
+from .workspace_writers import serialize_workspace, workspace_to_json
 
 REP_CLOSURE_EXAMPLES = 150
 AGREEMENT_EXAMPLES = 100
@@ -161,7 +164,10 @@ JSON_MUTATION_EXAMPLES = 150
 SECTION_EXAMPLES = 400
 UPWARD_CLOSURE_EXAMPLES = 150
 DERIVED_MISSING_EXAMPLES = 150
-SATISFIES_EXAMPLES = 200
+SATISFIES_EXAMPLES = 240
+RENDER_EXAMPLES = 200
+EXTENSION_EXAMPLES = 200
+REPORT_ORDER_EXAMPLES = 60
 RESERVED_RENAMING_EXAMPLES = 200
 CANONICITY_EXAMPLES = 150
 SCOPED_REPRESENTATION_EXAMPLES = 150
@@ -734,7 +740,11 @@ def conjunction_st(draw, terms, size: tuple[int, int], stray: bool) -> list:
 def dependency_st(draw):
     """A tgd or an egd over REP_SCHEMA: bodies of one to three atoms with
     constants, repeated variables and constancy tests, tgd heads with an
-    existential variable now and then, and one in five out of the schema."""
+    existential variable now and then, and one in five out of the schema.
+    Now and then a tgd inside the schema is a full tgd from `T(a: x, b: y)`
+    and the drawn body atoms into T's two attributes, bound to x and y in
+    either order: on rows where (x, y) differs from (y, x), only the head's own
+    layout of the demanded rows is right."""
     stray = draw(st.integers(0, 4)) == 0
     in_head = stray and draw(st.booleans())
     atoms = draw(conjunction_st(VARS, (1, 3), stray and not in_head))
@@ -742,6 +752,11 @@ def dependency_st(draw):
     body = cq(atoms, free=body_vars)
     if len(body_vars) > 1 and draw(st.booleans()):
         return Egd(body, tuple(draw(st.permutations(body_vars))[:2]))
+    if not stray and draw(st.integers(0, 3)) == 3:
+        x, y = VARS[:2]
+        atoms = [NamedAtom.of("T", {"a": x, "b": y}), *atoms]
+        head = NamedAtom.of("T", dict(zip("ab", draw(st.permutations([x, y])))))
+        return Tgd(cq(atoms, free=sorted({v for a in atoms for v in a.vars})), cq([head], free=[x, y]))
     head_atoms = draw(conjunction_st(HEAD_VARS, (1, 2), in_head))
     head_vars = {v for a in head_atoms for v in a.vars}
     free = sorted(head_vars & set(body_vars))
@@ -774,7 +789,19 @@ FULL_TGD_SHAPES = {
     "repeated head variable": lambda c: sum(isinstance(t, Var) for a in c.head.atoms for _, t in a.bindings)
     > len(c.head.vars),
     "head atom on part of its relation": lambda c: any(a.attrs < REP_SCHEMA.attrs(a.relation) for a in c.head.atoms),
+    "head swapping a body atom's two variables": lambda c: any(
+        _swaps(h, b) for h in c.head.atoms for b in c.body.atoms if isinstance(b, NamedAtom)
+    ),
 }
+
+
+def _swaps(head: NamedAtom, body: NamedAtom) -> bool:
+    """The head atom binds the body atom's two attributes to its two variables the other way round."""
+    if len(body.bindings) != 2:
+        return False
+    (a, s), (b, t) = body.bindings
+    swapped = (head.relation, head.bindings) == (body.relation, ((a, t), (b, s)))
+    return swapped and isinstance(s, Var) and isinstance(t, Var) and s != t
 
 
 @pytest.mark.parametrize("shape", sorted(FULL_TGD_SHAPES))
@@ -1913,3 +1940,129 @@ def test_figure_1_instances_share_their_evisits_rows():
     for name in ("J1", "J2", "J3", "J1_missing"):
         assert ws.instances[name].rows("EVisits") is evisits
     assert ws.instances["J1"].rows("LocVisits") is not ws.instances["I"].rows("LocVisits")
+
+
+# --- reports and row builders against their literal paths --------------------
+
+# quoted strings with the characters a rendered row separates and escapes by
+RENDER_VALUES = (const(1), const("x"), const("a,b"), const('say "hi"'), const("back\\slash"), null_marker("n"))
+# equal relation names under other layouts, and a schema with no relation
+RENDER_SCHEMAS = (
+    Schema.of({"R": ("a",), "T": ("a", "b")}),
+    Schema.of({"R": ("a", "c"), "T": ("a", "b")}),
+    Schema.of({"T": ("b",)}),
+    Schema.of({}),
+)
+
+
+@st.composite
+def render_batch_st(draw) -> list[Instance]:
+    """Instances whose relations take a row set drawn before under the same
+    layout, so blocks repeat, or a new one, maybe empty."""
+    drawn: dict[tuple[str, tuple[str, ...]], list[frozenset[Row]]] = {}
+    batch = []
+    for _ in range(draw(st.integers(1, 6))):
+        schema = draw(st.sampled_from(RENDER_SCHEMAS))
+        data = {}
+        for rel in schema.names:
+            layout = schema.layout(rel)
+            before = drawn.setdefault((rel, layout), [])
+            if before and draw(st.booleans()):
+                data[rel] = draw(st.sampled_from(before))
+            else:
+                cells = st.tuples(*(st.sampled_from(RENDER_VALUES) for _ in layout))
+                data[rel] = frozenset(Row(layout, c) for c in draw(st.lists(cells, max_size=3)))
+                before.append(data[rel])
+        batch.append(Instance.of(schema, data))
+    return batch
+
+
+def _blocks(batch: list[Instance]) -> Counter:
+    return Counter(pair for i in batch for pair in i.data)
+
+
+# what `render_batch_st` must reach
+RENDER_BRANCHES = {
+    "a block with rows in two instances": lambda batch: any(n > 1 and pair[1] for pair, n in _blocks(batch).items()),
+    "an empty relation under two layouts": lambda batch: len(
+        {i.schema.layout("T") for i in batch if i.schema.defines("T") and not i.rows("T")}
+    ) > 1,
+    "an instance over no relation": lambda batch: any(not i.data for i in batch),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(RENDER_BRANCHES))
+def test_render_batches_reach_each_branch(branch):
+    holds = RENDER_BRANCHES[branch]
+    found = find(render_batch_st(), holds, settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
+    assert holds(found)
+
+
+@settings(max_examples=RENDER_EXAMPLES, deadline=None)
+@given(batch=render_batch_st())
+def test_render_instances_match_the_literal_renderer(batch):
+    expected = [reference_queries.render_instance(i) for i in batch]
+    assert render_instances(batch) == expected
+    assert [render_instance(i) for i in batch] == expected
+
+
+@settings(max_examples=EXTENSION_EXAMPLES, deadline=None)
+@given(
+    cells=st.dictionaries(st.sampled_from("abcd"), st.sampled_from(VALUES), max_size=3),
+    fill=st.lists(st.sampled_from("abcd"), unique=True, max_size=3),
+    pool=st.lists(st.sampled_from(VALUES), unique=True, max_size=3),
+)
+def test_extensions_match_the_literal_row_builder(cells, fill, pool):
+    # `fill` may name attributes the row has: their cells are replaced
+    row = Row.of(cells)
+    assert oracle_mod._extensions(row, fill, pool) == reference_oracle._extensions(row, fill, pool)
+
+
+@settings(max_examples=MINIMALITY_EXAMPLES, deadline=None)
+@given(j=small_instance_st(), k=small_instance_st(), data=st.data())
+def test_same_schema_extension_matches_the_general_path(j, k, data):
+    # k as drawn, or a part of j's rows over an equal but distinct schema
+    if data.draw(st.booleans()):
+        part = {rel: data.draw(st.sets(st.sampled_from(sorted(rows)))) for rel, rows in j.data}
+        k = Instance.of(Schema(REP_SCHEMA.rels), part)
+    for a, b in ((j, k), (k, j), (j, j)):
+        assert instance_extends(a, b) == reference_queries.instance_extends(a, b)
+
+
+def _budget_text(b: Budget) -> str:
+    growth = ",growth" if b.allow_schema_growth else ""
+    return f"extra={b.extra_constants},tuples={b.max_new_tuples},attrs={b.max_new_attributes}{growth}"
+
+
+@settings(max_examples=REPORT_ORDER_EXAMPLES, deadline=None)
+@given(case=staged_case_st(), minimal=st.booleans())
+def test_oracle_reports_list_outcomes_in_the_literal_render_order(case, minimal):
+    p, i, b = case
+    ws = Workspace()
+    ws.schemas["S"], ws.instances["I"], ws.instance_schema["I"], ws.procedures["p"] = i.schema, i, "S", p
+    argv = ["oracle", "--workspace", "ws.dq", "--instance", "I", "--seq", "p", "--budget", _budget_text(b)]
+    argv += ["--minimal"] if minimal else []
+    reports = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle_mod, "BUDGET_CAP", 3000)
+        patch.setattr("dqworkbench.cli.load_workspace", lambda path: ws)
+        try:
+            outcomes = enumerate_outcomes(p, i, b)
+        except BudgetExceeded:
+            return
+        for form in ("text", "json"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run_command([*argv, "--format", form])
+            assert code == (0 if outcomes else 1)
+            reports[form] = out.getvalue()
+    if minimal:
+        outcomes = minimal_outcomes(outcomes)
+    ordered = sorted(outcomes, key=reference_queries.render_instance)
+    label = "minimal outcomes" if minimal else "outcomes"
+    lines = [f"{label} within budget: {len(ordered)}"]
+    for idx, o in enumerate(ordered):
+        text = reference_queries.render_instance(o)
+        lines += [f"--- outcome {idx} ---", *([text] if text else [])]
+    assert reports["text"] == "\n".join(lines) + "\n"
+    assert json.loads(reports["json"])["outcomes"] == [instance_to_json(o) for o in ordered]

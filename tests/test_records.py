@@ -35,11 +35,13 @@ from dqworkbench.constraints import (
     cq,
 )
 from dqworkbench.ctables import CondEq, ConditionalInstance, ScopedConditionalInstance
-from dqworkbench.dsl import Workspace, parse_workspace, workspace_from_json, workspace_to_json
+from dqworkbench.dsl import Workspace, parse_workspace, workspace_from_json
 from dqworkbench.errors import DomainMismatch, MalformedParams, SchemaConformance
 from dqworkbench.model import Instance, LabeledNull, Row, Schema, Value, const
 from dqworkbench.oracle import Budget, ChaseComparison
 from dqworkbench.procedures import OutcomeInputs, OutcomeReport, Procedure
+
+from .workspace_writers import workspace_to_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -27,9 +27,20 @@ machine's load reaches each alike. `--extra` with no values skips the
     PYTHONPATH=src python tools/scaling_compare.py --extra \
         --tree parent=<parent>/src --tree change=src
 
+For E = 0, 1, 2 (5,888, 9,477 and 14,500 outcomes), it times the two
+phases of
+
+    dqw oracle --workspace workspaces/fig1.dq --instance I --seq fix \
+        --budget extra=E,tuples=1,growth
+
+the same way, per tree: `enumerate_outcomes`, then rendering the outcomes
+and sorting them by their text, as `cli._cmd_oracle` does (through
+`model.render_instances` where the tree has it, else `render_instance` per
+outcome).
+
 It prints one JSON object, with the log-log slope of each time against the
 outcome count over the `extra` values given, and the median and quartiles
-of each tree's `migrate` enumeration times.
+of each tree's fresh-interpreter times.
 """
 
 from __future__ import annotations
@@ -70,7 +81,24 @@ n = len(enumerate_outcomes(ps, i, b))
 print(time.perf_counter() - start, n)
 """
 MIGRATE_EXTRA = (1, 2, 3)
-MIGRATE_RUNS = 10  # fresh interpreters per tree and budget
+ORACLE_EXTRA = (0, 1, 2)
+FRESH_RUNS = 10  # fresh interpreters per tree and budget
+ORACLE = """\
+import sys, time
+from operator import itemgetter
+from dqworkbench import model
+from dqworkbench.cli import parse_budget
+from dqworkbench.dsl import load_workspace
+from dqworkbench.oracle import enumerate_outcomes
+ws = load_workspace(sys.argv[1])
+i, ps, b = ws.instances["I"], [ws.procedures[n] for n in ws.sequences["fix"]], parse_budget(sys.argv[2])
+render = getattr(model, "render_instances", None) or (lambda js: [model.render_instance(j) for j in js])
+start = time.perf_counter()
+outcomes = list(enumerate_outcomes(ps, i, b))
+middle = time.perf_counter()
+ordered = sorted(zip(render(outcomes), outcomes), key=itemgetter(0))
+print(middle - start, time.perf_counter() - middle, len(ordered))
+"""
 
 
 def best(repeat: int, run) -> float:
@@ -108,32 +136,33 @@ def phases(budget: str, repeat: int) -> dict:
     }
 
 
-def migrate_enumeration(trees: dict[str, str]) -> dict:
+def fresh_runs(trees: dict[str, str], script: str, budgets: list[str], steps: tuple[str, ...]) -> dict:
     """Per tree and budget, the outcome count and the median and quartiles of
-    the fresh-interpreter times of the `migrate` enumeration."""
-    times: dict[tuple[str, int], list[float]] = {(name, e): [] for name in trees for e in MIGRATE_EXTRA}
-    counts: dict[int, set[int]] = {e: set() for e in MIGRATE_EXTRA}
+    each phase's time over FRESH_RUNS fresh interpreters of `script`, which
+    prints one time per phase and then the outcome count."""
+    times = {(name, budget, phase): [] for name in trees for budget in budgets for phase in steps}
+    counts: dict[str, set[int]] = {budget: set() for budget in budgets}
     order = list(trees.items())
-    for k in range(MIGRATE_RUNS):
-        for e in MIGRATE_EXTRA:
+    for k in range(FRESH_RUNS):
+        for budget in budgets:
             for name, src in order[::-1] if k % 2 else order:
-                argv = [sys.executable, "-c", MIGRATE, str(FIG1), f"extra={e},tuples=2"]
+                argv = [sys.executable, "-c", script, str(FIG1), budget]
                 env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
-                seconds, n = subprocess.run(argv, capture_output=True, text=True, check=True, env=env).stdout.split()
-                times[name, e].append(float(seconds))
-                counts[e].add(int(n))
+                *seconds, n = subprocess.run(argv, capture_output=True, text=True, check=True, env=env).stdout.split()
+                for phase, t in zip(steps, seconds):
+                    times[name, budget, phase].append(float(t))
+                counts[budget].add(int(n))
     if any(len(n) != 1 for n in counts.values()):
         raise SystemExit(f"the trees enumerate different outcome counts: {counts}")
-    outcomes = {e: n.pop() for e, n in counts.items()}
     out: dict[str, list[dict]] = {}
     for name in trees:
         out[name] = []
-        for e in MIGRATE_EXTRA:
-            q1, median, q3 = statistics.quantiles(times[name, e], n=4)
-            out[name].append({
-                "budget": f"extra={e},tuples=2", "outcomes": outcomes[e],
-                "median_s": round(median, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4), "runs": MIGRATE_RUNS,
-            })
+        for budget in budgets:
+            row = {"budget": budget, "outcomes": next(iter(counts[budget])), "runs": FRESH_RUNS}
+            for phase in steps:
+                q1, median, q3 = statistics.quantiles(times[name, budget, phase], n=4)
+                row[phase] = {"median_s": round(median, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4)}
+            out[name].append(row)
     return out
 
 
@@ -163,7 +192,10 @@ def main() -> None:
             for key in ("fresh_process_s", "minimal_outcomes_s", "compare_with_chase_s")
         }
     trees = dict(spec.split("=", 1) for spec in args.tree) or {"current": str(Path(dqworkbench.__file__).parent.parent)}
-    out["migrate_enumeration"] = migrate_enumeration(trees)
+    budgets = [f"extra={e},tuples=2" for e in MIGRATE_EXTRA]
+    out["migrate_enumeration"] = fresh_runs(trees, MIGRATE, budgets, ("enumerate_outcomes",))
+    budgets = [f"extra={e},tuples=1,growth" for e in ORACLE_EXTRA]
+    out["oracle_phases"] = fresh_runs(trees, ORACLE, budgets, ("enumerate_outcomes", "render_and_sort"))
     json.dump(out, sys.stdout, indent=2)
     print()
 
